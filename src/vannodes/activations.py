@@ -1,9 +1,19 @@
 """Activation functions, their derivatives, and squared-derivative moments.
 
-``mu_k`` here is E[phi'(h)^(2k)] with h ~ N(0, q_star), where q_star comes
-from the forward variance recursion.  mu_1 is the backward gain factor: a
-layer multiplies gradient variance by sigma_w^2 * mu_1, so sigma_w^2 * mu_1 = 1
-is the norm-preserving operating point.
+``mu_k`` here is E[phi'(h)^(2k)] with h ~ N(0, q_star), where q_star is the
+attracting fixed point of the forward variance map
+q -> sigma_w^2 m(q) + sigma_b^2, m(q) = E[phi(sqrt(q) z)^2].  mu_1 is the
+backward gain factor: a layer multiplies gradient variance by
+sigma_w^2 * mu_1, so sigma_w^2 * mu_1 = 1 is the norm-preserving operating
+point.
+
+Both are solved directly: q_star by safeguarded Newton on
+F(q) = q - sigma_w^2 m(q) - sigma_b^2 (``variance_fixed_point``), and the
+norm-preserving sigma_w^2 by bisection on g(s) = s mu_1(q_star(s)) - 1
+(``tune_sigma_w_sq``).  For tanh and hard-tanh at sigma_b = 0 the root is the
+critical point sigma_w^2 = 1, q_star = 0 (Schoenholz et al. 2017, "Deep
+Information Propagation"): the plain recursion slows down critically there,
+taking about 1/(sigma_w^2 - 1) steps.
 """
 
 from __future__ import annotations
@@ -18,12 +28,14 @@ from .linalg import Rng
 
 __all__ = [
     "ActivationKind",
+    "ConvergenceError",
     "ActivationMoments",
     "apply",
     "derivative",
     "variance_fixed_point",
     "moments",
     "mean_sq_activation",
+    "mean_sq_activation_derivative",
     "mu_quadrature",
     "tune_sigma_w_sq",
 ]
@@ -32,6 +44,11 @@ __all__ = [
 _GH_POINTS, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(201)
 _GH_Z = _GH_POINTS * math.sqrt(2.0)
 _GH_W = _GH_WEIGHTS / math.sqrt(math.pi)
+_EPS = float(np.finfo(np.float64).eps)
+
+
+class ConvergenceError(ArithmeticError):
+    """A fixed-point or root solve stopped without reaching its tolerance."""
 
 
 class ActivationKind(enum.Enum):
@@ -83,10 +100,33 @@ def mean_sq_activation(kind: ActivationKind, q: float) -> float:
         # E[h^2; |h|<1] + P(|h|>=1), split with a = 1/sqrt(q).
         a = 1.0 / math.sqrt(q)
         inside = math.erf(a / math.sqrt(2.0)) - a * math.sqrt(2.0 / math.pi) * math.exp(-a * a / 2.0)
-        return q * inside + (1.0 - math.erf(a / math.sqrt(2.0)))
+        return q * inside + math.erfc(a / math.sqrt(2.0))
     if kind is ActivationKind.TANH:
         vals = np.tanh(math.sqrt(q) * _GH_Z)
         return float(np.dot(_GH_W, vals * vals))
+    raise ValueError(f"unknown activation {kind!r}")
+
+
+def mean_sq_activation_derivative(kind: ActivationKind, q: float) -> float:
+    """d/dq E[phi(h)^2] for h ~ N(0, q), which by Gaussian integration by
+    parts is E[phi'(h)^2 + phi(h) phi''(h)]."""
+    if q < 0:
+        raise ValueError("variance q must be non-negative")
+    if kind is ActivationKind.LINEAR:
+        return 1.0
+    if kind is ActivationKind.RELU:
+        return 0.5
+    if q == 0:
+        return 1.0
+    if kind is ActivationKind.HARD_TANH:
+        # phi'' is a pair of point masses at the kinks h = +-1.
+        return math.erf(1.0 / math.sqrt(2.0 * q)) - 2.0 * math.exp(-0.5 / q) / math.sqrt(2.0 * math.pi * q)
+    if kind is ActivationKind.TANH:
+        # E[phi(h) phi'(h) z] / sqrt(q): on the Gauss-Hermite rule this is the
+        # exact derivative of mean_sq_activation's sum, and it is more
+        # accurate than the phi'^2 + phi phi'' integrand for large q.
+        t = np.tanh(math.sqrt(q) * _GH_Z)
+        return float(np.dot(_GH_W, t * (1.0 - t * t) * _GH_Z)) / math.sqrt(q)
     raise ValueError(f"unknown activation {kind!r}")
 
 
@@ -174,44 +214,110 @@ def variance_fixed_point(
     sigma_w_sq: float,
     sigma_b_sq: float = 0.0,
     sigma_x_sq: float = 0.1,
-    tol: float = 1e-9,
-    max_iter: int = 10_000,
+    max_iter: int = 200,
 ) -> float:
-    """Terminal value of the pre-activation variance recursion
-    q_{l+1} = sigma_w^2 E[phi(sqrt(q_l) z)^2] + sigma_b^2, from q_0 = sigma_x^2.
+    """Limit of the pre-activation variance recursion
+    q_{l+1} = sigma_w^2 m(q_l) + sigma_b^2, m(q) = E[phi(sqrt(q) z)^2], from
+    q_0 = sigma_x^2.
+
+    The map is increasing, so the recursion moves monotonically to the
+    nearest root of F(q) = q - sigma_w^2 m(q) - sigma_b^2 on the side where
+    F(sigma_x^2) points.  That root is bracketed and solved by Newton's
+    method, falling back to bisection when a step leaves the bracket, until
+    |F| is at rounding level.  With sigma_b = 0 and
+    sigma_w^2 m'(0) <= 1 the recursion decays to the root at 0 and 0.0 is
+    returned.
+
+    Raises FloatingPointError when the recursion grows past 1e12 (no root
+    above sigma_x^2), and ConvergenceError when F changes sign without
+    reaching zero or ``max_iter`` steps do not converge.
     """
     if sigma_w_sq <= 0:
         raise ValueError("sigma_w_sq must be positive")
+
+    def residual(q: float) -> tuple[float, float]:
+        """F(q) and the rounding level it can be resolved to."""
+        mapped = sigma_w_sq * mean_sq_activation(kind, q)
+        return q - mapped - sigma_b_sq, 16.0 * _EPS * (q + mapped + sigma_b_sq)
+
     q = float(sigma_x_sq)
+    f, noise = residual(q)
+    if abs(f) <= noise:
+        return q
+    if sigma_b_sq == 0 and sigma_w_sq * mean_sq_activation_derivative(kind, 0.0) <= 1.0:
+        # phi(h)^2 <= m'(0) h^2 for every kind here, so the map pulls each q > 0 down.
+        return 0.0
+    if f > 0:
+        # Descending: F(0) = -sigma_b^2 <= 0, and with sigma_b = 0 F < 0 just above 0.
+        lo, hi = 0.0, q
+    else:
+        # Ascending: F(sigma_b^2) = -sigma_w^2 m(sigma_b^2) < 0 too, so doubling
+        # from there also moves off q = 0.
+        lo, hi = q, max(q, sigma_b_sq)
+        while f < 0:
+            lo, hi = hi, 2.0 * hi
+            if hi > 1e12:
+                raise FloatingPointError("forward variance recursion is exploding")
+            f, noise = residual(hi)
+        q = hi
     for _ in range(max_iter):
-        q_next = sigma_w_sq * mean_sq_activation(kind, q) + sigma_b_sq
-        if q_next > 1e12:
-            raise FloatingPointError("forward variance recursion is exploding")
-        if abs(q_next - q) < tol:
-            return q_next
-        q = q_next
-    return q
+        if abs(f) <= noise:
+            return q
+        # F(lo) <= 0 < F(hi), and q is the last point evaluated.  The attracting
+        # root has map slope below 1, i.e. F' > 0, so Newton only steps where F rises.
+        slope = 1.0 - sigma_w_sq * mean_sq_activation_derivative(kind, q)
+        newton = q - f / slope if slope > 0 else math.nan
+        q = newton if lo < newton < hi else 0.5 * (lo + hi)
+        if not lo < q < hi:
+            raise ConvergenceError(
+                f"variance map has no fixed point in [{lo!r}, {hi!r}]: F changes sign without reaching zero"
+            )
+        f, noise = residual(q)
+        if f > 0:
+            hi = q
+        else:
+            lo = q
+    raise ConvergenceError(f"variance fixed point did not converge in {max_iter} steps (|F| = {abs(f):.3g})")
 
 
 def tune_sigma_w_sq(
     kind: ActivationKind,
     sigma_x_sq: float = 0.1,
     sigma_b_sq: float = 0.0,
-    tol: float = 1e-10,
-    max_iter: int = 500,
+    tol: float = 1e-12,
+    max_iter: int = 200,
 ) -> tuple[float, float]:
-    """Solve sigma_w^2 * mu_1(q_star(sigma_w^2)) = 1 self-consistently.
+    """Solve sigma_w^2 * mu_1(q_star(sigma_w^2)) = 1.
 
-    Returns (sigma_w_sq, q_star).  Damped fixed-point iteration; mu_1 is
-    evaluated by quadrature so the result is deterministic.
+    Returns (sigma_w_sq, q_star), with q_star exactly as
+    ``variance_fixed_point(kind, sigma_w_sq, sigma_b_sq, sigma_x_sq)`` returns
+    it.  Linear and ReLU have a q-independent mu_1, so sigma_w^2 = 1 / mu_1.
+    Tanh and hard-tanh bisect g(s) = s mu_1(q_star(s)) - 1 until |g| <= tol,
+    mu_1 by quadrature so the result is deterministic.  g(1) <= 0 because
+    mu_1 <= 1; at sigma_b = 0, g < 0 below s = 1 (q_star = 0, mu_1 = 1) and
+    g > 0 above it, so the root is the critical point s = 1, q_star = 0 and
+    bisection stops just above it, where q_star is tiny.
     """
-    s = 1.0
-    q = float(sigma_x_sq)
-    for _ in range(max_iter):
+    if kind in (ActivationKind.LINEAR, ActivationKind.RELU):
+        s = 1.0 / mu_quadrature(kind, 0.0)[0]
+        return s, variance_fixed_point(kind, s, sigma_b_sq, sigma_x_sq)
+
+    def g(s: float) -> tuple[float, float]:
         q = variance_fixed_point(kind, s, sigma_b_sq, sigma_x_sq)
-        mu1, _ = mu_quadrature(kind, q)
-        s_new = 1.0 / mu1
-        if abs(s_new - s) < tol:
-            return s_new, variance_fixed_point(kind, s_new, sigma_b_sq, sigma_x_sq)
-        s = 0.5 * (s + s_new)
-    return s, q
+        return s * mu_quadrature(kind, q)[0] - 1.0, q
+
+    lo, hi = 1.0, 2.0
+    while g(hi)[0] <= 0:
+        lo, hi = hi, 2.0 * hi
+        if hi > 1e6:
+            raise ConvergenceError("no sigma_w^2 <= 1e6 makes sigma_w^2 mu_1 exceed 1")
+    for _ in range(max_iter):
+        s = 0.5 * (lo + hi)
+        resid, q = g(s)
+        if abs(resid) <= tol:
+            return s, q
+        if resid > 0:
+            hi = s
+        else:
+            lo = s
+    raise ConvergenceError(f"gain tune did not reach |sigma_w^2 mu_1 - 1| <= {tol:g} in {max_iter} steps")

@@ -27,12 +27,7 @@ from .data import Dataset, gaussian_probe, load_mnist_idx, synthetic_task
 from .initializers import InitKind, InitializerSpec
 from .linalg import Rng
 from .network import build_network, forward
-from .training import (
-    RECORD_CSV_COLUMNS,
-    TrainResult,
-    record_csv_row,
-    train,
-)
+from .training import TrainResult, train
 
 __all__ = [
     "run_vni_sweep",
@@ -515,8 +510,3 @@ def run_diagnostics(config: ExperimentConfig) -> dict:
     _write_csv(config, f"diagnostics_{config.config_hash()}.csv", "quantity,value", rows)
     return {"report": report, "diagnostics": diag}
 
-
-def write_run_records(config: ExperimentConfig, name: str, result: TrainResult) -> str:
-    """Append-style CSV of one run's TrainRecord stream."""
-    rows = [record_csv_row(r).split(",") for r in result.records]
-    return _write_csv(config, name, RECORD_CSV_COLUMNS, rows)

@@ -225,9 +225,17 @@ def _write_array(f, a: np.ndarray):
     f.write(a.tobytes())
 
 
+def _unpack(f, fmt: str, what: str) -> tuple:
+    size = struct.calcsize(fmt)
+    raw = f.read(size)
+    if len(raw) != size:
+        raise ValueError(f"truncated checkpoint file: {what} is cut short")
+    return struct.unpack(fmt, raw)
+
+
 def _read_array(f) -> np.ndarray:
-    (ndim,) = struct.unpack("<I", f.read(4))
-    shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
+    (ndim,) = _unpack(f, "<I", "array header")
+    shape = _unpack(f, f"<{ndim}I", "array shape")
     count = int(np.prod(shape))
     data = np.frombuffer(f.read(8 * count), dtype="<f8")
     if data.size != count:
@@ -270,11 +278,13 @@ def load_checkpoint(path) -> NetworkState:
     with open(path, "rb") as f:
         if f.read(4) != CHECKPOINT_MAGIC:
             raise ValueError("not a network checkpoint (bad magic bytes)")
-        version, depth, width, input_dim, num_classes, act_code, householder = struct.unpack(
-            "<IIIIIBB", f.read(22)
+        version, depth, width, input_dim, num_classes, act_code, householder = _unpack(
+            f, "<IIIIIBB", "header"
         )
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
+        if act_code not in _ACT_FROM_CODE:
+            raise ValueError(f"corrupt checkpoint: unknown activation code {act_code}")
         spec = NetworkSpec(depth, width, input_dim, num_classes, _ACT_FROM_CODE[act_code])
         weights, biases = [], []
         stacks = [None] * depth if householder else None

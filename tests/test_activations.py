@@ -130,3 +130,30 @@ class TestTune:
         sw2, q = act.tune_sigma_w_sq(kind, 0.1)
         mu1, _ = act.mu_quadrature(kind, q)
         assert sw2 * mu1 == pytest.approx(1.0, abs=1e-5)
+
+
+@pytest.mark.parametrize("kind", [ActivationKind.TANH, ActivationKind.HARD_TANH])
+@pytest.mark.parametrize("q", [1e-4, 0.01, 0.1, 1.0, 4.0])
+def test_mean_sq_activation_derivative_matches_finite_difference(kind, q):
+    h = 1e-4 * q
+    fd = (act.mean_sq_activation(kind, q + h) - act.mean_sq_activation(kind, q - h)) / (2 * h)
+    assert act.mean_sq_activation_derivative(kind, q) == pytest.approx(fd, rel=1e-7)
+
+
+class TestDirectSolves:
+    @pytest.mark.parametrize("kind", [ActivationKind.TANH, ActivationKind.HARD_TANH])
+    @pytest.mark.parametrize("sigma_x_sq", [0.1, 1.0])
+    def test_tune_residual_and_bit_identical_q(self, kind, sigma_x_sq):
+        sw2, q = act.tune_sigma_w_sq(kind, sigma_x_sq)
+        mu1, _ = act.mu_quadrature(kind, q)
+        assert abs(sw2 * mu1 - 1.0) <= 1e-12
+        assert act.variance_fixed_point(kind, sw2, 0.0, sigma_x_sq) == q
+
+    def test_tanh_critical_point_is_zero(self):
+        assert act.variance_fixed_point(ActivationKind.TANH, 1.0, 0.0, 0.1) <= 1e-12
+
+    def test_map_without_fixed_point_raises(self, monkeypatch):
+        # 2 m(q) jumps over the diagonal at q = 5: F = q - 2 m(q) is -1 below and +1 above.
+        monkeypatch.setattr(act, "mean_sq_activation", lambda kind, q: (q + 1.0 if q < 5.0 else q - 1.0) / 2)
+        with pytest.raises(act.ConvergenceError):
+            act.variance_fixed_point(ActivationKind.TANH, 2.0, 0.0, 0.1)

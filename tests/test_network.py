@@ -198,3 +198,21 @@ class TestCheckpoint:
         p.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(ValueError):
             load_checkpoint(p)
+
+    def test_truncated_header(self, tmp_path):
+        spec = NetworkSpec(2, 4, 4, 0, ActivationKind.TANH)
+        p = tmp_path / "net.ckpt"
+        save_checkpoint(build_network(spec, GAUSS, Rng(23)), p)
+        p.write_bytes(p.read_bytes()[:14])  # magic + part of the 22-byte header
+        with pytest.raises(ValueError, match="header"):
+            load_checkpoint(p)
+
+    def test_unknown_activation_code(self, tmp_path):
+        spec = NetworkSpec(2, 4, 4, 0, ActivationKind.TANH)
+        p = tmp_path / "net.ckpt"
+        save_checkpoint(build_network(spec, GAUSS, Rng(23)), p)
+        raw = bytearray(p.read_bytes())
+        raw[4 + 20] = 200  # activation code byte, after magic and five uint32 fields
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="activation code"):
+            load_checkpoint(p)
