@@ -19,7 +19,7 @@ from . import activations as act
 from .activations import ActivationKind, ActivationMoments
 from .initializers import InitKind
 from .linalg import sym_eigenvalues
-from .network import NetworkSpec, NetworkState, backward, forward, jacobian
+from .network import NetworkState, backward, forward, headless, jacobian
 
 __all__ = [
     "VniReport",
@@ -238,9 +238,9 @@ def gradient_diagnostics(
             spec.activation, 1.0, 0.0, sigma_x_sq if sigma_x_sq > 0 else 1.0
         )
         mu1 = act.mu_quadrature(spec.activation, q_star)[0]
-    headless = _headless(state)
-    trace = forward(headless, probe)
-    grads = backward(headless, trace, np.asarray(loss_grads, dtype=np.float64))
+    backbone = headless(state)
+    trace = forward(backbone, probe)
+    grads = backward(backbone, trace, np.asarray(loss_grads, dtype=np.float64))
     x_l = trace.post[-1]
     var_x_l = float(((x_l - x_l.mean(axis=0)) ** 2).mean())
     var_in = float(grads.input_gradient.var())
@@ -261,21 +261,6 @@ def gradient_diagnostics(
     )
 
 
-def _headless(state: NetworkState) -> NetworkState:
-    """View of a network without the readout head; node statistics are taken
-    at backbone layer L."""
-    spec = state.spec
-    if spec.num_classes == 0:
-        return state
-    return NetworkState(
-        spec=NetworkSpec(spec.depth_L, spec.width_N, spec.input_dim, 0, spec.activation),
-        weights=state.weights,
-        biases=state.biases,
-        parametrization=state.parametrization,
-        stacks=state.stacks,
-    )
-
-
 def vni_report(
     state: NetworkState,
     probe_batch: np.ndarray,
@@ -285,8 +270,8 @@ def vni_report(
     with_jacobian: bool = False,
 ) -> VniReport:
     """All indicator routes on one probe batch, plus effective node counts."""
-    headless = _headless(state)
-    trace = forward(headless, probe_batch)
+    backbone = headless(state)
+    trace = forward(backbone, probe_batch)
     acts = trace.post[-1]
     value, corr_sq, var = vni_empirical(acts)
     centered = acts - acts.mean(axis=0)
@@ -294,7 +279,7 @@ def vni_report(
     cov_value = vni_from_covariance(cov)
     jac_value = None
     if with_jacobian:
-        j = jacobian(headless, np.asarray(probe_batch)[0])
+        j = jacobian(backbone, np.asarray(probe_batch)[0])
         jac_value, _ = vni_from_jacobian(j)
     theo = theo_raw = None
     if moments is not None and s1 is not None:

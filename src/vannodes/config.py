@@ -9,7 +9,7 @@ import hashlib
 from dataclasses import dataclass, field, fields
 
 from .activations import ActivationKind
-from .initializers import InitKind, InitializerSpec
+from .initializers import InitKind
 from .network import NetworkSpec
 from .training import OptimizerKind, OptimizerSpec, SuccessCriterion
 
@@ -76,9 +76,6 @@ class ExperimentConfig:
     @property
     def init_kind(self) -> InitKind:
         return InitKind(self.init)
-
-    def initializer_spec(self, sigma_w_sq: float) -> InitializerSpec:
-        return InitializerSpec(self.init_kind, sigma_w_sq, self.bottleneck_nb)
 
     def optimizer_spec(self, learning_rate: float) -> OptimizerSpec:
         return OptimizerSpec(OptimizerKind(self.optimizer), learning_rate)

@@ -1,14 +1,17 @@
 """Desk-scale experiment runners: indicator sweeps, correlation heatmaps,
 training dynamics, task tables, success-probability grids, and diagnostics.
 
-Every runner is resumable: completed (config-hash, run-key) rows are loaded
-from the run CSV and skipped, and all aggregation is keyed by run index so
-recomputed outputs are byte-identical.
+`run_vni_sweep`, `run_dynamics` and `run_grid` are resumable: they keep one
+row per run in a run CSV keyed by (config hash, run key), compute only the
+runs the CSV does not hold yet, and aggregate from the stored rows alone, so
+a resumed call writes the same bytes as a fresh one.  The other runners
+recompute every cell on each call.
 """
 
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +26,10 @@ from .analysis import (
     vni_theoretical,
 )
 from .config import ExperimentConfig
-from .data import Dataset, gaussian_probe, load_mnist_idx, synthetic_task
+from .data import gaussian_probe, load_mnist_idx, synthetic_task
 from .initializers import InitKind, InitializerSpec
 from .linalg import Rng
-from .network import build_network, forward
+from .network import build_network
 from .training import TrainResult, train
 
 __all__ = [
@@ -46,35 +49,58 @@ __all__ = [
 # -- shared plumbing ---------------------------------------------------------
 
 
+def _path(config: ExperimentConfig, name: str, ext: str = "csv") -> str:
+    """out_dir/<name>_<config hash>.<ext>; creates out_dir."""
+    os.makedirs(config.out_dir, exist_ok=True)
+    return os.path.join(config.out_dir, f"{name}_{config.config_hash()}.{ext}")
+
+
+def _header(config: ExperimentConfig) -> str:
+    return f"# config_hash={config.config_hash()} master_seed={config.master_seed}\n"
+
+
 class RunStore:
-    """Append-only CSV of per-run results, keyed for resumability."""
+    """Append-only CSV of per-run results, keyed for resumability.
+
+    A row cut short by a crash (no trailing newline) or with the wrong number
+    of fields is dropped on load with a warning, so its run is computed
+    again; the file is truncated to its last complete row before appending.
+    """
 
     def __init__(self, config: ExperimentConfig, name: str, columns: list):
-        os.makedirs(config.out_dir, exist_ok=True)
-        self.path = os.path.join(config.out_dir, f"{name}_{config.config_hash()}.csv")
+        self.path = _path(config, name)
         self.columns = list(columns)
         self.rows: dict = {}
-        header = f"# config_hash={config.config_hash()} master_seed={config.master_seed}"
+        header = (_header(config) + "key," + ",".join(self.columns) + "\n").encode()
+        data = b""
         if os.path.exists(self.path):
-            with open(self.path) as f:
-                lines = [ln.rstrip("\n") for ln in f if ln.strip()]
-            for line in lines:
-                if line.startswith("#") or line.startswith("key,"):
-                    continue
-                parts = line.split(",")
-                self.rows[parts[0]] = parts[1:]
+            with open(self.path, "rb") as f:
+                data = f.read()
+        if data.startswith(header):
+            self._load(data, len(header))
             self._f = open(self.path, "a")
-        else:
-            self._f = open(self.path, "w")
-            self._f.write(header + "\n")
-            self._f.write("key," + ",".join(self.columns) + "\n")
-            self._f.flush()
+            return
+        if data:
+            warnings.warn(f"{self.path}: header cut short or altered; every run is recomputed")
+        self._f = open(self.path, "w")
+        self._f.write(header.decode())
+        self._f.flush()
 
-    def has(self, key: str) -> bool:
-        return key in self.rows
-
-    def get(self, key: str) -> list:
-        return self.rows[key]
+    def _load(self, data: bytes, start: int):
+        """Keep the complete rows of ``data[start:]`` and cut the file after
+        its last newline, so that the next row starts on a line of its own."""
+        end = data.rfind(b"\n") + 1
+        dropped = int(end < len(data))
+        if dropped:
+            os.truncate(self.path, end)
+        for line in data[start:end].decode().splitlines():
+            parts = line.split(",")
+            if len(parts) == len(self.columns) + 1:
+                self.rows[parts[0]] = parts[1:]
+            else:
+                dropped += 1
+        if dropped:
+            warnings.warn(f"{self.path}: dropped {dropped} incomplete row(s); their runs are recomputed")
 
     def add(self, key: str, values: list):
         formatted = [f"{v:.10g}" if isinstance(v, float) else str(v) for v in values]
@@ -86,15 +112,31 @@ class RunStore:
         self._f.close()
 
 
-def _write_csv(config: ExperimentConfig, name: str, header_cols: str, rows: list) -> str:
-    os.makedirs(config.out_dir, exist_ok=True)
-    path = os.path.join(config.out_dir, name)
-    with open(path, "w") as f:
-        f.write(f"# config_hash={config.config_hash()} master_seed={config.master_seed}\n")
+def _stored_runs(config: ExperimentConfig, name: str, columns: list, cells: list, compute) -> list:
+    """Stored rows of the run CSV ``name``, grouped by ``config.runs``.
+
+    ``cells`` lists (run key, arguments of ``compute``) pairs, run index
+    innermost; ``compute`` returns that run's row.  Only the keys the CSV
+    does not hold yet are computed.  Returns one list of ``config.runs``
+    rows per cell, in the order of ``cells``, as stored (strings).
+    """
+    store = RunStore(config, name, columns)
+    try:
+        for key, args in cells:
+            if key not in store.rows:
+                store.add(key, compute(*args))
+        rows = [store.rows[key] for key, _ in cells]
+    finally:
+        store.close()
+    return [rows[i : i + config.runs] for i in range(0, len(rows), config.runs)]
+
+
+def _write_csv(config: ExperimentConfig, name: str, header_cols: str, rows: list):
+    with open(_path(config, name), "w") as f:
+        f.write(_header(config))
         f.write(header_cols + "\n")
         for row in rows:
             f.write(",".join(str(x) for x in row) + "\n")
-    return path
 
 
 def build_task(config: ExperimentConfig):
@@ -114,6 +156,13 @@ def build_task(config: ExperimentConfig):
         ).take(config.test_slice)
         return train_ds, test_ds
     raise ValueError(f"unknown dataset {config.dataset!r}")
+
+
+def _task(config: ExperimentConfig) -> tuple:
+    """(train_set, test_set, sigma_x_sq): the training inputs' variance is
+    the input scale the gain is resolved at."""
+    train_set, test_set = build_task(config)
+    return train_set, test_set, float(train_set.inputs.var())
 
 
 @dataclass
@@ -143,30 +192,38 @@ def resolve_gain(config: ExperimentConfig, sigma_x_sq: float, init_kind: InitKin
     return GainSetup(s, q, mu1, mu2)
 
 
+def _init_spec(config: ExperimentConfig, init_kind: InitKind, gain: GainSetup) -> InitializerSpec:
+    return InitializerSpec(init_kind, gain.sigma_w_sq, config.bottleneck_nb)
+
+
+def _probe_report(config: ExperimentConfig, depth: int, width: int, gain: GainSetup, rng: Rng, **report_args):
+    """(network, probe inputs, indicator report) of one width x width network
+    drawn from ``rng.spawn(0)`` on a Gaussian probe drawn from ``rng.spawn(1)``."""
+    spec = config.network_spec(depth, width, width, 0)
+    state = build_network(spec, _init_spec(config, config.init_kind, gain), rng.spawn(0))
+    probe = gaussian_probe(config.probe_samples, width, config.sigma_x_sq, rng.spawn(1)).inputs
+    return state, probe, vni_report(state, probe, **report_args)
+
+
 def _train_cell(
     config: ExperimentConfig,
     depth: int,
-    width: int,
     init_kind: InitKind,
     learning_rate: float,
-    run_index: int,
-    train_set: Dataset,
-    test_set: Dataset,
+    task: tuple,
     gain: GainSetup,
-    cell_seed: tuple,
+    seed_key: tuple,
 ) -> TrainResult:
-    spec = config.network_spec(depth, width, train_set.input_dim, train_set.num_classes)
-    init = InitializerSpec(init_kind, gain.sigma_w_sq, config.bottleneck_nb)
-    opt = config.optimizer_spec(learning_rate)
-    criterion = config.success_criterion()
-    rng = Rng(config.master_seed, (*cell_seed, run_index))
+    """Train one run of ``config.widths[0]`` nodes with the RNG key ``seed_key``."""
+    train_set, test_set, _ = task
+    spec = config.network_spec(depth, config.widths[0], train_set.input_dim, train_set.num_classes)
     return train(
         spec,
-        init,
-        opt,
+        _init_spec(config, init_kind, gain),
+        config.optimizer_spec(learning_rate),
         train_set,
-        criterion,
-        rng,
+        config.success_criterion(),
+        Rng(config.master_seed, seed_key),
         test_set=test_set,
         batch_size=config.batch_size,
         mu1=gain.mu1,
@@ -175,52 +232,64 @@ def _train_cell(
     )
 
 
+def _init_table(blocks: list, inits: tuple):
+    """Compare ``inits`` on each block (label, config, depth, task) of a table
+    by training ``config.runs`` runs of each.
+
+    Returns the table rows (label, init, successes, runs, mean final
+    indicator) and {(label, init): (successes, mean final indicator, runs)}.
+    """
+    rows, results = [], {}
+    for b_index, (label, config, depth, task) in enumerate(blocks):
+        for i_index, init_kind in enumerate(inits):
+            gain = resolve_gain(config, task[2], init_kind)
+            lr = config.learning_rates[0]
+            cell = [
+                _train_cell(config, depth, init_kind, lr, task, gain, (b_index, i_index, run))
+                for run in range(config.runs)
+            ]
+            n_success = sum(r.success for r in cell)
+            final_vni = float(np.mean([r.records[-1].vni for r in cell]))
+            rows.append([label, init_kind.value, n_success, config.runs, f"{final_vni:.6g}"])
+            results[(label, init_kind)] = (n_success, final_vni, cell)
+    return rows, results
+
+
 # -- runners -----------------------------------------------------------------
 
 
 def run_vni_sweep(config: ExperimentConfig) -> dict:
     """Theory-vs-simulation sweep of the indicator over depth (one curve per
     width), on an i.i.d. Gaussian probe.  Emits CSV + SVG."""
-    store = RunStore(config, "sweep_runs", ["width", "depth", "vni"])
     gain = resolve_gain(config, config.sigma_x_sq, config.init_kind)
     s1 = s1_for_ensemble(config.init_kind)
     moments = act.ActivationMoments(gain.mu1, gain.mu2, gain.q_star, "closed_form")
-    results = {}
+
+    def compute(width, depth, run):
+        rng = Rng(config.master_seed, (width, depth, run))
+        report = _probe_report(config, depth, width, gain, rng)[2]
+        return [width, depth, float(report.vni_empirical)]
+
+    cells = [
+        (f"N{width}_L{depth}_r{run}", (width, depth, run))
+        for width in config.widths
+        for depth in config.depths
+        for run in range(config.runs)
+    ]
+    stored = iter(_stored_runs(config, "sweep_runs", ["width", "depth", "vni"], cells, compute))
+    rows, results = [], {}
     for width in config.widths:
+        means, stds, theos = [], [], []
         for depth in config.depths:
-            for run in range(config.runs):
-                key = f"N{width}_L{depth}_r{run}"
-                if store.has(key):
-                    continue
-                rng = Rng(config.master_seed, (width, depth, run))
-                spec = config.network_spec(depth, width, width, 0)
-                state = build_network(
-                    spec, InitializerSpec(config.init_kind, gain.sigma_w_sq), rng.spawn(0)
-                )
-                probe = gaussian_probe(
-                    config.probe_samples, width, config.sigma_x_sq, rng.spawn(1)
-                )
-                report = vni_report(state, probe.inputs)
-                store.add(key, [width, depth, float(report.vni_empirical)])
-    rows = []
-    for width in config.widths:
-        xs, means, stds, theos = [], [], [], []
-        for depth in config.depths:
-            vals = np.array(
-                [
-                    float(store.get(f"N{width}_L{depth}_r{run}")[2])
-                    for run in range(config.runs)
-                ]
-            )
+            vals = np.array([float(row[2]) for row in next(stored)])
             _, theo_raw = vni_theoretical(depth, width, moments, s1)
-            xs.append(depth)
             means.append(vals.mean())
             stds.append(vals.std(ddof=1) if config.runs > 1 else 0.0)
             theos.append(theo_raw)
-            rows.append([width, depth, f"{vals.mean():.8g}", f"{vals.std(ddof=1) if config.runs > 1 else 0.0:.8g}", f"{theo_raw:.8g}"])
+            rows.append([width, depth, f"{means[-1]:.8g}", f"{stds[-1]:.8g}", f"{theo_raw:.8g}"])
         svgplot.line_plot(
-            os.path.join(config.out_dir, f"sweep_N{width}_{config.config_hash()}.svg"),
-            xs,
+            _path(config, f"sweep_N{width}", "svg"),
+            config.depths,
             {
                 "simulation (mean +- std)": (np.array(means), np.array(stds)),
                 "moment prediction": np.array(theos),
@@ -229,87 +298,70 @@ def run_vni_sweep(config: ExperimentConfig) -> dict:
             x_label="depth L",
             y_label="indicator",
         )
-        results[width] = (np.array(xs), np.array(means), np.array(stds), np.array(theos))
-    _write_csv(config, f"sweep_{config.config_hash()}.csv", "width,depth,vni_mean,vni_std,vni_theory_raw", rows)
-    store.close()
+        results[width] = (np.array(config.depths), np.array(means), np.array(stds), np.array(theos))
+    _write_csv(config, "sweep", "width,depth,vni_mean,vni_std,vni_theory_raw", rows)
     return results
 
 
 def run_heatmap(config: ExperimentConfig) -> dict:
     """Permuted squared-correlation heatmaps: depth sweep at fixed width and
     width sweep at fixed depth.  Emits one CSV grid + SVG per cell."""
-    results = {}
+    gain = resolve_gain(config, config.sigma_x_sq, config.init_kind)
     cells = [(config.widths[0], depth) for depth in config.depths]
     cells += [(width, config.depths[0]) for width in config.widths[1:]]
-    summary = []
+    results, summary = {}, []
     for width, depth in cells:
-        rng = Rng(config.master_seed, (width, depth))
-        gain = resolve_gain(config, config.sigma_x_sq, config.init_kind)
-        spec = config.network_spec(depth, width, width, 0)
-        state = build_network(
-            spec, InitializerSpec(config.init_kind, gain.sigma_w_sq), rng.spawn(0)
-        )
-        probe = gaussian_probe(config.probe_samples, width, config.sigma_x_sq, rng.spawn(1))
-        report = vni_report(state, probe.inputs)
+        report = _probe_report(config, depth, width, gain, Rng(config.master_seed, (width, depth)))[2]
         permuted, _ = correlation_heatmap(report.corr_sq)
-        tag = f"N{width}_L{depth}"
+        tag = f"heatmap_N{width}_L{depth}"
         _write_csv(
             config,
-            f"heatmap_{tag}_{config.config_hash()}.csv",
+            tag,
             ",".join(f"n{i}" for i in range(width)),
             [[f"{v:.6g}" for v in row] for row in permuted],
         )
         svgplot.heatmap(
-            os.path.join(config.out_dir, f"heatmap_{tag}_{config.config_hash()}.svg"),
+            _path(config, tag, "svg"),
             permuted,
             title=f"Squared node correlations, N={width}, L={depth}",
         )
         off_diag = (report.corr_sq.sum() - np.trace(report.corr_sq)) / (width * (width - 1))
         results[(width, depth)] = off_diag
         summary.append([width, depth, f"{off_diag:.8g}", f"{report.vni_empirical:.8g}"])
-    _write_csv(
-        config, f"heatmap_summary_{config.config_hash()}.csv", "width,depth,mean_offdiag_corr_sq,vni", summary
-    )
+    _write_csv(config, "heatmap_summary", "width,depth,mean_offdiag_corr_sq,vni", summary)
     return results
 
 
 def run_dynamics(config: ExperimentConfig) -> dict:
     """Per-epoch indicator quartiles across runs, one band per learning rate."""
-    train_set, test_set = build_task(config)
-    sigma_x_sq = float(train_set.inputs.var())
-    gain = resolve_gain(config, sigma_x_sq, config.init_kind)
-    store = RunStore(config, "dynamics_runs", ["lr", "run", "epochs", "vni_series"])
-    series: dict = {}
-    for lr_index, lr in enumerate(config.learning_rates):
-        runs = []
-        for run in range(config.runs):
-            key = f"lr{lr_index}_r{run}"
-            if store.has(key):
-                vals = [float(v) for v in store.get(key)[3].split(";")]
-            else:
-                width = config.widths[0]
-                result = _train_cell(
-                    config, config.depths[0], width, config.init_kind, lr, run,
-                    train_set, test_set, gain, (lr_index,),
-                )
-                vals = [r.vni for r in result.records]
-                store.add(key, [lr, run, len(vals), ";".join(f"{v:.8g}" for v in vals)])
-            runs.append(vals)
+    task = _task(config)
+    gain = resolve_gain(config, task[2], config.init_kind)
+
+    def compute(lr_index, lr, run):
+        result = _train_cell(config, config.depths[0], config.init_kind, lr, task, gain, (lr_index, run))
+        vals = [r.vni for r in result.records]
+        return [lr, run, len(vals), ";".join(map(repr, vals))]
+
+    cells = [
+        (f"lr{lr_index}_r{run}", (lr_index, lr, run))
+        for lr_index, lr in enumerate(config.learning_rates)
+        for run in range(config.runs)
+    ]
+    stored = _stored_runs(config, "dynamics_runs", ["lr", "run", "epochs", "vni_series"], cells, compute)
+    series, rows, plot_series = {}, [], {}
+    for lr, cell in zip(config.learning_rates, stored):
+        runs = [[float(v) for v in row[3].split(";")] for row in cell]
         n_epochs = min(len(v) for v in runs)
         vni = np.array([v[:n_epochs] for v in runs])
         q1, med, q3 = np.percentile(vni, [25, 50, 75], axis=0)
         series[lr] = (np.arange(n_epochs), q1, med, q3)
-    rows = []
-    plot_series = {}
-    for lr, (epochs, q1, med, q3) in series.items():
-        for e in range(len(epochs)):
+        for e in range(n_epochs):
             rows.append([f"{lr:g}", e, f"{q1[e]:.8g}", f"{med[e]:.8g}", f"{q3[e]:.8g}"])
         plot_series[f"lr={lr:g}"] = (med, np.maximum(med - q1, q3 - med))
-    _write_csv(config, f"dynamics_{config.config_hash()}.csv", "lr,epoch,q1,median,q3", rows)
-    any_epochs = next(iter(series.values()))[0]
+    _write_csv(config, "dynamics", "lr,epoch,q1,median,q3", rows)
     svgplot.line_plot(
-        os.path.join(config.out_dir, f"dynamics_{config.config_hash()}.svg"),
-        any_epochs,
+        _path(config, "dynamics", "svg"),
+        next(iter(series.values()))[0],
         plot_series,
         title="Indicator quartiles over training",
         x_label="epoch",
@@ -324,88 +376,55 @@ _TASKS_TABLE_INITS = (InitKind.SCALED_GAUSSIAN, InitKind.BOTTLENECK)
 def run_tasks_table(config: ExperimentConfig, tasks=("and2", "and4", "xor2")) -> dict:
     """Success/fail table across tasks x {scaled Gaussian, bottleneck} inits,
     plus the per-epoch gradient log-ratio between the two inits."""
-    results = {}
-    table_rows = []
-    ratio_rows = []
-    for t_index, task_name in enumerate(tasks):
+    blocks = []
+    for task_name in tasks:
         cfg = config.with_overrides({"dataset": task_name})
-        train_set, test_set = build_task(cfg)
-        sigma_x_sq = float(train_set.inputs.var())
-        per_init = {}
-        for init_kind in _TASKS_TABLE_INITS:
-            gain = resolve_gain(cfg, sigma_x_sq, init_kind)
-            run_results = []
-            for run in range(config.runs):
-                result = _train_cell(
-                    cfg, config.depths[0], config.widths[0], init_kind,
-                    config.learning_rates[0], run, train_set, test_set, gain,
-                    (t_index, int(init_kind == InitKind.BOTTLENECK)),
-                )
-                run_results.append(result)
-            per_init[init_kind] = run_results
-            n_success = sum(r.success for r in run_results)
-            final_vni = float(np.mean([r.records[-1].vni for r in run_results]))
-            table_rows.append(
-                [task_name, init_kind.value, n_success, config.runs, f"{final_vni:.6g}"]
-            )
-            results[(task_name, init_kind)] = (n_success, final_vni, run_results)
+        blocks.append((task_name, cfg, config.depths[0], _task(cfg)))
+    table_rows, results = _init_table(blocks, _TASKS_TABLE_INITS)
+    ratio_rows = []
+    for task_name in tasks:
         # walking-dead log-ratio over the common recorded epochs of run 0
-        a = per_init[InitKind.SCALED_GAUSSIAN][0].records
-        b = per_init[InitKind.BOTTLENECK][0].records
+        a = results[(task_name, InitKind.SCALED_GAUSSIAN)][2][0].records
+        b = results[(task_name, InitKind.BOTTLENECK)][2][0].records
         for e in range(min(len(a), len(b))):
             ratio = a[e].input_grad_log_norm - b[e].input_grad_log_norm
             ratio_rows.append([task_name, e, f"{ratio:.8g}"])
-    _write_csv(
-        config,
-        f"tasks_table_{config.config_hash()}.csv",
-        "task,init,successes,runs,mean_final_vni",
-        table_rows,
-    )
-    _write_csv(
-        config,
-        f"tasks_ratio_{config.config_hash()}.csv",
-        "task,epoch,grad_log_ratio",
-        ratio_rows,
-    )
+    _write_csv(config, "tasks_table", "task,init,successes,runs,mean_final_vni", table_rows)
+    _write_csv(config, "tasks_ratio", "task,epoch,grad_log_ratio", ratio_rows)
     return results
 
 
 def run_grid(config: ExperimentConfig) -> dict:
     """Success probability over (depth, learning rate) with per-run final
     indicator and gain records for the failure-attribution summaries."""
-    train_set, test_set = build_task(config)
-    sigma_x_sq = float(train_set.inputs.var())
-    gain = resolve_gain(config, sigma_x_sq, config.init_kind)
-    store = RunStore(config, "grid_runs", ["depth", "lr", "run", "success", "final_vni", "gain_median"])
-    for d_index, depth in enumerate(config.depths):
-        for lr_index, lr in enumerate(config.learning_rates):
-            for run in range(config.runs):
-                key = f"L{depth}_lr{lr_index}_r{run}"
-                if store.has(key):
-                    continue
-                result = _train_cell(
-                    config, depth, config.widths[0], config.init_kind, lr, run,
-                    train_set, test_set, gain, (d_index, lr_index),
-                )
-                rec = result.records[-1]
-                store.add(
-                    key,
-                    [depth, lr, run, int(result.success), float(rec.vni), float(np.median(rec.per_layer_gain))],
-                )
+    task = _task(config)
+    gain = resolve_gain(config, task[2], config.init_kind)
+
+    def compute(d_index, depth, lr_index, lr, run):
+        result = _train_cell(config, depth, config.init_kind, lr, task, gain, (d_index, lr_index, run))
+        rec = result.records[-1]
+        return [depth, lr, run, int(result.success), float(rec.vni), float(np.median(rec.per_layer_gain))]
+
+    cells = [
+        (f"L{depth}_lr{lr_index}_r{run}", (d_index, depth, lr_index, lr, run))
+        for d_index, depth in enumerate(config.depths)
+        for lr_index, lr in enumerate(config.learning_rates)
+        for run in range(config.runs)
+    ]
+    columns = ["depth", "lr", "run", "success", "final_vni", "gain_median"]
+    stored = iter(_stored_runs(config, "grid_runs", columns, cells, compute))
     prob = np.zeros((len(config.depths), len(config.learning_rates)))
     success_rows, per_run = [], []
     for i, depth in enumerate(config.depths):
         for j, lr in enumerate(config.learning_rates):
-            cell = [store.get(f"L{depth}_lr{j}_r{run}") for run in range(config.runs)]
+            cell = next(stored)
             frac = sum(int(c[3]) for c in cell) / config.runs
             prob[i, j] = frac
             success_rows.append([depth, f"{lr:g}", f"{frac:.4f}"])
-            per_run.extend(
-                [int(c[3]), float(c[4]), float(c[5])] for c in cell
-            )
-    _write_csv(config, f"grid_{config.config_hash()}.csv", "depth,lr,success_fraction", success_rows)
+            per_run.extend([int(c[3]), float(c[4]), float(c[5])] for c in cell)
+    _write_csv(config, "grid", "depth,lr,success_fraction", success_rows)
     svgplot.heatmap(
-        os.path.join(config.out_dir, f"grid_{config.config_hash()}.svg"),
+        _path(config, "grid", "svg"),
         1.0 - prob,  # black = zero success probability
         title="Failure probability over (depth, learning rate)",
     )
@@ -418,7 +437,7 @@ def run_grid(config: ExperimentConfig) -> dict:
         groups["failure gain"] = fail[:, 2]
     if groups:
         svgplot.box_plot(
-            os.path.join(config.out_dir, f"grid_gain_box_{config.config_hash()}.svg"),
+            _path(config, "grid_gain_box", "svg"),
             groups,
             title="Per-layer gain by outcome",
             y_label="median layer gain",
@@ -430,13 +449,7 @@ def run_grid(config: ExperimentConfig) -> dict:
             counts, _ = np.histogram(arr[:, 1], bins=edges)
             for b in range(len(counts)):
                 hist_rows.append([label, f"{edges[b]:.3f}", f"{edges[b + 1]:.3f}", counts[b]])
-    _write_csv(
-        config,
-        f"grid_vni_hist_{config.config_hash()}.csv",
-        "outcome,bin_lo,bin_hi,count",
-        hist_rows,
-    )
-    store.close()
+    _write_csv(config, "grid_vni_hist", "outcome,bin_lo,bin_hi,count", hist_rows)
     return {"probability": prob, "success": succ, "failure": fail}
 
 
@@ -446,31 +459,9 @@ _ORTH_INITS = (InitKind.SCALED_GAUSSIAN, InitKind.ORTHOGONAL, InitKind.HOUSEHOLD
 def run_orthogonal_table(config: ExperimentConfig) -> dict:
     """Success and final indicator per depth for scaled Gaussian, orthogonal
     init, and the Householder parametrization."""
-    train_set, test_set = build_task(config)
-    sigma_x_sq = float(train_set.inputs.var())
-    rows, results = [], {}
-    for d_index, depth in enumerate(config.depths):
-        for i_index, init_kind in enumerate(_ORTH_INITS):
-            gain = resolve_gain(config, sigma_x_sq, init_kind)
-            cell = []
-            for run in range(config.runs):
-                cell.append(
-                    _train_cell(
-                        config, depth, config.widths[0], init_kind,
-                        config.learning_rates[0], run, train_set, test_set, gain,
-                        (d_index, i_index),
-                    )
-                )
-            n_success = sum(r.success for r in cell)
-            final_vni = float(np.mean([r.records[-1].vni for r in cell]))
-            rows.append([depth, init_kind.value, n_success, config.runs, f"{final_vni:.6g}"])
-            results[(depth, init_kind)] = (n_success, final_vni, cell)
-    _write_csv(
-        config,
-        f"orthogonal_table_{config.config_hash()}.csv",
-        "depth,init,successes,runs,mean_final_vni",
-        rows,
-    )
+    task = _task(config)
+    rows, results = _init_table([(depth, config, depth, task) for depth in config.depths], _ORTH_INITS)
+    _write_csv(config, "orthogonal_table", "depth,init,successes,runs,mean_final_vni", rows)
     return results
 
 
@@ -480,21 +471,18 @@ def run_diagnostics(config: ExperimentConfig) -> dict:
     width = config.widths[0]
     depth = config.depths[0]
     gain = resolve_gain(config, config.sigma_x_sq, config.init_kind)
-    rng = Rng(config.master_seed, (depth, width))
-    spec = config.network_spec(depth, width, width, 0)
-    state = build_network(spec, InitializerSpec(config.init_kind, gain.sigma_w_sq), rng.spawn(0))
-    probe = gaussian_probe(config.probe_samples, width, config.sigma_x_sq, rng.spawn(1))
     s1 = None
     try:
         s1 = s1_for_ensemble(config.init_kind)
     except ValueError:
         pass
     moments = act.ActivationMoments(gain.mu1, gain.mu2, gain.q_star, "closed_form")
-    report = vni_report(
-        state, probe.inputs, moments=moments, s1=s1, with_jacobian=width == spec.input_dim
+    rng = Rng(config.master_seed, (depth, width))
+    state, probe, report = _probe_report(
+        config, depth, width, gain, rng, moments=moments, s1=s1, with_jacobian=True
     )
-    loss_grads = rng.spawn(2).normal(size=(probe.inputs.shape[0], width))
-    diag = gradient_diagnostics(state, probe.inputs, loss_grads, mu1=gain.mu1)
+    loss_grads = rng.spawn(2).normal(size=(probe.shape[0], width))
+    diag = gradient_diagnostics(state, probe, loss_grads, mu1=gain.mu1)
     rows = [
         ["vni_empirical", f"{report.vni_empirical:.8g}"],
         ["vni_covariance", f"{report.vni_covariance:.8g}"],
@@ -507,6 +495,5 @@ def run_diagnostics(config: ExperimentConfig) -> dict:
         ["gain_median", f"{float(np.median(diag.per_layer_gain)):.8g}"],
     ]
     rows += [[f"enn@{eps:g}", n] for eps, n in report.enn.items()]
-    _write_csv(config, f"diagnostics_{config.config_hash()}.csv", "quantity,value", rows)
+    _write_csv(config, "diagnostics", "quantity,value", rows)
     return {"report": report, "diagnostics": diag}
-

@@ -11,7 +11,6 @@ import numpy as np
 
 __all__ = [
     "Rng",
-    "matmul",
     "sym_eigenvalues",
     "qr_orthogonal",
     "sample_gaussian",
@@ -57,15 +56,6 @@ def _as_matrix(a, name: str) -> np.ndarray:
     if a.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {a.shape}")
     return a
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit dimension check."""
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def sym_eigenvalues(a: np.ndarray, return_vectors: bool = False):

@@ -9,7 +9,6 @@ readout.
 
 from __future__ import annotations
 
-import enum
 import struct
 from dataclasses import dataclass, field
 
@@ -33,8 +32,8 @@ __all__ = [
     "NetworkState",
     "ForwardTrace",
     "Gradients",
-    "Parametrization",
     "build_network",
+    "headless",
     "forward",
     "backward",
     "jacobian",
@@ -44,11 +43,6 @@ __all__ = [
 
 CHECKPOINT_MAGIC = b"VNLB"
 CHECKPOINT_VERSION = 1
-
-
-class Parametrization(enum.Enum):
-    DENSE = "dense"
-    HOUSEHOLDER = "householder"
 
 
 @dataclass(frozen=True)
@@ -74,7 +68,6 @@ class NetworkState:
     spec: NetworkSpec
     weights: list  # L materialized matrices (layer l: width_N x fan_in)
     biases: list  # L vectors of length width_N, zero at init
-    parametrization: Parametrization = Parametrization.DENSE
     stacks: list | None = None  # per layer: HouseholderStack or None
     readout_weight: np.ndarray | None = None  # num_classes x width_N
     readout_bias: np.ndarray | None = None
@@ -135,10 +128,23 @@ def build_network(spec: NetworkSpec, init: InitializerSpec, rng: Rng) -> Network
         spec=spec,
         weights=weights,
         biases=biases,
-        parametrization=Parametrization.HOUSEHOLDER if any_stack else Parametrization.DENSE,
         stacks=stacks if any_stack else None,
         readout_weight=readout_w,
         readout_bias=readout_b,
+    )
+
+
+def headless(state: NetworkState) -> NetworkState:
+    """View of a network without the readout head; node statistics are taken
+    at backbone layer L."""
+    spec = state.spec
+    if spec.num_classes == 0:
+        return state
+    return NetworkState(
+        spec=NetworkSpec(spec.depth_L, spec.width_N, spec.input_dim, 0, spec.activation),
+        weights=state.weights,
+        biases=state.biases,
+        stacks=state.stacks,
     )
 
 
@@ -258,7 +264,7 @@ def save_checkpoint(state: NetworkState, path):
                 spec.input_dim,
                 spec.num_classes,
                 _ACT_CODES[spec.activation],
-                1 if state.parametrization is Parametrization.HOUSEHOLDER else 0,
+                state.stacks is not None,
             )
         )
         for l in range(spec.depth_L):
@@ -307,7 +313,6 @@ def load_checkpoint(path) -> NetworkState:
         spec=spec,
         weights=weights,
         biases=biases,
-        parametrization=Parametrization.HOUSEHOLDER if householder else Parametrization.DENSE,
         stacks=stacks,
         readout_weight=readout_w,
         readout_bias=readout_b,

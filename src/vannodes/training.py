@@ -19,7 +19,7 @@ from .analysis import vni_empirical
 from .data import Dataset
 from .initializers import InitializerSpec
 from .linalg import Rng
-from .network import NetworkSpec, NetworkState, backward, build_network, forward
+from .network import NetworkSpec, NetworkState, backward, build_network, forward, headless
 
 __all__ = [
     "OptimizerKind",
@@ -32,7 +32,6 @@ __all__ = [
     "train",
     "quartile_dynamics",
     "evaluate",
-    "RECORD_CSV_COLUMNS",
 ]
 
 
@@ -147,20 +146,6 @@ class TrainRecord:
     input_grad_log_norm: float = math.nan
 
 
-RECORD_CSV_COLUMNS = (
-    "epoch,loss,train_acc,test_acc,vni,gain_min,gain_median,gain_max,input_grad_log_norm"
-)
-
-
-def record_csv_row(r: TrainRecord) -> str:
-    g = r.per_layer_gain
-    return (
-        f"{r.epoch},{r.train_loss:.10g},{r.train_accuracy:.6f},{r.test_accuracy:.6f},"
-        f"{r.vni:.10g},{g.min():.10g},{np.median(g):.10g},{g.max():.10g},"
-        f"{r.input_grad_log_norm:.10g}"
-    )
-
-
 @dataclass
 class TrainResult:
     records: list
@@ -208,10 +193,7 @@ def _epoch_stats(
     train_acc: float,
     mu1: float,
 ) -> TrainRecord:
-    from .analysis import _headless  # backbone-only statistics
-
-    headless = _headless(state)
-    acts = forward(headless, probe).post[-1]
+    acts = forward(headless(state), probe).post[-1]
     vni, _, _ = vni_empirical(acts)
     gains = np.array(
         [state.spec.fan_in(l) * float(w.var()) * mu1 for l, w in enumerate(state.weights)]

@@ -2,8 +2,10 @@ import os
 
 import pytest
 
-from vannodes.cli import main
+from vannodes.cli import _RUNNERS, _load_config, build_parser, main
 from vannodes.config import EXPERIMENTS, ExperimentConfig
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 
 class TestConfig:
@@ -110,3 +112,32 @@ class TestCli:
         assert main(["heatmap", *SMALL, "--set", f"out_dir={out}"]) == 0
         assert any(n.startswith("diagnostics_") for n in os.listdir(out))
         assert any(n.startswith("heatmap_") for n in os.listdir(out))
+
+
+# Hashes of the presets as they were first published, so that run CSVs under
+# out/ written by earlier versions keep resuming.
+PRESET_HASHES = {
+    "sweep": "5003e5b6a231",
+    "heatmap": "526d87d47569",
+    "dynamics": "5b13a1001778",
+    "tasks": "9ae09a99bc62",
+    "grid": "2354674322aa",
+    "orth": "64b893e970a5",
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(PRESET_HASHES))
+def test_preset_config_loads_with_its_hash(cmd):
+    args = build_parser().parse_args([cmd, "--config", os.path.join(CONFIGS, f"{cmd}.cfg")])
+    config = _load_config(args, _RUNNERS[cmd][0])
+    assert config.config_hash() == PRESET_HASHES[cmd]
+
+
+def test_dynamics_preset_offline_overrides_keep_their_hash():
+    # The README's xor2 stand-in for the MNIST dynamics preset.
+    args = build_parser().parse_args([
+        "dynamics", "--config", os.path.join(CONFIGS, "dynamics.cfg"),
+        "--set", "dataset=xor2", "--set", "widths=32", "--set", "batch_size=4",
+        "--set", "success_metric=train_accuracy", "--set", "success_threshold=0.99",
+    ])  # fmt: skip
+    assert _load_config(args, "dynamics").config_hash() == "6757e71d5f2d"

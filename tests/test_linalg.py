@@ -5,24 +5,11 @@ from hypothesis import strategies as st
 
 from vannodes.linalg import (
     Rng,
-    matmul,
     qr_orthogonal,
     sample_gaussian,
     sample_uniform,
     sym_eigenvalues,
 )
-
-
-def matmul_oracle(a, b):
-    # deliberately dumb triple loop
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            s = 0.0
-            for k in range(a.shape[1]):
-                s += a[i, k] * b[k, j]
-            out[i, j] = s
-    return out
 
 
 class TestRng:
@@ -51,29 +38,6 @@ class TestRng:
         x = Rng(3).normal(size=200_000, mean=2.0, std=0.5)
         assert abs(x.mean() - 2.0) < 0.01
         assert abs(x.std() - 0.5) < 0.01
-
-
-class TestMatmul:
-    def test_against_triple_loop(self):
-        rng = Rng(11)
-        a = rng.normal(size=(7, 4))
-        b = rng.normal(size=(4, 9))
-        assert np.allclose(matmul(a, b), matmul_oracle(a, b), atol=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_associativity(self, n, m, k, seed):
-        rng = Rng(seed)
-        a = rng.normal(size=(n, m))
-        b = rng.normal(size=(m, k))
-        c = rng.normal(size=(k, n))
-        lhs = matmul(matmul(a, b), c)
-        rhs = matmul(a, matmul(b, c))
-        assert np.allclose(lhs, rhs, atol=1e-9)
 
 
 class TestEigenvalues:
