@@ -47,7 +47,6 @@ from .training import (
     SuccessCriterion,
     TrainRecord,
     TrainResult,
-    quartile_dynamics,
     softmax_cross_entropy,
     train,
 )

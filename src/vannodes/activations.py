@@ -1,9 +1,10 @@
 """Activation functions, their derivatives, and squared-derivative moments.
 
-``mu_k`` here is E[phi'(h)^(2k)] with h ~ N(0, q_star), where q_star is the
-attracting fixed point of the forward variance map
-q -> sigma_w^2 m(q) + sigma_b^2, m(q) = E[phi(sqrt(q) z)^2].  mu_1 is the
-backward gain factor: a layer multiplies gradient variance by
+``mu_k`` here is E[phi'(h)^(2k)] with h ~ N(0, q_star), in closed form for
+linear, ReLU and hard-tanh and by Gauss-Hermite quadrature for tanh
+(``mu_quadrature``).  q_star is the attracting fixed point of the forward
+variance map q -> sigma_w^2 m(q) + sigma_b^2, m(q) = E[phi(sqrt(q) z)^2].
+mu_1 is the backward gain factor: a layer multiplies gradient variance by
 sigma_w^2 * mu_1, so sigma_w^2 * mu_1 = 1 is the norm-preserving operating
 point.
 
@@ -24,8 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Rng
-
 __all__ = [
     "ActivationKind",
     "ConvergenceError",
@@ -45,6 +44,9 @@ _GH_POINTS, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(201)
 _GH_Z = _GH_POINTS * math.sqrt(2.0)
 _GH_W = _GH_WEIGHTS / math.sqrt(math.pi)
 _EPS = float(np.finfo(np.float64).eps)
+# Step cap of both solves, and the |sigma_w^2 mu_1 - 1| the gain tune reaches.
+_MAX_ITER = 200
+_TUNE_TOL = 1e-12
 
 
 class ConvergenceError(ArithmeticError):
@@ -130,34 +132,29 @@ def mean_sq_activation_derivative(kind: ActivationKind, q: float) -> float:
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def _mu_closed_or_quadrature(kind: ActivationKind, q: float, k: int) -> float:
-    """E[phi'(h)^(2k)] for h ~ N(0, q); quadrature only for tanh."""
-    if kind is ActivationKind.LINEAR:
-        return 1.0
-    if kind is ActivationKind.RELU:
-        return 0.5
-    if kind is ActivationKind.HARD_TANH:
-        if q == 0:
-            return 1.0
-        return math.erf(1.0 / math.sqrt(2.0 * q))
-    if kind is ActivationKind.TANH:
-        if q == 0:
-            return 1.0
-        t = np.tanh(math.sqrt(q) * _GH_Z)
-        d = 1.0 - t * t
-        return float(np.dot(_GH_W, d ** (2 * k)))
-    raise ValueError(f"unknown activation {kind!r}")
-
-
 def mu_quadrature(kind: ActivationKind, q_star: float) -> tuple[float, float]:
-    """Deterministic (mu_1, mu_2); closed forms where they exist, Gauss-Hermite
-    quadrature for tanh.  Used internally for tuning and diagnostics."""
+    """(mu_1, mu_2) = (E[phi'(h)^2], E[phi'(h)^4]) for h ~ N(0, q_star): closed
+    forms for linear, ReLU and hard-tanh, Gauss-Hermite quadrature for tanh.
+    This is the only route to the moments."""
     if q_star < 0:
         raise ValueError("q_star must be non-negative")
-    return (
-        _mu_closed_or_quadrature(kind, q_star, 1),
-        _mu_closed_or_quadrature(kind, q_star, 2),
-    )
+    if kind is ActivationKind.LINEAR:
+        return 1.0, 1.0
+    if kind is ActivationKind.RELU:
+        return 0.5, 0.5
+    if kind is ActivationKind.HARD_TANH:
+        # phi' is the indicator of |h| < 1, so every even power has one mean.
+        if q_star == 0:
+            return 1.0, 1.0
+        mu = math.erf(1.0 / math.sqrt(2.0 * q_star))
+        return mu, mu
+    if kind is ActivationKind.TANH:
+        if q_star == 0:
+            return 1.0, 1.0
+        t = np.tanh(math.sqrt(q_star) * _GH_Z)
+        d = 1.0 - t * t
+        return float(np.dot(_GH_W, d ** 2)), float(np.dot(_GH_W, d ** 4))
+    raise ValueError(f"unknown activation {kind!r}")
 
 
 @dataclass
@@ -165,48 +162,11 @@ class ActivationMoments:
     mu1: float
     mu2: float
     q_star: float
-    method: str  # "closed_form" or "monte_carlo"
-    mc_samples: int = 0
-    mu1_stderr: float = 0.0
-    mu2_stderr: float = 0.0
 
 
-def moments(
-    kind: ActivationKind,
-    q_star: float,
-    rng: Rng | None = None,
-    mc_samples: int = 1_000_000,
-) -> ActivationMoments:
-    """Squared-derivative moments mu_1 = E[phi'^2], mu_2 = E[phi'^4] at q_star.
-
-    Linear/ReLU/hard-tanh use closed forms; tanh is estimated by Monte Carlo
-    (standard errors reported alongside).
-    """
-    if q_star < 0:
-        raise ValueError("q_star must be non-negative")
-    if kind is not ActivationKind.TANH:
-        mu1 = _mu_closed_or_quadrature(kind, q_star, 1)
-        mu2 = _mu_closed_or_quadrature(kind, q_star, 2)
-        return ActivationMoments(mu1, mu2, q_star, "closed_form")
-    if mc_samples < 1_000_000:
-        raise ValueError("mc_samples must be >= 1e6 for tanh moments")
-    if rng is None:
-        rng = Rng(0)
-    h = rng.normal(size=mc_samples, std=math.sqrt(q_star)) if q_star > 0 else np.zeros(mc_samples)
-    d = 1.0 - np.tanh(h) ** 2
-    d2 = d * d
-    d4 = d2 * d2
-    mu1 = float(d2.mean())
-    mu2 = float(d4.mean())
-    return ActivationMoments(
-        mu1,
-        mu2,
-        q_star,
-        "monte_carlo",
-        mc_samples,
-        float(d2.std(ddof=1) / math.sqrt(mc_samples)),
-        float(d4.std(ddof=1) / math.sqrt(mc_samples)),
-    )
+def moments(kind: ActivationKind, q_star: float) -> ActivationMoments:
+    """mu_1 = E[phi'^2] and mu_2 = E[phi'^4] at q_star, from ``mu_quadrature``."""
+    return ActivationMoments(*mu_quadrature(kind, q_star), q_star)
 
 
 def variance_fixed_point(
@@ -214,7 +174,6 @@ def variance_fixed_point(
     sigma_w_sq: float,
     sigma_b_sq: float = 0.0,
     sigma_x_sq: float = 0.1,
-    max_iter: int = 200,
 ) -> float:
     """Limit of the pre-activation variance recursion
     q_{l+1} = sigma_w^2 m(q_l) + sigma_b^2, m(q) = E[phi(sqrt(q) z)^2], from
@@ -230,7 +189,7 @@ def variance_fixed_point(
 
     Raises FloatingPointError when the recursion grows past 1e12 (no root
     above sigma_x^2), and ConvergenceError when F changes sign without
-    reaching zero or ``max_iter`` steps do not converge.
+    reaching zero or 200 steps do not converge.
     """
     if sigma_w_sq <= 0:
         raise ValueError("sigma_w_sq must be positive")
@@ -260,7 +219,7 @@ def variance_fixed_point(
                 raise FloatingPointError("forward variance recursion is exploding")
             f, noise = residual(hi)
         q = hi
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if abs(f) <= noise:
             return q
         # F(lo) <= 0 < F(hi), and q is the last point evaluated.  The attracting
@@ -277,22 +236,20 @@ def variance_fixed_point(
             hi = q
         else:
             lo = q
-    raise ConvergenceError(f"variance fixed point did not converge in {max_iter} steps (|F| = {abs(f):.3g})")
+    raise ConvergenceError(f"variance fixed point did not converge in {_MAX_ITER} steps (|F| = {abs(f):.3g})")
 
 
 def tune_sigma_w_sq(
     kind: ActivationKind,
     sigma_x_sq: float = 0.1,
     sigma_b_sq: float = 0.0,
-    tol: float = 1e-12,
-    max_iter: int = 200,
 ) -> tuple[float, float]:
     """Solve sigma_w^2 * mu_1(q_star(sigma_w^2)) = 1.
 
     Returns (sigma_w_sq, q_star), with q_star exactly as
     ``variance_fixed_point(kind, sigma_w_sq, sigma_b_sq, sigma_x_sq)`` returns
     it.  Linear and ReLU have a q-independent mu_1, so sigma_w^2 = 1 / mu_1.
-    Tanh and hard-tanh bisect g(s) = s mu_1(q_star(s)) - 1 until |g| <= tol,
+    Tanh and hard-tanh bisect g(s) = s mu_1(q_star(s)) - 1 until |g| <= 1e-12,
     mu_1 by quadrature so the result is deterministic.  g(1) <= 0 because
     mu_1 <= 1; at sigma_b = 0, g < 0 below s = 1 (q_star = 0, mu_1 = 1) and
     g > 0 above it, so the root is the critical point s = 1, q_star = 0 and
@@ -311,13 +268,13 @@ def tune_sigma_w_sq(
         lo, hi = hi, 2.0 * hi
         if hi > 1e6:
             raise ConvergenceError("no sigma_w^2 <= 1e6 makes sigma_w^2 mu_1 exceed 1")
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         s = 0.5 * (lo + hi)
         resid, q = g(s)
-        if abs(resid) <= tol:
+        if abs(resid) <= _TUNE_TOL:
             return s, q
         if resid > 0:
             hi = s
         else:
             lo = s
-    raise ConvergenceError(f"gain tune did not reach |sigma_w^2 mu_1 - 1| <= {tol:g} in {max_iter} steps")
+    raise ConvergenceError(f"gain tune did not reach |sigma_w^2 mu_1 - 1| <= {_TUNE_TOL:g} in {_MAX_ITER} steps")

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import activations as act
-from .activations import ActivationKind, ActivationMoments
+from .activations import ActivationMoments
 from .initializers import InitKind
 from .linalg import sym_eigenvalues
 from .network import NetworkState, backward, forward, headless, jacobian
@@ -32,6 +31,7 @@ __all__ = [
     "s1_for_ensemble",
     "epsilon_enn",
     "enn_from_rsq",
+    "per_layer_gain",
     "gradient_diagnostics",
     "walking_dead_ratio",
     "correlation_heatmap",
@@ -76,6 +76,7 @@ class GradientDiagnostics:
 
 
 def _corr_stats(activations: np.ndarray):
+    """Sample covariance of a (batch >= 2) x N activation matrix and its diagonal."""
     a = np.asarray(activations, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] < 2:
         raise ValueError("need a (batch >= 2) x N activation matrix")
@@ -87,13 +88,8 @@ def _corr_stats(activations: np.ndarray):
     return cov, var
 
 
-def vni_empirical(activations: np.ndarray):
-    """Indicator from sample statistics of an activation batch.
-
-    Returns ``(value, corr_sq, node_variances)``.  Constant nodes contribute
-    zero weight; their corr_sq entries are reported as 0.
-    """
-    cov, var = _corr_stats(activations)
+def _weighted_corr_sq(cov: np.ndarray, var: np.ndarray):
+    """(indicator, squared correlations, variances) from ``_corr_stats``."""
     live = var > 0
     corr_sq = np.zeros_like(cov)
     denom = np.sqrt(np.outer(var[live], var[live]))
@@ -101,6 +97,15 @@ def vni_empirical(activations: np.ndarray):
     weights = np.outer(var, var)
     value = float(np.sum(corr_sq * weights) / np.sum(weights))
     return value, corr_sq, var
+
+
+def vni_empirical(activations: np.ndarray):
+    """Indicator from sample statistics of an activation batch.
+
+    Returns ``(value, corr_sq, node_variances)``.  Constant nodes contribute
+    zero weight; their corr_sq entries are reported as 0.
+    """
+    return _weighted_corr_sq(*_corr_stats(activations))
 
 
 def vni_from_covariance(c: np.ndarray) -> float:
@@ -117,11 +122,11 @@ def vni_from_covariance(c: np.ndarray) -> float:
     return float(np.sum(c * c) / trace**2)
 
 
-def vni_from_jacobian(j: np.ndarray, sigma_x_sq: float = 1.0):
+def vni_from_jacobian(j: np.ndarray):
     """Moment form m_2 / (N m_1^2) from the spectrum of J J^T.
 
-    sigma_x_sq cancels in the ratio; it is accepted for interface symmetry
-    with the covariance C = sigma_x^2 J J^T.
+    The linearized covariance is C = sigma_x^2 J J^T; the input scale
+    sigma_x^2 cancels in the ratio, so only J enters.
     """
     j = np.asarray(j, dtype=np.float64)
     jjt = j @ j.T
@@ -216,28 +221,28 @@ def correlation_heatmap(corr_sq: np.ndarray):
     return c[np.ix_(perm, perm)], perm
 
 
+def per_layer_gain(state: NetworkState, mu1: float) -> np.ndarray:
+    """fan_in * Var[W_l] * mu_1 of each backbone layer: its backward gain."""
+    spec = state.spec
+    return np.array([spec.fan_in(l) * float(w.var()) * mu1 for l, w in enumerate(state.weights)])
+
+
 def gradient_diagnostics(
     state: NetworkState,
     probe_batch: np.ndarray,
     loss_grads: np.ndarray,
-    mu1: float | None = None,
+    mu1: float,
 ) -> GradientDiagnostics:
     """Empirical forward/backward variance scales vs the mean-field
     predictions sigma_x^2 (sigma_w^2 mu_1)^L etc.
 
     ``loss_grads`` is dLoss/dx_L (readout excluded), one row per probe sample.
-    ``mu1`` defaults to the quadrature value at the measured input variance.
     """
     probe = np.asarray(probe_batch, dtype=np.float64)
     if probe.size == 0:
         raise ValueError("probe batch must be nonempty")
     spec = state.spec
     sigma_x_sq = float(probe.var())
-    if mu1 is None:
-        q_star = act.variance_fixed_point(
-            spec.activation, 1.0, 0.0, sigma_x_sq if sigma_x_sq > 0 else 1.0
-        )
-        mu1 = act.mu_quadrature(spec.activation, q_star)[0]
     backbone = headless(state)
     trace = forward(backbone, probe)
     grads = backward(backbone, trace, np.asarray(loss_grads, dtype=np.float64))
@@ -245,7 +250,7 @@ def gradient_diagnostics(
     var_x_l = float(((x_l - x_l.mean(axis=0)) ** 2).mean())
     var_in = float(grads.input_gradient.var())
     sigma_y_sq = float(np.asarray(loss_grads).var())
-    gains = np.array([spec.fan_in(l) * float(w.var()) * mu1 for l, w in enumerate(state.weights)])
+    gains = per_layer_gain(state, mu1)
     var_w = np.array([float(g.var()) for g in grads.weights])
     gain = float(np.median(gains)) if gains.size else 1.0
     return GradientDiagnostics(
@@ -266,16 +271,14 @@ def vni_report(
     probe_batch: np.ndarray,
     moments: ActivationMoments | None = None,
     s1: float | None = None,
-    enn_epsilons=DEFAULT_ENN_EPSILONS,
     with_jacobian: bool = False,
 ) -> VniReport:
-    """All indicator routes on one probe batch, plus effective node counts."""
+    """All indicator routes on one probe batch, plus effective node counts at
+    ``DEFAULT_ENN_EPSILONS``; the probe covariance is computed once."""
     backbone = headless(state)
     trace = forward(backbone, probe_batch)
-    acts = trace.post[-1]
-    value, corr_sq, var = vni_empirical(acts)
-    centered = acts - acts.mean(axis=0)
-    cov = (centered.T @ centered) / (acts.shape[0] - 1)
+    cov, var = _corr_stats(trace.post[-1])
+    value, corr_sq, _ = _weighted_corr_sq(cov, var)
     cov_value = vni_from_covariance(cov)
     jac_value = None
     if with_jacobian:
@@ -284,5 +287,5 @@ def vni_report(
     theo = theo_raw = None
     if moments is not None and s1 is not None:
         theo, theo_raw = vni_theoretical(state.spec.depth_L, state.spec.width_N, moments, s1)
-    enn = {eps: epsilon_enn(cov, eps) for eps in enn_epsilons}
+    enn = {eps: epsilon_enn(cov, eps) for eps in DEFAULT_ENN_EPSILONS}
     return VniReport(value, cov_value, jac_value, theo, theo_raw, corr_sq, var, enn)

@@ -23,8 +23,6 @@ __all__ = [
     "load_mnist_idx",
     "synthetic_task",
     "gaussian_probe",
-    "save_dataset",
-    "load_dataset",
     "fetch_mnist",
     "MNIST_FILES",
 ]
@@ -86,14 +84,13 @@ class Dataset:
     def input_dim(self) -> int:
         return self.inputs.shape[1]
 
-    def take(self, n: int, offset: int = 0) -> "Dataset":
-        """Deterministic slice for desk-scale runs."""
-        sl = slice(offset, offset + n)
+    def take(self, n: int) -> "Dataset":
+        """The first ``n`` samples, for desk-scale runs."""
         return replace(
             self,
-            inputs=self.inputs[sl].copy(),
-            labels=None if self.labels is None else self.labels[sl].copy(),
-            name=f"{self.name}[{offset}:{offset + n}]",
+            inputs=self.inputs[:n].copy(),
+            labels=None if self.labels is None else self.labels[:n].copy(),
+            name=f"{self.name}[0:{n}]",
         )
 
 
@@ -169,28 +166,6 @@ def gaussian_probe(n_samples: int, dim: int, sigma_x_sq: float, rng: Rng) -> Dat
         raise ValueError("sigma_x_sq must be positive")
     inputs = rng.normal(size=(n_samples, dim), std=np.sqrt(sigma_x_sq))
     return Dataset(inputs=inputs, labels=None, num_classes=0, name="gaussian_probe")
-
-
-def save_dataset(dataset: Dataset, path):
-    """Sidecar serialization so a probe/slice can be reproduced exactly."""
-    np.savez(
-        path,
-        inputs=dataset.inputs,
-        labels=np.array([]) if dataset.labels is None else dataset.labels,
-        num_classes=dataset.num_classes,
-        name=dataset.name,
-    )
-
-
-def load_dataset(path) -> Dataset:
-    with np.load(path, allow_pickle=False) as z:
-        labels = z["labels"]
-        return Dataset(
-            inputs=z["inputs"],
-            labels=None if labels.size == 0 else labels.astype(np.int64),
-            num_classes=int(z["num_classes"]),
-            name=str(z["name"]),
-        )
 
 
 def fetch_mnist(out_dir, mirrors=MNIST_MIRRORS) -> list:

@@ -166,11 +166,10 @@ def _task(config: ExperimentConfig) -> tuple:
 
 
 @dataclass
-class GainSetup:
+class GainSetup(act.ActivationMoments):
+    """The run's weight scale with the activation moments at its q_star."""
+
     sigma_w_sq: float
-    q_star: float
-    mu1: float
-    mu2: float
 
 
 def resolve_gain(config: ExperimentConfig, sigma_x_sq: float, init_kind: InitKind) -> GainSetup:
@@ -189,7 +188,16 @@ def resolve_gain(config: ExperimentConfig, sigma_x_sq: float, init_kind: InitKin
     else:
         s, q = act.tune_sigma_w_sq(kind, sigma_x_sq)
     mu1, mu2 = act.mu_quadrature(kind, q)
-    return GainSetup(s, q, mu1, mu2)
+    return GainSetup(mu1, mu2, q_star=q, sigma_w_sq=s)
+
+
+def _s1(config: ExperimentConfig) -> float | None:
+    """s_1 of the configured weight ensemble, or None where it has no closed
+    form (bottleneck): the moment prediction is then left out."""
+    try:
+        return s1_for_ensemble(config.init_kind)
+    except ValueError:
+        return None
 
 
 def _init_spec(config: ExperimentConfig, init_kind: InitKind, gain: GainSetup) -> InitializerSpec:
@@ -262,8 +270,7 @@ def run_vni_sweep(config: ExperimentConfig) -> dict:
     """Theory-vs-simulation sweep of the indicator over depth (one curve per
     width), on an i.i.d. Gaussian probe.  Emits CSV + SVG."""
     gain = resolve_gain(config, config.sigma_x_sq, config.init_kind)
-    s1 = s1_for_ensemble(config.init_kind)
-    moments = act.ActivationMoments(gain.mu1, gain.mu2, gain.q_star, "closed_form")
+    s1 = _s1(config)
 
     def compute(width, depth, run):
         rng = Rng(config.master_seed, (width, depth, run))
@@ -282,18 +289,18 @@ def run_vni_sweep(config: ExperimentConfig) -> dict:
         means, stds, theos = [], [], []
         for depth in config.depths:
             vals = np.array([float(row[2]) for row in next(stored)])
-            _, theo_raw = vni_theoretical(depth, width, moments, s1)
+            theo_raw = np.nan if s1 is None else vni_theoretical(depth, width, gain, s1)[1]
             means.append(vals.mean())
             stds.append(vals.std(ddof=1) if config.runs > 1 else 0.0)
             theos.append(theo_raw)
             rows.append([width, depth, f"{means[-1]:.8g}", f"{stds[-1]:.8g}", f"{theo_raw:.8g}"])
+        curves = {"simulation (mean +- std)": (np.array(means), np.array(stds))}
+        if s1 is not None:
+            curves["moment prediction"] = np.array(theos)
         svgplot.line_plot(
             _path(config, f"sweep_N{width}", "svg"),
             config.depths,
-            {
-                "simulation (mean +- std)": (np.array(means), np.array(stds)),
-                "moment prediction": np.array(theos),
-            },
+            curves,
             title=f"Node-correlation indicator vs depth (N={width})",
             x_label="depth L",
             y_label="indicator",
@@ -471,15 +478,9 @@ def run_diagnostics(config: ExperimentConfig) -> dict:
     width = config.widths[0]
     depth = config.depths[0]
     gain = resolve_gain(config, config.sigma_x_sq, config.init_kind)
-    s1 = None
-    try:
-        s1 = s1_for_ensemble(config.init_kind)
-    except ValueError:
-        pass
-    moments = act.ActivationMoments(gain.mu1, gain.mu2, gain.q_star, "closed_form")
     rng = Rng(config.master_seed, (depth, width))
     state, probe, report = _probe_report(
-        config, depth, width, gain, rng, moments=moments, s1=s1, with_jacobian=True
+        config, depth, width, gain, rng, moments=gain, s1=_s1(config), with_jacobian=True
     )
     loss_grads = rng.spawn(2).normal(size=(probe.shape[0], width))
     diag = gradient_diagnostics(state, probe, loss_grads, mu1=gain.mu1)

@@ -48,7 +48,6 @@ class InitializerSpec:
     kind: InitKind
     sigma_w_sq: float = 1.0  # target gain; entry variance is sigma_w_sq / fan_in
     bottleneck_nb: int = 1
-    bottleneck_uniform: bool = False
 
     def __post_init__(self):
         if self.sigma_w_sq <= 0:
@@ -75,11 +74,11 @@ def init_orthogonal(n: int, sigma_w: float, rng: Rng) -> np.ndarray:
 
 
 def init_bottleneck(
-    n_in: int, n_out: int, n_b: int, rng: Rng, uniform: bool = False
+    n_in: int, n_out: int, n_b: int, rng: Rng
 ) -> np.ndarray:
     """Low-rank product W = V @ U / sqrt(N_b * N_mean) with inner dimension N_b.
 
-    U, V have zero-mean unit-variance entries, N_mean = (N_i + N_o) / 2, so
+    U, V have standard Gaussian entries, N_mean = (N_i + N_o) / 2, so
     N_mean * Var[W] = 1 (the norm-preserving scale) while rank(W) <= N_b.
 
     The scale preserves norms in the ensemble mean only.  Layers draw U and V
@@ -90,12 +89,8 @@ def init_bottleneck(
     """
     if not (1 <= n_b <= min(n_in, n_out)):
         raise ValueError(f"bottleneck dimension {n_b} out of range for {n_in}x{n_out}")
-    if uniform:
-        u = sample_uniform(n_b, n_in, math.sqrt(3.0), rng)
-        v = sample_uniform(n_out, n_b, math.sqrt(3.0), rng)
-    else:
-        u = sample_gaussian(n_b, n_in, 0.0, 1.0, rng)
-        v = sample_gaussian(n_out, n_b, 0.0, 1.0, rng)
+    u = sample_gaussian(n_b, n_in, 0.0, 1.0, rng)
+    v = sample_gaussian(n_out, n_b, 0.0, 1.0, rng)
     n_mean = (n_in + n_out) / 2.0
     return (v @ u) / math.sqrt(n_b * n_mean)
 
@@ -188,7 +183,7 @@ def init_weight(spec: InitializerSpec, fan_in: int, fan_out: int, rng: Rng):
     if spec.kind is InitKind.ORTHOGONAL:
         return init_orthogonal(fan_in, math.sqrt(spec.sigma_w_sq), rng)
     if spec.kind is InitKind.BOTTLENECK:
-        return init_bottleneck(fan_in, fan_out, spec.bottleneck_nb, rng, spec.bottleneck_uniform)
+        return init_bottleneck(fan_in, fan_out, spec.bottleneck_nb, rng)
     if spec.kind is InitKind.HOUSEHOLDER:
         return householder_init(fan_in, rng)
     raise ValueError(f"unknown initializer {spec.kind!r}")

@@ -19,23 +19,19 @@ def _fmt(x: float) -> str:
 
 
 class _Axes:
-    def __init__(self, x_min, x_max, y_min, y_max, log_x=False, log_y=False):
-        self.log_x, self.log_y = log_x, log_y
-        tx = np.log10 if log_x else (lambda v: v)
-        ty = np.log10 if log_y else (lambda v: v)
-        self.tx, self.ty = tx, ty
-        self.x0, self.x1 = tx(x_min), tx(x_max)
-        self.y0, self.y1 = ty(y_min), ty(y_max)
+    def __init__(self, x_min, x_max, y_min, y_max):
+        self.x0, self.x1 = x_min, x_max
+        self.y0, self.y1 = y_min, y_max
         if self.x1 == self.x0:
             self.x1 = self.x0 + 1
         if self.y1 == self.y0:
             self.y1 = self.y0 + 1
 
     def px(self, x) -> float:
-        return _ML + (self.tx(x) - self.x0) / (self.x1 - self.x0) * (_W - _ML - _MR)
+        return _ML + (x - self.x0) / (self.x1 - self.x0) * (_W - _ML - _MR)
 
     def py(self, y) -> float:
-        return _H - _MB - (self.ty(y) - self.y0) / (self.y1 - self.y0) * (_H - _MT - _MB)
+        return _H - _MB - (y - self.y0) / (self.y1 - self.y0) * (_H - _MT - _MB)
 
 
 def _frame(title: str, x_label: str, y_label: str, axes: _Axes, x_ticks, y_ticks) -> list:
@@ -61,14 +57,11 @@ def _frame(title: str, x_label: str, y_label: str, axes: _Axes, x_ticks, y_ticks
     return parts
 
 
-def _ticks(lo: float, hi: float, log: bool) -> np.ndarray:
-    if log:
-        lo_e, hi_e = np.floor(np.log10(lo)), np.ceil(np.log10(hi))
-        return 10.0 ** np.arange(lo_e, hi_e + 1)
+def _ticks(lo: float, hi: float) -> np.ndarray:
     return np.linspace(lo, hi, 6)
 
 
-def line_plot(path, x, series: dict, title="", x_label="", y_label="", log_x=False, log_y=False):
+def line_plot(path, x, series: dict, title="", x_label="", y_label=""):
     """``series`` maps name -> y array or (y, yerr) pair; yerr draws a band."""
     x = np.asarray(x, dtype=float)
     ys, bands = {}, {}
@@ -83,10 +76,9 @@ def line_plot(path, x, series: dict, title="", x_label="", y_label="", log_x=Fal
     )
     y_lo, y_hi = float(np.min(all_y)), float(np.max(all_y))
     pad = 0.05 * (y_hi - y_lo or 1.0)
-    if not log_y:
-        y_lo, y_hi = y_lo - pad, y_hi + pad
-    axes = _Axes(x.min(), x.max(), y_lo, y_hi, log_x, log_y)
-    parts = _frame(title, x_label, y_label, axes, _ticks(x.min(), x.max(), log_x), _ticks(y_lo, y_hi, log_y))
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    axes = _Axes(x.min(), x.max(), y_lo, y_hi)
+    parts = _frame(title, x_label, y_label, axes, _ticks(x.min(), x.max()), _ticks(y_lo, y_hi))
     for i, (name, y) in enumerate(ys.items()):
         color = _PALETTE[i % len(_PALETTE)]
         if name in bands:
@@ -146,7 +138,7 @@ def box_plot(path, groups: dict, title="", y_label=""):
     y_lo, y_hi = float(all_v.min()), float(all_v.max())
     pad = 0.05 * (y_hi - y_lo or 1.0)
     axes = _Axes(0, len(labels), y_lo - pad, y_hi + pad)
-    parts = _frame(title, "", y_label, axes, [], _ticks(y_lo - pad, y_hi + pad, False))
+    parts = _frame(title, "", y_label, axes, [], _ticks(y_lo - pad, y_hi + pad))
     width = (_W - _ML - _MR) / max(len(labels), 1)
     for i, (label, (lo, q1, med, q3, hi)) in enumerate(zip(labels, stats)):
         cx = _ML + (i + 0.5) * width

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import activations as act
-from .analysis import vni_empirical
+from .analysis import per_layer_gain, vni_empirical
 from .data import Dataset
 from .initializers import InitializerSpec
 from .linalg import Rng
@@ -30,7 +29,6 @@ __all__ = [
     "TrainResult",
     "softmax_cross_entropy",
     "train",
-    "quartile_dynamics",
     "evaluate",
 ]
 
@@ -42,24 +40,25 @@ class OptimizerKind(enum.Enum):
     RMSPROP = "rmsprop"
 
 
+# Fixed optimizer hyperparameters; only the kind and the learning rate vary.
+_MOMENTUM = 0.9
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
+_RMSPROP_DECAY = 0.9
+_RMSPROP_EPS = 1e-8
+# Rows per forward pass in ``evaluate``.
+_EVAL_BATCH = 1000
+
+
 @dataclass
 class OptimizerSpec:
     kind: OptimizerKind = OptimizerKind.SGD
     learning_rate: float = 0.01
-    momentum: float = 0.9
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    rmsprop_decay: float = 0.9
-    rmsprop_eps: float = 1e-8
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        for name in ("momentum", "adam_beta1", "adam_beta2", "rmsprop_decay"):
-            v = getattr(self, name)
-            if not (0 <= v < 1):
-                raise ValueError(f"{name} must be in [0, 1)")
 
 
 class Optimizer:
@@ -88,17 +87,17 @@ class Optimizer:
             if s.kind is OptimizerKind.SGD:
                 p -= s.learning_rate * g
             elif s.kind is OptimizerKind.SGD_MOMENTUM:
-                self._m[i] = s.momentum * self._m[i] + g
+                self._m[i] = _MOMENTUM * self._m[i] + g
                 p -= s.learning_rate * self._m[i]
             elif s.kind is OptimizerKind.ADAM:
-                self._m[i] = s.adam_beta1 * self._m[i] + (1 - s.adam_beta1) * g
-                self._v[i] = s.adam_beta2 * self._v[i] + (1 - s.adam_beta2) * g * g
-                m_hat = self._m[i] / (1 - s.adam_beta1**self.t)
-                v_hat = self._v[i] / (1 - s.adam_beta2**self.t)
-                p -= s.learning_rate * m_hat / (np.sqrt(v_hat) + s.adam_eps)
+                self._m[i] = _ADAM_BETA1 * self._m[i] + (1 - _ADAM_BETA1) * g
+                self._v[i] = _ADAM_BETA2 * self._v[i] + (1 - _ADAM_BETA2) * g * g
+                m_hat = self._m[i] / (1 - _ADAM_BETA1**self.t)
+                v_hat = self._v[i] / (1 - _ADAM_BETA2**self.t)
+                p -= s.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
             elif s.kind is OptimizerKind.RMSPROP:
-                self._v[i] = s.rmsprop_decay * self._v[i] + (1 - s.rmsprop_decay) * g * g
-                p -= s.learning_rate * g / (np.sqrt(self._v[i]) + s.rmsprop_eps)
+                self._v[i] = _RMSPROP_DECAY * self._v[i] + (1 - _RMSPROP_DECAY) * g * g
+                p -= s.learning_rate * g / (np.sqrt(self._v[i]) + _RMSPROP_EPS)
             else:
                 raise ValueError(f"unknown optimizer {s.kind!r}")
 
@@ -169,12 +168,20 @@ def _param_leaves(state: NetworkState, grads) -> list:
     return leaves
 
 
-def evaluate(state: NetworkState, dataset: Dataset, batch_size: int = 1000):
+def _all_finite(state: NetworkState) -> bool:
+    """Every weight, bias and readout array holds finite values only."""
+    arrays = state.weights + state.biases
+    if state.spec.num_classes > 0:
+        arrays += [state.readout_weight, state.readout_bias]
+    return all(np.all(np.isfinite(a)) for a in arrays)
+
+
+def evaluate(state: NetworkState, dataset: Dataset):
     """(mean loss, accuracy) over a labeled dataset."""
     losses, correct = [], 0
-    for start in range(0, dataset.num_samples, batch_size):
-        x = dataset.inputs[start : start + batch_size]
-        y = dataset.labels[start : start + batch_size]
+    for start in range(0, dataset.num_samples, _EVAL_BATCH):
+        x = dataset.inputs[start : start + _EVAL_BATCH]
+        y = dataset.labels[start : start + _EVAL_BATCH]
         logits = forward(state, x).logits
         loss, _ = softmax_cross_entropy(logits, y)
         losses.append(loss * x.shape[0])
@@ -195,9 +202,7 @@ def _epoch_stats(
 ) -> TrainRecord:
     acts = forward(headless(state), probe).post[-1]
     vni, _, _ = vni_empirical(acts)
-    gains = np.array(
-        [state.spec.fan_in(l) * float(w.var()) * mu1 for l, w in enumerate(state.weights)]
-    )
+    gains = per_layer_gain(state, mu1)
     trace = forward(state, eval_batch_x)
     _, grad = softmax_cross_entropy(trace.logits, eval_batch_y)
     g_in = backward(state, trace, grad).input_gradient
@@ -277,7 +282,7 @@ def train(
             grads = backward(state, trace, grad)
             opt.step(_param_leaves(state, grads))
             state.rematerialize()
-        if diverged or not all(np.all(np.isfinite(w)) for w in state.weights):
+        if diverged or not _all_finite(state):
             reason = "diverged"
             break
         rec = _epoch_stats(
@@ -300,20 +305,3 @@ def train(
                 break
     return TrainResult(records, success, reason, converged_epoch, state)
 
-
-def quartile_dynamics(runs: list):
-    """Per-epoch (q1, median, q3) of the indicator across aligned runs.
-
-    ``runs`` is a list of TrainRecord lists; epochs must agree across runs.
-    Returns (epochs, q1, median, q3) arrays using the linear-interpolation
-    quantile definition.
-    """
-    if len(runs) < 2:
-        raise ValueError("need at least 2 runs")
-    epochs = [r.epoch for r in runs[0]]
-    for run in runs[1:]:
-        if [r.epoch for r in run] != epochs:
-            raise ValueError("runs have misaligned epochs")
-    vni = np.array([[r.vni for r in run] for run in runs])
-    q1, med, q3 = np.percentile(vni, [25, 50, 75], axis=0, method="linear")
-    return np.array(epochs), q1, med, q3

@@ -87,14 +87,14 @@ class TestJacobianRoute:
         spec = NetworkSpec(4, 10, 10, 0, ActivationKind.LINEAR)
         state = build_network(spec, InitializerSpec(InitKind.SCALED_GAUSSIAN, 0.9), Rng(8))
         j = jacobian(state, np.zeros(10))
-        v_jac, sm = an.vni_from_jacobian(j, sigma_x_sq=0.5)
+        v_jac, sm = an.vni_from_jacobian(j)
         c_exact = 0.5 * j @ j.T
         assert v_jac == pytest.approx(an.vni_from_covariance(c_exact), abs=1e-12)
         assert sm.m1 == pytest.approx(np.trace(j @ j.T) / 10, rel=1e-10)
 
     def test_spectral_moments(self):
         j = np.diag([2.0, 1.0, 1.0])  # JJ^T eigenvalues 4, 1, 1
-        v, sm = an.vni_from_jacobian(j, sigma_x_sq=1.0)
+        v, sm = an.vni_from_jacobian(j)
         assert sm.m1 == pytest.approx(2.0)  # (4+1+1)/3
         assert sm.m2 == pytest.approx(6.0)  # (16+1+1)/3
         assert v == pytest.approx(6.0 / (3 * 4.0))
@@ -103,19 +103,19 @@ class TestJacobianRoute:
 class TestTheory:
     def test_linear_orthogonal_is_floor(self):
         # mu2/mu1^2 - 1 - s1 = 0 for linear + orthogonal: indicator stays 1/N
-        m = ActivationMoments(1.0, 1.0, 1.0, "closed_form")
+        m = ActivationMoments(1.0, 1.0, 1.0)
         clamped, raw = an.vni_theoretical(50, 20, m, s1=0.0)
         assert raw == pytest.approx(1.0 / 20)
         assert clamped == raw
 
     def test_linear_gaussian_slope(self):
         # mu2/mu1^2 - 1 - (-1) = 1: indicator = 1/N + L/N
-        m = ActivationMoments(1.0, 1.0, 1.0, "closed_form")
+        m = ActivationMoments(1.0, 1.0, 1.0)
         _, raw = an.vni_theoretical(7, 100, m, s1=-1.0)
         assert raw == pytest.approx(8.0 / 100)
 
     def test_clamped_at_one(self):
-        m = ActivationMoments(1.0, 1.0, 1.0, "closed_form")
+        m = ActivationMoments(1.0, 1.0, 1.0)
         clamped, raw = an.vni_theoretical(500, 20, m, s1=-1.0)
         assert raw > 1.0
         assert clamped == 1.0
@@ -219,7 +219,7 @@ def test_vni_report_routes_agree():
     spec = NetworkSpec(10, 40, 40, 0, ActivationKind.HARD_TANH)
     state = build_network(spec, InitializerSpec(InitKind.SCALED_GAUSSIAN, 1.0), Rng(17))
     probe = Rng(18).normal(size=(2000, 40)) * np.sqrt(0.1)
-    m = ActivationMoments(*mu_quadrature(ActivationKind.HARD_TANH, 0.1), 0.1, "closed_form")
+    m = ActivationMoments(*mu_quadrature(ActivationKind.HARD_TANH, 0.1), 0.1)
     rep = an.vni_report(state, probe, moments=m, s1=-1.0, with_jacobian=True)
     assert rep.vni_covariance == pytest.approx(rep.vni_empirical, abs=1e-10)
     assert rep.vni_jacobian == pytest.approx(rep.vni_empirical, rel=0.5)

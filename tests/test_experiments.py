@@ -1,6 +1,7 @@
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vannodes import experiments
@@ -87,3 +88,46 @@ def test_diagnostics_use_bottleneck_rank(nb, tmp_path):
         assert vni == pytest.approx(1.0, abs=1e-9)
     else:
         assert vni < 0.9
+
+
+def test_sweep_without_closed_form_s1(tmp_path):
+    # The bottleneck ensemble has no closed-form s_1: the sweep still runs,
+    # writes nan for the moment prediction and plots the simulation alone.
+    config = ExperimentConfig(
+        experiment="vni_sweep", widths=[8], depths=[2, 3], runs=2, probe_samples=64,
+        init="bottleneck", out_dir=str(tmp_path),
+    )  # fmt: skip
+    results = experiments.run_vni_sweep(config)
+    assert np.isnan(results[8][3]).all()
+    rows = (tmp_path / f"sweep_{config.config_hash()}.csv").read_text().splitlines()[2:]
+    assert [row.split(",")[-1] for row in rows] == ["nan", "nan"]
+    svg = (tmp_path / f"sweep_N8_{config.config_hash()}.svg").read_text()
+    assert "simulation" in svg and "moment prediction" not in svg
+
+
+@pytest.mark.parametrize("runs", [1, 3])
+def test_dynamics_quartiles_over_early_stopped_runs(runs, tmp_path):
+    # Early stop ends runs at different epochs: the summary covers the
+    # shortest run, and its median is the median of the stored series.
+    config = ExperimentConfig(
+        experiment="dynamics", **{**SMALL, "runs": runs, "epochs": 30, "max_epochs": 30},
+        early_stop=True, out_dir=str(tmp_path),
+    )  # fmt: skip
+    series = experiments.run_dynamics(config)
+    rows = (tmp_path / f"dynamics_runs_{config.config_hash()}.csv").read_text().splitlines()[2:]
+    lengths = set()
+    for lr_index, lr in enumerate(config.learning_rates):
+        stored = [
+            [float(v) for v in row.split(",")[4].split(";")] for row in rows if row.startswith(f"lr{lr_index}_")
+        ]
+        assert len(stored) == runs
+        lengths |= {len(s) for s in stored}
+        n = min(len(s) for s in stored)
+        epochs, q1, med, q3 = series[lr]
+        assert epochs.tolist() == list(range(n))
+        assert med.tolist() == np.median([s[:n] for s in stored], axis=0).tolist()
+        assert np.all(q1 <= med) and np.all(med <= q3)
+    summary = (tmp_path / f"dynamics_{config.config_hash()}.csv").read_text().splitlines()[2:]
+    assert len(summary) == sum(len(s[0]) for s in series.values())
+    if runs > 1:
+        assert len(lengths) > 1  # the runs did stop at different epochs

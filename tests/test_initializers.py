@@ -35,13 +35,6 @@ def test_bottleneck_rank_and_scale():
     assert w.var() == pytest.approx(1.0 / 50, rel=0.1)
 
 
-def test_bottleneck_uniform_factors():
-    w = ini.init_bottleneck(400, 400, 1, Rng(5), uniform=True)
-    assert np.linalg.matrix_rank(w, tol=1e-10) == 1
-    # rank-1 draws have heavy-tailed elementwise variance, hence the slack
-    assert w.var() == pytest.approx(1.0 / 400, rel=0.2)
-
-
 def test_bottleneck_forces_identical_outputs():
     # rank-1 weight: every output node is a scalar multiple of the same
     # projection, so post-activation rows are perfectly correlated (up to sign)

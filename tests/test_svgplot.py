@@ -20,12 +20,6 @@ def test_line_plot(tmp_path):
     assert s.count("<svg") == 1 and "</svg>" in s
 
 
-def test_line_plot_log_axis(tmp_path):
-    p = tmp_path / "log.svg"
-    svgplot.line_plot(p, [1, 10, 100], {"a": np.array([0.01, 0.1, 1.0])}, log_x=True, log_y=True)
-    assert "polyline" in p.read_text()
-
-
 def test_heatmap(tmp_path):
     p = tmp_path / "hm.svg"
     svgplot.heatmap(p, np.linspace(0, 1, 16).reshape(4, 4), title="h")
