@@ -47,7 +47,6 @@ class SpectralMoments:
     m1: float
     m2: float
     eigenvalues: np.ndarray = field(repr=False)
-    s1: float | None = None
 
 
 @dataclass
@@ -164,15 +163,19 @@ def s1_for_ensemble(kind: InitKind) -> float:
     raise ValueError(f"no closed-form s_1 for ensemble {kind!r}")
 
 
-def epsilon_enn(c: np.ndarray, epsilon: float) -> int:
-    """Count of covariance eigenvalues >= epsilon * lambda_max."""
+def _enn_count(lam: np.ndarray, epsilon: float) -> int:
+    """Count of descending eigenvalues ``lam`` >= epsilon * lambda_max."""
     if not (0 < epsilon <= 1):
         raise ValueError("epsilon must be in (0, 1]")
-    lam = sym_eigenvalues(np.asarray(c, dtype=np.float64))
     lam1 = lam[0]
     if lam1 <= 0:
         raise ValueError("covariance has no positive eigenvalue")
     return int(np.sum(lam >= epsilon * lam1 - 1e-9 * lam1))
+
+
+def epsilon_enn(c: np.ndarray, epsilon: float) -> int:
+    """Count of covariance eigenvalues >= epsilon * lambda_max."""
+    return _enn_count(sym_eigenvalues(np.asarray(c, dtype=np.float64)), epsilon)
 
 
 def enn_from_rsq(width: int, r_sq: float, epsilon: float) -> float:
@@ -274,7 +277,8 @@ def vni_report(
     with_jacobian: bool = False,
 ) -> VniReport:
     """All indicator routes on one probe batch, plus effective node counts at
-    ``DEFAULT_ENN_EPSILONS``; the probe covariance is computed once."""
+    ``DEFAULT_ENN_EPSILONS``; the probe covariance and its spectrum are
+    computed once."""
     backbone = headless(state)
     trace = forward(backbone, probe_batch)
     cov, var = _corr_stats(trace.post[-1])
@@ -287,5 +291,6 @@ def vni_report(
     theo = theo_raw = None
     if moments is not None and s1 is not None:
         theo, theo_raw = vni_theoretical(state.spec.depth_L, state.spec.width_N, moments, s1)
-    enn = {eps: epsilon_enn(cov, eps) for eps in DEFAULT_ENN_EPSILONS}
+    lam = sym_eigenvalues(cov)
+    enn = {eps: _enn_count(lam, eps) for eps in DEFAULT_ENN_EPSILONS}
     return VniReport(value, cov_value, jac_value, theo, theo_raw, corr_sq, var, enn)

@@ -110,17 +110,7 @@ class ExperimentConfig:
             raw[key.strip()] = value.strip()
         if overrides:
             raw.update(overrides)
-        return cls._from_raw(raw)
-
-    @classmethod
-    def _from_raw(cls, raw: dict) -> "ExperimentConfig":
-        kwargs = {}
-        by_name = {f.name: f for f in fields(cls)}
-        for key, value in raw.items():
-            if key not in by_name:
-                raise ValueError(f"unknown config key {key!r}")
-            kwargs[key] = _parse_field(by_name[key], value)
-        return cls(**kwargs)
+        return cls().with_overrides(raw)
 
     def with_overrides(self, overrides: dict) -> "ExperimentConfig":
         raw = {}

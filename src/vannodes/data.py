@@ -101,6 +101,17 @@ def _read_be_u32(f, what: str) -> int:
     return struct.unpack(">I", raw)[0]
 
 
+def _read_body(f, path, fields: str, size: int) -> bytes:
+    """The ``size`` bytes after the header, checked against the file size first."""
+    available = os.fstat(f.fileno()).st_size - f.tell()
+    if size > available:
+        raise ValueError(
+            f"truncated IDX file {path}: header {fields} needs {size} bytes, "
+            f"{available} follow the header"
+        )
+    return f.read(size)
+
+
 def load_mnist_idx(images_path, labels_path) -> Dataset:
     """Parse the big-endian IDX pair; pixels are scaled to [0, 1] and then
     mean-centered per feature over the dataset."""
@@ -111,18 +122,15 @@ def load_mnist_idx(images_path, labels_path) -> Dataset:
         count = _read_be_u32(f, "image count")
         rows = _read_be_u32(f, "row count")
         cols = _read_be_u32(f, "column count")
-        raw = f.read(count * rows * cols)
-        if len(raw) != count * rows * cols:
-            raise ValueError(f"truncated image data in {images_path}")
+        fields = f"image count x rows x columns = {count} x {rows} x {cols}"
+        raw = _read_body(f, images_path, fields, count * rows * cols)
         images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
     with open(labels_path, "rb") as f:
         magic = _read_be_u32(f, "label magic")
         if magic != IDX_LABEL_MAGIC:
             raise ValueError(f"bad label magic 0x{magic:08x} in {labels_path}")
         label_count = _read_be_u32(f, "label count")
-        raw = f.read(label_count)
-        if len(raw) != label_count:
-            raise ValueError(f"truncated label data in {labels_path}")
+        raw = _read_body(f, labels_path, f"label count = {label_count}", label_count)
         labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
     if label_count != count:
         raise ValueError(f"image/label count mismatch: {count} vs {label_count}")

@@ -127,45 +127,37 @@ def householder_init(n: int, rng: Rng) -> HouseholderStack:
     return HouseholderStack(rng.normal(size=(n, n)))
 
 
-def _reflect_left(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # H @ M done as a rank-1 update.
-    return m - np.outer(v, (2.0 / (v @ v)) * (v @ m))
-
-
-def _reflect_right(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # M @ H done as a rank-1 update.
-    return m - np.outer((2.0 / (v @ v)) * (m @ v), v)
-
-
 def householder_materialize(stack: HouseholderStack) -> np.ndarray:
     w = np.eye(stack.n)
     for v in stack.vectors:
-        w = _reflect_left(w, v)
+        w = w - np.outer(v, (2.0 / (v @ v)) * (v @ w))  # H_i @ W as a rank-1 update
     return w
 
 
-def householder_backward(stack: HouseholderStack, upstream_grad: np.ndarray) -> np.ndarray:
+def householder_backward(stack: HouseholderStack, upstream_grad: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """Gradients w.r.t. each reflection vector, given dLoss/dW of the
-    materialized matrix.  Returns an array shaped like ``stack.vectors``."""
+    materialized matrix ``weight`` = H_n ... H_1.  Returns an array shaped
+    like ``stack.vectors``.
+
+    dLoss/dH_i = H_{i+1} ... H_n G H_1 ... H_{i-1}: one reverse sweep from
+    M = G W^T right-reflects M by H_i (leaving dLoss/dH_i), reads v_i's
+    gradient and left-reflects M by H_i, for i = n..1.  Two rank-1 updates
+    per reflection: O(n^3) time and O(n^2) memory.
+    """
     g = np.asarray(upstream_grad, dtype=np.float64)
     n = stack.n
     if g.shape != (n, n):
         raise ValueError(f"upstream gradient must be {n}x{n}, got {g.shape}")
-    # prefix[i] = H_i ... H_1 (prefix[0] = I); suffix[i] = H_n ... H_{i+1}.
-    prefix = [np.eye(n)]
-    for v in stack.vectors:
-        prefix.append(_reflect_left(prefix[-1], v))
-    suffix = [None] * (n + 1)
-    suffix[n] = np.eye(n)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = _reflect_right(suffix[i + 1], stack.vectors[i])
+    m = g @ weight.T
     grads = np.empty_like(stack.vectors)
-    for i, v in enumerate(stack.vectors):
-        gh = suffix[i + 1].T @ g @ prefix[i].T  # dLoss/dH_i
+    for i in range(n - 1, -1, -1):
+        v = stack.vectors[i]
         s = v @ v
-        ghv = gh @ v
-        ghtv = gh.T @ v
+        m -= np.outer((2.0 / s) * (m @ v), v)  # now dLoss/dH_i
+        ghv = m @ v
+        ghtv = v @ m
         grads[i] = (-2.0 / s) * (ghv + ghtv) + (4.0 * (v @ ghtv) / (s * s)) * v
+        m -= np.outer(v, (2.0 / s) * ghtv)
     return grads
 
 

@@ -51,22 +51,14 @@ class Rng:
         return self._gen.integers(low, high, size=size)
 
 
-def _as_matrix(a, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional, got shape {a.shape}")
-    return a
-
-
 def sym_eigenvalues(a: np.ndarray, return_vectors: bool = False):
     """Eigenvalues of a symmetric matrix, sorted descending.
 
     With ``return_vectors=True`` also returns the matching eigenvector columns,
     so ``Q @ diag(w) @ Q.T`` reconstructs the input.
     """
-    a = _as_matrix(a, "a")
-    n, m = a.shape
-    if n != m:
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     scale = max(1.0, float(np.abs(a).max()))
     if np.abs(a - a.T).max() > 1e-10 * scale:

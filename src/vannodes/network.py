@@ -191,7 +191,7 @@ def backward(state: NetworkState, trace: ForwardTrace, loss_grad_at_output: np.n
         weight_grads[l] = gw
         bias_grads[l] = gh.sum(axis=0)
         if state.stacks is not None and state.stacks[l] is not None:
-            stack_grads[l] = householder_backward(state.stacks[l], gw)
+            stack_grads[l] = householder_backward(state.stacks[l], gw, state.weights[l])
         g = gh @ state.weights[l]
     return Gradients(
         weights=weight_grads,

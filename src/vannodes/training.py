@@ -199,14 +199,26 @@ def _epoch_stats(
     train_loss: float,
     train_acc: float,
     mu1: float,
-) -> TrainRecord:
+) -> TrainRecord | None:
+    """One epoch's record; after epoch 0, None when the run has diverged: a
+    non-finite parameter, loss, indicator or gain, all-constant probe
+    activations, or an input-gradient log-norm of NaN or +inf (not -inf,
+    which is a truly vanished gradient)."""
+    after = epoch > 0
+    if after and not (math.isfinite(train_loss) and _all_finite(state)):
+        return None
     acts = forward(headless(state), probe).post[-1]
+    if after and np.all(acts == acts[0]):
+        return None
     vni, _, _ = vni_empirical(acts)
     gains = per_layer_gain(state, mu1)
     trace = forward(state, eval_batch_x)
     _, grad = softmax_cross_entropy(trace.logits, eval_batch_y)
     g_in = backward(state, trace, grad).input_gradient
     sq_norm = float(np.sum(g_in * g_in) / g_in.shape[0])
+    log_norm = math.log10(sq_norm) if sq_norm != 0 else -math.inf
+    if after and not (math.isfinite(vni) and np.all(np.isfinite(gains)) and log_norm < math.inf):
+        return None
     test_acc = math.nan
     if test_set is not None:
         _, test_acc = evaluate(state, test_set)
@@ -217,7 +229,7 @@ def _epoch_stats(
         test_accuracy=test_acc,
         vni=vni,
         per_layer_gain=gains,
-        input_grad_log_norm=math.log10(sq_norm) if sq_norm > 0 else -math.inf,
+        input_grad_log_norm=log_norm,
     )
 
 
@@ -268,23 +280,18 @@ def train(
         order = data_rng.permutation(train_set.num_samples)
         epoch_loss = 0.0
         epoch_correct = 0
-        diverged = False
         for start in range(0, train_set.num_samples, batch_size):
             idx = order[start : start + batch_size]
             x, y = train_set.inputs[idx], train_set.labels[idx]
             trace = forward(state, x)
             loss, grad = softmax_cross_entropy(trace.logits, y)
-            if not math.isfinite(loss):
-                diverged = True
-                break
             epoch_loss += loss * x.shape[0]
+            if not math.isfinite(loss):
+                break
             epoch_correct += int((trace.logits.argmax(axis=1) == y).sum())
             grads = backward(state, trace, grad)
             opt.step(_param_leaves(state, grads))
             state.rematerialize()
-        if diverged or not _all_finite(state):
-            reason = "diverged"
-            break
         rec = _epoch_stats(
             state,
             epoch,
@@ -296,6 +303,9 @@ def train(
             epoch_correct / train_set.num_samples,
             mu1,
         )
+        if rec is None:
+            reason = "diverged"
+            break
         records.append(rec)
         if not success and epoch <= criterion.max_epochs and metric_of(rec) > criterion.threshold:
             success = True

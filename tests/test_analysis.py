@@ -226,3 +226,26 @@ def test_vni_report_routes_agree():
     assert rep.vni_theoretical is not None
     for eps in an.DEFAULT_ENN_EPSILONS:
         assert 1 <= rep.enn[eps] <= 40
+
+
+def test_vni_report_one_eigensolve(monkeypatch):
+    # the effective node counts at every epsilon share one spectrum of the
+    # probe covariance and equal epsilon_enn on that covariance
+    spec = NetworkSpec(6, 30, 30, 0, ActivationKind.TANH)
+    state = build_network(spec, InitializerSpec(InitKind.SCALED_GAUSSIAN, 1.0), Rng(19))
+    probe = Rng(20).normal(size=(400, 30))
+    solves = []
+    solve = an.sym_eigenvalues
+
+    def counted(a, *args, **kwargs):
+        solves.append(a.shape)
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(an, "sym_eigenvalues", counted)
+    rep = an.vni_report(state, probe)
+    assert solves == [(30, 30)]
+    monkeypatch.undo()
+    acts = forward(state, probe).post[-1]
+    cov = np.cov(acts.T)
+    for eps in an.DEFAULT_ENN_EPSILONS:
+        assert rep.enn[eps] == an.epsilon_enn(cov, eps)

@@ -54,6 +54,18 @@ class TestIdxLoader:
         with pytest.raises(ValueError, match="truncated"):
             dt.load_mnist_idx(ip, lp)
 
+    @pytest.mark.parametrize(
+        "count, rows, cols",
+        [(1, 2**32 - 1, 2**32 - 1), (2**32 - 1, 2**32 - 1, 2**32 - 1), (2**20, 1000, 1000)],
+    )
+    def test_header_larger_than_file(self, tmp_path, count, rows, cols):
+        # a header that asks for more pixels than the file holds is rejected
+        # before any read, naming the file and the header fields
+        ip, lp = write_idx_pair(tmp_path, np.zeros((2, 2, 2)), [0, 1])
+        ip.write_bytes(struct.pack(">IIII", 0x803, count, rows, cols) + bytes(8))
+        with pytest.raises(ValueError, match=f"{ip.name}.*rows x columns = {count} x {rows} x {cols}"):
+            dt.load_mnist_idx(ip, lp)
+
     def test_count_mismatch(self, tmp_path):
         images = np.zeros((3, 2, 2))
         ip, lp = write_idx_pair(tmp_path, images, [0, 1], label_count=2)

@@ -166,6 +166,25 @@ class TestTrain:
         assert all(np.all(np.isfinite(w)) for w in res.final_state.weights)
         assert res.reason == "diverged"
 
+    @pytest.mark.parametrize(
+        "lr, seed",
+        [(10.0, 0), (10.0, 1), (10.0, 2), (10.0, 3), (1.0, 2)],
+        ids=["constant0", "constant1", "constant2", "constant3", "nan_indicator"],
+    )
+    def test_undefined_epoch_statistics_diverge(self, lr, seed):
+        # At lr = 10 every ReLU probe node goes constant after epoch 1 (the
+        # indicator has no correlations to read); at lr = 1 with seed 2 epoch 1
+        # ends with finite parameters and loss but a NaN indicator and a +inf
+        # gradient log-norm.  Both runs end as diverged, keeping epoch 0 only.
+        spec = NetworkSpec(3, 32, 4, 4, ActivationKind.RELU)
+        init = InitializerSpec(InitKind.SCALED_GAUSSIAN, 2.0)
+        opt = tr.OptimizerSpec(tr.OptimizerKind.SGD, lr)
+        crit = tr.SuccessCriterion("train_accuracy", 0.99, 10)
+        with np.errstate(all="ignore"):
+            res = tr.train(spec, init, opt, synthetic_task("and4"), crit, Rng(seed), batch_size=1)
+        assert res.reason == "diverged"
+        assert [r.epoch for r in res.records] == [0]
+
     def test_failure_reason(self):
         # 1 epoch of SGD will not solve xor
         spec, init, opt, ds, crit = xor_setup(epochs=1)
