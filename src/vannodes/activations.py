@@ -60,16 +60,21 @@ class ActivationKind(enum.Enum):
     HARD_TANH = "hard_tanh"
 
 
-def apply(kind: ActivationKind, h: np.ndarray) -> np.ndarray:
+def apply(kind: ActivationKind, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """phi(h), written into ``out`` when given (``out=h`` works in place)."""
     h = np.asarray(h, dtype=np.float64)
     if kind is ActivationKind.LINEAR:
-        return h.copy()
+        if out is None:
+            return h.copy()
+        if out is not h:
+            out[...] = h
+        return out
     if kind is ActivationKind.RELU:
-        return np.maximum(h, 0.0)
+        return np.maximum(h, 0.0, out=out)
     if kind is ActivationKind.TANH:
-        return np.tanh(h)
+        return np.tanh(h, out=out)
     if kind is ActivationKind.HARD_TANH:
-        return np.clip(h, -1.0, 1.0)
+        return np.clip(h, -1.0, 1.0, out=out)
     raise ValueError(f"unknown activation {kind!r}")
 
 

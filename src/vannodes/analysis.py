@@ -18,7 +18,7 @@ import numpy as np
 from .activations import ActivationMoments
 from .initializers import InitKind
 from .linalg import sym_eigenvalues
-from .network import NetworkState, backward, forward, headless, jacobian
+from .network import NetworkState, backward, forward, headless, jacobian, output
 
 __all__ = [
     "VniReport",
@@ -280,8 +280,7 @@ def vni_report(
     ``DEFAULT_ENN_EPSILONS``; the probe covariance and its spectrum are
     computed once."""
     backbone = headless(state)
-    trace = forward(backbone, probe_batch)
-    cov, var = _corr_stats(trace.post[-1])
+    cov, var = _corr_stats(output(backbone, probe_batch))
     value, corr_sq, _ = _weighted_corr_sq(cov, var)
     cov_value = vni_from_covariance(cov)
     jac_value = None

@@ -66,6 +66,13 @@ class ExperimentConfig:
         OptimizerKind(self.optimizer)
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        # to_text writes one key=value line and from_text splits lines and
+        # strips values, so a line break (any that str.splitlines knows) would
+        # smuggle in keys and outer whitespace would be lost.
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type == "str" and ("".join(v.splitlines()) != v or v != v.strip()):
+                raise ValueError(f"{f.name} must not hold a line break or outer whitespace, got {v!r}")
 
     # -- structured views ---------------------------------------------------
 

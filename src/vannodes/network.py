@@ -35,6 +35,7 @@ __all__ = [
     "build_network",
     "headless",
     "forward",
+    "output",
     "backward",
     "jacobian",
     "save_checkpoint",
@@ -148,11 +149,18 @@ def headless(state: NetworkState) -> NetworkState:
     )
 
 
-def forward(state: NetworkState, batch: np.ndarray) -> ForwardTrace:
-    spec = state.spec
+def _as_batch(spec: NetworkSpec, batch: np.ndarray) -> np.ndarray:
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
         raise ValueError(f"batch must be (n, {spec.input_dim}), got {x.shape}")
+    return x
+
+
+def forward(state: NetworkState, batch: np.ndarray) -> ForwardTrace:
+    """Forward pass keeping every layer's pre- and post-activation, which
+    back-propagation and the Jacobian read."""
+    spec = state.spec
+    x = _as_batch(spec, batch)
     trace = ForwardTrace(inputs=x)
     for w, b in zip(state.weights, state.biases):
         h = x @ w.T + b
@@ -162,6 +170,21 @@ def forward(state: NetworkState, batch: np.ndarray) -> ForwardTrace:
     if spec.num_classes > 0:
         trace.logits = x @ state.readout_weight.T + state.readout_bias
     return trace
+
+
+def output(state: NetworkState, batch: np.ndarray) -> np.ndarray:
+    """The logits, or x_L when there is no readout, keeping no per-layer
+    trace: each layer is computed in place, so at most two activation arrays
+    are alive.  Bit-identical to ``forward``'s logits and ``post[-1]``."""
+    spec = state.spec
+    x = _as_batch(spec, batch)
+    for w, b in zip(state.weights, state.biases):
+        h = x @ w.T
+        h += b
+        x = act.apply(spec.activation, h, out=h)
+    if spec.num_classes > 0:
+        return x @ state.readout_weight.T + state.readout_bias
+    return x
 
 
 def backward(state: NetworkState, trace: ForwardTrace, loss_grad_at_output: np.ndarray) -> Gradients:

@@ -18,7 +18,7 @@ from .analysis import per_layer_gain, vni_empirical
 from .data import Dataset
 from .initializers import InitializerSpec
 from .linalg import Rng
-from .network import NetworkSpec, NetworkState, backward, build_network, forward, headless
+from .network import NetworkSpec, NetworkState, backward, build_network, forward, headless, output
 
 __all__ = [
     "OptimizerKind",
@@ -182,7 +182,7 @@ def evaluate(state: NetworkState, dataset: Dataset):
     for start in range(0, dataset.num_samples, _EVAL_BATCH):
         x = dataset.inputs[start : start + _EVAL_BATCH]
         y = dataset.labels[start : start + _EVAL_BATCH]
-        logits = forward(state, x).logits
+        logits = output(state, x)
         loss, _ = softmax_cross_entropy(logits, y)
         losses.append(loss * x.shape[0])
         correct += int((logits.argmax(axis=1) == y).sum())
@@ -207,7 +207,7 @@ def _epoch_stats(
     after = epoch > 0
     if after and not (math.isfinite(train_loss) and _all_finite(state)):
         return None
-    acts = forward(headless(state), probe).post[-1]
+    acts = output(headless(state), probe)
     if after and np.all(acts == acts[0]):
         return None
     vni, _, _ = vni_empirical(acts)
@@ -233,6 +233,8 @@ def _epoch_stats(
     )
 
 
+# Divergence is detected explicitly, so overflow and NaN are not warned about.
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     spec: NetworkSpec,
     init: InitializerSpec,

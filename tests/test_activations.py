@@ -22,6 +22,17 @@ def test_apply_values():
 
 
 @pytest.mark.parametrize("kind", KINDS)
+def test_apply_out(kind):
+    h = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+    expected = act.apply(kind, h)
+    out = np.empty_like(h)
+    assert act.apply(kind, h, out=out) is out
+    assert np.array_equal(out, expected)
+    assert act.apply(kind, h, out=h) is h
+    assert np.array_equal(h, expected)
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_derivative_matches_finite_difference(kind):
     eps = 1e-6
     fd = (act.apply(kind, SMOOTH_POINTS + eps) - act.apply(kind, SMOOTH_POINTS - eps)) / (2 * eps)

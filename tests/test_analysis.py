@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -249,3 +251,19 @@ def test_vni_report_one_eigensolve(monkeypatch):
     cov = np.cov(acts.T)
     for eps in an.DEFAULT_ENN_EPSILONS:
         assert rep.enn[eps] == an.epsilon_enn(cov, eps)
+
+
+def test_vni_report_keeps_no_layer_trace():
+    # The indicator reads layer L alone, so the report's peak stays within a
+    # few activation arrays (1000 x 100 float64 each) at any depth; a
+    # per-layer trace would hold 120 of them.
+    spec = NetworkSpec(60, 100, 100, 0, ActivationKind.HARD_TANH)
+    state = build_network(spec, InitializerSpec(InitKind.SCALED_GAUSSIAN, 1.0), Rng(21))
+    probe = Rng(22).normal(size=(1000, 100)) * np.sqrt(0.1)
+    tracemalloc.start()
+    try:
+        an.vni_report(state, probe)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * probe.nbytes

@@ -45,6 +45,18 @@ class TestConfig:
         assert c.depths == [4, 8]
         assert c.early_stop is True
 
+    @pytest.mark.parametrize("value", ["out\nruns=3", "out\rruns=3", "out\u2028runs=3", " out ", "out\t"])
+    def test_unwritable_string_rejected(self, value):
+        # one would come back as another key, the other stripped
+        with pytest.raises(ValueError, match="out_dir"):
+            ExperimentConfig(out_dir=value)
+        with pytest.raises(ValueError, match="out_dir"):
+            ExperimentConfig().with_overrides({"out_dir": value})
+
+    def test_comma_and_equals_round_trip(self):
+        c = ExperimentConfig(out_dir="runs/a,b=c", mnist_dir="data, mnist")
+        assert ExperimentConfig.from_text(c.to_text()) == c
+
     def test_all_experiments_constructible(self):
         for name in EXPERIMENTS:
             assert ExperimentConfig(experiment=name).experiment == name

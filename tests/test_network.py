@@ -11,6 +11,7 @@ from vannodes.network import (
     forward,
     jacobian,
     load_checkpoint,
+    output,
     save_checkpoint,
 )
 
@@ -52,6 +53,32 @@ def test_forward_shapes_and_validation():
     assert t.logits.shape == (7, 4)
     with pytest.raises(ValueError):
         forward(state, Rng(4).normal(size=(7, 2)))
+
+
+@pytest.mark.parametrize("kind", list(ActivationKind))
+@pytest.mark.parametrize("num_classes", [0, 3])
+@pytest.mark.parametrize("input_dim", [5, 6], ids=["rectangular", "square"])
+@pytest.mark.parametrize("init", [GAUSS, InitializerSpec(InitKind.HOUSEHOLDER)], ids=["gauss", "householder"])
+def test_output_equals_forward(kind, num_classes, input_dim, init):
+    spec = NetworkSpec(4, 6, input_dim, num_classes, kind)
+    state = build_network(spec, init, Rng(30))
+    assert (state.stacks is not None) == (init.kind is InitKind.HOUSEHOLDER)
+    batch = Rng(31).normal(size=(9, input_dim))
+    before = batch.copy()
+    got = output(state, batch)
+    t = forward(state, batch)
+    assert np.array_equal(got, t.logits if num_classes else t.post[-1])
+    assert np.array_equal(batch, before)
+
+
+def test_output_validates_like_forward():
+    state = build_network(NetworkSpec(2, 5, 3, 4, ActivationKind.RELU), GAUSS, Rng(3))
+    for bad in (Rng(4).normal(size=(7, 2)), Rng(4).normal(size=3)):
+        with pytest.raises(ValueError) as from_forward:
+            forward(state, bad)
+        with pytest.raises(ValueError) as from_output:
+            output(state, bad)
+        assert str(from_output.value) == str(from_forward.value)
 
 
 @pytest.mark.parametrize("num_classes", [0, 3])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -184,6 +185,18 @@ class TestTrain:
             res = tr.train(spec, init, opt, synthetic_task("and4"), crit, Rng(seed), batch_size=1)
         assert res.reason == "diverged"
         assert [r.epoch for r in res.records] == [0]
+
+    def test_divergence_is_quiet(self):
+        # The nan_indicator run above, with warnings as errors: train detects
+        # the overflow and NaN itself, so numpy has nothing to warn about.
+        spec = NetworkSpec(3, 32, 4, 4, ActivationKind.RELU)
+        init = InitializerSpec(InitKind.SCALED_GAUSSIAN, 2.0)
+        opt = tr.OptimizerSpec(tr.OptimizerKind.SGD, 1.0)
+        crit = tr.SuccessCriterion("train_accuracy", 0.99, 10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = tr.train(spec, init, opt, synthetic_task("and4"), crit, Rng(2), batch_size=1)
+        assert res.reason == "diverged"
 
     def test_failure_reason(self):
         # 1 epoch of SGD will not solve xor
