@@ -22,6 +22,7 @@ from .analysis import (
     correlation_heatmap,
     gradient_diagnostics,
     s1_for_ensemble,
+    vni_empirical,
     vni_report,
     vni_theoretical,
 )
@@ -29,7 +30,7 @@ from .config import ExperimentConfig
 from .data import gaussian_probe, load_mnist_idx, synthetic_task
 from .initializers import InitKind, InitializerSpec
 from .linalg import Rng
-from .network import build_network
+from .network import build_network, layers
 from .training import TrainResult, train
 
 __all__ = [
@@ -204,13 +205,13 @@ def _init_spec(config: ExperimentConfig, init_kind: InitKind, gain: GainSetup) -
     return InitializerSpec(init_kind, gain.sigma_w_sq, config.bottleneck_nb)
 
 
-def _probe_report(config: ExperimentConfig, depth: int, width: int, gain: GainSetup, rng: Rng, **report_args):
-    """(network, probe inputs, indicator report) of one width x width network
-    drawn from ``rng.spawn(0)`` on a Gaussian probe drawn from ``rng.spawn(1)``."""
+def _probe_network(config: ExperimentConfig, depth: int, width: int, gain: GainSetup, rng: Rng) -> tuple:
+    """(network, probe inputs): one width x width network drawn from
+    ``rng.spawn(0)`` and a Gaussian probe drawn from ``rng.spawn(1)``."""
     spec = config.network_spec(depth, width, width, 0)
     state = build_network(spec, _init_spec(config, config.init_kind, gain), rng.spawn(0))
     probe = gaussian_probe(config.probe_samples, width, config.sigma_x_sq, rng.spawn(1)).inputs
-    return state, probe, vni_report(state, probe, **report_args)
+    return state, probe
 
 
 def _train_cell(
@@ -268,14 +269,28 @@ def _init_table(blocks: list, inits: tuple):
 
 def run_vni_sweep(config: ExperimentConfig) -> dict:
     """Theory-vs-simulation sweep of the indicator over depth (one curve per
-    width), on an i.i.d. Gaussian probe.  Emits CSV + SVG."""
+    width), on an i.i.d. Gaussian probe.  Emits CSV + SVG.
+
+    Each (width, run) draws one ``max(config.depths)``-layer network and one
+    probe from ``Rng(master_seed, (width, run))`` and reads the indicator at
+    every listed depth from one forward pass: layer l's weights come from
+    their own stream, so the first L layers are the L-layer network of the
+    same key.  The depths of one run therefore share weights; across runs
+    they are independent draws.
+    """
     gain = resolve_gain(config, config.sigma_x_sq, config.init_kind)
     s1 = _s1(config)
+    listed = set(config.depths)
+    profiles = {}  # (width, run) -> {depth: indicator}
 
     def compute(width, depth, run):
-        rng = Rng(config.master_seed, (width, depth, run))
-        report = _probe_report(config, depth, width, gain, rng)[2]
-        return [width, depth, float(report.vni_empirical)]
+        if (width, run) not in profiles:
+            rng = Rng(config.master_seed, (width, run))
+            state, probe = _probe_network(config, max(listed), width, gain, rng)
+            profiles[(width, run)] = {
+                d: float(vni_empirical(x)[0]) for d, x in enumerate(layers(state, probe), 1) if d in listed
+            }
+        return [width, depth, profiles[(width, run)][depth]]
 
     cells = [
         (f"N{width}_L{depth}_r{run}", (width, depth, run))
@@ -318,7 +333,7 @@ def run_heatmap(config: ExperimentConfig) -> dict:
     cells += [(width, config.depths[0]) for width in config.widths[1:]]
     results, summary = {}, []
     for width, depth in cells:
-        report = _probe_report(config, depth, width, gain, Rng(config.master_seed, (width, depth)))[2]
+        report = vni_report(*_probe_network(config, depth, width, gain, Rng(config.master_seed, (width, depth))))
         permuted, _ = correlation_heatmap(report.corr_sq)
         tag = f"heatmap_N{width}_L{depth}"
         _write_csv(
@@ -479,9 +494,8 @@ def run_diagnostics(config: ExperimentConfig) -> dict:
     depth = config.depths[0]
     gain = resolve_gain(config, config.sigma_x_sq, config.init_kind)
     rng = Rng(config.master_seed, (depth, width))
-    state, probe, report = _probe_report(
-        config, depth, width, gain, rng, moments=gain, s1=_s1(config), with_jacobian=True
-    )
+    state, probe = _probe_network(config, depth, width, gain, rng)
+    report = vni_report(state, probe, moments=gain, s1=_s1(config), with_jacobian=True)
     loss_grads = rng.spawn(2).normal(size=(probe.shape[0], width))
     diag = gradient_diagnostics(state, probe, loss_grads, mu1=gain.mu1)
     rows = [

@@ -9,6 +9,8 @@ readout.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -35,6 +37,7 @@ __all__ = [
     "build_network",
     "headless",
     "forward",
+    "layers",
     "output",
     "backward",
     "jacobian",
@@ -172,16 +175,26 @@ def forward(state: NetworkState, batch: np.ndarray) -> ForwardTrace:
     return trace
 
 
-def output(state: NetworkState, batch: np.ndarray) -> np.ndarray:
-    """The logits, or x_L when there is no readout, keeping no per-layer
-    trace: each layer is computed in place, so at most two activation arrays
-    are alive.  Bit-identical to ``forward``'s logits and ``post[-1]``."""
+def layers(state: NetworkState, batch: np.ndarray):
+    """Yield the post-activations x_1..x_L of the backbone, keeping no
+    per-layer trace: each layer is computed in place into a fresh array, so
+    at most two activation arrays are alive while the caller holds only the
+    latest.  Bit-identical to ``forward``'s ``post``."""
     spec = state.spec
     x = _as_batch(spec, batch)
     for w, b in zip(state.weights, state.biases):
         h = x @ w.T
         h += b
         x = act.apply(spec.activation, h, out=h)
+        yield x
+
+
+def output(state: NetworkState, batch: np.ndarray) -> np.ndarray:
+    """The logits, or x_L when there is no readout, read from ``layers``.
+    Bit-identical to ``forward``'s logits and ``post[-1]``."""
+    spec = state.spec
+    for x in layers(state, batch):
+        pass
     if spec.num_classes > 0:
         return x @ state.readout_weight.T + state.readout_bias
     return x
@@ -262,14 +275,21 @@ def _unpack(f, fmt: str, what: str) -> tuple:
     return struct.unpack(fmt, raw)
 
 
-def _read_array(f) -> np.ndarray:
-    (ndim,) = _unpack(f, "<I", "array header")
-    shape = _unpack(f, f"<{ndim}I", "array shape")
-    count = int(np.prod(shape))
-    data = np.frombuffer(f.read(8 * count), dtype="<f8")
-    if data.size != count:
-        raise ValueError("truncated checkpoint file")
-    return data.reshape(shape).astype(np.float64)
+def _read_array(f, shape: tuple, what: str) -> np.ndarray:
+    """Read one array that the header's spec says is ``shape``.  Its stored
+    shape is checked before its data is read, and the data's size against the
+    bytes left in the file, so a corrupt size never allocates."""
+    (ndim,) = _unpack(f, "<I", f"{what} header")
+    if ndim != len(shape):
+        raise ValueError(f"corrupt checkpoint: {what} has {ndim} dimensions, the header's spec gives {len(shape)}")
+    stored = _unpack(f, f"<{ndim}I", f"{what} shape")
+    if stored != shape:
+        raise ValueError(f"corrupt checkpoint: {what} is stored as {stored}, the header's spec gives {shape}")
+    size = 8 * math.prod(shape)
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if size > left:
+        raise ValueError(f"truncated checkpoint file: {what} needs {size} bytes, {left} are left")
+    return np.frombuffer(f.read(size), dtype="<f8").reshape(shape).astype(np.float64)
 
 
 def save_checkpoint(state: NetworkState, path):
@@ -304,6 +324,9 @@ def save_checkpoint(state: NetworkState, path):
 
 
 def load_checkpoint(path) -> NetworkState:
+    """Load a checkpoint written by ``save_checkpoint``.  Every array is
+    checked against the shape the header's spec gives; a corrupt or
+    truncated file raises ``ValueError`` naming the part at fault."""
     with open(path, "rb") as f:
         if f.read(4) != CHECKPOINT_MAGIC:
             raise ValueError("not a network checkpoint (bad magic bytes)")
@@ -314,29 +337,36 @@ def load_checkpoint(path) -> NetworkState:
             raise ValueError(f"unsupported checkpoint version {version}")
         if act_code not in _ACT_FROM_CODE:
             raise ValueError(f"corrupt checkpoint: unknown activation code {act_code}")
+        if householder not in (0, 1):
+            raise ValueError(f"corrupt checkpoint: Householder flag {householder}")
         spec = NetworkSpec(depth, width, input_dim, num_classes, _ACT_FROM_CODE[act_code])
-        weights, biases = [], []
-        stacks = [None] * depth if householder else None
+        weights, biases, stacks = [], [], []
         for l in range(depth):
             tag = f.read(1)
-            if tag == b"H":
-                stack = HouseholderStack(_read_array(f))
-                stacks[l] = stack
+            shape = (width, spec.fan_in(l))
+            if tag == b"H" and householder:
+                stack = HouseholderStack(_read_array(f, shape, f"layer {l + 1} reflection vectors"))
+                stacks.append(stack)
                 weights.append(householder_materialize(stack))
             elif tag == b"D":
-                weights.append(_read_array(f))
+                stacks.append(None)
+                weights.append(_read_array(f, shape, f"layer {l + 1} weight"))
+            elif tag == b"H":
+                raise ValueError(f"corrupt checkpoint: layer {l + 1} holds reflections but the Householder flag is 0")
             else:
-                raise ValueError("corrupt checkpoint: unknown layer tag")
-            biases.append(_read_array(f))
+                raise ValueError(f"corrupt checkpoint: unknown tag {tag!r} for layer {l + 1}")
+            biases.append(_read_array(f, (width,), f"layer {l + 1} bias"))
         readout_w = readout_b = None
         if num_classes > 0:
-            readout_w = _read_array(f)
-            readout_b = _read_array(f)
+            readout_w = _read_array(f, (num_classes, width), "readout weight")
+            readout_b = _read_array(f, (num_classes,), "readout bias")
+        if f.read(1):
+            raise ValueError("corrupt checkpoint: bytes left after the last array")
     return NetworkState(
         spec=spec,
         weights=weights,
         biases=biases,
-        stacks=stacks,
+        stacks=stacks if householder else None,
         readout_weight=readout_w,
         readout_bias=readout_b,
     )

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from vannodes import experiments
+from vannodes.analysis import vni_empirical
 from vannodes.config import ExperimentConfig
+from vannodes.data import gaussian_probe
+from vannodes.initializers import InitializerSpec
+from vannodes.linalg import Rng
+from vannodes.network import build_network, output
 
 SMALL = dict(
     depths=[4, 6], widths=[12, 10], runs=3, epochs=3, max_epochs=3, batch_size=4,
@@ -103,6 +108,87 @@ def test_sweep_without_closed_form_s1(tmp_path):
     assert [row.split(",")[-1] for row in rows] == ["nan", "nan"]
     svg = (tmp_path / f"sweep_N8_{config.config_hash()}.svg").read_text()
     assert "simulation" in svg and "moment prediction" not in svg
+
+
+def _sweep_reference(config) -> dict:
+    """Each sweep run's indicator from a network of exactly its depth, drawn
+    with the (width, run) key the sweep reads all its depths from."""
+    gain = experiments.resolve_gain(config, config.sigma_x_sq, config.init_kind)
+    init = InitializerSpec(config.init_kind, gain.sigma_w_sq, config.bottleneck_nb)
+    values = {}
+    for width in config.widths:
+        for run in range(config.runs):
+            rng = Rng(config.master_seed, (width, run))
+            probe = gaussian_probe(config.probe_samples, width, config.sigma_x_sq, rng.spawn(1)).inputs
+            for depth in config.depths:
+                state = build_network(config.network_spec(depth, width, width, 0), init, rng.spawn(0))
+                values[f"N{width}_L{depth}_r{run}"] = vni_empirical(output(state, probe))[0]
+    return values
+
+
+def _stored_vni(config, out_dir) -> dict:
+    lines = (out_dir / f"sweep_runs_{config.config_hash()}.csv").read_text().splitlines()[2:]
+    return {key: vni for key, _, _, vni in (line.split(",") for line in lines)}
+
+
+SWEEP = dict(experiment="vni_sweep", widths=[12, 10], depths=[6, 2, 4], runs=2, probe_samples=200)
+
+
+def test_sweep_reads_every_depth_from_one_network(tmp_path, monkeypatch):
+    config = ExperimentConfig(**SWEEP, out_dir=str(tmp_path))
+    added = {}
+    add = experiments.RunStore.add
+
+    def record(self, key, values):
+        added[key] = values[2]
+        add(self, key, values)
+
+    monkeypatch.setattr(experiments.RunStore, "add", record)
+    experiments.run_vni_sweep(config)
+    reference = _sweep_reference(config)
+    assert added.keys() == reference.keys()
+    for key, value in added.items():
+        assert value == reference[key], key  # bit for bit
+
+
+def test_sweep_resumes_a_run_with_some_depths_stored(tmp_path):
+    # A run CSV cut after any row holds some depths of a (width, run): the
+    # missing ones are read from the same network as the stored ones.
+    config = ExperimentConfig(**SWEEP, out_dir=str(tmp_path))
+    experiments.run_vni_sweep(config)
+    fresh = _files(tmp_path)
+    runs_name = f"sweep_runs_{config.config_hash()}.csv"
+    lines = fresh[runs_name].decode().splitlines(keepends=True)
+    for kept in range(2, len(lines)):
+        for path in tmp_path.iterdir():
+            path.unlink()
+        (tmp_path / runs_name).write_text("".join(lines[:kept]))
+        experiments.run_vni_sweep(config)
+        assert _files(tmp_path) == fresh, kept
+    reference = _sweep_reference(config)
+    assert _stored_vni(config, tmp_path) == {key: f"{v:.10g}" for key, v in reference.items()}
+
+    # rows kept out of order: the same rows and the same summary files
+    for path in tmp_path.iterdir():
+        path.unlink()
+    (tmp_path / runs_name).write_text("".join(lines[:2] + [line for line in lines[2:] if "_L4_" in line]))
+    experiments.run_vni_sweep(config)
+    resumed = _files(tmp_path)
+    assert sorted(resumed.pop(runs_name).splitlines()) == sorted(fresh[runs_name].splitlines())
+    assert resumed == {name: data for name, data in fresh.items() if name != runs_name}
+
+
+def test_sweep_with_a_depth_listed_twice(tmp_path):
+    config = ExperimentConfig(**{**SWEEP, "depths": [4, 2, 4]}, out_dir=str(tmp_path))
+    results = experiments.run_vni_sweep(config)
+    reference = _sweep_reference(config)
+    assert _stored_vni(config, tmp_path) == {key: f"{v:.10g}" for key, v in reference.items()}
+    rows = (tmp_path / f"sweep_{config.config_hash()}.csv").read_text().splitlines()[2:]
+    for width in config.widths:
+        by_depth = [row for row in rows if row.startswith(f"{width},")]
+        assert [row.split(",")[1] for row in by_depth] == ["4", "2", "4"]
+        assert by_depth[0] == by_depth[2]
+        assert results[width][1][0] == results[width][1][2]
 
 
 @pytest.mark.parametrize("runs", [1, 3])

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from vannodes.network import (
     build_network,
     forward,
     jacobian,
+    layers,
     load_checkpoint,
     output,
     save_checkpoint,
@@ -69,6 +72,33 @@ def test_output_equals_forward(kind, num_classes, input_dim, init):
     t = forward(state, batch)
     assert np.array_equal(got, t.logits if num_classes else t.post[-1])
     assert np.array_equal(batch, before)
+
+
+@pytest.mark.parametrize("kind", list(ActivationKind))
+@pytest.mark.parametrize("init", [GAUSS, InitializerSpec(InitKind.HOUSEHOLDER)], ids=["gauss", "householder"])
+def test_layers_equal_forward_post(kind, init):
+    state = build_network(NetworkSpec(4, 6, 6, 3, kind), init, Rng(32))
+    batch = Rng(33).normal(size=(9, 6))
+    before = batch.copy()
+    got = list(layers(state, batch))  # every yielded array stays valid
+    post = forward(state, batch).post
+    assert len(got) == len(post)
+    assert all(np.array_equal(a, b) for a, b in zip(got, post))
+    assert np.array_equal(batch, before)
+
+
+@pytest.mark.parametrize("kind", list(InitKind))
+def test_shallow_network_is_prefix_of_deep(kind):
+    # Layer l is drawn from its own stream, so a depth-L build is the first L
+    # layers of a deeper one and the deep network's x_L is its output.
+    init = InitializerSpec(kind, 1.1, bottleneck_nb=2)
+    rng = Rng(34)
+    deep = build_network(NetworkSpec(5, 6, 5, 0, ActivationKind.TANH), init, rng)
+    batch = Rng(35).normal(size=(7, 5))
+    for depth, x in enumerate(layers(deep, batch), 1):
+        shallow = build_network(NetworkSpec(depth, 6, 5, 0, ActivationKind.TANH), init, rng)
+        assert all(np.array_equal(a, b) for a, b in zip(shallow.weights, deep.weights[:depth], strict=True))
+        assert np.array_equal(output(shallow, batch), x)
 
 
 def test_output_validates_like_forward():
@@ -243,3 +273,54 @@ class TestCheckpoint:
         p.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="activation code"):
             load_checkpoint(p)
+
+    def _dense(self, tmp_path):
+        p = tmp_path / "net.ckpt"
+        save_checkpoint(build_network(NetworkSpec(2, 4, 4, 0, ActivationKind.TANH), GAUSS, Rng(23)), p)
+        return p, bytearray(p.read_bytes())
+
+    def test_reflections_without_householder_flag(self, tmp_path):
+        p, raw = self._dense(tmp_path)
+        raw[4 + 22] = ord("H")  # layer 1 tag, after magic and header
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="layer 1 holds reflections"):
+            load_checkpoint(p)
+
+    def test_array_shape_against_header(self, tmp_path):
+        # a 2x8 layer-1 weight where the header's spec gives 4x4: same size
+        p, raw = self._dense(tmp_path)
+        raw[4 + 22 + 1 + 4 : 4 + 22 + 1 + 12] = struct.pack("<II", 2, 8)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=r"layer 1 weight is stored as \(2, 8\)"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("init", [GAUSS, InitializerSpec(InitKind.HOUSEHOLDER)], ids=["dense", "householder"])
+    def test_every_prefix_and_byte_flip(self, init, tmp_path):
+        # Every cut and every single-byte flip (three masks) either loads
+        # arrays of the shapes its own header gives or raises ValueError:
+        # no other exception, and no allocation the file's size does not back.
+        p = tmp_path / "net.ckpt"
+        save_checkpoint(build_network(NetworkSpec(2, 4, 4, 2, ActivationKind.TANH), init, Rng(23)), p)
+        raw = p.read_bytes()
+        variants = [raw[:cut] for cut in range(len(raw))]
+        for i in range(len(raw)):
+            for mask in (0x01, 0x80, 0xFF):
+                flipped = bytearray(raw)
+                flipped[i] ^= mask
+                variants.append(bytes(flipped))
+        loaded = 0
+        for data in variants:
+            p.write_bytes(data)
+            try:
+                state = load_checkpoint(p)
+            except ValueError:
+                continue
+            loaded += 1
+            spec = state.spec
+            assert [w.shape for w in state.weights] == [(spec.width_N, spec.fan_in(l)) for l in range(spec.depth_L)]
+            assert [b.shape for b in state.biases] == [(spec.width_N,)] * spec.depth_L
+            assert state.readout_weight.shape == (spec.num_classes, spec.width_N)
+            assert state.readout_bias.shape == (spec.num_classes,)
+            for stack in state.stacks or []:
+                assert stack is None or stack.vectors.shape == (spec.width_N, spec.width_N)
+        assert loaded > 0  # flips of the float data load
