@@ -1,6 +1,11 @@
 """Weight initialization schemes: scaled i.i.d., orthogonal, low-rank
 bottleneck, and the Householder product parametrization.
 
+A Householder layer is materialized, and its reflection vectors get their
+gradients, in the compact-WY form H_n ... H_1 = I - U^T A^-1 U with A lower
+triangular: a few dense n x n products and one solve or inverse per call,
+with no loop over the n reflections.
+
 The bottleneck scheme deliberately limits the rank of each weight matrix
 (rank <= N_b) while keeping the norm-preserving scale, so a network can start
 with fully correlated output nodes without vanishing or exploding gradients
@@ -102,7 +107,9 @@ class HouseholderStack:
     Row i of ``vectors`` is the (unnormalized) reflection vector v_i; the
     materialized matrix is H_n ... H_1 with H_i = I - 2 v v^T / (v^T v).
     Orthogonality holds for any nonzero vectors, so unconstrained gradient
-    updates to the rows can never break it.
+    updates to the rows can never break it.  Every entry must be finite and
+    every v^T v a normal float: a zero, subnormal or overflowing v^T v makes
+    2 / (v^T v) meaningless and raises ``ValueError``.
     """
 
     vectors: np.ndarray = field(repr=False)
@@ -111,9 +118,14 @@ class HouseholderStack:
         v = np.asarray(self.vectors, dtype=np.float64)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError("vectors must be an n x n array of reflection rows")
-        norms = np.linalg.norm(v, axis=1)
-        if np.any(norms == 0):
-            raise ValueError("reflection vectors must be nonzero")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("reflection vectors must be finite")
+        sq = np.einsum("ij,ij->i", v, v)
+        bad = np.flatnonzero(~((sq >= np.finfo(np.float64).tiny) & (sq < np.inf)))
+        if bad.size:
+            raise ValueError(
+                f"reflection vector {bad[0] + 1} has v.v = {sq[bad[0]]:.3g}, outside the normal float range"
+            )
         self.vectors = v
 
     @property
@@ -127,38 +139,57 @@ def householder_init(n: int, rng: Rng) -> HouseholderStack:
     return HouseholderStack(rng.normal(size=(n, n)))
 
 
+def _unit_rows(vectors: np.ndarray):
+    """The reflection rows u_i = v_i / |v_i| and the lengths |v_i| (as a
+    column).  Each row is first divided by its largest entry, so no square
+    overflows or underflows even after in-place updates have left the range
+    ``HouseholderStack`` checks."""
+    peak = np.abs(vectors).max(axis=1, keepdims=True)
+    u = vectors / peak
+    norms = np.sqrt(np.einsum("ij,ij->i", u, u))[:, None]
+    return u / norms, peak * norms
+
+
+def _wy_pivots(u: np.ndarray) -> np.ndarray:
+    """A = tril(U U^T, -1) + diag(U U^T) / 2, lower triangular with diagonal
+    |u_i|^2 / 2 > 0, so H_n ... H_1 = I - U^T A^-1 U (the compact-WY / UT
+    form of the product; Schreiber & Van Loan 1989, Joffrain et al. 2006)."""
+    a = np.tril(u @ u.T)
+    a.flat[:: a.shape[0] + 1] *= 0.5
+    return a
+
+
 def householder_materialize(stack: HouseholderStack) -> np.ndarray:
-    w = np.eye(stack.n)
-    for v in stack.vectors:
-        w = w - np.outer(v, (2.0 / (v @ v)) * (v @ w))  # H_i @ W as a rank-1 update
-    return w
+    """W = H_n ... H_1 = I - U^T A^-1 U: one Gram product, one solve and one
+    product, with no loop over the reflections."""
+    u, _ = _unit_rows(stack.vectors)
+    return np.eye(stack.n) - u.T @ np.linalg.solve(_wy_pivots(u), u)
 
 
-def householder_backward(stack: HouseholderStack, upstream_grad: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """Gradients w.r.t. each reflection vector, given dLoss/dW of the
-    materialized matrix ``weight`` = H_n ... H_1.  Returns an array shaped
-    like ``stack.vectors``.
+def householder_backward(stack: HouseholderStack, upstream_grad: np.ndarray) -> np.ndarray:
+    """Gradients w.r.t. each reflection vector, given G = dLoss/dW of the
+    materialized W = H_n ... H_1.  Returns an array shaped like
+    ``stack.vectors``.
 
-    dLoss/dH_i = H_{i+1} ... H_n G H_1 ... H_{i-1}: one reverse sweep from
-    M = G W^T right-reflects M by H_i (leaving dLoss/dH_i), reads v_i's
-    gradient and left-reflects M by H_i, for i = n..1.  Two rank-1 updates
-    per reflection: O(n^3) time and O(n^2) memory.
+    With W = I - U^T S U, S = A^-1 (see ``_wy_pivots``), X = S U and
+    Y = S^T U, the gradient w.r.t. the unit rows is
+    (C + C^T) U - X G^T - Y G, where B = Y G X^T and
+    C = tril(B, -1) + diag(B) / 2.  W depends on v_i only through
+    u_i = v_i / |v_i| and that gradient is orthogonal to u_i, so v_i's
+    gradient is row i divided by |v_i|.  One inverse and seven products,
+    counting the Gram product.
     """
     g = np.asarray(upstream_grad, dtype=np.float64)
     n = stack.n
     if g.shape != (n, n):
         raise ValueError(f"upstream gradient must be {n}x{n}, got {g.shape}")
-    m = g @ weight.T
-    grads = np.empty_like(stack.vectors)
-    for i in range(n - 1, -1, -1):
-        v = stack.vectors[i]
-        s = v @ v
-        m -= np.outer((2.0 / s) * (m @ v), v)  # now dLoss/dH_i
-        ghv = m @ v
-        ghtv = v @ m
-        grads[i] = (-2.0 / s) * (ghv + ghtv) + (4.0 * (v @ ghtv) / (s * s)) * v
-        m -= np.outer(v, (2.0 / s) * ghtv)
-    return grads
+    u, lengths = _unit_rows(stack.vectors)
+    s = np.linalg.inv(_wy_pivots(u))
+    x = s @ u
+    yg = (s.T @ u) @ g
+    c = np.tril(yg @ x.T)
+    c.flat[:: n + 1] *= 0.5
+    return ((c + c.T) @ u - x @ g.T - yg) / lengths
 
 
 def init_weight(spec: InitializerSpec, fan_in: int, fan_out: int, rng: Rng):

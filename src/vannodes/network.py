@@ -227,7 +227,7 @@ def backward(state: NetworkState, trace: ForwardTrace, loss_grad_at_output: np.n
         weight_grads[l] = gw
         bias_grads[l] = gh.sum(axis=0)
         if state.stacks is not None and state.stacks[l] is not None:
-            stack_grads[l] = householder_backward(state.stacks[l], gw, state.weights[l])
+            stack_grads[l] = householder_backward(state.stacks[l], gw)
         g = gh @ state.weights[l]
     return Gradients(
         weights=weight_grads,
@@ -345,7 +345,11 @@ def load_checkpoint(path) -> NetworkState:
             tag = f.read(1)
             shape = (width, spec.fan_in(l))
             if tag == b"H" and householder:
-                stack = HouseholderStack(_read_array(f, shape, f"layer {l + 1} reflection vectors"))
+                vectors = _read_array(f, shape, f"layer {l + 1} reflection vectors")
+                try:
+                    stack = HouseholderStack(vectors)
+                except ValueError as e:
+                    raise ValueError(f"corrupt checkpoint: layer {l + 1} reflection vectors: {e}") from None
                 stacks.append(stack)
                 weights.append(householder_materialize(stack))
             elif tag == b"D":

@@ -45,6 +45,51 @@ def test_bottleneck_forces_identical_outputs():
     assert np.allclose(np.abs(c), 1.0, atol=1e-8)
 
 
+def _near_parallel(n, rng):
+    return rng.normal(size=n) + 1e-8 * rng.normal(size=(n, n))
+
+
+def _repeated_pairs(n, rng):
+    v = rng.normal(size=(n, n))
+    v[1::2] = v[: n - n % 2 : 2]  # H_{2k+1} H_{2k} = I
+    return v
+
+
+def _near_one_hot(n, rng):
+    v = 1e-9 * rng.normal(size=(n, n))
+    v[:, 0] += 1.0
+    return v
+
+
+ADVERSARIAL_STACKS = {
+    "rows_scaled_1e-6_to_1e6": lambda n, rng: rng.normal(size=(n, n)) * np.logspace(-6, 6, n)[:, None],
+    "near_parallel": _near_parallel,
+    "repeated_pairs": _repeated_pairs,
+    "near_one_hot": _near_one_hot,
+}
+
+
+def dense_reflection_product_and_grads(vectors, g_out):
+    """W = H_n ... H_1 and each v_i's gradient from dense reflection
+    matrices: dL/dH_i = S_i^T G P_{i-1}^T with S_i = H_n ... H_{i+1} and
+    P_{i-1} = H_{i-1} ... H_1, contracted with dH_i/dv_i."""
+    n = len(vectors)
+    eye = np.eye(n)
+    hs = [eye - 2.0 * np.outer(v, v) / (v @ v) for v in vectors]
+    suffixes = [eye]  # suffixes[k] = H_n ... H_{n-k+1}
+    for h in reversed(hs):
+        suffixes.append(suffixes[-1] @ h)
+    grads = np.empty_like(vectors)
+    p_prev = eye
+    for i, v in enumerate(vectors):
+        gh = suffixes[n - 1 - i].T @ g_out @ p_prev.T
+        s = v @ v
+        # dH[a, b]/dv[k] = -2/s (d_ak v_b + v_a d_bk) + 4 v_a v_b v_k / s^2
+        grads[i] = (-2.0 / s) * (gh @ v + gh.T @ v) + (4.0 * (v @ gh @ v) / (s * s)) * v
+        p_prev = hs[i] @ p_prev
+    return p_prev, grads
+
+
 class TestHouseholder:
     def test_materialized_is_orthogonal(self):
         st = ini.householder_init(12, Rng(8))
@@ -68,7 +113,7 @@ class TestHouseholder:
         n = 5
         st = ini.householder_init(n, Rng(10))
         g_out = Rng(11).normal(size=(n, n))  # dLoss/dW, arbitrary
-        grad = ini.householder_backward(st, g_out, ini.householder_materialize(st))
+        grad = ini.householder_backward(st, g_out)
         assert grad.shape == (n, n)
         eps = 1e-6
         for i in range(n):
@@ -88,7 +133,7 @@ class TestHouseholder:
         # contracted with the explicit tensor dH_i/dv_i.
         st = ini.householder_init(n, Rng(20 + n))
         g_out = Rng(30 + n).normal(size=(n, n))
-        grad = ini.householder_backward(st, g_out, ini.householder_materialize(st))
+        grad = ini.householder_backward(st, g_out)
         eye = np.eye(n)
         hs = [eye - 2.0 * np.outer(v, v) / (v @ v) for v in st.vectors]
         for i, v in enumerate(st.vectors):
@@ -125,6 +170,62 @@ class TestHouseholder:
         v[2] = 0.0
         with pytest.raises(ValueError):
             HouseholderStack(v)
+
+    @pytest.mark.parametrize(
+        "entry, scale, match",
+        [
+            (np.nan, 1.0, "finite"),
+            (np.inf, 1.0, "finite"),
+            (1.0, 1e-161, "vector 3 has v.v"),  # v.v about 1e-322, a subnormal
+            (1.0, 1e160, "vector 3 has v.v = inf"),  # finite entries, v.v overflows
+        ],
+        ids=["nan", "inf", "subnormal", "overflow"],
+    )
+    def test_unusable_vector_rejected(self, entry, scale, match):
+        v = Rng(14).normal(size=(4, 4))
+        v[2, 1] = entry
+        v[2] *= scale
+        with pytest.raises(ValueError, match=match):
+            HouseholderStack(v)
+
+    def test_rows_beyond_the_checked_range_after_construction(self):
+        # in-place updates skip the constructor's check; the reflections
+        # depend on v / |v| only, so rows of any finite scale keep working
+        st = ini.householder_init(6, Rng(15))
+        g_out = Rng(16).normal(size=(6, 6))
+        w, grad = ini.householder_materialize(st), ini.householder_backward(st, g_out)
+        st.vectors[0] *= 1e200
+        st.vectors[3] *= 1e-200
+        assert np.abs(ini.householder_materialize(st) - w).max() <= 1e-14
+        scaled_grad = ini.householder_backward(st, g_out)
+        assert np.allclose(scaled_grad[0] * 1e200, grad[0], rtol=1e-12, atol=1e-14)
+        assert np.allclose(scaled_grad[3] * 1e-200, grad[3], rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 64, 128])
+    @pytest.mark.parametrize("kind", sorted(ADVERSARIAL_STACKS))
+    def test_adversarial_stack_matches_dense_reflections(self, kind, n):
+        vectors = ADVERSARIAL_STACKS[kind](n, Rng(40 + n))
+        g_out = Rng(50 + n).normal(size=(n, n))
+        st = HouseholderStack(vectors)
+        w = ini.householder_materialize(st)
+        grad = ini.householder_backward(st, g_out)
+        w_dense, grad_dense = dense_reflection_product_and_grads(vectors, g_out)
+        assert np.abs(w - w_dense).max() <= 1e-12
+        assert np.abs(w.T @ w - np.eye(n)).max() <= 1e-12
+        scale = np.linalg.norm(g_out) / np.linalg.norm(vectors, axis=1)
+        assert np.all(np.abs(grad - grad_dense).max(axis=1) <= 1e-12 * scale)
+
+    def test_orthogonal_after_ten_thousand_sgd_updates(self):
+        # the gate for the Householder layer: |W^T W - I| <= 1e-12 after
+        # 10^4 SGD steps driven by random upstream gradients at n = 64
+        st = ini.householder_init(64, Rng(17))
+        rng = Rng(18)
+        start = st.vectors.copy()
+        for _ in range(10_000):
+            st.vectors -= 0.05 * ini.householder_backward(st, rng.normal(size=(64, 64)))
+        assert np.abs(st.vectors - start).max() > 1.0  # the rows really moved
+        w = ini.householder_materialize(st)
+        assert np.abs(w.T @ w - np.eye(64)).max() <= 1e-12
 
 
 class TestDispatch:

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from vannodes.activations import ActivationKind, apply as act_apply
 from vannodes.initializers import InitKind, InitializerSpec
@@ -19,6 +21,7 @@ from vannodes.network import (
 )
 
 GAUSS = InitializerSpec(InitKind.SCALED_GAUSSIAN, 1.2)
+UNUSABLE_FLOAT_BYTES = [struct.pack("<d", x) for x in (np.nan, np.inf, -np.inf, 0.0, 5e-324, 1e-161, 1e160)]
 
 
 def forward_oracle(state, batch):
@@ -293,6 +296,47 @@ class TestCheckpoint:
         p.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match=r"layer 1 weight is stored as \(2, 8\)"):
             load_checkpoint(p)
+
+    def test_non_finite_reflection_vector_names_the_layer(self, tmp_path):
+        p = tmp_path / "net.ckpt"
+        spec = NetworkSpec(2, 4, 4, 0, ActivationKind.TANH)
+        save_checkpoint(build_network(spec, InitializerSpec(InitKind.HOUSEHOLDER), Rng(23)), p)
+        raw = bytearray(p.read_bytes())
+        # layer 2's vectors: after magic, header, layer 1 (tag, 4x4 array, bias) and layer 2's tag and shape
+        start = 4 + 22 + (1 + 12 + 128 + 8 + 32) + 1 + 12
+        raw[start : start + 8] = struct.pack("<d", float("nan"))
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="layer 2 reflection vectors: reflection vectors must be finite"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("init", [GAUSS, InitializerSpec(InitKind.HOUSEHOLDER)], ids=["dense", "householder"])
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_prefix_or_mutation_loads_or_raises_value_error(self, init, data, tmp_path):
+        # Loading materializes the reflections with a linear solve, so a
+        # corrupt stack must surface as ValueError, never as LinAlgError.
+        p = tmp_path / "net.ckpt"
+        save_checkpoint(build_network(NetworkSpec(2, 4, 4, 2, ActivationKind.TANH), init, Rng(23)), p)
+        raw = bytearray(p.read_bytes())
+        if data.draw(st.booleans(), label="cut"):
+            raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="prefix")]
+        else:
+            # single random bytes, or the 8 bytes of a float no reflection can use
+            patches = st.one_of(st.binary(min_size=1, max_size=1), st.sampled_from(UNUSABLE_FLOAT_BYTES))
+            edits = st.tuples(st.integers(0, len(raw) - 1), patches)
+            for i, patch in data.draw(st.lists(edits, min_size=1, max_size=8), label="mutations"):
+                patch = patch[: len(raw) - i]
+                raw[i : i + len(patch)] = patch
+        p.write_bytes(bytes(raw))
+        try:
+            state = load_checkpoint(p)
+        except ValueError:
+            return
+        spec = state.spec
+        assert [w.shape for w in state.weights] == [(spec.width_N, spec.fan_in(l)) for l in range(spec.depth_L)]
+        for stack, w in zip(state.stacks or [], state.weights):
+            if stack is not None:
+                assert np.abs(w.T @ w - np.eye(spec.width_N)).max() <= 1e-12
 
     @pytest.mark.parametrize("init", [GAUSS, InitializerSpec(InitKind.HOUSEHOLDER)], ids=["dense", "householder"])
     def test_every_prefix_and_byte_flip(self, init, tmp_path):
