@@ -78,7 +78,11 @@ def apply(kind: ActivationKind, h: np.ndarray, out: np.ndarray | None = None) ->
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def derivative(kind: ActivationKind, h: np.ndarray) -> np.ndarray:
+def derivative(kind: ActivationKind, h: np.ndarray, phi: np.ndarray | None = None) -> np.ndarray:
+    """phi'(h); ``phi``, phi(h) where the caller holds it, spares tanh
+    computing it again."""
+    if kind is ActivationKind.TANH and phi is not None:
+        return 1.0 - phi * phi
     # Kink points (0 for ReLU, +-1 for hard-tanh) take derivative 0.
     h = np.asarray(h, dtype=np.float64)
     if kind is ActivationKind.LINEAR:

@@ -31,7 +31,7 @@ from .data import gaussian_probe, load_mnist_idx, synthetic_task
 from .initializers import InitKind, InitializerSpec
 from .linalg import Rng
 from .network import build_network, layers
-from .training import TrainResult, train
+from .training import train
 
 __all__ = [
     "run_vni_sweep",
@@ -113,20 +113,23 @@ class RunStore:
         self._f.close()
 
 
-def _stored_runs(config: ExperimentConfig, name: str, columns: list, cells: list, compute) -> list:
+def _stored_runs(config: ExperimentConfig, name: str, columns: list, groups: list, compute) -> list:
     """Stored rows of the run CSV ``name``, grouped by ``config.runs``.
 
-    ``cells`` lists (run key, arguments of ``compute``) pairs, run index
-    innermost; ``compute`` returns that run's row.  Only the keys the CSV
-    does not hold yet are computed.  Returns one list of ``config.runs``
-    rows per cell, in the order of ``cells``, as stored (strings).
+    ``groups`` lists groups of (run key, run arguments) pairs, run index
+    innermost.  Only the keys the CSV does not hold yet are computed: for
+    each group, ``compute`` gets the arguments of its missing keys, in
+    order, and returns their rows.  Returns one list of ``config.runs`` rows
+    per cell, in the order of ``groups``, as stored (strings).
     """
     store = RunStore(config, name, columns)
     try:
-        for key, args in cells:
-            if key not in store.rows:
-                store.add(key, compute(*args))
-        rows = [store.rows[key] for key, _ in cells]
+        for group in groups:
+            missing = {key: args for key, args in group if key not in store.rows}
+            if missing:
+                for key, row in zip(missing, compute(list(missing.values())), strict=True):
+                    store.add(key, row)
+        rows = [store.rows[key] for group in groups for key, _ in group]
     finally:
         store.close()
     return [rows[i : i + config.runs] for i in range(0, len(rows), config.runs)]
@@ -214,25 +217,25 @@ def _probe_network(config: ExperimentConfig, depth: int, width: int, gain: GainS
     return state, probe
 
 
-def _train_cell(
+def _train_runs(
     config: ExperimentConfig,
     depth: int,
     init_kind: InitKind,
-    learning_rate: float,
     task: tuple,
     gain: GainSetup,
-    seed_key: tuple,
-) -> TrainResult:
-    """Train one run of ``config.widths[0]`` nodes with the RNG key ``seed_key``."""
+    runs: list,
+) -> list:
+    """Train the runs ``runs``, (learning rate, RNG key) pairs, of
+    ``config.widths[0]`` nodes together; one TrainResult per run."""
     train_set, test_set, _ = task
     spec = config.network_spec(depth, config.widths[0], train_set.input_dim, train_set.num_classes)
     return train(
         spec,
         _init_spec(config, init_kind, gain),
-        config.optimizer_spec(learning_rate),
+        [config.optimizer_spec(lr) for lr, _ in runs],
         train_set,
         config.success_criterion(),
-        Rng(config.master_seed, seed_key),
+        [Rng(config.master_seed, key) for _, key in runs],
         test_set=test_set,
         batch_size=config.batch_size,
         mu1=gain.mu1,
@@ -253,10 +256,8 @@ def _init_table(blocks: list, inits: tuple):
         for i_index, init_kind in enumerate(inits):
             gain = resolve_gain(config, task[2], init_kind)
             lr = config.learning_rates[0]
-            cell = [
-                _train_cell(config, depth, init_kind, lr, task, gain, (b_index, i_index, run))
-                for run in range(config.runs)
-            ]
+            runs = [(lr, (b_index, i_index, run)) for run in range(config.runs)]
+            cell = _train_runs(config, depth, init_kind, task, gain, runs)
             n_success = sum(r.success for r in cell)
             final_vni = float(np.mean([r.records[-1].vni for r in cell]))
             rows.append([label, init_kind.value, n_success, config.runs, f"{final_vni:.6g}"])
@@ -283,14 +284,17 @@ def run_vni_sweep(config: ExperimentConfig) -> dict:
     listed = set(config.depths)
     profiles = {}  # (width, run) -> {depth: indicator}
 
-    def compute(width, depth, run):
-        if (width, run) not in profiles:
-            rng = Rng(config.master_seed, (width, run))
-            state, probe = _probe_network(config, max(listed), width, gain, rng)
-            profiles[(width, run)] = {
-                d: float(vni_empirical(x)[0]) for d, x in enumerate(layers(state, probe), 1) if d in listed
-            }
-        return [width, depth, profiles[(width, run)][depth]]
+    def compute(missing):
+        rows = []
+        for width, depth, run in missing:
+            if (width, run) not in profiles:
+                rng = Rng(config.master_seed, (width, run))
+                state, probe = _probe_network(config, max(listed), width, gain, rng)
+                profiles[(width, run)] = {
+                    d: float(vni_empirical(x)[0]) for d, x in enumerate(layers(state, probe), 1) if d in listed
+                }
+            rows.append([width, depth, profiles[(width, run)][depth]])
+        return rows
 
     cells = [
         (f"N{width}_L{depth}_r{run}", (width, depth, run))
@@ -298,7 +302,7 @@ def run_vni_sweep(config: ExperimentConfig) -> dict:
         for depth in config.depths
         for run in range(config.runs)
     ]
-    stored = iter(_stored_runs(config, "sweep_runs", ["width", "depth", "vni"], cells, compute))
+    stored = iter(_stored_runs(config, "sweep_runs", ["width", "depth", "vni"], [cells], compute))
     rows, results = [], {}
     for width in config.widths:
         means, stds, theos = [], [], []
@@ -359,17 +363,19 @@ def run_dynamics(config: ExperimentConfig) -> dict:
     task = _task(config)
     gain = resolve_gain(config, task[2], config.init_kind)
 
-    def compute(lr_index, lr, run):
-        result = _train_cell(config, config.depths[0], config.init_kind, lr, task, gain, (lr_index, run))
-        vals = [r.vni for r in result.records]
-        return [lr, run, len(vals), ";".join(map(repr, vals))]
+    def compute(missing):
+        results = _train_runs(config, config.depths[0], config.init_kind, task, gain, missing)
+        return [
+            [lr, key[1], len(r.records), ";".join(repr(rec.vni) for rec in r.records)]
+            for (lr, key), r in zip(missing, results)
+        ]
 
     cells = [
-        (f"lr{lr_index}_r{run}", (lr_index, lr, run))
+        (f"lr{lr_index}_r{run}", (lr, (lr_index, run)))
         for lr_index, lr in enumerate(config.learning_rates)
         for run in range(config.runs)
     ]
-    stored = _stored_runs(config, "dynamics_runs", ["lr", "run", "epochs", "vni_series"], cells, compute)
+    stored = _stored_runs(config, "dynamics_runs", ["lr", "run", "epochs", "vni_series"], [cells], compute)
     series, rows, plot_series = {}, [], {}
     for lr, cell in zip(config.learning_rates, stored):
         runs = [[float(v) for v in row[3].split(";")] for row in cell]
@@ -383,7 +389,7 @@ def run_dynamics(config: ExperimentConfig) -> dict:
     _write_csv(config, "dynamics", "lr,epoch,q1,median,q3", rows)
     svgplot.line_plot(
         _path(config, "dynamics", "svg"),
-        next(iter(series.values()))[0],
+        max((s[0] for s in series.values()), key=len),
         plot_series,
         title="Indicator quartiles over training",
         x_label="epoch",
@@ -422,19 +428,24 @@ def run_grid(config: ExperimentConfig) -> dict:
     task = _task(config)
     gain = resolve_gain(config, task[2], config.init_kind)
 
-    def compute(d_index, depth, lr_index, lr, run):
-        result = _train_cell(config, depth, config.init_kind, lr, task, gain, (d_index, lr_index, run))
-        rec = result.records[-1]
-        return [depth, lr, run, int(result.success), float(rec.vni), float(np.median(rec.per_layer_gain))]
+    def compute(missing):
+        depth = missing[0][0]
+        results = _train_runs(config, depth, config.init_kind, task, gain, [args[1:] for args in missing])
+        return [
+            [depth, lr, key[2], int(r.success), float(r.records[-1].vni), float(np.median(r.records[-1].per_layer_gain))]
+            for (_, lr, key), r in zip(missing, results)
+        ]
 
-    cells = [
-        (f"L{depth}_lr{lr_index}_r{run}", (d_index, depth, lr_index, lr, run))
+    groups = [
+        [
+            (f"L{depth}_lr{lr_index}_r{run}", (depth, lr, (d_index, lr_index, run)))
+            for lr_index, lr in enumerate(config.learning_rates)
+            for run in range(config.runs)
+        ]
         for d_index, depth in enumerate(config.depths)
-        for lr_index, lr in enumerate(config.learning_rates)
-        for run in range(config.runs)
     ]
     columns = ["depth", "lr", "run", "success", "final_vni", "gain_median"]
-    stored = iter(_stored_runs(config, "grid_runs", columns, cells, compute))
+    stored = iter(_stored_runs(config, "grid_runs", columns, groups, compute))
     prob = np.zeros((len(config.depths), len(config.learning_rates)))
     success_rows, per_run = [], []
     for i, depth in enumerate(config.depths):

@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -110,6 +111,9 @@ class HouseholderStack:
     updates to the rows can never break it.  Every entry must be finite and
     every v^T v a normal float: a zero, subnormal or overflowing v^T v makes
     2 / (v^T v) meaningless and raises ``ValueError``.
+
+    ``stacked`` joins the stacks of R runs trained together into one whose
+    ``vectors`` are R x n x n; ``runs`` splits it again.
     """
 
     vectors: np.ndarray = field(repr=False)
@@ -130,7 +134,26 @@ class HouseholderStack:
 
     @property
     def n(self) -> int:
-        return self.vectors.shape[0]
+        return self.vectors.shape[-1]
+
+    @classmethod
+    def _of(cls, vectors: np.ndarray) -> "HouseholderStack":
+        """A stack of rows taken from checked stacks, not checked again:
+        training updates may since have made them non-finite."""
+        stack = object.__new__(cls)
+        stack.vectors = vectors
+        return stack
+
+    @classmethod
+    def stacked(cls, stacks: list) -> "HouseholderStack":
+        """The stacks of R runs as one stack of R x n x n vectors (a copy)."""
+        return cls._of(np.stack([s.vectors for s in stacks]))
+
+    @cached_property
+    def runs(self) -> list:
+        """The stack of each run of R x n x n ``vectors``.  Each views its
+        run's rows, so in-place updates of ``vectors`` reach it."""
+        return [self._of(v) for v in self.vectors]
 
 
 def householder_init(n: int, rng: Rng) -> HouseholderStack:

@@ -5,6 +5,12 @@ The backbone is L layers of width N (layer 1 may be rectangular when
 input_dim != N); an optional linear readout maps to num_classes.  Node
 statistics (VNI etc.) are always taken at backbone layer L, before the
 readout.
+
+A state may also hold R networks of one spec stacked along a leading run
+axis (``stack_states``), so that one call steps them all: ``forward``,
+``layers``, ``output`` and ``backward`` then take an R x n x d batch, or an
+n x d batch that every run sees, and work on each run's slice as they do on
+a single network, bit for bit.
 """
 
 from __future__ import annotations
@@ -35,6 +41,8 @@ __all__ = [
     "ForwardTrace",
     "Gradients",
     "build_network",
+    "stack_states",
+    "run_states",
     "headless",
     "forward",
     "layers",
@@ -69,6 +77,10 @@ class NetworkSpec:
 
 @dataclass
 class NetworkState:
+    """One network; in a stacked state every array has a leading run axis of
+    length R, and each bias is R x 1 x its length, so that it broadcasts
+    over a batch."""
+
     spec: NetworkSpec
     weights: list  # L materialized matrices (layer l: width_N x fan_in)
     biases: list  # L vectors of length width_N, zero at init
@@ -83,7 +95,7 @@ class NetworkState:
             return
         for l, stack in enumerate(self.stacks):
             if stack is not None:
-                self.weights[l] = householder_materialize(stack)
+                self.weights[l] = _each_run(householder_materialize, stack)
 
 
 @dataclass
@@ -138,6 +150,53 @@ def build_network(spec: NetworkSpec, init: InitializerSpec, rng: Rng) -> Network
     )
 
 
+def _each_run(fn, stack: HouseholderStack, *arrays):
+    """``fn(stack, *arrays)``; for a stacked stack, once per run slice, with
+    the results stacked again (a stack of one is viewed, not copied)."""
+    if stack.vectors.ndim == 2:
+        return fn(stack, *arrays)
+    out = [fn(run, *(a[r] for a in arrays)) for r, run in enumerate(stack.runs)]
+    return out[0][None] if len(out) == 1 else np.stack(out)
+
+
+def stack_states(states: list) -> NetworkState:
+    """The networks ``states``, of one spec and one kind of layers, as one
+    state of copies stacked along a leading run axis."""
+    first = states[0]
+    stacks, readout = None, [None, None]
+    if first.stacks is not None:
+        stacks = [
+            None if s is None else HouseholderStack.stacked([t.stacks[l] for t in states])
+            for l, s in enumerate(first.stacks)
+        ]
+    if first.spec.num_classes > 0:
+        readout = [np.stack([s.readout_weight for s in states]), np.stack([s.readout_bias for s in states])[:, None]]
+    weights = [np.stack(layer) for layer in zip(*(s.weights for s in states))]
+    biases = [np.stack(layer)[:, None] for layer in zip(*(s.biases for s in states))]
+    return NetworkState(first.spec, weights, biases, stacks, *readout)
+
+
+def run_states(state: NetworkState) -> list:
+    """Each run of a stacked state as a single network viewing its slice."""
+    runs = range(len(state.weights[0]))
+    stacks = [None] * len(runs)  # per run: its stack of each layer, or None
+    if state.stacks is not None:
+        per_layer = [[None] * len(runs) if s is None else s.runs for s in state.stacks]
+        stacks = [list(of_run) for of_run in zip(*per_layer)]
+    readout_w, readout_b = state.readout_weight, state.readout_bias
+    return [
+        NetworkState(
+            state.spec,
+            [w[r] for w in state.weights],
+            [b[r, 0] for b in state.biases],
+            stacks[r],
+            None if readout_w is None else readout_w[r],
+            None if readout_b is None else readout_b[r, 0],
+        )
+        for r in runs
+    ]
+
+
 def headless(state: NetworkState) -> NetworkState:
     """View of a network without the readout head; node statistics are taken
     at backbone layer L."""
@@ -152,10 +211,14 @@ def headless(state: NetworkState) -> NetworkState:
     )
 
 
-def _as_batch(spec: NetworkSpec, batch: np.ndarray) -> np.ndarray:
+def _as_batch(state: NetworkState, batch: np.ndarray) -> np.ndarray:
+    """An n x input_dim batch, or for a stacked state also R x n x input_dim."""
+    d = state.spec.input_dim
+    runs = state.weights[0].shape[:-2]
     x = np.asarray(batch, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != spec.input_dim:
-        raise ValueError(f"batch must be (n, {spec.input_dim}), got {x.shape}")
+    if x.ndim < 2 or x.shape[-1] != d or x.shape[:-2] not in ((), runs):
+        shapes = f"(n, {d})" + (f" or ({runs[0]}, n, {d})" if runs else "")
+        raise ValueError(f"batch must be {shapes}, got {x.shape}")
     return x
 
 
@@ -163,15 +226,15 @@ def forward(state: NetworkState, batch: np.ndarray) -> ForwardTrace:
     """Forward pass keeping every layer's pre- and post-activation, which
     back-propagation and the Jacobian read."""
     spec = state.spec
-    x = _as_batch(spec, batch)
+    x = _as_batch(state, batch)
     trace = ForwardTrace(inputs=x)
     for w, b in zip(state.weights, state.biases):
-        h = x @ w.T + b
+        h = x @ w.swapaxes(-1, -2) + b
         x = act.apply(spec.activation, h)
         trace.pre.append(h)
         trace.post.append(x)
     if spec.num_classes > 0:
-        trace.logits = x @ state.readout_weight.T + state.readout_bias
+        trace.logits = x @ state.readout_weight.swapaxes(-1, -2) + state.readout_bias
     return trace
 
 
@@ -181,9 +244,9 @@ def layers(state: NetworkState, batch: np.ndarray):
     at most two activation arrays are alive while the caller holds only the
     latest.  Bit-identical to ``forward``'s ``post``."""
     spec = state.spec
-    x = _as_batch(spec, batch)
+    x = _as_batch(state, batch)
     for w, b in zip(state.weights, state.biases):
-        h = x @ w.T
+        h = x @ w.swapaxes(-1, -2)
         h += b
         x = act.apply(spec.activation, h, out=h)
         yield x
@@ -196,8 +259,18 @@ def output(state: NetworkState, batch: np.ndarray) -> np.ndarray:
     for x in layers(state, batch):
         pass
     if spec.num_classes > 0:
-        return x @ state.readout_weight.T + state.readout_bias
+        return x @ state.readout_weight.swapaxes(-1, -2) + state.readout_bias
     return x
+
+
+def _batch_outer(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """g^T x over the batch rows.  For a batch of one row this is the
+    broadcast product: the same values (a zero may differ in sign, which no
+    update of a nonzero parameter sees) at a fraction of numpy's cost for a
+    matmul with inner dimension 1."""
+    if g.shape[-2] == 1:
+        return g.swapaxes(-1, -2) * x
+    return g.swapaxes(-1, -2) @ x
 
 
 def backward(state: NetworkState, trace: ForwardTrace, loss_grad_at_output: np.ndarray) -> Gradients:
@@ -205,29 +278,29 @@ def backward(state: NetworkState, trace: ForwardTrace, loss_grad_at_output: np.n
     otherwise w.r.t. x_L) to all parameters and to the input."""
     spec = state.spec
     g = np.asarray(loss_grad_at_output, dtype=np.float64)
-    batch = trace.inputs.shape[0]
-    if len(trace.pre) != spec.depth_L or trace.pre[0].shape[0] != batch:
+    if len(trace.pre) != spec.depth_L or trace.pre[0].shape[-2] != trace.inputs.shape[-2]:
         raise ValueError("trace does not match network state")
+    rows = trace.pre[-1].shape[:-1]
     readout_gw = readout_gb = None
     if spec.num_classes > 0:
-        if g.shape != (batch, spec.num_classes):
-            raise ValueError(f"loss gradient must be {(batch, spec.num_classes)}, got {g.shape}")
-        readout_gw = g.T @ trace.post[-1]
-        readout_gb = g.sum(axis=0)
+        if g.shape != (*rows, spec.num_classes):
+            raise ValueError(f"loss gradient must be {(*rows, spec.num_classes)}, got {g.shape}")
+        readout_gw = _batch_outer(g, trace.post[-1])
+        readout_gb = g.sum(axis=-2, keepdims=g.ndim == 3)
         g = g @ state.readout_weight
-    elif g.shape != (batch, spec.width_N):
-        raise ValueError(f"loss gradient must be {(batch, spec.width_N)}, got {g.shape}")
+    elif g.shape != (*rows, spec.width_N):
+        raise ValueError(f"loss gradient must be {(*rows, spec.width_N)}, got {g.shape}")
     weight_grads = [None] * spec.depth_L
     bias_grads = [None] * spec.depth_L
     stack_grads = [None] * spec.depth_L if state.stacks is not None else None
     for l in range(spec.depth_L - 1, -1, -1):
-        gh = g * act.derivative(spec.activation, trace.pre[l])
+        gh = g * act.derivative(spec.activation, trace.pre[l], trace.post[l])
         x_prev = trace.inputs if l == 0 else trace.post[l - 1]
-        gw = gh.T @ x_prev
+        gw = _batch_outer(gh, x_prev)
         weight_grads[l] = gw
-        bias_grads[l] = gh.sum(axis=0)
+        bias_grads[l] = gh.sum(axis=-2, keepdims=gh.ndim == 3)
         if state.stacks is not None and state.stacks[l] is not None:
-            stack_grads[l] = householder_backward(state.stacks[l], gw)
+            stack_grads[l] = _each_run(householder_backward, state.stacks[l], gw)
         g = gh @ state.weights[l]
     return Gradients(
         weights=weight_grads,

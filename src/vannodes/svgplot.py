@@ -62,7 +62,8 @@ def _ticks(lo: float, hi: float) -> np.ndarray:
 
 
 def line_plot(path, x, series: dict, title="", x_label="", y_label=""):
-    """``series`` maps name -> y array or (y, yerr) pair; yerr draws a band."""
+    """``series`` maps name -> y array or (y, yerr) pair; yerr draws a band.
+    A series may be shorter than ``x``: it covers the first len(y) values."""
     x = np.asarray(x, dtype=float)
     ys, bands = {}, {}
     for name, v in series.items():
@@ -71,6 +72,8 @@ def line_plot(path, x, series: dict, title="", x_label="", y_label=""):
             bands[name] = np.asarray(v[1], dtype=float)
         else:
             ys[name] = np.asarray(v, dtype=float)
+        if len(ys[name]) > len(x):
+            raise ValueError(f"series {name!r} has {len(ys[name])} points, longer than x ({len(x)})")
     all_y = np.concatenate(
         [y - bands.get(n, 0) for n, y in ys.items()] + [y + bands.get(n, 0) for n, y in ys.items()]
     )
@@ -81,16 +84,17 @@ def line_plot(path, x, series: dict, title="", x_label="", y_label=""):
     parts = _frame(title, x_label, y_label, axes, _ticks(x.min(), x.max()), _ticks(y_lo, y_hi))
     for i, (name, y) in enumerate(ys.items()):
         color = _PALETTE[i % len(_PALETTE)]
+        xs = x[: len(y)]
         if name in bands:
-            upper = [f"{axes.px(xv):.1f},{axes.py(yv + e):.1f}" for xv, yv, e in zip(x, y, bands[name])]
+            upper = [f"{axes.px(xv):.1f},{axes.py(yv + e):.1f}" for xv, yv, e in zip(xs, y, bands[name])]
             lower = [
                 f"{axes.px(xv):.1f},{axes.py(yv - e):.1f}"
-                for xv, yv, e in zip(x[::-1], y[::-1], bands[name][::-1])
+                for xv, yv, e in zip(xs[::-1], y[::-1], bands[name][::-1])
             ]
             parts.append(
                 f'<polygon points="{" ".join(upper + lower)}" fill="{color}" opacity="0.15"/>'
             )
-        pts = " ".join(f"{axes.px(xv):.1f},{axes.py(yv):.1f}" for xv, yv in zip(x, y))
+        pts = " ".join(f"{axes.px(xv):.1f},{axes.py(yv):.1f}" for xv, yv in zip(xs, y))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         ly = _MT + 16 + 16 * i
         parts.append(f'<line x1="{_W - _MR - 120}" y1="{ly}" x2="{_W - _MR - 100}" y2="{ly}" stroke="{color}" stroke-width="1.5"/>')

@@ -217,3 +217,37 @@ def test_dynamics_quartiles_over_early_stopped_runs(runs, tmp_path):
     assert len(summary) == sum(len(s[0]) for s in series.values())
     if runs > 1:
         assert len(lengths) > 1  # the runs did stop at different epochs
+
+
+def test_grid_resume_trains_only_the_missing_runs(tmp_path, monkeypatch):
+    # The grid trains the missing runs of one depth together: a run CSV cut
+    # after any row, also inside a depth's group, is completed by training
+    # exactly the runs it lacks, and every file comes out byte for byte.
+    config = ExperimentConfig(experiment="grid", **SMALL, out_dir=str(tmp_path))
+    experiments.run_grid(config)
+    fresh = _files(tmp_path)
+    runs_name = f"grid_runs_{config.config_hash()}.csv"
+    lines = fresh[runs_name].decode().splitlines(keepends=True)
+    rng_keys = {
+        f"L{depth}_lr{j}_r{run}": (i, j, run)
+        for i, depth in enumerate(config.depths)
+        for j in range(len(config.learning_rates))
+        for run in range(config.runs)
+    }
+    trained = []
+    train = experiments.train
+
+    def counting_train(*args, **kwargs):
+        rngs = args[5]
+        trained.extend(r.key for r in (rngs if isinstance(rngs, list) else [rngs]))
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "train", counting_train)
+    for kept in range(2, len(lines) + 1):
+        for path in tmp_path.iterdir():
+            path.unlink()
+        (tmp_path / runs_name).write_text("".join(lines[:kept]))
+        trained.clear()
+        experiments.run_grid(config)
+        assert _files(tmp_path) == fresh, kept
+        assert trained == [rng_keys[line.split(",")[0]] for line in lines[kept:]], kept

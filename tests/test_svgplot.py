@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from vannodes import svgplot
 
@@ -32,3 +33,25 @@ def test_box_plot(tmp_path):
     p = tmp_path / "box.svg"
     svgplot.box_plot(p, {"g1": np.arange(20.0), "g2": np.arange(5.0, 25.0)}, y_label="v")
     assert "</svg>" in p.read_text()
+
+
+def _points(svg: str, tag: str) -> list:
+    start = svg.index(f"<{tag} points=") + len(f'<{tag} points="')
+    return [tuple(map(float, p.split(","))) for p in svg[start : svg.index('"', start)].split()]
+
+
+def test_line_plot_series_shorter_than_x(tmp_path):
+    # A series covers the first len(y) x values; its band's lower edge runs
+    # back over the same x values as its upper edge.
+    p = tmp_path / "short.svg"
+    x = np.arange(10)
+    y = np.linspace(0.2, 0.8, 6)
+    svgplot.line_plot(p, x, {"long": x * 0.1, "short": (y, np.full(6, 0.05))})
+    s = p.read_text()
+    band = _points(s, "polygon")
+    assert len(band) == 12
+    assert [px for px, _ in band[6:]] == [px for px, _ in band[:6]][::-1]
+    line = _points(s[s.index("polygon") :], "polyline")
+    assert [px for px, _ in line] == [px for px, _ in band[:6]]
+    with pytest.raises(ValueError, match="longer than x"):
+        svgplot.line_plot(tmp_path / "long.svg", x[:5], {"y": y})

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -215,3 +216,194 @@ class TestTrain:
         w = res.final_state.weights[1]
         assert np.allclose(w @ w.T, np.eye(4), atol=1e-9)
 
+
+# -- runs trained together --------------------------------------------------
+#
+# GOLDEN holds fingerprints of runs trained one at a time, recorded before
+# the runs of one shape were stepped together: every record field and every
+# final parameter array keeps its exact bits, alone or in a stack.
+
+
+def _record_digest(records) -> str:
+    h = hashlib.sha256()
+    for r in records:
+        scalars = (r.train_loss, r.train_accuracy, r.test_accuracy, r.vni, r.input_grad_log_norm)
+        h.update(repr(r.epoch).encode())
+        h.update(" ".join(f"{type(v).__name__}:{float(v).hex()}" for v in scalars).encode())
+        h.update(str(r.per_layer_gain.shape).encode() + r.per_layer_gain.tobytes())
+    return h.hexdigest()[:16]
+
+
+def _state_arrays(state) -> list:
+    arrays = [*state.weights, *state.biases]
+    if state.stacks is not None:
+        arrays += [s.vectors for s in state.stacks if s is not None]
+    if state.spec.num_classes > 0:
+        arrays += [state.readout_weight, state.readout_bias]
+    return arrays
+
+
+def _state_digest(state) -> str:
+    h = hashlib.sha256()
+    for a in _state_arrays(state):
+        h.update(str(a.shape).encode() + np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+def _fingerprint(res) -> tuple:
+    last = res.records[-1]
+    return (
+        res.success,
+        res.reason,
+        res.converged_epoch,
+        len(res.records),
+        float(last.train_loss).hex(),
+        float(last.vni).hex(),
+        _record_digest(res.records),
+        _state_digest(res.final_state),
+    )
+
+
+def _case(name) -> tuple:
+    """(train arguments, train keywords, runs) of one golden case; each run
+    is an (OptimizerSpec, Rng) pair."""
+    and4, xor2 = synthetic_task("and4"), synthetic_task("xor2")
+    tanh, relu = ActivationKind.TANH, ActivationKind.RELU
+    gauss = InitKind.SCALED_GAUSSIAN
+    sgd = tr.OptimizerKind.SGD
+    crit = tr.SuccessCriterion("train_accuracy", 0.99, 10)
+    if name == "grid_tanh":  # the grid-tanh workload at one depth: its three learning rates
+        args = (NetworkSpec(10, 32, 4, 4, tanh), InitializerSpec(gauss, 1.00101), and4, crit)
+        runs = [((sgd, lr), Rng(7, (1, j, 0))) for j, lr in enumerate((0.01, 0.1, 1.0))]
+        return args, dict(batch_size=1, mu1=0.99), runs
+    if name == "relu_nan_indicator":  # diverges in epoch 1 on its statistics
+        args = (NetworkSpec(3, 32, 4, 4, relu), InitializerSpec(gauss, 2.0), and4, crit)
+        return args, dict(batch_size=1), [((sgd, 1.0), Rng(2))]
+    if name == "relu_overflow":  # the loss turns non-finite inside an epoch
+        args = (NetworkSpec(4, 16, 2, 2, relu), InitializerSpec(gauss, 2.0), xor2, crit)
+        return args, dict(batch_size=4, epochs=20), [((sgd, 1e12), Rng(0))]
+    if name == "xor2_early_stop":
+        spec, init, _, ds, c = xor_setup(epochs=200)
+        return (spec, init, ds, c), dict(batch_size=4, epochs=200, early_stop=True), [((sgd, 0.1), Rng(0))]
+    if name in ("momentum", "adam", "rmsprop"):
+        kind, lrs = {
+            "momentum": (tr.OptimizerKind.SGD_MOMENTUM, (0.05, 0.2)),
+            "adam": (tr.OptimizerKind.ADAM, (0.01, 0.03)),
+            "rmsprop": (tr.OptimizerKind.RMSPROP, (0.01, 0.003)),
+        }[name]
+        spec, init, _, ds, c = xor_setup(epochs=5)
+        runs = [((kind, lr), Rng(5 + i)) for i, lr in enumerate(lrs)]
+        return (spec, init, ds, c), dict(test_set=ds, batch_size=4, epochs=5), runs
+    if name == "householder":
+        args = (NetworkSpec(3, 4, 4, 4, tanh), InitializerSpec(InitKind.HOUSEHOLDER), and4, crit)
+        runs = [((sgd, 0.05), Rng(4)), ((sgd, 0.2), Rng(5))]
+        return args, dict(batch_size=4, test_set=and4), runs
+    if name == "orthogonal":
+        args = (NetworkSpec(3, 16, 4, 4, tanh), InitializerSpec(InitKind.ORTHOGONAL), and4, crit)
+        return args, dict(batch_size=4, epochs=5), [((sgd, 0.1), Rng(6))]
+    raise KeyError(name)
+
+
+def _train_case(name, together: bool) -> list:
+    (spec, init, ds, crit), kw, runs = _case(name)
+    opts = [tr.OptimizerSpec(*o) for o, _ in runs]
+    rngs = [r for _, r in runs]
+    if together:
+        return tr.train(spec, init, opts, ds, crit, rngs, **kw)
+    return [tr.train(spec, init, o, ds, crit, r, **kw) for o, r in zip(opts, rngs)]
+
+
+GOLDEN = {
+    'grid_tanh': [
+        (True, 'converged', 10, 11, '0x1.018bffae58f3ap-2', '0x1.fb2beda93d088p-2', 'fe82bf87c82171b8', '526bef389bbbfe9f'),
+        (False, 'max_epochs', None, 11, '0x1.70d732c661f87p-1', '0x1.9f40062685e54p-1', 'e3919af2fc11ec4e', 'cc5d1daa3dcf2ede'),
+        (False, 'max_epochs', None, 11, '0x1.44adc5c5175b1p+4', '0x1.fffffffffffefp-1', '14acb67e0224d4db', '88aab56ff94f0992'),
+    ],
+    'relu_nan_indicator': [
+        (False, 'diverged', None, 1, '0x1.8fdd3bbd33786p+0', '0x1.610d9c29b9affp-3', '789641c0d6134aa2', 'dd538aa2ad4d530f'),
+    ],
+    'relu_overflow': [
+        (False, 'diverged', None, 2, '0x1.ce7b5d4280de0p+0', '0x1.fff0c38619ed9p-1', '382ac91c0b65a237', '3ca000a47850a77f'),
+    ],
+    'xor2_early_stop': [
+        (True, 'converged', 13, 14, '0x1.0ea53a5d6702ap-1', '0x1.29e73183b767ap-1', 'a48a4943d731e609', 'bfd58be619c10681'),
+    ],
+    'momentum': [
+        (False, 'max_epochs', None, 6, '0x1.3815b55eee5e8p-1', '0x1.ff7441cf56465p-2', '28688d665eb905fa', '2396c2452ef3ed1e'),
+        (True, 'converged', 4, 6, '0x1.ccdc19e68fef7p-2', '0x1.96981fbf458dbp-2', 'd8fb55eab55e6c60', '1277231946834d96'),
+    ],
+    'adam': [
+        (False, 'max_epochs', None, 6, '0x1.3ecb08769949ap-1', '0x1.08f3c4b7dc560p-1', '3ebb8605e0ad7560', '2e041a84cbc1e3bd'),
+        (False, 'max_epochs', None, 6, '0x1.436d9f3b0658ep-1', '0x1.1e69d456bbd41p-1', 'd89847bda8254c80', '1b7062dcaab6c3f3'),
+    ],
+    'rmsprop': [
+        (True, 'converged', 5, 6, '0x1.0eb7025eb23dep-1', '0x1.b78f8db6206f7p-2', 'b0540bd02c51774c', '85639f1337f94c83'),
+        (True, 'converged', 5, 6, '0x1.41f862972a2b4p-1', '0x1.086de8e11bb25p-1', '8ea98c367dff1365', 'eb1f17361c948570'),
+    ],
+    'householder': [
+        (False, 'max_epochs', None, 11, '0x1.d8e750dfff4cfp-1', '0x1.08426f1e25157p-2', 'f299f87327bda74d', '51f966decd181b19'),
+        (False, 'max_epochs', None, 11, '0x1.af4a704a793d2p-1', '0x1.05dd7297286a2p-2', 'e0f8a8a3e3795ff9', '9949e9728c59c7e7'),
+    ],
+    'orthogonal': [
+        (False, 'max_epochs', None, 6, '0x1.2f9dffcb7009fp-1', '0x1.40dfc18c8c6dfp-2', 'e20f34ef4452817a', 'e045c89d334826a8'),
+    ],
+}
+
+
+@pytest.mark.parametrize("together", [False, True], ids=["alone", "together"])
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_runs_keep_their_golden_bits(name, together):
+    assert [_fingerprint(r) for r in _train_case(name, together)] == GOLDEN[name]
+
+
+def _assert_same_run(a, b):
+    assert (a.success, a.reason, a.converged_epoch) == (b.success, b.reason, b.converged_epoch)
+    assert len(a.records) == len(b.records)
+    for ra, rb in zip(a.records, b.records):
+        for f in ("epoch", "train_loss", "train_accuracy", "test_accuracy", "vni", "input_grad_log_norm"):
+            va, vb = getattr(ra, f), getattr(rb, f)
+            assert type(va) is type(vb) and float(va).hex() == float(vb).hex(), f
+        assert ra.per_layer_gain.tobytes() == rb.per_layer_gain.tobytes()
+    for x, y in zip(_state_arrays(a.final_state), _state_arrays(b.final_state), strict=True):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize(
+    "kind, seed, batch_size",
+    [(tr.OptimizerKind.SGD, 3, 1), (tr.OptimizerKind.SGD, 1, 3), (tr.OptimizerKind.ADAM, 0, 3)],
+)
+def test_runs_trained_together_equal_runs_trained_alone(kind, seed, batch_size):
+    # One stack holds runs that stop early, runs that diverge (SGD seed 3:
+    # one on a non-finite batch loss inside epoch 1, one on its epoch-4
+    # statistics) and a run that goes on to the last epoch; each run ends
+    # as it does alone.
+    spec = NetworkSpec(4, 16, 2, 2, ActivationKind.RELU)
+    init = InitializerSpec(InitKind.SCALED_GAUSSIAN, 2.0)
+    ds = synthetic_task("xor2")
+    crit = tr.SuccessCriterion("train_accuracy", 0.99, 15)
+    lrs = (0.1, 1e12, 0.3, 1e-3) if kind is tr.OptimizerKind.SGD else (0.03, 1e12, 0.1, 1e-4)
+    opts = [tr.OptimizerSpec(kind, lr) for lr in lrs]
+    rngs = [Rng(seed, (run,)) for run in range(len(lrs))]
+    kw = dict(test_set=ds, batch_size=batch_size, early_stop=True, mu1=0.5)
+    together = tr.train(spec, init, opts, ds, crit, rngs, **kw)
+    assert {"converged", "diverged", "max_epochs"} <= {r.reason for r in together}
+    for opt, rng, res in zip(opts, rngs, together, strict=True):
+        _assert_same_run(res, tr.train(spec, init, opt, ds, crit, rng, **kw))
+
+
+def test_train_takes_equal_length_run_lists():
+    spec, init, opt, ds, crit = xor_setup(epochs=1)
+    with pytest.raises(ValueError, match="equal length"):
+        tr.train(spec, init, [opt, opt], ds, crit, [Rng(0)], batch_size=4)
+    with pytest.raises(ValueError, match="optimizer kind"):
+        adam = tr.OptimizerSpec(tr.OptimizerKind.ADAM, 0.1)
+        tr.train(spec, init, [opt, adam], ds, crit, [Rng(0), Rng(1)], batch_size=4)
+    assert tr.train(spec, init, [], ds, crit, [], batch_size=4) == []
+
+
+@pytest.mark.parametrize("name", ["grid_tanh", "householder"])
+def test_statistics_take_the_runs_in_groups(name, monkeypatch):
+    # Below one run's trace the input-gradient pass takes the runs one at a
+    # time; every record keeps its bits.
+    monkeypatch.setattr(tr, "_TRACE_FLOATS", 1)
+    assert [_fingerprint(r) for r in _train_case(name, together=True)] == GOLDEN[name]
