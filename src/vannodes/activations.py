@@ -79,8 +79,8 @@ def apply(kind: ActivationKind, h: np.ndarray, out: np.ndarray | None = None) ->
 
 
 def derivative(kind: ActivationKind, h: np.ndarray, phi: np.ndarray | None = None) -> np.ndarray:
-    """phi'(h); ``phi``, phi(h) where the caller holds it, spares tanh
-    computing it again."""
+    """phi'(h).  ``phi``, phi(h) where the caller holds it as ``backward``
+    and ``jacobian`` do, spares tanh computing it again (the same values)."""
     if kind is ActivationKind.TANH and phi is not None:
         return 1.0 - phi * phi
     # Kink points (0 for ReLU, +-1 for hard-tanh) take derivative 0.

@@ -285,16 +285,14 @@ def run_vni_sweep(config: ExperimentConfig) -> dict:
     profiles = {}  # (width, run) -> {depth: indicator}
 
     def compute(missing):
-        rows = []
-        for width, depth, run in missing:
-            if (width, run) not in profiles:
-                rng = Rng(config.master_seed, (width, run))
-                state, probe = _probe_network(config, max(listed), width, gain, rng)
-                profiles[(width, run)] = {
-                    d: float(vni_empirical(x)[0]) for d, x in enumerate(layers(state, probe), 1) if d in listed
-                }
-            rows.append([width, depth, profiles[(width, run)][depth]])
-        return rows
+        [(width, depth, run)] = missing  # groups of one row, each stored as soon as computed
+        if (width, run) not in profiles:
+            rng = Rng(config.master_seed, (width, run))
+            state, probe = _probe_network(config, max(listed), width, gain, rng)
+            profiles[(width, run)] = {
+                d: float(vni_empirical(x)[0]) for d, x in enumerate(layers(state, probe), 1) if d in listed
+            }
+        return [[width, depth, profiles[(width, run)][depth]]]
 
     cells = [
         (f"N{width}_L{depth}_r{run}", (width, depth, run))
@@ -302,7 +300,7 @@ def run_vni_sweep(config: ExperimentConfig) -> dict:
         for depth in config.depths
         for run in range(config.runs)
     ]
-    stored = iter(_stored_runs(config, "sweep_runs", ["width", "depth", "vni"], [cells], compute))
+    stored = iter(_stored_runs(config, "sweep_runs", ["width", "depth", "vni"], [[c] for c in cells], compute))
     rows, results = [], {}
     for width in config.widths:
         means, stds, theos = [], [], []

@@ -21,7 +21,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -112,8 +111,9 @@ class HouseholderStack:
     every v^T v a normal float: a zero, subnormal or overflowing v^T v makes
     2 / (v^T v) meaningless and raises ``ValueError``.
 
-    ``stacked`` joins the stacks of R runs trained together into one whose
-    ``vectors`` are R x n x n; ``runs`` splits it again.
+    The stacks of R runs trained together are one stack whose ``vectors``
+    are R x n x n; ``householder_materialize`` and ``householder_backward``
+    act on each run's slice.
     """
 
     vectors: np.ndarray = field(repr=False)
@@ -137,23 +137,12 @@ class HouseholderStack:
         return self.vectors.shape[-1]
 
     @classmethod
-    def _of(cls, vectors: np.ndarray) -> "HouseholderStack":
-        """A stack of rows taken from checked stacks, not checked again:
-        training updates may since have made them non-finite."""
+    def unchecked(cls, vectors: np.ndarray) -> "HouseholderStack":
+        """A stack of n x n or R x n x n rows taken from checked stacks, not
+        checked again: training updates may since have made them non-finite."""
         stack = object.__new__(cls)
         stack.vectors = vectors
         return stack
-
-    @classmethod
-    def stacked(cls, stacks: list) -> "HouseholderStack":
-        """The stacks of R runs as one stack of R x n x n vectors (a copy)."""
-        return cls._of(np.stack([s.vectors for s in stacks]))
-
-    @cached_property
-    def runs(self) -> list:
-        """The stack of each run of R x n x n ``vectors``.  Each views its
-        run's rows, so in-place updates of ``vectors`` reach it."""
-        return [self._of(v) for v in self.vectors]
 
 
 def householder_init(n: int, rng: Rng) -> HouseholderStack:
@@ -167,9 +156,9 @@ def _unit_rows(vectors: np.ndarray):
     column).  Each row is first divided by its largest entry, so no square
     overflows or underflows even after in-place updates have left the range
     ``HouseholderStack`` checks."""
-    peak = np.abs(vectors).max(axis=1, keepdims=True)
+    peak = np.abs(vectors).max(axis=-1, keepdims=True)
     u = vectors / peak
-    norms = np.sqrt(np.einsum("ij,ij->i", u, u))[:, None]
+    norms = np.sqrt(np.einsum("...ij,...ij->...i", u, u))[..., None]
     return u / norms, peak * norms
 
 
@@ -177,8 +166,8 @@ def _wy_pivots(u: np.ndarray) -> np.ndarray:
     """A = tril(U U^T, -1) + diag(U U^T) / 2, lower triangular with diagonal
     |u_i|^2 / 2 > 0, so H_n ... H_1 = I - U^T A^-1 U (the compact-WY / UT
     form of the product; Schreiber & Van Loan 1989, Joffrain et al. 2006)."""
-    a = np.tril(u @ u.T)
-    a.flat[:: a.shape[0] + 1] *= 0.5
+    a = np.tril(u @ u.swapaxes(-1, -2))
+    np.einsum("...ii->...i", a)[...] *= 0.5
     return a
 
 
@@ -186,7 +175,7 @@ def householder_materialize(stack: HouseholderStack) -> np.ndarray:
     """W = H_n ... H_1 = I - U^T A^-1 U: one Gram product, one solve and one
     product, with no loop over the reflections."""
     u, _ = _unit_rows(stack.vectors)
-    return np.eye(stack.n) - u.T @ np.linalg.solve(_wy_pivots(u), u)
+    return np.eye(stack.n) - u.swapaxes(-1, -2) @ np.linalg.solve(_wy_pivots(u), u)
 
 
 def householder_backward(stack: HouseholderStack, upstream_grad: np.ndarray) -> np.ndarray:
@@ -203,16 +192,15 @@ def householder_backward(stack: HouseholderStack, upstream_grad: np.ndarray) -> 
     counting the Gram product.
     """
     g = np.asarray(upstream_grad, dtype=np.float64)
-    n = stack.n
-    if g.shape != (n, n):
-        raise ValueError(f"upstream gradient must be {n}x{n}, got {g.shape}")
+    if g.shape != stack.vectors.shape:
+        raise ValueError(f"upstream gradient must be {stack.vectors.shape}, got {g.shape}")
     u, lengths = _unit_rows(stack.vectors)
     s = np.linalg.inv(_wy_pivots(u))
     x = s @ u
-    yg = (s.T @ u) @ g
-    c = np.tril(yg @ x.T)
-    c.flat[:: n + 1] *= 0.5
-    return ((c + c.T) @ u - x @ g.T - yg) / lengths
+    yg = (s.swapaxes(-1, -2) @ u) @ g
+    c = np.tril(yg @ x.swapaxes(-1, -2))
+    np.einsum("...ii->...i", c)[...] *= 0.5
+    return ((c + c.swapaxes(-1, -2)) @ u - x @ g.swapaxes(-1, -2) - yg) / lengths
 
 
 def init_weight(spec: InitializerSpec, fan_in: int, fan_out: int, rng: Rng):

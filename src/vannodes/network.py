@@ -95,7 +95,7 @@ class NetworkState:
             return
         for l, stack in enumerate(self.stacks):
             if stack is not None:
-                self.weights[l] = _each_run(householder_materialize, stack)
+                self.weights[l] = householder_materialize(stack)
 
 
 @dataclass
@@ -150,15 +150,6 @@ def build_network(spec: NetworkSpec, init: InitializerSpec, rng: Rng) -> Network
     )
 
 
-def _each_run(fn, stack: HouseholderStack, *arrays):
-    """``fn(stack, *arrays)``; for a stacked stack, once per run slice, with
-    the results stacked again (a stack of one is viewed, not copied)."""
-    if stack.vectors.ndim == 2:
-        return fn(stack, *arrays)
-    out = [fn(run, *(a[r] for a in arrays)) for r, run in enumerate(stack.runs)]
-    return out[0][None] if len(out) == 1 else np.stack(out)
-
-
 def stack_states(states: list) -> NetworkState:
     """The networks ``states``, of one spec and one kind of layers, as one
     state of copies stacked along a leading run axis."""
@@ -166,7 +157,7 @@ def stack_states(states: list) -> NetworkState:
     stacks, readout = None, [None, None]
     if first.stacks is not None:
         stacks = [
-            None if s is None else HouseholderStack.stacked([t.stacks[l] for t in states])
+            None if s is None else HouseholderStack.unchecked(np.stack([t.stacks[l].vectors for t in states]))
             for l, s in enumerate(first.stacks)
         ]
     if first.spec.num_classes > 0:
@@ -181,8 +172,9 @@ def run_states(state: NetworkState) -> list:
     runs = range(len(state.weights[0]))
     stacks = [None] * len(runs)  # per run: its stack of each layer, or None
     if state.stacks is not None:
-        per_layer = [[None] * len(runs) if s is None else s.runs for s in state.stacks]
-        stacks = [list(of_run) for of_run in zip(*per_layer)]
+        stacks = [
+            [None if s is None else HouseholderStack.unchecked(s.vectors[r]) for s in state.stacks] for r in runs
+        ]
     readout_w, readout_b = state.readout_weight, state.readout_bias
     return [
         NetworkState(
@@ -266,8 +258,9 @@ def output(state: NetworkState, batch: np.ndarray) -> np.ndarray:
 def _batch_outer(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     """g^T x over the batch rows.  For a batch of one row this is the
     broadcast product: the same values (a zero may differ in sign, which no
-    update of a nonzero parameter sees) at a fraction of numpy's cost for a
-    matmul with inner dimension 1."""
+    update of a nonzero parameter sees), which makes a batch-1 layer-step
+    1-13% faster at N = 32..100 than numpy's matmul of inner dimension 1
+    (``BENCH_stacked_runs.json``)."""
     if g.shape[-2] == 1:
         return g.swapaxes(-1, -2) * x
     return g.swapaxes(-1, -2) @ x
@@ -300,7 +293,7 @@ def backward(state: NetworkState, trace: ForwardTrace, loss_grad_at_output: np.n
         weight_grads[l] = gw
         bias_grads[l] = gh.sum(axis=-2, keepdims=gh.ndim == 3)
         if state.stacks is not None and state.stacks[l] is not None:
-            stack_grads[l] = _each_run(householder_backward, state.stacks[l], gw)
+            stack_grads[l] = householder_backward(state.stacks[l], gw)
         g = gh @ state.weights[l]
     return Gradients(
         weights=weight_grads,
@@ -321,7 +314,7 @@ def jacobian(state: NetworkState, x0: np.ndarray) -> np.ndarray:
     trace = forward(state, x0[None, :])
     j = None
     for l, w in enumerate(state.weights):
-        d = act.derivative(state.spec.activation, trace.pre[l][0])
+        d = act.derivative(state.spec.activation, trace.pre[l][0], trace.post[l][0])
         dw = d[:, None] * w
         j = dw if j is None else dw @ j
     return j

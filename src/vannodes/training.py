@@ -382,8 +382,8 @@ def train(
                 if not (early_stop and res.success):
                     keep.append(row)
                     continue
-            if res.final_state is None:
-                res.final_state = runs[row]  # a view of arrays the stack no longer steps
+            if res.final_state is None:  # a copy: a view would keep the whole stack alive
+                res.final_state = copy.deepcopy(runs[row])
         if len(keep) < len(active):
             if not keep:
                 break

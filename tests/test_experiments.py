@@ -251,3 +251,33 @@ def test_grid_resume_trains_only_the_missing_runs(tmp_path, monkeypatch):
         experiments.run_grid(config)
         assert _files(tmp_path) == fresh, kept
         assert trained == [rng_keys[line.split(",")[0]] for line in lines[kept:]], kept
+
+
+def test_sweep_keeps_the_rows_computed_before_a_failure(tmp_path, monkeypatch):
+    # The sweep stores each row as it is computed: when a later row fails,
+    # the rows before it are in the run CSV and are not computed again.
+    config = ExperimentConfig(**SWEEP, out_dir=str(tmp_path))
+    experiments.run_vni_sweep(config)
+    fresh = _files(tmp_path)
+    runs_name = f"sweep_runs_{config.config_hash()}.csv"
+    fresh_lines = fresh[runs_name].decode().splitlines(keepends=True)
+    for path in tmp_path.iterdir():
+        path.unlink()
+    probe_network = experiments._probe_network
+    calls = []
+
+    def failing_probe_network(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise RuntimeError("run failed")
+        return probe_network(*args)
+
+    monkeypatch.setattr(experiments, "_probe_network", failing_probe_network)
+    with pytest.raises(RuntimeError):
+        experiments.run_vni_sweep(config)
+    # the first width's two networks gave all its rows; the next width's first failed
+    kept = (tmp_path / runs_name).read_text().splitlines(keepends=True)
+    assert kept == fresh_lines[: 2 + len(SWEEP["depths"]) * SWEEP["runs"]]
+    monkeypatch.setattr(experiments, "_probe_network", probe_network)
+    experiments.run_vni_sweep(config)
+    assert _files(tmp_path) == fresh

@@ -228,6 +228,22 @@ class TestHouseholder:
         assert np.abs(w.T @ w - np.eye(64)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 8, 64])
+def test_stacked_runs_equal_each_run_alone(n):
+    # The stacks of R runs trained together, R x n x n, go through one call
+    # of each function; every run's slice is bit for bit its call alone.
+    rng = np.random.default_rng(n)
+    vectors, g_out = rng.normal(size=(3, n, n)), rng.normal(size=(3, n, n))
+    stacked = HouseholderStack.unchecked(vectors)
+    w, grad = ini.householder_materialize(stacked), ini.householder_backward(stacked, g_out)
+    for r in range(3):
+        alone = HouseholderStack(vectors[r])
+        assert w[r].tobytes() == ini.householder_materialize(alone).tobytes()
+        assert grad[r].tobytes() == ini.householder_backward(alone, g_out[r]).tobytes()
+    with pytest.raises(ValueError, match="upstream gradient"):
+        ini.householder_backward(stacked, g_out[0])
+
+
 class TestDispatch:
     def test_square_kinds(self):
         rng = Rng(15)

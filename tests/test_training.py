@@ -407,3 +407,19 @@ def test_statistics_take_the_runs_in_groups(name, monkeypatch):
     # time; every record keeps its bits.
     monkeypatch.setattr(tr, "_TRACE_FLOATS", 1)
     assert [_fingerprint(r) for r in _train_case(name, together=True)] == GOLDEN[name]
+
+
+def test_runs_that_leave_the_stack_own_their_final_state():
+    # A run that ends before the others keeps a copy of its parameters, not
+    # a view that would hold the whole stack it left.
+    spec = NetworkSpec(4, 16, 2, 2, ActivationKind.RELU)
+    init = InitializerSpec(InitKind.SCALED_GAUSSIAN, 2.0)
+    ds = synthetic_task("xor2")
+    crit = tr.SuccessCriterion("train_accuracy", 0.99, 15)
+    opts = [tr.OptimizerSpec(tr.OptimizerKind.SGD, lr) for lr in (0.1, 1e12, 0.3, 1e-3)]
+    rngs = [Rng(3, (run,)) for run in range(len(opts))]
+    results = tr.train(spec, init, opts, ds, crit, rngs, batch_size=1, early_stop=True, mu1=0.5)
+    ended_early = [r for r in results if r.reason != "max_epochs"]
+    assert {r.reason for r in ended_early} == {"converged", "diverged"}
+    for res in ended_early:
+        assert all(a.base is None for a in _state_arrays(res.final_state))
