@@ -78,22 +78,20 @@ def apply(kind: ActivationKind, h: np.ndarray, out: np.ndarray | None = None) ->
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def derivative(kind: ActivationKind, h: np.ndarray, phi: np.ndarray | None = None) -> np.ndarray:
-    """phi'(h).  ``phi``, phi(h) where the caller holds it as ``backward``
-    and ``jacobian`` do, spares tanh computing it again (the same values)."""
-    if kind is ActivationKind.TANH and phi is not None:
-        return 1.0 - phi * phi
-    # Kink points (0 for ReLU, +-1 for hard-tanh) take derivative 0.
-    h = np.asarray(h, dtype=np.float64)
+def derivative(kind: ActivationKind, phi: np.ndarray) -> np.ndarray:
+    """phi'(h), read from the activation phi = phi(h) alone: ReLU's h > 0 is
+    phi > 0, hard-tanh's |h| < 1 is |phi| < 1 and tanh's derivative is
+    1 - phi^2, bit for bit.  Kink points (0 for ReLU, +-1 for hard-tanh)
+    take derivative 0."""
+    phi = np.asarray(phi, dtype=np.float64)
     if kind is ActivationKind.LINEAR:
-        return np.ones_like(h)
+        return np.ones_like(phi)
     if kind is ActivationKind.RELU:
-        return (h > 0).astype(np.float64)
+        return (phi > 0).astype(np.float64)
     if kind is ActivationKind.TANH:
-        t = np.tanh(h)
-        return 1.0 - t * t
+        return 1.0 - phi * phi
     if kind is ActivationKind.HARD_TANH:
-        return (np.abs(h) < 1.0).astype(np.float64)
+        return (np.abs(phi) < 1.0).astype(np.float64)
     raise ValueError(f"unknown activation {kind!r}")
 
 

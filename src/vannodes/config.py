@@ -64,8 +64,11 @@ class ExperimentConfig:
         ActivationKind(self.activation)
         InitKind(self.init)
         OptimizerKind(self.optimizer)
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
+        smallest = {"runs": 1, "batch_size": 1, "probe_samples": 1, "epochs": 0, "widths": 1, "depths": 1}
+        for name, least in smallest.items():
+            v = getattr(self, name)
+            if min(v if isinstance(v, list) else [v], default=least) < least:
+                raise ValueError(f"{name} must be >= {least}, got {v}")
         # to_text writes one key=value line and from_text splits lines and
         # strips values, so a line break (any that str.splitlines knows) would
         # smuggle in keys and outer whitespace would be lost.
@@ -133,18 +136,22 @@ class ExperimentConfig:
 
 
 def _parse_field(f, value: str):
-    if f.type.startswith("list[int]"):
-        return [int(x) for x in value.split(",") if x.strip()]
-    if f.type.startswith("list[float]"):
-        return [float(x) for x in value.split(",") if x.strip()]
-    if f.type == "bool":
-        if value.lower() in ("true", "1", "yes"):
-            return True
-        if value.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"bad boolean {value!r} for {f.name}")
-    if f.type == "int":
-        return int(value)
-    if f.type == "float":
-        return float(value)
-    return value
+    """``value`` as field ``f``'s type; a failure names the field."""
+    try:
+        if f.type.startswith("list[int]"):
+            return [int(x) for x in value.split(",") if x.strip()]
+        if f.type.startswith("list[float]"):
+            return [float(x) for x in value.split(",") if x.strip()]
+        if f.type == "bool":
+            if value.lower() in ("true", "1", "yes"):
+                return True
+            if value.lower() in ("false", "0", "no"):
+                return False
+            raise ValueError(f"bad boolean {value!r}")
+        if f.type == "int":
+            return int(value)
+        if f.type == "float":
+            return float(value)
+        return value
+    except ValueError as e:
+        raise ValueError(f"{f.name}: {e}") from None

@@ -123,6 +123,8 @@ def load_mnist_idx(images_path, labels_path) -> Dataset:
         rows = _read_be_u32(f, "row count")
         cols = _read_be_u32(f, "column count")
         fields = f"image count x rows x columns = {count} x {rows} x {cols}"
+        if min(count, rows, cols) == 0:  # the per-feature mean would allocate rows x cols floats
+            raise ValueError(f"empty IDX image set in {images_path}: {fields}")
         raw = _read_body(f, images_path, fields, count * rows * cols)
         images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
     with open(labels_path, "rb") as f:

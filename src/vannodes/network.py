@@ -6,6 +6,11 @@ input_dim != N); an optional linear readout maps to num_classes.  Node
 statistics (VNI etc.) are always taken at backbone layer L, before the
 readout.
 
+``layers`` is the one loop over the layers: ``output`` reads its last
+post-activation and ``forward`` keeps them all.  Back-propagation and the
+Jacobian read phi'(h_l) from the post-activations x_l alone
+(``activations.derivative``), so no pre-activation is stored.
+
 A state may also hold R networks of one spec stacked along a leading run
 axis (``stack_states``), so that one call steps them all: ``forward``,
 ``layers``, ``output`` and ``backward`` then take an R x n x d batch, or an
@@ -18,7 +23,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -101,8 +106,7 @@ class NetworkState:
 @dataclass
 class ForwardTrace:
     inputs: np.ndarray  # batch x input_dim (x_0)
-    pre: list = field(default_factory=list)  # h_1..h_L, each batch x width_N
-    post: list = field(default_factory=list)  # x_1..x_L
+    post: list  # x_1..x_L, each batch x width_N
     logits: np.ndarray | None = None
 
 
@@ -192,15 +196,9 @@ def run_states(state: NetworkState) -> list:
 def headless(state: NetworkState) -> NetworkState:
     """View of a network without the readout head; node statistics are taken
     at backbone layer L."""
-    spec = state.spec
-    if spec.num_classes == 0:
+    if state.spec.num_classes == 0:
         return state
-    return NetworkState(
-        spec=NetworkSpec(spec.depth_L, spec.width_N, spec.input_dim, 0, spec.activation),
-        weights=state.weights,
-        biases=state.biases,
-        stacks=state.stacks,
-    )
+    return replace(state, spec=replace(state.spec, num_classes=0), readout_weight=None, readout_bias=None)
 
 
 def _as_batch(state: NetworkState, batch: np.ndarray) -> np.ndarray:
@@ -215,18 +213,12 @@ def _as_batch(state: NetworkState, batch: np.ndarray) -> np.ndarray:
 
 
 def forward(state: NetworkState, batch: np.ndarray) -> ForwardTrace:
-    """Forward pass keeping every layer's pre- and post-activation, which
+    """Forward pass keeping every layer's post-activation, which
     back-propagation and the Jacobian read."""
-    spec = state.spec
     x = _as_batch(state, batch)
-    trace = ForwardTrace(inputs=x)
-    for w, b in zip(state.weights, state.biases):
-        h = x @ w.swapaxes(-1, -2) + b
-        x = act.apply(spec.activation, h)
-        trace.pre.append(h)
-        trace.post.append(x)
-    if spec.num_classes > 0:
-        trace.logits = x @ state.readout_weight.swapaxes(-1, -2) + state.readout_bias
+    trace = ForwardTrace(inputs=x, post=list(layers(state, x)))
+    if state.spec.num_classes > 0:
+        trace.logits = trace.post[-1] @ state.readout_weight.swapaxes(-1, -2) + state.readout_bias
     return trace
 
 
@@ -234,7 +226,7 @@ def layers(state: NetworkState, batch: np.ndarray):
     """Yield the post-activations x_1..x_L of the backbone, keeping no
     per-layer trace: each layer is computed in place into a fresh array, so
     at most two activation arrays are alive while the caller holds only the
-    latest.  Bit-identical to ``forward``'s ``post``."""
+    latest."""
     spec = state.spec
     x = _as_batch(state, batch)
     for w, b in zip(state.weights, state.biases):
@@ -245,8 +237,7 @@ def layers(state: NetworkState, batch: np.ndarray):
 
 
 def output(state: NetworkState, batch: np.ndarray) -> np.ndarray:
-    """The logits, or x_L when there is no readout, read from ``layers``.
-    Bit-identical to ``forward``'s logits and ``post[-1]``."""
+    """The logits, or x_L when there is no readout, read from ``layers``."""
     spec = state.spec
     for x in layers(state, batch):
         pass
@@ -271,9 +262,9 @@ def backward(state: NetworkState, trace: ForwardTrace, loss_grad_at_output: np.n
     otherwise w.r.t. x_L) to all parameters and to the input."""
     spec = state.spec
     g = np.asarray(loss_grad_at_output, dtype=np.float64)
-    if len(trace.pre) != spec.depth_L or trace.pre[0].shape[-2] != trace.inputs.shape[-2]:
+    if len(trace.post) != spec.depth_L or trace.post[0].shape[-2] != trace.inputs.shape[-2]:
         raise ValueError("trace does not match network state")
-    rows = trace.pre[-1].shape[:-1]
+    rows = trace.post[-1].shape[:-1]
     readout_gw = readout_gb = None
     if spec.num_classes > 0:
         if g.shape != (*rows, spec.num_classes):
@@ -287,7 +278,7 @@ def backward(state: NetworkState, trace: ForwardTrace, loss_grad_at_output: np.n
     bias_grads = [None] * spec.depth_L
     stack_grads = [None] * spec.depth_L if state.stacks is not None else None
     for l in range(spec.depth_L - 1, -1, -1):
-        gh = g * act.derivative(spec.activation, trace.pre[l], trace.post[l])
+        gh = g * act.derivative(spec.activation, trace.post[l])
         x_prev = trace.inputs if l == 0 else trace.post[l - 1]
         gw = _batch_outer(gh, x_prev)
         weight_grads[l] = gw
@@ -307,15 +298,13 @@ def backward(state: NetworkState, trace: ForwardTrace, loss_grad_at_output: np.n
 
 def jacobian(state: NetworkState, x0: np.ndarray) -> np.ndarray:
     """Input-output Jacobian of the backbone at x0: the ordered product of
-    diag(phi'(h_l)) W_l evaluated on the forward trace (readout excluded)."""
+    diag(phi'(h_l)) W_l, read from the post-activations (readout excluded)."""
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
     if x0.shape[0] != state.spec.input_dim:
         raise ValueError(f"x0 must have length {state.spec.input_dim}")
-    trace = forward(state, x0[None, :])
     j = None
-    for l, w in enumerate(state.weights):
-        d = act.derivative(state.spec.activation, trace.pre[l][0], trace.post[l][0])
-        dw = d[:, None] * w
+    for w, x in zip(state.weights, layers(state, x0[None, :])):
+        dw = act.derivative(state.spec.activation, x[0])[:, None] * w
         j = dw if j is None else dw @ j
     return j
 

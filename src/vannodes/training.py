@@ -1,9 +1,10 @@
 """Optimizers, softmax cross-entropy, and the instrumented training engine.
 
 Every run owns an Rng stream derived from (master_seed, run key), so runs are
-bit-reproducible.  ``train`` steps the runs of one shape together, stacked
-along a leading run axis, and every operation acts on each run's slice
-alone, so a run's result does not depend on the runs it is stacked with.
+bit-reproducible.  ``train`` steps the runs of one shape together, in stacks
+along a leading run axis that fit one memory budget, and every operation
+acts on each run's slice alone, so a run's result does not depend on the
+runs it is stacked with.
 After each epoch the engine records loss/accuracy, the node-correlation
 indicator on a fixed probe, the per-layer gain sigma_w^2 mu_1, and the
 log-norm of the input gradient.
@@ -14,7 +15,7 @@ from __future__ import annotations
 import copy
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,9 +65,10 @@ _RMSPROP_EPS = 1e-8
 # Rows per forward pass in ``evaluate``, and of the task inputs that are the
 # default probe and the input-gradient batch of the epoch statistics.
 _EVAL_BATCH = 1000
-# Floats of forward trace (pre- and post-activations of every layer) that the
-# epoch statistics' input-gradient pass keeps at once (32 MB): it takes the
-# runs of a stack in groups that fit.
+# Floats (32 MB) that the per-run arrays of a stack of runs trained together
+# may hold: every layer's post-activations kept by a training step and by the
+# statistics' input-gradient pass, the probe activations and an evaluation
+# chunk's.  ``train`` splits its runs into stacks that fit.
 _TRACE_FLOATS = 1 << 22
 
 
@@ -237,17 +239,11 @@ def evaluate(state: NetworkState, dataset: Dataset):
     return sum(losses) / dataset.num_samples, correct / dataset.num_samples
 
 
-def _input_gradient(state: NetworkState, runs: slice, train_set: Dataset) -> np.ndarray:
-    """dLoss/dx_0 on the first task inputs for the runs ``runs`` of a stacked
-    state.  Only the input gradient is read, so the reflection-vector
-    gradients are not computed."""
-    part = NetworkState(
-        state.spec,
-        [w[runs] for w in state.weights],
-        [b[runs] for b in state.biases],
-        readout_weight=state.readout_weight[runs],
-        readout_bias=state.readout_bias[runs],
-    )
+def _input_gradient(state: NetworkState, train_set: Dataset) -> np.ndarray:
+    """dLoss/dx_0 on the first task inputs for each run of a stacked state.
+    Only the input gradient is read, so the reflection-vector gradients are
+    not computed."""
+    part = replace(state, stacks=None)
     trace = forward(part, train_set.inputs[:_EVAL_BATCH])
     labels = np.broadcast_to(train_set.labels[:_EVAL_BATCH], trace.logits.shape[:-1])
     return backward(part, trace, _cross_entropy(trace.logits, labels)[1]).input_gradient
@@ -272,10 +268,7 @@ def _epoch_stats(
     indicator and the gains read each run's slice."""
     after = epoch > 0
     acts = output(headless(state), probe)
-    spec, runs = state.spec, len(state.weights[0])
-    rows = min(_EVAL_BATCH, train_set.num_samples)
-    group = max(1, _TRACE_FLOATS // (2 * rows * spec.width_N * spec.depth_L))
-    g_in = np.concatenate([_input_gradient(state, slice(a, a + group), train_set) for a in range(0, runs, group)])
+    g_in = _input_gradient(state, train_set)
     test_acc = evaluate(state, test_set)[1] if test_set is not None else None
 
     def record(r: int, run: NetworkState) -> TrainRecord | None:
@@ -322,8 +315,9 @@ def train(
     ``optimizer_spec`` and ``rng`` may instead be lists of equal length, one
     entry per run, all of one optimizer kind; a list of results is then
     returned.  Each run draws its network from ``rng.spawn(0)`` and its data
-    order from ``rng.spawn(1)``.  The runs are stacked and stepped together;
-    every operation acts on each run's slice alone, so each result is
+    order from ``rng.spawn(1)``.  The runs are split into stacks that fit
+    ``_TRACE_FLOATS`` and the runs of a stack are stepped together; every
+    operation acts on each run's slice alone, so each result is
     bit-identical to the run's trained alone.
     """
     many = isinstance(rng, list)
@@ -334,7 +328,21 @@ def train(
         raise ValueError("network num_classes does not match dataset")
     if len({o.kind for o in opt_specs}) > 1:
         raise ValueError("runs trained together must share one optimizer kind")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    if epochs is not None and epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
     max_epochs = criterion.max_epochs if epochs is None else epochs
+    n = train_set.num_samples
+    probe = train_set.inputs[:_EVAL_BATCH] if probe is None else probe
+    # rows of width_N floats per run; the 3 are the input-gradient pass's back-propagation arrays
+    grad_rows = min(_EVAL_BATCH, n)
+    rows = spec.depth_L * (min(batch_size, n) + grad_rows) + 3 * grad_rows + len(probe) + _EVAL_BATCH
+    size = max(1, _TRACE_FLOATS // (rows * spec.width_N))
+    if len(rngs) > size:  # one stack after another
+        stacks = [slice(a, a + size) for a in range(0, len(rngs), size)]
+        args = (test_set, batch_size, probe, mu1, early_stop, epochs)
+        return [res for s in stacks for res in train(spec, init, opt_specs[s], train_set, criterion, rngs[s], *args)]
     results = [TrainResult([], False, "max_epochs" if max_epochs else "no_epochs") for _ in rngs]
     if max_epochs == 0 or not rngs:
         return results if many else results[0]
@@ -343,8 +351,6 @@ def train(
     # one rate for every run is kept a float: scaling by it is the cheaper product
     opt = Optimizer(opt_specs[0], lrs[0] if np.all(lrs == lrs[0]) else lrs[:, None, None])
     data_rngs = [r.spawn(1) for r in rngs]
-    n = train_set.num_samples
-    probe = train_set.inputs[:_EVAL_BATCH] if probe is None else probe
     active = list(results)  # the run of each row of the stack
 
     loss0, acc0 = evaluate(state, train_set)

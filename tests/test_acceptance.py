@@ -368,7 +368,12 @@ def test_criterion_09_gradient_correctness():
         out = t.logits if t.logits is not None else t.post[-1]
         return float(np.sum(g * out))
 
-    eps, worst = 1e-6, 0.0
+    def pre_activations(state, batch):
+        # h_l = x_{l-1} W_l^T + b_l, recomputed from the stored x_l
+        t = forward(state, batch)
+        return [x @ w.T + b for x, w, b in zip([t.inputs] + t.post[:-1], state.weights, state.biases)]
+
+    eps, worst, seeds = 1e-6, 0.0, []
     kinds = (
         ActivationKind.LINEAR,
         ActivationKind.RELU,
@@ -383,13 +388,14 @@ def test_criterion_09_gradient_correctness():
             # hard-tanh kinks, where the derivative is not defined
             for batch_seed in range(91, 121):
                 batch = 0.3 * Rng(batch_seed).normal(size=(2, 8))
-                pre = forward(state, batch).pre
+                pre = pre_activations(state, batch)
                 if all(
                     np.abs(h).min() > 1e-4 and np.abs(np.abs(h) - 1).min() > 1e-4 for h in pre
                 ):
                     break
             else:
                 pytest.fail("no kink-free probe batch found")
+            seeds.append(batch_seed)
             g = Rng(92).normal(size=(2, 8))
             grads = backward(state, forward(state, batch), g)
             params = (
@@ -412,6 +418,8 @@ def test_criterion_09_gradient_correctness():
                     fd = (lp - lm) / (2 * eps)
                     rel = abs(gflat[i] - fd) / max(abs(fd), 1e-8)
                     worst = max(worst, rel)
+    # the batches that the stored pre-activations picked
+    assert seeds == [91] * 8
     check(9, "backward matches finite differences", worst <= 1e-5, f"worst rel err {worst:.1e}")
 
 

@@ -36,13 +36,38 @@ def test_apply_out(kind):
 def test_derivative_matches_finite_difference(kind):
     eps = 1e-6
     fd = (act.apply(kind, SMOOTH_POINTS + eps) - act.apply(kind, SMOOTH_POINTS - eps)) / (2 * eps)
-    assert np.allclose(act.derivative(kind, SMOOTH_POINTS), fd, atol=1e-6)
+    assert np.allclose(act.derivative(kind, act.apply(kind, SMOOTH_POINTS)), fd, atol=1e-6)
 
 
 def test_derivative_at_kinks_is_zero():
     # saturation boundary convention: treat the kink as saturated
-    assert act.derivative(ActivationKind.RELU, np.array([0.0]))[0] == 0.0
-    assert act.derivative(ActivationKind.HARD_TANH, np.array([1.0, -1.0])).tolist() == [0.0, 0.0]
+    relu, hard_tanh = ActivationKind.RELU, ActivationKind.HARD_TANH
+    assert act.derivative(relu, act.apply(relu, np.array([0.0])))[0] == 0.0
+    assert act.derivative(hard_tanh, act.apply(hard_tanh, np.array([1.0, -1.0]))).tolist() == [0.0, 0.0]
+
+
+def _derivative_of_h(kind, h):
+    # phi'(h) computed from the pre-activation h itself
+    if kind is ActivationKind.LINEAR:
+        return np.ones_like(h)
+    if kind is ActivationKind.RELU:
+        return (h > 0).astype(np.float64)
+    if kind is ActivationKind.TANH:
+        t = np.tanh(h)
+        return 1.0 - t * t
+    return (np.abs(h) < 1.0).astype(np.float64)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_derivative_of_phi_equals_derivative_of_h(kind):
+    edges = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan])
+    near = [np.nextafter(v, t) for v in (0.0, 1.0, -1.0) for t in (-np.inf, np.inf)]
+    h = np.concatenate([Rng(36).normal(size=200_000), edges, near])
+    with np.errstate(invalid="ignore"):
+        got = act.derivative(kind, act.apply(kind, h))
+        expected = _derivative_of_h(kind, h)
+    assert np.array_equal(got, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 @pytest.mark.parametrize("kind,q", [(k, q) for k in KINDS for q in (0.1, 1.0, 4.0)])

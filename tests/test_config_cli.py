@@ -1,11 +1,21 @@
 import os
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vannodes.cli import _RUNNERS, _load_config, build_parser, main
 from vannodes.config import EXPERIMENTS, ExperimentConfig
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+KEYS = [f.name for f in dataclasses.fields(ExperimentConfig)]
+# values near every field's type, and any text
+VALUES = st.one_of(
+    st.sampled_from(["-1", "0", "1", "2.5", "1e3", "nan", "inf", "true", "no", "4,8", "0.1,-2", "", "tanh", "grid"]),
+    st.text(),
+)
 
 
 class TestConfig:
@@ -52,6 +62,40 @@ class TestConfig:
             ExperimentConfig(out_dir=value)
         with pytest.raises(ValueError, match="out_dir"):
             ExperimentConfig().with_overrides({"out_dir": value})
+
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("batch_size=-5", "batch_size"),
+            ("batch_size=0", "batch_size"),
+            ("epochs=-2", "epochs"),
+            ("probe_samples=0", "probe_samples"),
+            ("widths=0", "widths"),
+            ("widths=8,-1", "widths"),
+            ("depths=-1", "depths"),
+        ],
+    )
+    def test_bad_sizes_rejected(self, line, key):
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig.from_text(line)
+
+    @pytest.mark.parametrize(
+        "line, key", [("runs=abc", "runs"), ("sigma_x_sq=x", "sigma_x_sq"), ("depths=4,x", "depths")]
+    )
+    def test_parse_error_names_the_key(self, line, key):
+        with pytest.raises(ValueError, match=f"^{key}: "):
+            ExperimentConfig.from_text(line)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), st.lists(st.tuples(st.sampled_from(KEYS), VALUES), max_size=4)))
+    def test_any_text_gives_a_config_or_value_error(self, text):
+        if isinstance(text, list):
+            text = "\n".join(f"{k}={v}" for k, v in text)
+        try:
+            config = ExperimentConfig.from_text(text)
+        except ValueError:
+            return
+        assert isinstance(config, ExperimentConfig)
 
     def test_comma_and_equals_round_trip(self):
         c = ExperimentConfig(out_dir="runs/a,b=c", mnist_dir="data, mnist")

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from vannodes import data as dt
 from vannodes.linalg import Rng
@@ -65,6 +67,37 @@ class TestIdxLoader:
         ip.write_bytes(struct.pack(">IIII", 0x803, count, rows, cols) + bytes(8))
         with pytest.raises(ValueError, match=f"{ip.name}.*rows x columns = {count} x {rows} x {cols}"):
             dt.load_mnist_idx(ip, lp)
+
+    @pytest.mark.parametrize("count, rows, cols", [(0, 2, 2), (2, 0, 2), (2, 2, 0)])
+    def test_empty_image_set(self, tmp_path, count, rows, cols):
+        # a header of zero images fits any file, yet the per-feature mean
+        # would allocate rows x cols floats
+        ip, lp = write_idx_pair(tmp_path, np.zeros((2, 2, 2)), [0, 1])
+        ip.write_bytes(struct.pack(">IIII", 0x803, count, rows, cols) + bytes(8))
+        with pytest.raises(ValueError, match=f"empty IDX image set in .*{ip.name}"):
+            dt.load_mnist_idx(ip, lp)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_prefix_or_mutation_loads_or_raises_value_error(self, data, tmp_path):
+        images = Rng(37).integers(0, 256, size=(3, 2, 2)).astype(np.uint8)
+        ip, lp = write_idx_pair(tmp_path, images, [0, 9, 4])
+        for path in (ip, lp):  # each file is kept, cut, or has bytes replaced
+            raw = bytearray(path.read_bytes())
+            edit = data.draw(st.sampled_from(["keep", "cut", "mutate"]), label=f"{path.name} edit")
+            if edit == "cut":
+                raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="prefix")]
+            elif edit == "mutate":
+                edits = st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 255))
+                for i, byte in data.draw(st.lists(edits, min_size=1, max_size=8), label="mutations"):
+                    raw[i] = byte
+            path.write_bytes(bytes(raw))
+        try:
+            ds = dt.load_mnist_idx(ip, lp)
+        except ValueError:
+            return
+        assert ds.inputs.shape[0] == ds.labels.shape[0] >= 1
+        assert ds.inputs.size <= ip.stat().st_size
 
     def test_count_mismatch(self, tmp_path):
         images = np.zeros((3, 2, 2))

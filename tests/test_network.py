@@ -55,7 +55,7 @@ def test_forward_shapes_and_validation():
     spec = NetworkSpec(2, 5, 3, 4, ActivationKind.RELU)
     state = build_network(spec, GAUSS, Rng(3))
     t = forward(state, Rng(4).normal(size=(7, 3)))
-    assert [p.shape for p in t.pre] == [(7, 5), (7, 5)]
+    assert [p.shape for p in t.post] == [(7, 5), (7, 5)]
     assert t.logits.shape == (7, 4)
     with pytest.raises(ValueError):
         forward(state, Rng(4).normal(size=(7, 2)))

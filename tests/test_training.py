@@ -132,6 +132,13 @@ class TestTrain:
         b = tr.train(spec, init, opt, ds, crit, Rng(2), batch_size=4, epochs=3)
         assert a.records[-1].train_loss != b.records[-1].train_loss
 
+    @pytest.mark.parametrize("batch_size, epochs", [(0, 3), (-1, 3), (4, -2)])
+    def test_bad_run_sizes_rejected(self, batch_size, epochs):
+        spec, init, opt, ds, crit = xor_setup(epochs=3)
+        name = "batch_size" if batch_size < 1 else "epochs"
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            tr.train(spec, init, opt, ds, crit, Rng(0), batch_size=batch_size, epochs=epochs)
+
     def test_early_stop(self):
         spec, init, opt, ds, crit = xor_setup(epochs=200)
         res = tr.train(
@@ -403,8 +410,8 @@ def test_train_takes_equal_length_run_lists():
 
 @pytest.mark.parametrize("name", ["grid_tanh", "householder"])
 def test_statistics_take_the_runs_in_groups(name, monkeypatch):
-    # Below one run's trace the input-gradient pass takes the runs one at a
-    # time; every record keeps its bits.
+    # A budget of one float trains each run in its own stack; every record
+    # keeps its bits.
     monkeypatch.setattr(tr, "_TRACE_FLOATS", 1)
     assert [_fingerprint(r) for r in _train_case(name, together=True)] == GOLDEN[name]
 
