@@ -225,9 +225,10 @@ def correlation_heatmap(corr_sq: np.ndarray):
 
 
 def per_layer_gain(state: NetworkState, mu1: float) -> np.ndarray:
-    """fan_in * Var[W_l] * mu_1 of each backbone layer: its backward gain."""
+    """fan_in * Var[W_l] * mu_1 of each backbone layer: its backward gain.
+    For a stacked state, one row of L gains per run."""
     spec = state.spec
-    return np.array([spec.fan_in(l) * float(w.var()) * mu1 for l, w in enumerate(state.weights)])
+    return np.stack([spec.fan_in(l) * w.var(axis=(-2, -1)) * mu1 for l, w in enumerate(state.weights)], axis=-1)
 
 
 def gradient_diagnostics(

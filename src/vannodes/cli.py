@@ -14,14 +14,15 @@ from .config import ExperimentConfig
 from . import experiments
 from .data import fetch_mnist
 
+# subcommand -> (experiment, runner, help), in the order of the help text
 _RUNNERS = {
-    "sweep": ("vni_sweep", experiments.run_vni_sweep),
-    "heatmap": ("heatmap", experiments.run_heatmap),
-    "dynamics": ("dynamics", experiments.run_dynamics),
-    "tasks": ("tasks_table", experiments.run_tasks_table),
-    "grid": ("grid", experiments.run_grid),
-    "orth": ("orthogonal_table", experiments.run_orthogonal_table),
-    "diag": ("diagnostics", experiments.run_diagnostics),
+    "sweep": ("vni_sweep", experiments.run_vni_sweep, "indicator vs depth, theory vs simulation"),
+    "heatmap": ("heatmap", experiments.run_heatmap, "permuted squared-correlation heatmaps"),
+    "dynamics": ("dynamics", experiments.run_dynamics, "indicator quartiles over training"),
+    "tasks": ("tasks_table", experiments.run_tasks_table, "task table: plain vs bottleneck init"),
+    "grid": ("grid", experiments.run_grid, "success probability over depth x learning rate"),
+    "orth": ("orthogonal_table", experiments.run_orthogonal_table, "orthogonal and reflection-parametrized training"),
+    "diag": ("diagnostics", experiments.run_diagnostics, "single-network diagnostic report"),
 }
 
 
@@ -39,31 +40,16 @@ def _load_config(args, experiment: str) -> ExperimentConfig:
     return ExperimentConfig.from_text("", overrides)
 
 
-def _add_experiment_parser(sub, name: str, help_text: str):
-    p = sub.add_parser(name, help=help_text)
-    p.add_argument("--config", help="path to a key=value config file")
-    p.add_argument(
-        "--set",
-        action="append",
-        metavar="KEY=VALUE",
-        help="override a config field (repeatable)",
-    )
-    return p
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vannodes",
         description="Node-correlation diagnostics for deep feed-forward networks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_experiment_parser(sub, "sweep", "indicator vs depth, theory vs simulation")
-    _add_experiment_parser(sub, "heatmap", "permuted squared-correlation heatmaps")
-    _add_experiment_parser(sub, "dynamics", "indicator quartiles over training")
-    _add_experiment_parser(sub, "tasks", "task table: plain vs bottleneck init")
-    _add_experiment_parser(sub, "grid", "success probability over depth x learning rate")
-    _add_experiment_parser(sub, "orth", "orthogonal and reflection-parametrized training")
-    _add_experiment_parser(sub, "diag", "single-network diagnostic report")
+    for name, (_, _, help_text) in _RUNNERS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="path to a key=value config file")
+        p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config field (repeatable)")
     fetch = sub.add_parser("fetch-mnist", help="download and verify the MNIST IDX files")
     fetch.add_argument("--out-dir", default="data/mnist")
     return parser
@@ -74,13 +60,13 @@ def main(argv=None) -> int:
     if args.command == "fetch-mnist":
         try:
             paths = fetch_mnist(args.out_dir)
-        except OSError as e:
+        except (OSError, ValueError) as e:
             print(f"fetch failed: {e}", file=sys.stderr)
             return 1
         for p in paths:
             print(p)
         return 0
-    experiment, runner = _RUNNERS[args.command]
+    experiment, runner, _ = _RUNNERS[args.command]
     try:
         config = _load_config(args, experiment)
     except (ValueError, OSError) as e:

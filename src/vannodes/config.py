@@ -6,10 +6,11 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 
 from .activations import ActivationKind
-from .initializers import InitKind
+from .initializers import InitKind, InitializerSpec
 from .network import NetworkSpec
 from .training import OptimizerKind, OptimizerSpec, SuccessCriterion
 
@@ -64,11 +65,30 @@ class ExperimentConfig:
         ActivationKind(self.activation)
         InitKind(self.init)
         OptimizerKind(self.optimizer)
-        smallest = {"runs": 1, "batch_size": 1, "probe_samples": 1, "epochs": 0, "widths": 1, "depths": 1}
+        for name in ("widths", "depths", "learning_rates"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must hold at least one value")
+        # the indicator correlates probe rows, so it needs two of them
+        smallest = {"runs": 1, "batch_size": 1, "probe_samples": 2, "epochs": 0, "widths": 1, "depths": 1}
         for name, least in smallest.items():
             v = getattr(self, name)
-            if min(v if isinstance(v, list) else [v], default=least) < least:
+            if min(v if isinstance(v, list) else [v]) < least:
                 raise ValueError(f"{name} must be >= {least}, got {v}")
+        if not 0 < self.sigma_x_sq < math.inf:
+            raise ValueError(f"sigma_x_sq must be positive and finite, got {self.sigma_x_sq}")
+        if not math.isfinite(self.sigma_w_sq):
+            raise ValueError(f"sigma_w_sq must be finite, got {self.sigma_w_sq}")
+        # the rules of the runners' own specs, stated once in their classes
+        owned = {
+            "max_epochs, success_metric, success_threshold": self.success_criterion,
+            "learning_rates": lambda: [self.optimizer_spec(lr) for lr in self.learning_rates],
+            "bottleneck_nb": lambda: InitializerSpec(self.init_kind, 1.0, self.bottleneck_nb),
+        }
+        for keys, build in owned.items():
+            try:
+                build()
+            except ValueError as e:
+                raise ValueError(f"{keys}: {e}") from None
         # to_text writes one key=value line and from_text splits lines and
         # strips values, so a line break (any that str.splitlines knows) would
         # smuggle in keys and outer whitespace would be lost.

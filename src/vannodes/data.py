@@ -30,7 +30,8 @@ __all__ = [
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
-# Official IDX archives with published SHA-256 checksums of the .gz files.
+# Official IDX archives with published SHA-256 checksums of the .gz files and
+# the item count of each.
 MNIST_FILES = {
     "train-images-idx3-ubyte": (
         "440fcabf73cc546fa21475e81ea370265605f56be210a4024d2ca8f203523609",
@@ -182,13 +183,15 @@ def fetch_mnist(out_dir, mirrors=MNIST_MIRRORS) -> list:
     """Download and verify the four IDX files into ``out_dir``.
 
     Files already present (and matching their expected sizes) are kept.
+    Each file is written to ``<name>.part`` and renamed when complete.
     Raises if no mirror is reachable or a checksum fails.
     """
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    for name, (sha256, _count) in MNIST_FILES.items():
+    for name, (sha256, count) in MNIST_FILES.items():
         dest = os.path.join(out_dir, name)
-        if os.path.exists(dest):
+        size = 16 + 784 * count if "images" in name else 8 + count  # IDX header, then 28 x 28 images or labels
+        if os.path.isfile(dest) and os.path.getsize(dest) == size:
             written.append(dest)
             continue
         blob = None
@@ -206,7 +209,8 @@ def fetch_mnist(out_dir, mirrors=MNIST_MIRRORS) -> list:
         digest = hashlib.sha256(blob).hexdigest()
         if digest != sha256:
             raise ValueError(f"checksum mismatch for {name}.gz: {digest}")
-        with open(dest, "wb") as f:
+        with open(dest + ".part", "wb") as f:
             f.write(gzip.decompress(blob))
+        os.replace(dest + ".part", dest)
         written.append(dest)
     return written

@@ -30,7 +30,7 @@ from .config import ExperimentConfig
 from .data import gaussian_probe, load_mnist_idx, synthetic_task
 from .initializers import InitKind, InitializerSpec
 from .linalg import Rng
-from .network import build_network, layers
+from .network import build_network, layers, output
 from .training import train
 
 __all__ = [
@@ -335,8 +335,9 @@ def run_heatmap(config: ExperimentConfig) -> dict:
     cells += [(width, config.depths[0]) for width in config.widths[1:]]
     results, summary = {}, []
     for width, depth in cells:
-        report = vni_report(*_probe_network(config, depth, width, gain, Rng(config.master_seed, (width, depth))))
-        permuted, _ = correlation_heatmap(report.corr_sq)
+        state, probe = _probe_network(config, depth, width, gain, Rng(config.master_seed, (width, depth)))
+        vni, corr_sq, _ = vni_empirical(output(state, probe))
+        permuted, _ = correlation_heatmap(corr_sq)
         tag = f"heatmap_N{width}_L{depth}"
         _write_csv(
             config,
@@ -349,9 +350,9 @@ def run_heatmap(config: ExperimentConfig) -> dict:
             permuted,
             title=f"Squared node correlations, N={width}, L={depth}",
         )
-        off_diag = (report.corr_sq.sum() - np.trace(report.corr_sq)) / (width * (width - 1))
+        off_diag = (corr_sq.sum() - np.trace(corr_sq)) / (width * (width - 1))
         results[(width, depth)] = off_diag
-        summary.append([width, depth, f"{off_diag:.8g}", f"{report.vni_empirical:.8g}"])
+        summary.append([width, depth, f"{off_diag:.8g}", f"{vni:.8g}"])
     _write_csv(config, "heatmap_summary", "width,depth,mean_offdiag_corr_sq,vni", summary)
     return results
 
@@ -396,19 +397,20 @@ def run_dynamics(config: ExperimentConfig) -> dict:
     return series
 
 
+_TASKS_TABLE_TASKS = ("and2", "and4", "xor2")
 _TASKS_TABLE_INITS = (InitKind.SCALED_GAUSSIAN, InitKind.BOTTLENECK)
 
 
-def run_tasks_table(config: ExperimentConfig, tasks=("and2", "and4", "xor2")) -> dict:
+def run_tasks_table(config: ExperimentConfig) -> dict:
     """Success/fail table across tasks x {scaled Gaussian, bottleneck} inits,
     plus the per-epoch gradient log-ratio between the two inits."""
     blocks = []
-    for task_name in tasks:
+    for task_name in _TASKS_TABLE_TASKS:
         cfg = config.with_overrides({"dataset": task_name})
         blocks.append((task_name, cfg, config.depths[0], _task(cfg)))
     table_rows, results = _init_table(blocks, _TASKS_TABLE_INITS)
     ratio_rows = []
-    for task_name in tasks:
+    for task_name in _TASKS_TABLE_TASKS:
         # walking-dead log-ratio over the common recorded epochs of run 0
         a = results[(task_name, InitKind.SCALED_GAUSSIAN)][2][0].records
         b = results[(task_name, InitKind.BOTTLENECK)][2][0].records

@@ -15,7 +15,8 @@ A state may also hold R networks of one spec stacked along a leading run
 axis (``stack_states``), so that one call steps them all: ``forward``,
 ``layers``, ``output`` and ``backward`` then take an R x n x d batch, or an
 n x d batch that every run sees, and work on each run's slice as they do on
-a single network, bit for bit.
+a single network, bit for bit.  ``run_state`` is the one way a run leaves a
+stack: it copies the run's arrays out.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ __all__ = [
     "Gradients",
     "build_network",
     "stack_states",
-    "run_states",
+    "run_state",
     "headless",
     "forward",
     "layers",
@@ -171,26 +172,17 @@ def stack_states(states: list) -> NetworkState:
     return NetworkState(first.spec, weights, biases, stacks, *readout)
 
 
-def run_states(state: NetworkState) -> list:
-    """Each run of a stacked state as a single network viewing its slice."""
-    runs = range(len(state.weights[0]))
-    stacks = [None] * len(runs)  # per run: its stack of each layer, or None
+def run_state(state: NetworkState, r: int) -> NetworkState:
+    """Run ``r`` of a stacked state as a single network that owns copies of
+    its arrays, so that it holds nothing of the stack alive."""
+    stacks = None
     if state.stacks is not None:
-        stacks = [
-            [None if s is None else HouseholderStack.unchecked(s.vectors[r]) for s in state.stacks] for r in runs
-        ]
-    readout_w, readout_b = state.readout_weight, state.readout_bias
-    return [
-        NetworkState(
-            state.spec,
-            [w[r] for w in state.weights],
-            [b[r, 0] for b in state.biases],
-            stacks[r],
-            None if readout_w is None else readout_w[r],
-            None if readout_b is None else readout_b[r, 0],
-        )
-        for r in runs
-    ]
+        stacks = [None if s is None else HouseholderStack.unchecked(s.vectors[r].copy()) for s in state.stacks]
+    readout = [None, None]
+    if state.spec.num_classes > 0:
+        readout = [state.readout_weight[r].copy(), state.readout_bias[r, 0].copy()]
+    weights = [w[r].copy() for w in state.weights]
+    return NetworkState(state.spec, weights, [b[r, 0].copy() for b in state.biases], stacks, *readout)
 
 
 def headless(state: NetworkState) -> NetworkState:

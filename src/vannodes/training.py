@@ -4,7 +4,8 @@ Every run owns an Rng stream derived from (master_seed, run key), so runs are
 bit-reproducible.  ``train`` steps the runs of one shape together, in stacks
 along a leading run axis that fit one memory budget, and every operation
 acts on each run's slice alone, so a run's result does not depend on the
-runs it is stacked with.
+runs it is stacked with.  A run leaves its stack, at its end or its last
+epoch, as a copy (``network.run_state``).
 After each epoch the engine records loss/accuracy, the node-correlation
 indicator on a fixed probe, the per-layer gain sigma_w^2 mu_1, and the
 log-norm of the input gradient.
@@ -12,7 +13,6 @@ log-norm of the input gradient.
 
 from __future__ import annotations
 
-import copy
 import enum
 import math
 from dataclasses import dataclass, field, replace
@@ -31,7 +31,7 @@ from .network import (
     forward,
     headless,
     output,
-    run_states,
+    run_state,
     stack_states,
 )
 
@@ -78,7 +78,7 @@ class OptimizerSpec:
     learning_rate: float = 0.01
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:  # NaN too
             raise ValueError("learning_rate must be positive")
 
 
@@ -217,12 +217,13 @@ def _param_leaves(state: NetworkState, grads) -> list:
     return leaves
 
 
-def _all_finite(state: NetworkState) -> bool:
-    """Every weight, bias and readout array holds finite values only."""
+def _all_finite(state: NetworkState) -> np.ndarray:
+    """Per run of a stacked state: every weight, bias and readout array holds
+    finite values only."""
     arrays = state.weights + state.biases
     if state.spec.num_classes > 0:
         arrays += [state.readout_weight, state.readout_bias]
-    return all(np.all(np.isfinite(a)) for a in arrays)
+    return np.logical_and.reduce([np.isfinite(a).all(axis=(-2, -1)) for a in arrays])
 
 
 def evaluate(state: NetworkState, dataset: Dataset):
@@ -264,26 +265,27 @@ def _epoch_stats(
     indicator or gain, all-constant probe activations, or an input-gradient
     log-norm of NaN or +inf (not -inf, which is a truly vanished gradient).
 
-    The probe, input-gradient and test passes run stacked; the checks, the
-    indicator and the gains read each run's slice."""
+    The probe, input-gradient and test passes, the finiteness check and the
+    gains read the stack; the indicator and the input-gradient log-norm read
+    each run's slice."""
     after = epoch > 0
     acts = output(headless(state), probe)
     g_in = _input_gradient(state, train_set)
     test_acc = evaluate(state, test_set)[1] if test_set is not None else None
+    finite, gains = _all_finite(state), per_layer_gain(state, mu1)
 
-    def record(r: int, run: NetworkState) -> TrainRecord | None:
-        if after and not (math.isfinite(train_loss[r]) and _all_finite(run) and np.any(acts[r] != acts[r][0])):
+    def record(r: int) -> TrainRecord | None:
+        if after and not (math.isfinite(train_loss[r]) and finite[r] and np.any(acts[r] != acts[r][0])):
             return None
         vni, _, _ = vni_empirical(acts[r])
-        gains = per_layer_gain(run, mu1)
         sq_norm = float(np.sum(g_in[r] * g_in[r]) / g_in.shape[-2])
         log_norm = math.log10(sq_norm) if sq_norm != 0 else -math.inf
-        if after and not (math.isfinite(vni) and np.all(np.isfinite(gains)) and log_norm < math.inf):
+        if after and not (math.isfinite(vni) and np.all(np.isfinite(gains[r])) and log_norm < math.inf):
             return None
         test = math.nan if test_acc is None else float(test_acc[r])
-        return TrainRecord(epoch, float(train_loss[r]), float(train_acc[r]), test, vni, gains, log_norm)
+        return TrainRecord(epoch, float(train_loss[r]), float(train_acc[r]), test, vni, gains[r], log_norm)
 
-    return [record(r, run) for r, run in enumerate(run_states(state))]
+    return [record(r) for r in range(len(acts))]
 
 
 # Divergence is detected explicitly, so overflow and NaN are not warned about.
@@ -371,12 +373,12 @@ def train(
                 # mixes runs, so the others do not see it.
                 for row in np.flatnonzero(~np.isfinite(loss)):
                     if active[row].final_state is None:
-                        active[row].final_state = copy.deepcopy(run_states(state)[row])
+                        active[row].final_state = run_state(state, row)
             epoch_correct = epoch_correct + (trace.logits.argmax(axis=-1) == y).sum(axis=-1)
             opt.step(_param_leaves(state, backward(state, trace, grad)))
             state.rematerialize()
         stats = _epoch_stats(state, epoch, probe, train_set, test_set, epoch_loss / n, epoch_correct / n, mu1)
-        runs, keep = run_states(state), []
+        keep = []
         for row, (res, rec) in enumerate(zip(active, stats)):
             if rec is None:
                 res.reason = "diverged"
@@ -385,18 +387,15 @@ def train(
                 metric = rec.train_accuracy if criterion.metric == "train_accuracy" else rec.test_accuracy
                 if not res.success and epoch <= criterion.max_epochs and metric > criterion.threshold:
                     res.success, res.reason, res.converged_epoch = True, "converged", epoch
-                if not (early_stop and res.success):
+                if epoch < max_epochs and not (early_stop and res.success):
                     keep.append(row)
                     continue
-            if res.final_state is None:  # a copy: a view would keep the whole stack alive
-                res.final_state = copy.deepcopy(runs[row])
+            if res.final_state is None:
+                res.final_state = run_state(state, row)
         if len(keep) < len(active):
             if not keep:
                 break
-            state = stack_states([runs[row] for row in keep])
+            state = stack_states([run_state(state, row) for row in keep])
             opt.take(keep)
             active, data_rngs = [active[row] for row in keep], [data_rngs[row] for row in keep]
-    else:  # the runs still in the stack after the last epoch
-        for res, run in zip(active, run_states(state)):
-            res.final_state = run
     return results if many else results[0]

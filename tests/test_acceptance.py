@@ -25,6 +25,9 @@ from vannodes.initializers import InitKind, InitializerSpec
 from vannodes.linalg import Rng
 from vannodes.network import NetworkSpec, backward, build_network, forward
 
+# Minutes of end-to-end runs: ``pytest -m "not slow"`` runs the unit suite alone.
+pytestmark = pytest.mark.slow
+
 GAUSS = InitKind.SCALED_GAUSSIAN
 
 

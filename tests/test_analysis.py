@@ -9,7 +9,7 @@ from vannodes import analysis as an
 from vannodes.activations import ActivationMoments, ActivationKind, mu_quadrature
 from vannodes.initializers import InitKind, InitializerSpec
 from vannodes.linalg import Rng
-from vannodes.network import NetworkSpec, build_network, forward, jacobian
+from vannodes.network import NetworkSpec, build_network, forward, jacobian, run_state, stack_states
 
 
 def make_activations(n_samples=4000, width=20, seed=0):
@@ -205,6 +205,20 @@ class TestGradientDiagnostics:
         assert d.per_layer_gain.shape == (4,)
         for l, w in enumerate(state.weights):
             assert d.per_layer_gain[l] == pytest.approx(30 * w.var(), rel=1e-10)
+
+    @pytest.mark.parametrize("kind", [InitKind.SCALED_GAUSSIAN, InitKind.HOUSEHOLDER])
+    def test_stacked_gain_equals_each_run_alone(self, kind):
+        # A rectangular first layer, then square ones (reflection stacks for
+        # Householder, materialized in one stacked call).
+        spec = NetworkSpec(4, 17, 5, 3, ActivationKind.TANH)
+        runs = [build_network(spec, InitializerSpec(kind, 1.3), Rng(21, (r,))) for r in range(3)]
+        state = stack_states(runs)
+        state.rematerialize()
+        gains = an.per_layer_gain(state, 0.7)
+        assert gains.shape == (3, 4)
+        for r, run in enumerate(runs):
+            assert gains[r].tobytes() == an.per_layer_gain(run, 0.7).tobytes()
+            assert gains[r].tobytes() == an.per_layer_gain(run_state(state, r), 0.7).tobytes()
 
     def test_forward_variance_prediction(self):
         # linear net at sigma_w^2 = 1: Var[x_L] should stay near Var[x_0]

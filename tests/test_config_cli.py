@@ -73,6 +73,19 @@ class TestConfig:
             ("widths=0", "widths"),
             ("widths=8,-1", "widths"),
             ("depths=-1", "depths"),
+            ("max_epochs=0", "max_epochs"),
+            ("learning_rates=-1", "learning_rates"),
+            ("learning_rates=", "learning_rates"),
+            ("success_threshold=2", "success_threshold"),
+            ("success_metric=bogus", "success_metric"),
+            ("widths=", "widths"),
+            ("depths=", "depths"),
+            ("sigma_x_sq=-1", "sigma_x_sq"),
+            ("sigma_x_sq=inf", "sigma_x_sq"),
+            ("learning_rates=nan", "learning_rates"),
+            ("bottleneck_nb=0", "bottleneck_nb"),
+            ("probe_samples=1", "probe_samples"),
+            ("sigma_w_sq=nan", "sigma_w_sq"),
         ],
     )
     def test_bad_sizes_rejected(self, line, key):

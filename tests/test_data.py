@@ -1,3 +1,6 @@
+import gzip
+import hashlib
+import os
 import struct
 
 import numpy as np
@@ -5,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from vannodes import cli
 from vannodes import data as dt
 from vannodes.linalg import Rng
 
@@ -155,3 +159,48 @@ def test_take():
     assert np.array_equal(sub.inputs, ds.inputs[:5])
     assert np.array_equal(sub.labels, ds.labels[:5])
     assert sub.num_classes == ds.num_classes
+
+
+def _fake_mirror(tmp_path, count=2) -> tuple:
+    """(file:// mirror URL, {name: (sha256, count)}, {name: IDX bytes}) of
+    four small IDX files of ``count`` items, gzipped, as the real ones are."""
+    mirror = tmp_path / "mirror"
+    mirror.mkdir()
+    files, contents = {}, {}
+    for name in dt.MNIST_FILES:
+        raw = bytes(range(256)) * 8
+        raw = raw[: 16 + 784 * count] if "images" in name else raw[: 8 + count]
+        blob = gzip.compress(raw)
+        (mirror / f"{name}.gz").write_bytes(blob)
+        files[name] = (hashlib.sha256(blob).hexdigest(), count)
+        contents[name] = raw
+    return mirror.as_uri() + "/", files, contents
+
+
+class TestFetchMnist:
+    def test_checksum_mismatch_leaves_no_file(self, tmp_path):
+        url, _, _ = _fake_mirror(tmp_path)  # the published checksums do not match these
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="checksum mismatch"):
+            dt.fetch_mnist(out, mirrors=(url,))
+        assert os.listdir(out) == []
+
+    def test_truncated_present_file_is_fetched_again(self, tmp_path, monkeypatch):
+        url, files, contents = _fake_mirror(tmp_path)
+        monkeypatch.setattr(dt, "MNIST_FILES", files)
+        out = tmp_path / "out"
+        out.mkdir()
+        names = list(files)
+        (out / names[0]).write_bytes(b"\0\0")  # cut short
+        (out / names[1]).write_bytes(bytes(len(contents[names[1]])))  # the IDX size: kept
+        paths = dt.fetch_mnist(out, mirrors=(url,))
+        assert paths == [os.path.join(out, name) for name in names]
+        assert (out / names[0]).read_bytes() == contents[names[0]]
+        assert (out / names[1]).read_bytes() == bytes(len(contents[names[1]]))
+        assert sorted(os.listdir(out)) == sorted(names)
+
+    def test_cli_reports_a_checksum_mismatch(self, tmp_path, monkeypatch, capsys):
+        url, _, _ = _fake_mirror(tmp_path)
+        monkeypatch.setattr(cli, "fetch_mnist", lambda out_dir: dt.fetch_mnist(out_dir, mirrors=(url,)))
+        assert cli.main(["fetch-mnist", "--out-dir", str(tmp_path / "out")]) == 1
+        assert "fetch failed: checksum mismatch" in capsys.readouterr().err

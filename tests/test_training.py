@@ -10,7 +10,7 @@ from vannodes.activations import ActivationKind
 from vannodes.data import synthetic_task
 from vannodes.initializers import InitKind, InitializerSpec
 from vannodes.linalg import Rng
-from vannodes.network import NetworkSpec
+from vannodes.network import NetworkSpec, build_network, stack_states
 
 
 def step_scalar(spec, w0, grads):
@@ -417,8 +417,8 @@ def test_statistics_take_the_runs_in_groups(name, monkeypatch):
 
 
 def test_runs_that_leave_the_stack_own_their_final_state():
-    # A run that ends before the others keeps a copy of its parameters, not
-    # a view that would hold the whole stack it left.
+    # Every run, whether it ends early or at the last epoch, keeps a copy of
+    # its parameters, not a view that would hold the whole stack it left.
     spec = NetworkSpec(4, 16, 2, 2, ActivationKind.RELU)
     init = InitializerSpec(InitKind.SCALED_GAUSSIAN, 2.0)
     ds = synthetic_task("xor2")
@@ -426,7 +426,18 @@ def test_runs_that_leave_the_stack_own_their_final_state():
     opts = [tr.OptimizerSpec(tr.OptimizerKind.SGD, lr) for lr in (0.1, 1e12, 0.3, 1e-3)]
     rngs = [Rng(3, (run,)) for run in range(len(opts))]
     results = tr.train(spec, init, opts, ds, crit, rngs, batch_size=1, early_stop=True, mu1=0.5)
-    ended_early = [r for r in results if r.reason != "max_epochs"]
-    assert {r.reason for r in ended_early} == {"converged", "diverged"}
-    for res in ended_early:
+    assert {r.reason for r in results} == {"converged", "diverged", "max_epochs"}
+    results += _train_case("householder", together=True)  # runs that all reach the last epoch
+    for res in results:
         assert all(a.base is None for a in _state_arrays(res.final_state))
+
+
+def test_all_finite_flags_only_the_run_that_holds_a_nan():
+    spec = NetworkSpec(3, 4, 4, 4, ActivationKind.TANH)
+    init = InitializerSpec(InitKind.SCALED_GAUSSIAN, 1.0)
+    for leaf in ("biases", "readout_weight", "readout_bias"):
+        state = stack_states([build_network(spec, init, Rng(0, (run,))) for run in range(3)])
+        assert tr._all_finite(state).tolist() == [True, True, True]
+        array = state.biases[1] if leaf == "biases" else getattr(state, leaf)
+        array[1, 0, -1] = np.nan
+        assert tr._all_finite(state).tolist() == [True, False, True], leaf
