@@ -5,7 +5,8 @@ The indicator (here ``vni``) is the weighted average of squared correlation
 coefficients between output-layer nodes, weights sigma_i^2 sigma_j^2.  It
 ranges from 1/N (independent nodes) to 1 (full collapse).  The covariance
 form tr(C C^T)/tr(C)^2 is an exact identity with the correlation form; the
-Jacobian and moment forms are the random-matrix approximations.
+Jacobian and moment forms are the random-matrix approximations.  Like
+``per_layer_gain``, ``vni_empirical`` also reads a stack of R runs at once.
 """
 
 from __future__ import annotations
@@ -75,34 +76,33 @@ class GradientDiagnostics:
 
 
 def _corr_stats(activations: np.ndarray):
-    """Sample covariance of a (batch >= 2) x N activation matrix and its diagonal."""
+    """Sample covariance of a (batch >= 2) x N activation matrix, or of each in an R-stack, and its diagonal."""
     a = np.asarray(activations, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] < 2:
-        raise ValueError("need a (batch >= 2) x N activation matrix")
-    centered = a - a.mean(axis=0)
-    cov = (centered.T @ centered) / (a.shape[0] - 1)
-    var = np.diag(cov).copy()
-    if np.all(var == 0):
+    if a.ndim not in (2, 3) or a.shape[-2] < 2:
+        raise ValueError("need a (batch >= 2) x N activation matrix, or a stack of them")
+    centered = a - a.mean(axis=-2, keepdims=True)
+    cov = (centered.swapaxes(-1, -2) @ centered) / (a.shape[-2] - 1)
+    var = np.diagonal(cov, axis1=-2, axis2=-1).copy()
+    if np.any(np.all(var == 0, axis=-1)):
         raise ValueError("all nodes are constant: correlations undefined")
     return cov, var
 
 
 def _weighted_corr_sq(cov: np.ndarray, var: np.ndarray):
     """(indicator, squared correlations, variances) from ``_corr_stats``."""
-    live = var > 0
-    corr_sq = np.zeros_like(cov)
-    denom = np.sqrt(np.outer(var[live], var[live]))
-    corr_sq[np.ix_(live, live)] = np.clip((cov[np.ix_(live, live)] / denom) ** 2, 0.0, 1.0)
-    weights = np.outer(var, var)
-    value = float(np.sum(corr_sq * weights) / np.sum(weights))
-    return value, corr_sq, var
+    weights = var[..., :, None] * var[..., None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):  # the pairs with a constant node are masked
+        corr_sq = np.where(weights > 0, np.clip((cov / np.sqrt(weights)) ** 2, 0.0, 1.0), 0.0)
+    value = np.sum(corr_sq * weights, axis=(-2, -1)) / np.sum(weights, axis=(-2, -1))
+    return (float(value) if cov.ndim == 2 else value), corr_sq, var
 
 
 def vni_empirical(activations: np.ndarray):
     """Indicator from sample statistics of an activation batch.
 
     Returns ``(value, corr_sq, node_variances)``.  Constant nodes contribute
-    zero weight; their corr_sq entries are reported as 0.
+    zero weight; their corr_sq entries are reported as 0.  An R x batch x N
+    stack gives an array of R values, each run read alone.
     """
     return _weighted_corr_sq(*_corr_stats(activations))
 
@@ -221,7 +221,7 @@ def correlation_heatmap(corr_sq: np.ndarray):
     if lead[np.argmax(np.abs(lead))] < 0:
         lead = -lead
     perm = np.argsort(-lead, kind="stable")
-    return c[np.ix_(perm, perm)], perm
+    return c[perm][:, perm], perm
 
 
 def per_layer_gain(state: NetworkState, mu1: float) -> np.ndarray:

@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .activations import ActivationKind
+from .data import DATASETS
 from .initializers import InitKind, InitializerSpec
 from .network import NetworkSpec
 from .training import OptimizerKind, OptimizerSpec, SuccessCriterion
@@ -45,7 +46,7 @@ class ExperimentConfig:
     epochs: int = 100
     early_stop: bool = False
     # task / probe
-    dataset: str = "xor2"  # and2 | and4 | xor2 | mnist
+    dataset: str = "xor2"  # one of data.DATASETS
     mnist_dir: str = "data/mnist"
     train_slice: int = 5000
     test_slice: int = 1000
@@ -65,6 +66,8 @@ class ExperimentConfig:
         ActivationKind(self.activation)
         InitKind(self.init)
         OptimizerKind(self.optimizer)
+        if self.dataset.lower() not in DATASETS:
+            raise ValueError(f"dataset must be one of {', '.join(DATASETS)}, got {self.dataset!r}")
         for name in ("widths", "depths", "learning_rates"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must hold at least one value")

@@ -25,6 +25,7 @@ __all__ = [
     "gaussian_probe",
     "fetch_mnist",
     "MNIST_FILES",
+    "DATASETS",
 ]
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -145,6 +146,8 @@ def load_mnist_idx(images_path, labels_path) -> Dataset:
 
 
 _SYNTHETIC_KINDS = ("and2", "and4", "xor2")
+# The task names a config may give, compared in lower case.
+DATASETS = (*_SYNTHETIC_KINDS, "mnist")
 
 
 def synthetic_task(kind: str) -> Dataset:

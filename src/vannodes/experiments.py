@@ -10,6 +10,7 @@ recompute every cell on each call.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from .analysis import (
     vni_theoretical,
 )
 from .config import ExperimentConfig
-from .data import gaussian_probe, load_mnist_idx, synthetic_task
+from .data import DATASETS, gaussian_probe, load_mnist_idx, synthetic_task
 from .initializers import InitKind, InitializerSpec
 from .linalg import Rng
 from .network import build_network, layers, output
@@ -63,8 +64,9 @@ def _header(config: ExperimentConfig) -> str:
 class RunStore:
     """Append-only CSV of per-run results, keyed for resumability.
 
-    A row cut short by a crash (no trailing newline) or with the wrong number
-    of fields is dropped on load with a warning, so its run is computed
+    A row cut short by a crash (no trailing newline), with the wrong number
+    of fields, with bytes that are not UTF-8 or with a value that is not a
+    finite float is dropped on load with a warning, so its run is computed
     again; the file is truncated to its last complete row before appending.
     """
 
@@ -94,14 +96,20 @@ class RunStore:
         dropped = int(end < len(data))
         if dropped:
             os.truncate(self.path, end)
-        for line in data[start:end].decode().splitlines():
-            parts = line.split(",")
-            if len(parts) == len(self.columns) + 1:
+        for line in data[start:end].split(b"\n")[:-1]:
+            try:
+                parts = line.decode().split(",")
+                whole = len(parts) == len(self.columns) + 1 and all(
+                    math.isfinite(float(v)) for field in parts[1:] for v in field.split(";")
+                )
+            except ValueError:  # not UTF-8, or a value that is not a number
+                whole = False
+            if whole:
                 self.rows[parts[0]] = parts[1:]
             else:
                 dropped += 1
         if dropped:
-            warnings.warn(f"{self.path}: dropped {dropped} incomplete row(s); their runs are recomputed")
+            warnings.warn(f"{self.path}: dropped {dropped} incomplete or corrupt row(s); their runs are recomputed")
 
     def add(self, key: str, values: list):
         formatted = [f"{v:.10g}" if isinstance(v, float) else str(v) for v in values]
@@ -146,9 +154,8 @@ def _write_csv(config: ExperimentConfig, name: str, header_cols: str, rows: list
 def build_task(config: ExperimentConfig):
     """(train_set, test_set) for the configured dataset."""
     name = config.dataset.lower()
-    if name in ("and2", "and4", "xor2"):
-        ds = synthetic_task(name)
-        return ds, ds
+    if name not in DATASETS:
+        raise ValueError(f"unknown dataset {config.dataset!r}")
     if name == "mnist":
         train_ds = load_mnist_idx(
             os.path.join(config.mnist_dir, "train-images-idx3-ubyte"),
@@ -159,7 +166,8 @@ def build_task(config: ExperimentConfig):
             os.path.join(config.mnist_dir, "t10k-labels-idx1-ubyte"),
         ).take(config.test_slice)
         return train_ds, test_ds
-    raise ValueError(f"unknown dataset {config.dataset!r}")
+    ds = synthetic_task(name)
+    return ds, ds
 
 
 def _task(config: ExperimentConfig) -> tuple:
@@ -451,10 +459,10 @@ def run_grid(config: ExperimentConfig) -> dict:
     for i, depth in enumerate(config.depths):
         for j, lr in enumerate(config.learning_rates):
             cell = next(stored)
-            frac = sum(int(c[3]) for c in cell) / config.runs
+            frac = sum(float(c[3]) for c in cell) / config.runs
             prob[i, j] = frac
             success_rows.append([depth, f"{lr:g}", f"{frac:.4f}"])
-            per_run.extend([int(c[3]), float(c[4]), float(c[5])] for c in cell)
+            per_run.extend([float(c[3]), float(c[4]), float(c[5])] for c in cell)
     _write_csv(config, "grid", "depth,lr,success_fraction", success_rows)
     svgplot.heatmap(
         _path(config, "grid", "svg"),

@@ -8,7 +8,7 @@ runs it is stacked with.  A run leaves its stack, at its end or its last
 epoch, as a copy (``network.run_state``).
 After each epoch the engine records loss/accuracy, the node-correlation
 indicator on a fixed probe, the per-layer gain sigma_w^2 mu_1, and the
-log-norm of the input gradient.
+log-norm of the input gradient, each read for all runs of a stack at once.
 """
 
 from __future__ import annotations
@@ -67,8 +67,9 @@ _RMSPROP_EPS = 1e-8
 _EVAL_BATCH = 1000
 # Floats (32 MB) that the per-run arrays of a stack of runs trained together
 # may hold: every layer's post-activations kept by a training step and by the
-# statistics' input-gradient pass, the probe activations and an evaluation
-# chunk's.  ``train`` splits its runs into stacks that fit.
+# statistics' input-gradient pass, the probe activations with the two copies
+# the indicator makes of them, and an evaluation chunk's.  ``train`` splits
+# its runs into stacks that fit.
 _TRACE_FLOATS = 1 << 22
 
 
@@ -265,27 +266,22 @@ def _epoch_stats(
     indicator or gain, all-constant probe activations, or an input-gradient
     log-norm of NaN or +inf (not -inf, which is a truly vanished gradient).
 
-    The probe, input-gradient and test passes, the finiteness check and the
-    gains read the stack; the indicator and the input-gradient log-norm read
-    each run's slice."""
-    after = epoch > 0
+    Every value is read from the stacked arrays, with one indicator call for
+    the runs that have not diverged.  The fields are Python floats, and the
+    log-norm is ``math.log10``'s, which ``np.log10`` does not match bit for
+    bit."""
     acts = output(headless(state), probe)
     g_in = _input_gradient(state, train_set)
-    test_acc = evaluate(state, test_set)[1] if test_set is not None else None
-    finite, gains = _all_finite(state), per_layer_gain(state, mu1)
-
-    def record(r: int) -> TrainRecord | None:
-        if after and not (math.isfinite(train_loss[r]) and finite[r] and np.any(acts[r] != acts[r][0])):
-            return None
-        vni, _, _ = vni_empirical(acts[r])
-        sq_norm = float(np.sum(g_in[r] * g_in[r]) / g_in.shape[-2])
-        log_norm = math.log10(sq_norm) if sq_norm != 0 else -math.inf
-        if after and not (math.isfinite(vni) and np.all(np.isfinite(gains[r])) and log_norm < math.inf):
-            return None
-        test = math.nan if test_acc is None else float(test_acc[r])
-        return TrainRecord(epoch, float(train_loss[r]), float(train_acc[r]), test, vni, gains[r], log_norm)
-
-    return [record(r) for r in range(len(acts))]
+    test_acc = evaluate(state, test_set)[1] if test_set is not None else np.full(len(acts), math.nan)
+    gains = per_layer_gain(state, mu1)
+    live = (epoch == 0) | (_all_finite(state) & np.isfinite(train_loss) & np.any(acts != acts[:, :1], axis=(-2, -1)))
+    vni = np.full(len(acts), math.nan)
+    vni[live] = vni_empirical(acts if live.all() else acts[live])[0]  # a copy only when a run diverged
+    sq_norm = np.sum(g_in * g_in, axis=(-2, -1)) / g_in.shape[-2]
+    log_norm = [math.log10(s) if s != 0 else -math.inf for s in sq_norm.tolist()]
+    live &= (epoch == 0) | (np.isfinite(vni) & np.isfinite(gains).all(axis=-1) & (np.array(log_norm) < math.inf))
+    values = zip(train_loss.tolist(), train_acc.tolist(), test_acc.tolist(), vni.tolist(), gains, log_norm)
+    return [TrainRecord(epoch, *v) if ok else None for ok, v in zip(live.tolist(), values)]
 
 
 # Divergence is detected explicitly, so overflow and NaN are not warned about.
@@ -328,6 +324,8 @@ def train(
     opt_specs, rngs = (optimizer_spec, rng) if many else ([optimizer_spec], [rng])
     if spec.num_classes != train_set.num_classes:
         raise ValueError("network num_classes does not match dataset")
+    if criterion.metric == "test_accuracy" and test_set is None:
+        raise ValueError("a test_accuracy criterion needs a test_set")
     if len({o.kind for o in opt_specs}) > 1:
         raise ValueError("runs trained together must share one optimizer kind")
     if batch_size < 1:
@@ -337,9 +335,9 @@ def train(
     max_epochs = criterion.max_epochs if epochs is None else epochs
     n = train_set.num_samples
     probe = train_set.inputs[:_EVAL_BATCH] if probe is None else probe
-    # rows of width_N floats per run; the 3 are the input-gradient pass's back-propagation arrays
+    # rows of width_N floats per run: the gradient pass's 3 back-propagation arrays, the probe's 3 (with copies)
     grad_rows = min(_EVAL_BATCH, n)
-    rows = spec.depth_L * (min(batch_size, n) + grad_rows) + 3 * grad_rows + len(probe) + _EVAL_BATCH
+    rows = spec.depth_L * (min(batch_size, n) + grad_rows) + 3 * grad_rows + 3 * len(probe) + _EVAL_BATCH
     size = max(1, _TRACE_FLOATS // (rows * spec.width_N))
     if len(rngs) > size:  # one stack after another
         stacks = [slice(a, a + size) for a in range(0, len(rngs), size)]

@@ -56,6 +56,30 @@ class TestEmpirical:
         v1, _, _ = an.vni_empirical(x * 3.0 - 2.0)
         assert v1 == pytest.approx(v0, abs=1e-12)
 
+    @pytest.mark.parametrize("runs", [1, 4])
+    def test_stack_equals_each_run_alone(self, runs):
+        # Each run of an R x batch x N stack is read alone, bit for bit; the
+        # stack holds dead nodes, a run with one live node, and a NaN row.
+        x = Rng(9).normal(size=(runs, 50, 7)) * np.array([1e-3, 1.0, 1e3, 2.0])[:runs, None, None]
+        x[0, :, 1] = 4.0
+        if runs > 1:
+            x[1, :, :6] = -1.0
+            x[2, 10] = np.nan
+        value, corr_sq, variances = an.vni_empirical(x)
+        assert value.shape == (runs,) and corr_sq.shape == (runs, 7, 7) and variances.shape == (runs, 7)
+        for r in range(runs):
+            v, c, var = an.vni_empirical(x[r])
+            assert type(v) is float and v.hex() == float(value[r]).hex()
+            assert c.tobytes() == corr_sq[r].tobytes() and var.tobytes() == variances[r].tobytes()
+        if runs > 1:
+            assert np.isnan(value[2]) and np.isfinite(value[[0, 1, 3]]).all()
+
+    def test_stack_with_an_all_constant_run_rejected(self):
+        x = make_activations(300, 5, seed=10).reshape(3, 100, 5)
+        x[1] = 2.0
+        with pytest.raises(ValueError, match="constant"):
+            an.vni_empirical(x)
+
 
 class TestCovarianceRoute:
     def test_identity_matrix(self):

@@ -86,6 +86,7 @@ class TestConfig:
             ("bottleneck_nb=0", "bottleneck_nb"),
             ("probe_samples=1", "probe_samples"),
             ("sigma_w_sq=nan", "sigma_w_sq"),
+            ("dataset=foo", "dataset"),
         ],
     )
     def test_bad_sizes_rejected(self, line, key):

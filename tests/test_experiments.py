@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vannodes import experiments
 from vannodes.analysis import vni_empirical
@@ -17,6 +19,15 @@ SMALL = dict(
     learning_rates=[0.1, 0.5], dataset="xor2", probe_samples=200,
     success_metric="train_accuracy",
 )  # fmt: skip
+
+# the smallest resumable runs, with two runs per cell
+TINY = {
+    "vni_sweep": dict(experiment="vni_sweep", widths=[8], depths=[2], runs=2, probe_samples=64, sigma_w_sq=1.0),
+    "grid": dict(
+        experiment="grid", widths=[8], depths=[2], runs=2, learning_rates=[0.1], epochs=2, max_epochs=2,
+        batch_size=4, success_metric="train_accuracy", sigma_w_sq=1.0,
+    ),
+}  # fmt: skip
 
 
 def _files(out_dir) -> dict:
@@ -38,10 +49,7 @@ def test_resumed_run_rewrites_identical_files(experiment, runner, tmp_path):
 def test_run_store_recomputes_rows_cut_short(tmp_path):
     # A crash while appending leaves a cut-off last row: it is dropped with
     # a warning and recomputed, wherever the cut falls.
-    config = ExperimentConfig(
-        experiment="vni_sweep", widths=[8], depths=[2], runs=2, probe_samples=64,
-        sigma_w_sq=1.0, out_dir=str(tmp_path),
-    )  # fmt: skip
+    config = ExperimentConfig(**TINY["vni_sweep"], out_dir=str(tmp_path))
     experiments.run_vni_sweep(config)
     fresh = _files(tmp_path)
     runs_name = f"sweep_runs_{config.config_hash()}.csv"
@@ -58,12 +66,62 @@ def test_run_store_recomputes_rows_cut_short(tmp_path):
         if cut > last_row:
             assert any(runs_name in str(w.message) for w in caught), cut
 
-    # a complete line with a field missing is dropped and recomputed too
+    # a complete line with a field missing, with bytes that are not UTF-8 or
+    # with a value that is not a finite float is dropped and recomputed too
     summary_name = f"sweep_{config.config_hash()}.csv"
-    (tmp_path / runs_name).write_bytes(data[:last_row] + data[last_row:].split(b",")[0] + b",8,2\n")
-    with pytest.warns(UserWarning, match=runs_name):
-        experiments.run_vni_sweep(config)
-    assert _files(tmp_path)[summary_name] == fresh[summary_name]
+    value = data.rfind(b",") + 1  # the last row's indicator
+    damaged = [data[:value] + bad + b"\n" for bad in (b"\xff", b"abc", b"nan", b"-inf", b"0.5;x")]
+    for corrupt in [data[:last_row] + data[last_row:].split(b",")[0] + b",8,2\n", *damaged]:
+        (tmp_path / runs_name).write_bytes(corrupt)
+        with pytest.warns(UserWarning, match=runs_name):
+            experiments.run_vni_sweep(config)
+        assert _files(tmp_path)[summary_name] == fresh[summary_name], corrupt
+
+
+def _aggregates(config) -> list:
+    """The arrays a resumable runner aggregates from its run CSV."""
+    if config.experiment == "vni_sweep":
+        return [a for _, means, stds, _ in experiments.run_vni_sweep(config).values() for a in (means, stds)]
+    return list(experiments.run_grid(config).values())
+
+
+@pytest.fixture(scope="module")
+def fresh_run_csvs(tmp_path_factory) -> dict:
+    """experiment -> (config, run CSV path, its bytes after a fresh run)."""
+    runs = {}
+    for experiment, fields in TINY.items():
+        config = ExperimentConfig(**fields, out_dir=str(tmp_path_factory.mktemp(experiment)))
+        _aggregates(config)
+        [path] = Path(config.out_dir).glob("*_runs_*.csv")
+        runs[experiment] = (config, path, path.read_bytes())
+    return runs
+
+
+@st.composite
+def _damaged(draw, data: bytes) -> bytes:
+    """A prefix of ``data``, or ``data`` with up to 8 bytes overwritten."""
+    if draw(st.booleans()):
+        return data[: draw(st.integers(0, len(data)))]
+    damaged = bytearray(data)
+    for _ in range(draw(st.integers(1, 8))):
+        damaged[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    return bytes(damaged)
+
+
+@pytest.mark.parametrize("experiment", sorted(TINY))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_run_store_survives_any_damage(experiment, fresh_run_csvs, data):
+    # Whatever a crash or a stray write leaves of a run CSV, the rerun
+    # raises nothing and aggregates finite values only.
+    config, path, fresh = fresh_run_csvs[experiment]
+    for old in path.parent.iterdir():
+        old.unlink()
+    path.write_bytes(data.draw(_damaged(fresh)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        aggregates = _aggregates(config)
+    assert all(np.isfinite(a).all() for a in aggregates)
 
 
 def test_run_store_closed_when_a_run_fails(tmp_path, monkeypatch):

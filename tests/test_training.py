@@ -139,6 +139,14 @@ class TestTrain:
         with pytest.raises(ValueError, match=f"{name} must be"):
             tr.train(spec, init, opt, ds, crit, Rng(0), batch_size=batch_size, epochs=epochs)
 
+    def test_test_accuracy_criterion_needs_a_test_set(self):
+        # Without a test set the test accuracy is NaN, so the run could never
+        # succeed, however well it learns the training set.
+        spec, init, opt, ds, crit = xor_setup(depth=2, width=8, lr=0.5, epochs=30, metric="test_accuracy")
+        with pytest.raises(ValueError, match="test_set"):
+            tr.train(spec, init, opt, ds, crit, Rng(0), batch_size=4)
+        assert tr.train(spec, init, opt, ds, crit, Rng(0), test_set=ds, batch_size=4).success
+
     def test_early_stop(self):
         spec, init, opt, ds, crit = xor_setup(epochs=200)
         res = tr.train(
@@ -205,6 +213,20 @@ class TestTrain:
             warnings.simplefilter("error")
             res = tr.train(spec, init, opt, synthetic_task("and4"), crit, Rng(2), batch_size=1)
         assert res.reason == "diverged"
+
+    def test_undefined_indicator_alone_diverges(self):
+        # A probe whose covariance overflows leaves the indicator NaN while the
+        # parameters, the loss and the input gradient stay finite; the same run
+        # on the task inputs converges.
+        spec = NetworkSpec(2, 8, 2, 2, ActivationKind.RELU)
+        init = InitializerSpec(InitKind.SCALED_GAUSSIAN, 2.0)
+        opt = tr.OptimizerSpec(tr.OptimizerKind.SGD, 0.1)
+        crit = tr.SuccessCriterion("train_accuracy", 0.99, 5)
+        probe = Rng(1).normal(size=(16, 2)) * 1e200
+        res = tr.train(spec, init, opt, synthetic_task("xor2"), crit, Rng(0), batch_size=4, probe=probe)
+        assert res.reason == "diverged" and len(res.records) == 1
+        assert math.isnan(res.records[0].vni) and math.isfinite(res.records[0].input_grad_log_norm)
+        assert tr.train(spec, init, opt, synthetic_task("xor2"), crit, Rng(0), batch_size=4).success
 
     def test_failure_reason(self):
         # 1 epoch of SGD will not solve xor
@@ -396,6 +418,25 @@ def test_runs_trained_together_equal_runs_trained_alone(kind, seed, batch_size):
     assert {"converged", "diverged", "max_epochs"} <= {r.reason for r in together}
     for opt, rng, res in zip(opts, rngs, together, strict=True):
         _assert_same_run(res, tr.train(spec, init, opt, ds, crit, rng, **kw))
+
+
+def test_undefined_epoch_statistics_diverge_in_a_stack():
+    # The five runs of test_undefined_epoch_statistics_diverge in one stack
+    # with a healthy run: the five leave on their epoch-1 statistics, the
+    # healthy run trains on, and each ends as it does alone.
+    spec = NetworkSpec(3, 32, 4, 4, ActivationKind.RELU)
+    init = InitializerSpec(InitKind.SCALED_GAUSSIAN, 2.0)
+    crit = tr.SuccessCriterion("train_accuracy", 0.99, 10)
+    ds = synthetic_task("and4")
+    runs = [(10.0, 0), (10.0, 1), (10.0, 2), (10.0, 3), (1.0, 2), (0.01, 0)]
+    opts = [tr.OptimizerSpec(tr.OptimizerKind.SGD, lr) for lr, _ in runs]
+    with np.errstate(all="ignore"):
+        together = tr.train(spec, init, opts, ds, crit, [Rng(seed) for _, seed in runs], batch_size=1)
+        alone = [tr.train(spec, init, opt, ds, crit, Rng(seed), batch_size=1) for opt, (_, seed) in zip(opts, runs)]
+    assert [len(r.records) for r in together] == [1] * 5 + [11]
+    assert [r.reason for r in together[:5]] == ["diverged"] * 5 and together[5].reason != "diverged"
+    for a, b in zip(together, alone, strict=True):
+        _assert_same_run(a, b)
 
 
 def test_train_takes_equal_length_run_lists():
