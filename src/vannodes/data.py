@@ -11,7 +11,6 @@ import gzip
 import hashlib
 import os
 import struct
-import urllib.request
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -189,6 +188,8 @@ def fetch_mnist(out_dir, mirrors=MNIST_MIRRORS) -> list:
     Each file is written to ``<name>.part`` and renamed when complete.
     Raises if no mirror is reachable or a checksum fails.
     """
+    import urllib.request  # only here: it loads http, email and ssl
+
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for name, (sha256, count) in MNIST_FILES.items():

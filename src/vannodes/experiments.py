@@ -67,7 +67,8 @@ class RunStore:
     A row cut short by a crash (no trailing newline), with the wrong number
     of fields, with bytes that are not UTF-8 or with a value that is not a
     finite float is dropped on load with a warning, so its run is computed
-    again; the file is truncated to its last complete row before appending.
+    again; the file is then rewritten with the kept rows only, so the next
+    load finds nothing to drop.
     """
 
     def __init__(self, config: ExperimentConfig, name: str, columns: list):
@@ -90,13 +91,12 @@ class RunStore:
         self._f.flush()
 
     def _load(self, data: bytes, start: int):
-        """Keep the complete rows of ``data[start:]`` and cut the file after
-        its last newline, so that the next row starts on a line of its own."""
-        end = data.rfind(b"\n") + 1
-        dropped = int(end < len(data))
-        if dropped:
-            os.truncate(self.path, end)
-        for line in data[start:end].split(b"\n")[:-1]:
+        """Keep the complete rows of ``data[start:]``.  When any is dropped,
+        replace the file by its header and the kept rows, written to
+        ``<path>.part`` first so that a crash leaves the old file whole."""
+        lines = data[start:].split(b"\n")
+        dropped = int(lines.pop() != b"")  # a last row with no newline
+        for line in lines:
             try:
                 parts = line.decode().split(",")
                 whole = len(parts) == len(self.columns) + 1 and all(
@@ -110,6 +110,10 @@ class RunStore:
                 dropped += 1
         if dropped:
             warnings.warn(f"{self.path}: dropped {dropped} incomplete or corrupt row(s); their runs are recomputed")
+            with open(self.path + ".part", "w") as f:
+                f.write(data[:start].decode())
+                f.writelines(",".join([key, *values]) + "\n" for key, values in self.rows.items())
+            os.replace(self.path + ".part", self.path)
 
     def add(self, key: str, values: list):
         formatted = [f"{v:.10g}" if isinstance(v, float) else str(v) for v in values]

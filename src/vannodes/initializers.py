@@ -2,9 +2,12 @@
 bottleneck, and the Householder product parametrization.
 
 A Householder layer is materialized, and its reflection vectors get their
-gradients, in the compact-WY form H_n ... H_1 = I - U^T A^-1 U with A lower
-triangular: a few dense n x n products and one solve or inverse per call,
-with no loop over the n reflections.
+gradients, in the compact-WY form H_n ... H_1 = I - U^T S U with S = A^-1
+and A lower triangular: a few dense n x n products, with no loop over the n
+reflections.  Materializing forms the factors (U, the row lengths, S and
+S U) and keeps them on the stack beside W, so the backward pass that
+follows reads them and makes no LAPACK call.  S comes from a 2 x 2-block
+triangular inverse that hands only blocks of at most 16 rows to LAPACK.
 
 The bottleneck scheme deliberately limits the rank of each weight matrix
 (rank <= N_b) while keeping the norm-preserving scale, so a network can start
@@ -19,8 +22,10 @@ bottleneck network loses about 0.55 decade of squared gradient norm per layer.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,6 +105,16 @@ def init_bottleneck(
     return (v @ u) / math.sqrt(n_b * n_mean)
 
 
+class WYFactors(NamedTuple):
+    """The compact-WY factors of the reflection vectors of a stack (see
+    ``householder_materialize``), each with the stack's leading axes."""
+
+    u: np.ndarray  # the unit reflection rows, n x n
+    lengths: np.ndarray  # |v_i| as a column, n x 1
+    s: np.ndarray  # A^-1, lower triangular
+    x: np.ndarray  # S U
+
+
 @dataclass
 class HouseholderStack:
     """Square orthogonal matrix represented as a product of n reflections.
@@ -114,9 +129,15 @@ class HouseholderStack:
     The stacks of R runs trained together are one stack whose ``vectors``
     are R x n x n; ``householder_materialize`` and ``householder_backward``
     act on each run's slice.
+
+    ``factors`` are the WY factors of the vectors the last
+    ``householder_materialize`` read, kept beside the W it returned; a new
+    stack holds none.  An in-place update of the vectors leaves both W and
+    the factors stale until the next materialize.
     """
 
     vectors: np.ndarray = field(repr=False)
+    factors: WYFactors | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.vectors, dtype=np.float64)
@@ -141,7 +162,7 @@ class HouseholderStack:
         """A stack of n x n or R x n x n rows taken from checked stacks, not
         checked again: training updates may since have made them non-finite."""
         stack = object.__new__(cls)
-        stack.vectors = vectors
+        stack.vectors, stack.factors = vectors, None
         return stack
 
 
@@ -149,6 +170,49 @@ def householder_init(n: int, rng: Rng) -> HouseholderStack:
     if n < 1:
         raise ValueError("n must be >= 1")
     return HouseholderStack(rng.normal(size=(n, n)))
+
+
+@functools.cache
+def _lower_mask(n: int) -> np.ndarray:
+    """The n x n lower triangle, diagonal included, as a read-only mask."""
+    mask = np.tri(n, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def _lower_half(a: np.ndarray) -> np.ndarray:
+    """tril(a, -1) + diag(a) / 2 of each n x n slice, as a new array.  Entries
+    above the diagonal become 0 whatever they hold, NaN too."""
+    out = np.where(_lower_mask(a.shape[-1]), a, 0.0)
+    np.einsum("...ii->...i", out)[...] *= 0.5
+    return out
+
+
+# Diagonal blocks of at most this many rows go to LAPACK's inverse.
+_LEAF = 16
+
+
+def _lower_inverse(a: np.ndarray) -> np.ndarray:
+    """The inverse of each lower-triangular n x n slice of ``a``, from the
+    2 x 2 blocks [[A11, 0], [A21, A22]]^-1 = [[S11, 0], [-S22 A21 S11, S22]].
+    Halves of equal size are inverted in one call, stacked, so all blocks of
+    at most ``_LEAF`` rows at the bottom of the recursion reach LAPACK
+    together; its pivoted LU of a whole triangular A costs more than the
+    products do."""
+    n = a.shape[-1]
+    if n <= _LEAF:
+        return np.linalg.inv(a)
+    h = n // 2
+    if n % 2:
+        s11, s22 = _lower_inverse(a[..., :h, :h]), _lower_inverse(a[..., h:, h:])
+    else:
+        halves = _lower_inverse(np.concatenate((a[..., None, :h, :h], a[..., None, h:, h:]), axis=-3))
+        s11, s22 = halves[..., 0, :, :], halves[..., 1, :, :]
+    s = np.zeros_like(a)
+    s[..., :h, :h] = s11
+    s[..., h:, h:] = s22
+    s[..., h:, :h] = -(s22 @ (a[..., h:, :h] @ s11))
+    return s
 
 
 def _unit_rows(vectors: np.ndarray):
@@ -162,20 +226,22 @@ def _unit_rows(vectors: np.ndarray):
     return u / norms, peak * norms
 
 
-def _wy_pivots(u: np.ndarray) -> np.ndarray:
-    """A = tril(U U^T, -1) + diag(U U^T) / 2, lower triangular with diagonal
-    |u_i|^2 / 2 > 0, so H_n ... H_1 = I - U^T A^-1 U (the compact-WY / UT
-    form of the product; Schreiber & Van Loan 1989, Joffrain et al. 2006)."""
-    a = np.tril(u @ u.swapaxes(-1, -2))
-    np.einsum("...ii->...i", a)[...] *= 0.5
-    return a
+def _wy_factors(vectors: np.ndarray) -> WYFactors:
+    """U, the lengths, S = A^-1 and S U, where A = tril(U U^T, -1) +
+    diag(U U^T) / 2 is lower triangular with diagonal |u_i|^2 / 2 > 0, so
+    H_n ... H_1 = I - U^T S U (the compact-WY / UT form of the product;
+    Schreiber & Van Loan 1989, Joffrain et al. 2006)."""
+    u, lengths = _unit_rows(vectors)
+    s = _lower_inverse(_lower_half(u @ u.swapaxes(-1, -2)))
+    return WYFactors(u, lengths, s, s @ u)
 
 
 def householder_materialize(stack: HouseholderStack) -> np.ndarray:
-    """W = H_n ... H_1 = I - U^T A^-1 U: one Gram product, one solve and one
-    product, with no loop over the reflections."""
-    u, _ = _unit_rows(stack.vectors)
-    return np.eye(stack.n) - u.swapaxes(-1, -2) @ np.linalg.solve(_wy_pivots(u), u)
+    """W = H_n ... H_1 = I - U^T (S U): one Gram product, one triangular
+    inverse and two products, with no loop over the reflections.  The
+    factors are kept on ``stack`` for ``householder_backward``."""
+    stack.factors = f = _wy_factors(stack.vectors)
+    return np.eye(stack.n) - f.u.swapaxes(-1, -2) @ f.x
 
 
 def householder_backward(stack: HouseholderStack, upstream_grad: np.ndarray) -> np.ndarray:
@@ -183,23 +249,20 @@ def householder_backward(stack: HouseholderStack, upstream_grad: np.ndarray) -> 
     materialized W = H_n ... H_1.  Returns an array shaped like
     ``stack.vectors``.
 
-    With W = I - U^T S U, S = A^-1 (see ``_wy_pivots``), X = S U and
-    Y = S^T U, the gradient w.r.t. the unit rows is
-    (C + C^T) U - X G^T - Y G, where B = Y G X^T and
-    C = tril(B, -1) + diag(B) / 2.  W depends on v_i only through
-    u_i = v_i / |v_i| and that gradient is orthogonal to u_i, so v_i's
-    gradient is row i divided by |v_i|.  One inverse and seven products,
-    counting the Gram product.
+    With W = I - U^T S U (see ``_wy_factors``), X = S U and Y = S^T U, the
+    gradient w.r.t. the unit rows is (C + C^T) U - X G^T - Y G, where
+    B = Y G X^T and C = tril(B, -1) + diag(B) / 2.  W depends on v_i only
+    through u_i = v_i / |v_i| and that gradient is orthogonal to u_i, so
+    v_i's gradient is row i divided by |v_i|.  Five products and no LAPACK
+    call, reading the factors the last materialize kept; a stack that holds
+    none forms them first.
     """
     g = np.asarray(upstream_grad, dtype=np.float64)
     if g.shape != stack.vectors.shape:
         raise ValueError(f"upstream gradient must be {stack.vectors.shape}, got {g.shape}")
-    u, lengths = _unit_rows(stack.vectors)
-    s = np.linalg.inv(_wy_pivots(u))
-    x = s @ u
+    u, lengths, s, x = stack.factors if stack.factors is not None else _wy_factors(stack.vectors)
     yg = (s.swapaxes(-1, -2) @ u) @ g
-    c = np.tril(yg @ x.swapaxes(-1, -2))
-    np.einsum("...ii->...i", c)[...] *= 0.5
+    c = _lower_half(yg @ x.swapaxes(-1, -2))
     return ((c + c.swapaxes(-1, -2)) @ u - x @ g.swapaxes(-1, -2) - yg) / lengths
 
 

@@ -96,7 +96,8 @@ class NetworkState:
 
     def rematerialize(self):
         """Refresh materialized weights from Householder stacks after an
-        update to the reflection vectors."""
+        update to the reflection vectors.  Each stack keeps the WY factors
+        of its new W, which the next ``backward`` reads."""
         if self.stacks is None:
             return
         for l, stack in enumerate(self.stacks):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .analysis import per_layer_gain, vni_empirical
 from .data import Dataset
-from .initializers import InitializerSpec
+from .initializers import InitializerSpec, InitKind
 from .linalg import Rng
 from .network import (
     NetworkSpec,
@@ -68,8 +68,9 @@ _EVAL_BATCH = 1000
 # Floats (32 MB) that the per-run arrays of a stack of runs trained together
 # may hold: every layer's post-activations kept by a training step and by the
 # statistics' input-gradient pass, the probe activations with the two copies
-# the indicator makes of them, and an evaluation chunk's.  ``train`` splits
-# its runs into stacks that fit.
+# the indicator makes of them, an evaluation chunk's, and the WY factors
+# (U, S and S U) that each Householder layer keeps.  ``train`` splits its
+# runs into stacks that fit.
 _TRACE_FLOATS = 1 << 22
 
 
@@ -338,6 +339,8 @@ def train(
     # rows of width_N floats per run: the gradient pass's 3 back-propagation arrays, the probe's 3 (with copies)
     grad_rows = min(_EVAL_BATCH, n)
     rows = spec.depth_L * (min(batch_size, n) + grad_rows) + 3 * grad_rows + 3 * len(probe) + _EVAL_BATCH
+    if init.kind is InitKind.HOUSEHOLDER:  # 3 n x n factors per layer
+        rows += 3 * spec.depth_L * spec.width_N
     size = max(1, _TRACE_FLOATS // (rows * spec.width_N))
     if len(rngs) > size:  # one stack after another
         stacks = [slice(a, a + size) for a in range(0, len(rngs), size)]

@@ -2,6 +2,8 @@ import gzip
 import hashlib
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -204,3 +206,12 @@ class TestFetchMnist:
         monkeypatch.setattr(cli, "fetch_mnist", lambda out_dir: dt.fetch_mnist(out_dir, mirrors=(url,)))
         assert cli.main(["fetch-mnist", "--out-dir", str(tmp_path / "out")]) == 1
         assert "fetch failed: checksum mismatch" in capsys.readouterr().err
+
+
+def test_import_loads_no_network_modules():
+    # Only fetch_mnist downloads; importing the package (and every runner
+    # through it) must not pay for http, email and ssl.
+    code = "import sys, vannodes; print(sorted({'urllib.request', 'http.client', 'ssl'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"

@@ -78,6 +78,26 @@ def test_run_store_recomputes_rows_cut_short(tmp_path):
         assert _files(tmp_path)[summary_name] == fresh[summary_name], corrupt
 
 
+
+def test_run_store_drops_a_corrupt_row_from_the_file(tmp_path):
+    # The rerun that drops a corrupt row rewrites the file without it, so
+    # the next rerun warns of nothing and finds each key once.
+    config = ExperimentConfig(**TINY["vni_sweep"], out_dir=str(tmp_path))
+    experiments.run_vni_sweep(config)
+    path = tmp_path / f"sweep_runs_{config.config_hash()}.csv"
+    fresh = path.read_bytes()
+    value = fresh.rfind(b",") + 1  # the last row's indicator
+    path.write_bytes(fresh[:value] + b"abc\n")
+    with pytest.warns(UserWarning, match="dropped 1"):
+        experiments.run_vni_sweep(config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        experiments.run_vni_sweep(config)
+    keys = [line.split(b",")[0] for line in path.read_bytes().splitlines()[2:]]
+    assert len(keys) == len(set(keys)) == config.runs
+    assert sorted(path.read_bytes().splitlines()) == sorted(fresh.splitlines())
+    assert not list(tmp_path.glob("*.part"))
+
 def _aggregates(config) -> list:
     """The arrays a resumable runner aggregates from its run CSV."""
     if config.experiment == "vni_sweep":

@@ -4,6 +4,8 @@ import pytest
 from vannodes import initializers as ini
 from vannodes.initializers import HouseholderStack, InitKind, InitializerSpec
 from vannodes.linalg import Rng
+from vannodes.network import NetworkSpec, backward, build_network, forward, stack_states
+from vannodes.training import Optimizer, OptimizerSpec, _param_leaves
 
 
 def test_scaled_gaussian_variance():
@@ -243,6 +245,72 @@ def test_stacked_runs_equal_each_run_alone(n):
     with pytest.raises(ValueError, match="upstream gradient"):
         ini.householder_backward(stacked, g_out[0])
 
+
+
+@pytest.mark.parametrize("n", [4, 17, 64, 100])
+def test_block_inverse_of_a_stack_equals_each_slice_alone(n):
+    # The recursion splits down to LAPACK blocks of at most 16 rows; a stack
+    # of R pivot matrices gives each slice the bits of its own inverse.
+    u, _ = ini._unit_rows(np.random.default_rng(n).normal(size=(3, n, n)))
+    a = ini._lower_half(u @ u.swapaxes(-1, -2))
+    s = ini._lower_inverse(a)
+    for r in range(3):
+        assert s[r].tobytes() == ini._lower_inverse(a[r]).tobytes()
+        assert np.abs(s[r] @ a[r] - np.eye(n)).max() <= 1e-12
+
+
+def test_lower_half_zeroes_everything_above_the_diagonal():
+    a = np.full((3, 3), np.nan)
+    a[np.tril_indices(3)] = 2.0
+    assert ini._lower_half(a).tolist() == [[1.0, 0.0, 0.0], [2.0, 1.0, 0.0], [2.0, 2.0, 1.0]]
+
+
+@pytest.mark.parametrize("n", [4, 64, 100])
+@pytest.mark.parametrize("kind", sorted(ADVERSARIAL_STACKS))
+def test_materialized_w_stays_near_the_solve_form(kind, n):
+    # W = I - U^T (S U) from one inverse S and the solve form
+    # I - U^T solve(A, U) are two products of inner dimension n apart, so
+    # their entries (all of size <= 1) may differ by at most 2 n eps.
+    vectors = ADVERSARIAL_STACKS[kind](n, Rng(60 + n))
+    u, _ = ini._unit_rows(vectors)
+    solve_form = np.eye(n) - u.T @ np.linalg.solve(ini._lower_half(u @ u.T), u)
+    w = ini.householder_materialize(HouseholderStack(vectors))
+    assert np.abs(w - solve_form).max() <= 2 * n * np.finfo(np.float64).eps
+
+
+class _NoLinalg:
+    def __getattr__(self, name):
+        raise AssertionError(f"np.linalg.{name} called")
+
+
+def test_backward_after_materialize_makes_no_lapack_call(monkeypatch):
+    st = ini.householder_init(64, Rng(70))
+    g_out = Rng(71).normal(size=(64, 64))
+    fresh = ini.householder_backward(HouseholderStack(st.vectors.copy()), g_out)
+    ini.householder_materialize(st)
+    monkeypatch.setattr(np, "linalg", _NoLinalg())
+    assert ini.householder_backward(st, g_out).tobytes() == fresh.tobytes()
+    with pytest.raises(AssertionError, match="np.linalg"):  # a stack without factors forms them
+        ini.householder_backward(HouseholderStack(st.vectors.copy()), g_out)
+
+
+def test_backward_reads_the_factors_of_the_last_update():
+    # Two runs stacked, two SGD steps, each followed by rematerialize: the
+    # backward that reads the kept factors has the bits of one on a fresh
+    # stack of the same vectors, which forms its own.
+    spec = NetworkSpec(3, 20, 20, 0)
+    init = InitializerSpec(InitKind.HOUSEHOLDER)
+    state = stack_states([build_network(spec, init, Rng(80, (run,))) for run in range(2)])
+    batch, g = Rng(81).normal(size=(2, 5, 20)), Rng(82).normal(size=(2, 5, 20))
+    opt = Optimizer(OptimizerSpec(learning_rate=0.1))
+    for _ in range(2):
+        opt.step(_param_leaves(state, backward(state, forward(state, batch), g)))
+        state.rematerialize()
+    g_w = Rng(83).normal(size=(2, 20, 20))
+    for stack in state.stacks:
+        assert stack.factors is not None
+        fresh = HouseholderStack.unchecked(stack.vectors.copy())
+        assert ini.householder_backward(stack, g_w).tobytes() == ini.householder_backward(fresh, g_w).tobytes()
 
 class TestDispatch:
     def test_square_kinds(self):
