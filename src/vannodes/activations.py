@@ -11,8 +11,8 @@ point.
 Both are solved directly: q_star by safeguarded Newton on
 F(q) = q - sigma_w^2 m(q) - sigma_b^2 (``variance_fixed_point``), and the
 norm-preserving sigma_w^2 by bisection on g(s) = s mu_1(q_star(s)) - 1
-(``tune_sigma_w_sq``).  For tanh and hard-tanh at sigma_b = 0 the root is the
-critical point sigma_w^2 = 1, q_star = 0 (Schoenholz et al. 2017, "Deep
+(``tune_sigma_w_sq``, which takes no bias).  For tanh and hard-tanh its root
+is the critical point sigma_w^2 = 1, q_star = 0 (Schoenholz et al. 2017, "Deep
 Information Propagation"): the plain recursion slows down critically there,
 taking about 1/(sigma_w^2 - 1) steps.
 """
@@ -246,28 +246,25 @@ def variance_fixed_point(
     raise ConvergenceError(f"variance fixed point did not converge in {_MAX_ITER} steps (|F| = {abs(f):.3g})")
 
 
-def tune_sigma_w_sq(
-    kind: ActivationKind,
-    sigma_x_sq: float = 0.1,
-    sigma_b_sq: float = 0.0,
-) -> tuple[float, float]:
-    """Solve sigma_w^2 * mu_1(q_star(sigma_w^2)) = 1.
+def tune_sigma_w_sq(kind: ActivationKind, sigma_x_sq: float = 0.1) -> tuple[float, float]:
+    """Solve sigma_w^2 * mu_1(q_star(sigma_w^2)) = 1, with no bias
+    (sigma_b = 0).
 
     Returns (sigma_w_sq, q_star), with q_star exactly as
-    ``variance_fixed_point(kind, sigma_w_sq, sigma_b_sq, sigma_x_sq)`` returns
-    it.  Linear and ReLU have a q-independent mu_1, so sigma_w^2 = 1 / mu_1.
+    ``variance_fixed_point(kind, sigma_w_sq, 0.0, sigma_x_sq)`` returns it.
+    Linear and ReLU have a q-independent mu_1, so sigma_w^2 = 1 / mu_1.
     Tanh and hard-tanh bisect g(s) = s mu_1(q_star(s)) - 1 until |g| <= 1e-12,
     mu_1 by quadrature so the result is deterministic.  g(1) <= 0 because
-    mu_1 <= 1; at sigma_b = 0, g < 0 below s = 1 (q_star = 0, mu_1 = 1) and
-    g > 0 above it, so the root is the critical point s = 1, q_star = 0 and
-    bisection stops just above it, where q_star is tiny.
+    mu_1 <= 1; g < 0 below s = 1 (q_star = 0, mu_1 = 1) and g > 0 above it,
+    so the root is the critical point s = 1, q_star = 0 and bisection stops
+    just above it, where q_star is tiny.
     """
     if kind in (ActivationKind.LINEAR, ActivationKind.RELU):
         s = 1.0 / mu_quadrature(kind, 0.0)[0]
-        return s, variance_fixed_point(kind, s, sigma_b_sq, sigma_x_sq)
+        return s, variance_fixed_point(kind, s, 0.0, sigma_x_sq)
 
     def g(s: float) -> tuple[float, float]:
-        q = variance_fixed_point(kind, s, sigma_b_sq, sigma_x_sq)
+        q = variance_fixed_point(kind, s, 0.0, sigma_x_sq)
         return s * mu_quadrature(kind, q)[0] - 1.0, q
 
     lo, hi = 1.0, 2.0

@@ -131,9 +131,12 @@ class HouseholderStack:
     act on each run's slice.
 
     ``factors`` are the WY factors of the vectors the last
-    ``householder_materialize`` read, kept beside the W it returned; a new
-    stack holds none.  An in-place update of the vectors leaves both W and
-    the factors stale until the next materialize.
+    ``householder_materialize`` read, kept beside the W it returned.  A stack
+    the constructor makes holds none until it is materialized, as every
+    network's stacks are when the network is built or loaded;
+    ``network.stack_states`` moves the runs' factors to the stacked one.
+    An in-place update of the vectors leaves both W and the factors stale
+    until the next materialize.
     """
 
     vectors: np.ndarray = field(repr=False)
@@ -158,11 +161,12 @@ class HouseholderStack:
         return self.vectors.shape[-1]
 
     @classmethod
-    def unchecked(cls, vectors: np.ndarray) -> "HouseholderStack":
+    def unchecked(cls, vectors: np.ndarray, factors: WYFactors | None = None) -> "HouseholderStack":
         """A stack of n x n or R x n x n rows taken from checked stacks, not
-        checked again: training updates may since have made them non-finite."""
+        checked again: training updates may since have made them non-finite.
+        ``factors``, when given, must be the WY factors of ``vectors``."""
         stack = object.__new__(cls)
-        stack.vectors, stack.factors = vectors, None
+        stack.vectors, stack.factors = vectors, factors
         return stack
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .initializers import (
     HouseholderStack,
     InitializerSpec,
     InitKind,
+    WYFactors,
     householder_backward,
     householder_materialize,
     init_scaled,
@@ -122,55 +123,66 @@ class Gradients:
     input_gradient: np.ndarray  # dLoss/dx_0, batch x input_dim
 
 
+def _network(spec: NetworkSpec, layers: list, biases: list, readout_weight=None, readout_bias=None) -> NetworkState:
+    """The network of ``layers``, each a weight matrix or a HouseholderStack,
+    with every stack's W and WY factors formed by ``rematerialize``."""
+    stacks = [w if isinstance(w, HouseholderStack) else None for w in layers]
+    state = NetworkState(spec, layers, biases, stacks if any(stacks) else None, readout_weight, readout_bias)
+    state.rematerialize()
+    return state
+
+
 def build_network(spec: NetworkSpec, init: InitializerSpec, rng: Rng) -> NetworkState:
     """Initialize all layers from an InitializerSpec; biases start at zero.
 
     For the Householder initializer, square backbone layers are stored as
     reflection stacks and stay exactly orthogonal under training updates.
     """
-    weights, stacks = [], []
-    any_stack = False
-    for l in range(spec.depth_L):
-        w = init_weight(init, spec.fan_in(l), spec.width_N, rng.spawn(l))
-        if isinstance(w, HouseholderStack):
-            stacks.append(w)
-            weights.append(householder_materialize(w))
-            any_stack = True
-        else:
-            stacks.append(None)
-            weights.append(w)
-    biases = [np.zeros(spec.width_N) for _ in range(spec.depth_L)]
-    readout_w = readout_b = None
+    layers = [init_weight(init, spec.fan_in(l), spec.width_N, rng.spawn(l)) for l in range(spec.depth_L)]
+    readout = [None, None]
     if spec.num_classes > 0:
-        readout_w = init_scaled(
-            InitKind.SCALED_GAUSSIAN, spec.width_N, spec.num_classes, 1.0, rng.spawn(spec.depth_L)
-        )
-        readout_b = np.zeros(spec.num_classes)
-    return NetworkState(
-        spec=spec,
-        weights=weights,
-        biases=biases,
-        stacks=stacks if any_stack else None,
-        readout_weight=readout_w,
-        readout_bias=readout_b,
-    )
+        w = init_scaled(InitKind.SCALED_GAUSSIAN, spec.width_N, spec.num_classes, 1.0, rng.spawn(spec.depth_L))
+        readout = [w, np.zeros(spec.num_classes)]
+    return _network(spec, layers, [np.zeros(spec.width_N) for _ in range(spec.depth_L)], *readout)
 
 
 def stack_states(states: list) -> NetworkState:
     """The networks ``states``, of one spec and one kind of layers, as one
-    state of copies stacked along a leading run axis."""
+    state of copies stacked along a leading run axis.  The WY factors that
+    runs fresh from ``build_network`` hold move to it, so its first backward
+    forms none."""
     first = states[0]
+    kinds = _layer_kinds(first)
+    for r, other in enumerate(states[1:], 1):
+        for f in fields(NetworkSpec):
+            a, b = getattr(first.spec, f.name), getattr(other.spec, f.name)
+            if a != b:
+                raise ValueError(f"cannot stack runs of different specs: run {r} has {f.name} {b}, run 0 has {a}")
+        for l, (a, b) in enumerate(zip(kinds, _layer_kinds(other))):
+            if a != b:
+                raise ValueError(f"cannot stack runs: layer {l + 1} is {a} in run 0 and {b} in run {r}")
     stacks, readout = None, [None, None]
     if first.stacks is not None:
-        stacks = [
-            None if s is None else HouseholderStack.unchecked(np.stack([t.stacks[l].vectors for t in states]))
-            for l, s in enumerate(first.stacks)
-        ]
+        stacks = [None if s is None else _stacked([t.stacks[l] for t in states]) for l, s in enumerate(first.stacks)]
     if first.spec.num_classes > 0:
         readout = [np.stack([s.readout_weight for s in states]), np.stack([s.readout_bias for s in states])[:, None]]
     weights = [np.stack(layer) for layer in zip(*(s.weights for s in states))]
     biases = [np.stack(layer)[:, None] for layer in zip(*(s.biases for s in states))]
     return NetworkState(first.spec, weights, biases, stacks, *readout)
+
+
+def _layer_kinds(state: NetworkState) -> list:
+    return ["dense" if s is None else "Householder" for s in state.stacks or [None] * state.spec.depth_L]
+
+
+def _stacked(stacks: list) -> HouseholderStack:
+    """One stack of the runs' reflection vectors, to which their WY factors
+    move when every run holds them, so that none are held twice."""
+    factors = [s.factors for s in stacks]
+    kept = None if any(f is None for f in factors) else WYFactors(*map(np.stack, zip(*factors)))
+    for s in stacks:
+        s.factors = None
+    return HouseholderStack.unchecked(np.stack([s.vectors for s in stacks]), kept)
 
 
 def run_state(state: NetworkState, r: int) -> NetworkState:
@@ -289,9 +301,16 @@ def backward(state: NetworkState, trace: ForwardTrace, loss_grad_at_output: np.n
     )
 
 
+def _one_network(state: NetworkState, name: str):
+    """Raise ``ValueError`` when ``state`` is a stack of runs, not one network."""
+    if state.weights[0].ndim != 2:
+        raise ValueError(f"{name} takes one network, not a stack of runs: take each run out with run_state")
+
+
 def jacobian(state: NetworkState, x0: np.ndarray) -> np.ndarray:
     """Input-output Jacobian of the backbone at x0: the ordered product of
     diag(phi'(h_l)) W_l, read from the post-activations (readout excluded)."""
+    _one_network(state, "jacobian")
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
     if x0.shape[0] != state.spec.input_dim:
         raise ValueError(f"x0 must have length {state.spec.input_dim}")
@@ -343,6 +362,7 @@ def _read_array(f, shape: tuple, what: str) -> np.ndarray:
 def save_checkpoint(state: NetworkState, path):
     """Binary layout: magic "VNLB", version, spec fields, then row-major
     little-endian float64 arrays (stacks store reflection vectors)."""
+    _one_network(state, "save_checkpoint")
     spec = state.spec
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
@@ -388,21 +408,18 @@ def load_checkpoint(path) -> NetworkState:
         if householder not in (0, 1):
             raise ValueError(f"corrupt checkpoint: Householder flag {householder}")
         spec = NetworkSpec(depth, width, input_dim, num_classes, _ACT_FROM_CODE[act_code])
-        weights, biases, stacks = [], [], []
+        layers, biases = [], []
         for l in range(depth):
             tag = f.read(1)
             shape = (width, spec.fan_in(l))
             if tag == b"H" and householder:
                 vectors = _read_array(f, shape, f"layer {l + 1} reflection vectors")
                 try:
-                    stack = HouseholderStack(vectors)
+                    layers.append(HouseholderStack(vectors))
                 except ValueError as e:
                     raise ValueError(f"corrupt checkpoint: layer {l + 1} reflection vectors: {e}") from None
-                stacks.append(stack)
-                weights.append(householder_materialize(stack))
             elif tag == b"D":
-                stacks.append(None)
-                weights.append(_read_array(f, shape, f"layer {l + 1} weight"))
+                layers.append(_read_array(f, shape, f"layer {l + 1} weight"))
             elif tag == b"H":
                 raise ValueError(f"corrupt checkpoint: layer {l + 1} holds reflections but the Householder flag is 0")
             else:
@@ -414,11 +431,4 @@ def load_checkpoint(path) -> NetworkState:
             readout_b = _read_array(f, (num_classes,), "readout bias")
         if f.read(1):
             raise ValueError("corrupt checkpoint: bytes left after the last array")
-    return NetworkState(
-        spec=spec,
-        weights=weights,
-        biases=biases,
-        stacks=stacks if householder else None,
-        readout_weight=readout_w,
-        readout_bias=readout_b,
-    )
+    return _network(spec, layers, biases, readout_w, readout_b)

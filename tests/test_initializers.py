@@ -4,7 +4,7 @@ import pytest
 from vannodes import initializers as ini
 from vannodes.initializers import HouseholderStack, InitKind, InitializerSpec
 from vannodes.linalg import Rng
-from vannodes.network import NetworkSpec, backward, build_network, forward, stack_states
+from vannodes.network import NetworkSpec, backward, build_network, forward, run_state, stack_states
 from vannodes.training import Optimizer, OptimizerSpec, _param_leaves
 
 
@@ -311,6 +311,27 @@ def test_backward_reads_the_factors_of_the_last_update():
         assert stack.factors is not None
         fresh = HouseholderStack.unchecked(stack.vectors.copy())
         assert ini.householder_backward(stack, g_w).tobytes() == ini.householder_backward(fresh, g_w).tobytes()
+
+
+def test_stack_states_carries_the_factors_of_built_runs(monkeypatch):
+    # The factors each run formed at its build move beside its stacked
+    # vectors, bit for bit those of the stacked vectors, so the first
+    # backward forms none; neither the built runs nor a run taken out of
+    # the stack hold any.
+    spec = NetworkSpec(3, 20, 20, 0)
+    runs = [build_network(spec, InitializerSpec(InitKind.HOUSEHOLDER), Rng(84, (run,))) for run in range(3)]
+    state = stack_states(runs)
+    assert all(s.factors is None for run in runs for s in run.stacks)
+    g_w = Rng(85).normal(size=(3, 20, 20))
+    fresh = [ini.householder_backward(HouseholderStack.unchecked(s.vectors.copy()), g_w) for s in state.stacks]
+    for stack in state.stacks:
+        for kept, formed in zip(stack.factors, ini._wy_factors(stack.vectors), strict=True):
+            assert kept.tobytes() == formed.tobytes()
+    monkeypatch.setattr(np, "linalg", _NoLinalg())
+    for stack, want in zip(state.stacks, fresh):
+        assert ini.householder_backward(stack, g_w).tobytes() == want.tobytes()
+    assert all(s.factors is None for r in range(3) for s in run_state(state, r).stacks)
+
 
 class TestDispatch:
     def test_square_kinds(self):

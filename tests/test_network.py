@@ -17,7 +17,9 @@ from vannodes.network import (
     layers,
     load_checkpoint,
     output,
+    run_state,
     save_checkpoint,
+    stack_states,
 )
 
 GAUSS = InitializerSpec(InitKind.SCALED_GAUSSIAN, 1.2)
@@ -216,7 +218,48 @@ class TestJacobian:
         assert np.allclose(j, state.weights[2] @ state.weights[1] @ state.weights[0], atol=1e-12)
 
 
+def test_jacobian_of_a_stacked_state_names_run_state():
+    spec = NetworkSpec(3, 5, 5, 0, ActivationKind.TANH)
+    state = stack_states([build_network(spec, GAUSS, Rng(19, (run,))) for run in range(2)])
+    with pytest.raises(ValueError, match="run_state"):
+        jacobian(state, np.zeros(5))
+    assert jacobian(run_state(state, 1), np.zeros(5)).shape == (5, 5)
+
+
+HOUSEHOLDER = InitializerSpec(InitKind.HOUSEHOLDER)
+
+
+@pytest.mark.parametrize(
+    "first, second, match",
+    [
+        (GAUSS, (ActivationKind.RELU, 2, GAUSS), "activation ActivationKind.RELU, run 0 has ActivationKind.TANH"),
+        (GAUSS, (ActivationKind.TANH, 3, GAUSS), "num_classes 3, run 0 has 2"),
+        (GAUSS, (ActivationKind.TANH, 2, HOUSEHOLDER), "layer 1 is dense in run 0 and Householder in run 1"),
+        (HOUSEHOLDER, (ActivationKind.TANH, 2, GAUSS), "layer 1 is Householder in run 0 and dense in run 1"),
+    ],
+    ids=["activation", "num_classes", "dense-then-householder", "householder-then-dense"],
+)
+def test_stack_states_names_what_differs(first, second, match):
+    kind, classes, init = second
+    runs = [
+        build_network(NetworkSpec(3, 4, 4, 2, ActivationKind.TANH), first, Rng(40)),
+        build_network(NetworkSpec(3, 4, 4, classes, kind), init, Rng(41)),
+    ]
+    with pytest.raises(ValueError, match=match):
+        stack_states(runs)
+
+
 class TestCheckpoint:
+    def test_stacked_state_is_not_written(self, tmp_path):
+        spec = NetworkSpec(2, 3, 3, 2, ActivationKind.TANH)
+        state = stack_states([build_network(spec, HOUSEHOLDER, Rng(23, (run,))) for run in range(2)])
+        p = tmp_path / "net.ckpt"
+        with pytest.raises(ValueError, match="run_state"):
+            save_checkpoint(state, p)
+        assert not p.exists()
+        save_checkpoint(run_state(state, 1), p)
+        assert load_checkpoint(p).stacks[0].vectors.tobytes() == state.stacks[0].vectors[1].tobytes()
+
     def test_round_trip(self, tmp_path):
         spec = NetworkSpec(3, 6, 4, 5, ActivationKind.HARD_TANH)
         state = build_network(spec, GAUSS, Rng(20))

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from vannodes import initializers as ini
 from vannodes import training as tr
 from vannodes.activations import ActivationKind
 from vannodes.data import synthetic_task
@@ -474,6 +475,21 @@ def test_runs_that_leave_the_stack_own_their_final_state():
     for res in results:
         assert all(a.base is None for a in _state_arrays(res.final_state))
 
+
+
+def test_train_forms_the_factors_once_per_build_and_step(monkeypatch):
+    # R runs of H reflection layers and S steps: each run forms its factors
+    # when it is built, each step's rematerialize once for the stack, and
+    # the first backward reads the factors the build left.
+    calls = []
+    wy_factors = ini._wy_factors
+    monkeypatch.setattr(ini, "_wy_factors", lambda v: calls.append(v.shape) or wy_factors(v))
+    spec = NetworkSpec(3, 4, 4, 4, ActivationKind.TANH)
+    crit = tr.SuccessCriterion("train_accuracy", 0.99, 4)
+    opts, rngs = [tr.OptimizerSpec(tr.OptimizerKind.SGD, 0.1)] * 2, [Rng(5, (r,)) for r in range(2)]
+    tr.train(spec, InitializerSpec(InitKind.HOUSEHOLDER), opts, synthetic_task("and4"), crit, rngs, batch_size=8)
+    runs, layers, steps = 2, 3, 4 * 2
+    assert len(calls) == layers * (runs + steps)
 
 
 def _same_record(a, b) -> bool:
