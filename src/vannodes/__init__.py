@@ -22,7 +22,6 @@ from .analysis import (
     vni_from_jacobian,
     vni_report,
     vni_theoretical,
-    walking_dead_ratio,
 )
 from .config import EXPERIMENTS, ExperimentConfig
 from .data import Dataset, fetch_mnist, gaussian_probe, load_mnist_idx, synthetic_task
@@ -37,8 +36,6 @@ from .network import (
     build_network,
     forward,
     jacobian,
-    load_checkpoint,
-    save_checkpoint,
 )
 from .training import (
     Optimizer,

@@ -34,7 +34,6 @@ __all__ = [
     "enn_from_rsq",
     "per_layer_gain",
     "gradient_diagnostics",
-    "walking_dead_ratio",
     "correlation_heatmap",
     "vni_report",
     "DEFAULT_ENN_EPSILONS",
@@ -67,12 +66,10 @@ class GradientDiagnostics:
     per_layer_gain: np.ndarray  # fan_in * Var[W_l] * mu_1 per backbone layer
     var_x_L: float
     var_input_grad: float
-    var_weight_grad: np.ndarray
     sigma_x_sq: float
     sigma_y_sq: float
     predicted_var_x_L: float
     predicted_var_input_grad: float
-    predicted_var_weight_grad: float
 
 
 def _corr_stats(activations: np.ndarray):
@@ -200,15 +197,6 @@ def enn_from_rsq(width: int, r_sq: float, epsilon: float) -> float:
     return min(max(t + 1.0, 1.0), float(width))
 
 
-def walking_dead_ratio(grads_a: np.ndarray, grads_b: np.ndarray) -> float:
-    """log10 of the squared-norm ratio of two back-propagated gradients."""
-    na = float(np.sum(np.square(grads_a)))
-    nb = float(np.sum(np.square(grads_b)))
-    if na == 0 or nb == 0:
-        raise ValueError("gradient norm is zero: gradient has truly vanished")
-    return math.log10(na / nb)
-
-
 def correlation_heatmap(corr_sq: np.ndarray):
     """Node ordering that clusters correlated nodes: sort by the leading
     eigenvector of corr_sq (ties broken by index).  Returns the permuted
@@ -255,18 +243,15 @@ def gradient_diagnostics(
     var_in = float(grads.input_gradient.var())
     sigma_y_sq = float(np.asarray(loss_grads).var())
     gains = per_layer_gain(state, mu1)
-    var_w = np.array([float(g.var()) for g in grads.weights])
     gain = float(np.median(gains)) if gains.size else 1.0
     return GradientDiagnostics(
         per_layer_gain=gains,
         var_x_L=var_x_l,
         var_input_grad=var_in,
-        var_weight_grad=var_w,
         sigma_x_sq=sigma_x_sq,
         sigma_y_sq=sigma_y_sq,
         predicted_var_x_L=sigma_x_sq * gain**spec.depth_L,
         predicted_var_input_grad=sigma_y_sq * gain**spec.depth_L,
-        predicted_var_weight_grad=sigma_x_sq * sigma_y_sq * gain ** (spec.depth_L - 1),
     )
 
 

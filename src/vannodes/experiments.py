@@ -28,7 +28,7 @@ from .analysis import (
     vni_theoretical,
 )
 from .config import ExperimentConfig
-from .data import DATASETS, gaussian_probe, load_mnist_idx, synthetic_task
+from .data import gaussian_probe, load_mnist_idx, synthetic_task
 from .initializers import InitKind, InitializerSpec
 from .linalg import Rng
 from .network import build_network, layers, output
@@ -158,8 +158,6 @@ def _write_csv(config: ExperimentConfig, name: str, header_cols: str, rows: list
 def build_task(config: ExperimentConfig):
     """(train_set, test_set) for the configured dataset."""
     name = config.dataset.lower()
-    if name not in DATASETS:
-        raise ValueError(f"unknown dataset {config.dataset!r}")
     if name == "mnist":
         train_ds = load_mnist_idx(
             os.path.join(config.mnist_dir, "train-images-idx3-ubyte"),

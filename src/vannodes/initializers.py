@@ -133,7 +133,7 @@ class HouseholderStack:
     ``factors`` are the WY factors of the vectors the last
     ``householder_materialize`` read, kept beside the W it returned.  A stack
     the constructor makes holds none until it is materialized, as every
-    network's stacks are when the network is built or loaded;
+    network's stacks are when the network is built;
     ``network.stack_states`` moves the runs' factors to the stacked one.
     An in-place update of the vectors leaves both W and the factors stale
     until the next materialize.

@@ -1,5 +1,5 @@
-"""Feed-forward backbone: forward pass, back-propagation, input-output
-Jacobian, and a binary checkpoint format.
+"""Feed-forward backbone: forward pass, back-propagation and input-output
+Jacobian.
 
 The backbone is L layers of width N (layer 1 may be rectangular when
 input_dim != N); an optional linear readout maps to num_classes.  Node
@@ -21,9 +21,6 @@ stack: it copies the run's arrays out.
 
 from __future__ import annotations
 
-import math
-import os
-import struct
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -56,12 +53,7 @@ __all__ = [
     "output",
     "backward",
     "jacobian",
-    "save_checkpoint",
-    "load_checkpoint",
 ]
-
-CHECKPOINT_MAGIC = b"VNLB"
-CHECKPOINT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -123,27 +115,23 @@ class Gradients:
     input_gradient: np.ndarray  # dLoss/dx_0, batch x input_dim
 
 
-def _network(spec: NetworkSpec, layers: list, biases: list, readout_weight=None, readout_bias=None) -> NetworkState:
-    """The network of ``layers``, each a weight matrix or a HouseholderStack,
-    with every stack's W and WY factors formed by ``rematerialize``."""
-    stacks = [w if isinstance(w, HouseholderStack) else None for w in layers]
-    state = NetworkState(spec, layers, biases, stacks if any(stacks) else None, readout_weight, readout_bias)
-    state.rematerialize()
-    return state
-
-
 def build_network(spec: NetworkSpec, init: InitializerSpec, rng: Rng) -> NetworkState:
     """Initialize all layers from an InitializerSpec; biases start at zero.
 
     For the Householder initializer, square backbone layers are stored as
-    reflection stacks and stay exactly orthogonal under training updates.
+    reflection stacks and stay exactly orthogonal under training updates;
+    ``rematerialize`` forms each stack's W and WY factors.
     """
     layers = [init_weight(init, spec.fan_in(l), spec.width_N, rng.spawn(l)) for l in range(spec.depth_L)]
+    stacks = [w if isinstance(w, HouseholderStack) else None for w in layers]
     readout = [None, None]
     if spec.num_classes > 0:
         w = init_scaled(InitKind.SCALED_GAUSSIAN, spec.width_N, spec.num_classes, 1.0, rng.spawn(spec.depth_L))
         readout = [w, np.zeros(spec.num_classes)]
-    return _network(spec, layers, [np.zeros(spec.width_N) for _ in range(spec.depth_L)], *readout)
+    biases = [np.zeros(spec.width_N) for _ in range(spec.depth_L)]
+    state = NetworkState(spec, layers, biases, stacks if any(stacks) else None, *readout)
+    state.rematerialize()
+    return state
 
 
 def stack_states(states: list) -> NetworkState:
@@ -301,16 +289,11 @@ def backward(state: NetworkState, trace: ForwardTrace, loss_grad_at_output: np.n
     )
 
 
-def _one_network(state: NetworkState, name: str):
-    """Raise ``ValueError`` when ``state`` is a stack of runs, not one network."""
-    if state.weights[0].ndim != 2:
-        raise ValueError(f"{name} takes one network, not a stack of runs: take each run out with run_state")
-
-
 def jacobian(state: NetworkState, x0: np.ndarray) -> np.ndarray:
     """Input-output Jacobian of the backbone at x0: the ordered product of
     diag(phi'(h_l)) W_l, read from the post-activations (readout excluded)."""
-    _one_network(state, "jacobian")
+    if state.weights[0].ndim != 2:
+        raise ValueError("jacobian takes one network, not a stack of runs: take each run out with run_state")
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
     if x0.shape[0] != state.spec.input_dim:
         raise ValueError(f"x0 must have length {state.spec.input_dim}")
@@ -320,115 +303,3 @@ def jacobian(state: NetworkState, x0: np.ndarray) -> np.ndarray:
         j = dw if j is None else dw @ j
     return j
 
-
-# -- checkpointing -----------------------------------------------------------
-
-_ACT_CODES = {k: i for i, k in enumerate(ActivationKind)}
-_ACT_FROM_CODE = {i: k for k, i in _ACT_CODES.items()}
-
-
-def _write_array(f, a: np.ndarray):
-    a = np.ascontiguousarray(a, dtype="<f8")
-    f.write(struct.pack("<I", a.ndim))
-    f.write(struct.pack(f"<{a.ndim}I", *a.shape))
-    f.write(a.tobytes())
-
-
-def _unpack(f, fmt: str, what: str) -> tuple:
-    size = struct.calcsize(fmt)
-    raw = f.read(size)
-    if len(raw) != size:
-        raise ValueError(f"truncated checkpoint file: {what} is cut short")
-    return struct.unpack(fmt, raw)
-
-
-def _read_array(f, shape: tuple, what: str) -> np.ndarray:
-    """Read one array that the header's spec says is ``shape``.  Its stored
-    shape is checked before its data is read, and the data's size against the
-    bytes left in the file, so a corrupt size never allocates."""
-    (ndim,) = _unpack(f, "<I", f"{what} header")
-    if ndim != len(shape):
-        raise ValueError(f"corrupt checkpoint: {what} has {ndim} dimensions, the header's spec gives {len(shape)}")
-    stored = _unpack(f, f"<{ndim}I", f"{what} shape")
-    if stored != shape:
-        raise ValueError(f"corrupt checkpoint: {what} is stored as {stored}, the header's spec gives {shape}")
-    size = 8 * math.prod(shape)
-    left = os.fstat(f.fileno()).st_size - f.tell()
-    if size > left:
-        raise ValueError(f"truncated checkpoint file: {what} needs {size} bytes, {left} are left")
-    return np.frombuffer(f.read(size), dtype="<f8").reshape(shape).astype(np.float64)
-
-
-def save_checkpoint(state: NetworkState, path):
-    """Binary layout: magic "VNLB", version, spec fields, then row-major
-    little-endian float64 arrays (stacks store reflection vectors)."""
-    _one_network(state, "save_checkpoint")
-    spec = state.spec
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(
-            struct.pack(
-                "<IIIIIBB",
-                CHECKPOINT_VERSION,
-                spec.depth_L,
-                spec.width_N,
-                spec.input_dim,
-                spec.num_classes,
-                _ACT_CODES[spec.activation],
-                state.stacks is not None,
-            )
-        )
-        for l in range(spec.depth_L):
-            if state.stacks is not None and state.stacks[l] is not None:
-                f.write(b"H")
-                _write_array(f, state.stacks[l].vectors)
-            else:
-                f.write(b"D")
-                _write_array(f, state.weights[l])
-            _write_array(f, state.biases[l])
-        if spec.num_classes > 0:
-            _write_array(f, state.readout_weight)
-            _write_array(f, state.readout_bias)
-
-
-def load_checkpoint(path) -> NetworkState:
-    """Load a checkpoint written by ``save_checkpoint``.  Every array is
-    checked against the shape the header's spec gives; a corrupt or
-    truncated file raises ``ValueError`` naming the part at fault."""
-    with open(path, "rb") as f:
-        if f.read(4) != CHECKPOINT_MAGIC:
-            raise ValueError("not a network checkpoint (bad magic bytes)")
-        version, depth, width, input_dim, num_classes, act_code, householder = _unpack(
-            f, "<IIIIIBB", "header"
-        )
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        if act_code not in _ACT_FROM_CODE:
-            raise ValueError(f"corrupt checkpoint: unknown activation code {act_code}")
-        if householder not in (0, 1):
-            raise ValueError(f"corrupt checkpoint: Householder flag {householder}")
-        spec = NetworkSpec(depth, width, input_dim, num_classes, _ACT_FROM_CODE[act_code])
-        layers, biases = [], []
-        for l in range(depth):
-            tag = f.read(1)
-            shape = (width, spec.fan_in(l))
-            if tag == b"H" and householder:
-                vectors = _read_array(f, shape, f"layer {l + 1} reflection vectors")
-                try:
-                    layers.append(HouseholderStack(vectors))
-                except ValueError as e:
-                    raise ValueError(f"corrupt checkpoint: layer {l + 1} reflection vectors: {e}") from None
-            elif tag == b"D":
-                layers.append(_read_array(f, shape, f"layer {l + 1} weight"))
-            elif tag == b"H":
-                raise ValueError(f"corrupt checkpoint: layer {l + 1} holds reflections but the Householder flag is 0")
-            else:
-                raise ValueError(f"corrupt checkpoint: unknown tag {tag!r} for layer {l + 1}")
-            biases.append(_read_array(f, (width,), f"layer {l + 1} bias"))
-        readout_w = readout_b = None
-        if num_classes > 0:
-            readout_w = _read_array(f, (num_classes, width), "readout weight")
-            readout_b = _read_array(f, (num_classes,), "readout bias")
-        if f.read(1):
-            raise ValueError("corrupt checkpoint: bytes left after the last array")
-    return _network(spec, layers, biases, readout_w, readout_b)

@@ -195,14 +195,6 @@ class TestEffectiveNodes:
         assert 1.0 - 1e-9 <= n_e <= n + 1e-9
 
 
-def test_walking_dead_ratio():
-    a = np.full(10, 10.0)  # |a|^2 = 1000
-    b = np.ones(10)  # |b|^2 = 10
-    assert an.walking_dead_ratio(a, b) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        an.walking_dead_ratio(a, np.zeros(10))
-
-
 def test_correlation_heatmap_clusters_blocks():
     # two interleaved groups of perfectly correlated nodes: after the
     # eigenvector ordering each group should be contiguous

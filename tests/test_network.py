@@ -1,9 +1,5 @@
-import struct
-
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from vannodes.activations import ActivationKind, apply as act_apply
 from vannodes.initializers import InitKind, InitializerSpec
@@ -15,15 +11,12 @@ from vannodes.network import (
     forward,
     jacobian,
     layers,
-    load_checkpoint,
     output,
     run_state,
-    save_checkpoint,
     stack_states,
 )
 
 GAUSS = InitializerSpec(InitKind.SCALED_GAUSSIAN, 1.2)
-UNUSABLE_FLOAT_BYTES = [struct.pack("<d", x) for x in (np.nan, np.inf, -np.inf, 0.0, 5e-324, 1e-161, 1e160)]
 
 
 def forward_oracle(state, batch):
@@ -248,166 +241,3 @@ def test_stack_states_names_what_differs(first, second, match):
     with pytest.raises(ValueError, match=match):
         stack_states(runs)
 
-
-class TestCheckpoint:
-    def test_stacked_state_is_not_written(self, tmp_path):
-        spec = NetworkSpec(2, 3, 3, 2, ActivationKind.TANH)
-        state = stack_states([build_network(spec, HOUSEHOLDER, Rng(23, (run,))) for run in range(2)])
-        p = tmp_path / "net.ckpt"
-        with pytest.raises(ValueError, match="run_state"):
-            save_checkpoint(state, p)
-        assert not p.exists()
-        save_checkpoint(run_state(state, 1), p)
-        assert load_checkpoint(p).stacks[0].vectors.tobytes() == state.stacks[0].vectors[1].tobytes()
-
-    def test_round_trip(self, tmp_path):
-        spec = NetworkSpec(3, 6, 4, 5, ActivationKind.HARD_TANH)
-        state = build_network(spec, GAUSS, Rng(20))
-        p = tmp_path / "net.ckpt"
-        save_checkpoint(state, p)
-        loaded = load_checkpoint(p)
-        assert loaded.spec == spec
-        for a, b in zip(loaded.weights, state.weights):
-            assert np.array_equal(a, b)
-        for a, b in zip(loaded.biases, state.biases):
-            assert np.array_equal(a, b)
-        assert np.array_equal(loaded.readout_weight, state.readout_weight)
-        x = Rng(21).normal(size=(3, 4))
-        assert np.array_equal(forward(loaded, x).logits, forward(state, x).logits)
-
-    def test_round_trip_householder(self, tmp_path):
-        spec = NetworkSpec(2, 5, 5, 0, ActivationKind.TANH)
-        state = build_network(spec, InitializerSpec(InitKind.HOUSEHOLDER), Rng(22))
-        p = tmp_path / "net.ckpt"
-        save_checkpoint(state, p)
-        loaded = load_checkpoint(p)
-        assert loaded.stacks is not None
-        for a, b in zip(loaded.stacks, state.stacks):
-            assert np.array_equal(a.vectors, b.vectors)
-        assert np.allclose(loaded.weights[0], state.weights[0], atol=1e-15)
-
-    def test_magic_check(self, tmp_path):
-        p = tmp_path / "bad.ckpt"
-        p.write_bytes(b"NOPE" + b"\x00" * 40)
-        with pytest.raises(ValueError):
-            load_checkpoint(p)
-
-    def test_truncated(self, tmp_path):
-        spec = NetworkSpec(2, 4, 4, 0, ActivationKind.TANH)
-        state = build_network(spec, GAUSS, Rng(23))
-        p = tmp_path / "net.ckpt"
-        save_checkpoint(state, p)
-        raw = p.read_bytes()
-        p.write_bytes(raw[: len(raw) // 2])
-        with pytest.raises(ValueError):
-            load_checkpoint(p)
-
-    def test_truncated_header(self, tmp_path):
-        spec = NetworkSpec(2, 4, 4, 0, ActivationKind.TANH)
-        p = tmp_path / "net.ckpt"
-        save_checkpoint(build_network(spec, GAUSS, Rng(23)), p)
-        p.write_bytes(p.read_bytes()[:14])  # magic + part of the 22-byte header
-        with pytest.raises(ValueError, match="header"):
-            load_checkpoint(p)
-
-    def test_unknown_activation_code(self, tmp_path):
-        spec = NetworkSpec(2, 4, 4, 0, ActivationKind.TANH)
-        p = tmp_path / "net.ckpt"
-        save_checkpoint(build_network(spec, GAUSS, Rng(23)), p)
-        raw = bytearray(p.read_bytes())
-        raw[4 + 20] = 200  # activation code byte, after magic and five uint32 fields
-        p.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="activation code"):
-            load_checkpoint(p)
-
-    def _dense(self, tmp_path):
-        p = tmp_path / "net.ckpt"
-        save_checkpoint(build_network(NetworkSpec(2, 4, 4, 0, ActivationKind.TANH), GAUSS, Rng(23)), p)
-        return p, bytearray(p.read_bytes())
-
-    def test_reflections_without_householder_flag(self, tmp_path):
-        p, raw = self._dense(tmp_path)
-        raw[4 + 22] = ord("H")  # layer 1 tag, after magic and header
-        p.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="layer 1 holds reflections"):
-            load_checkpoint(p)
-
-    def test_array_shape_against_header(self, tmp_path):
-        # a 2x8 layer-1 weight where the header's spec gives 4x4: same size
-        p, raw = self._dense(tmp_path)
-        raw[4 + 22 + 1 + 4 : 4 + 22 + 1 + 12] = struct.pack("<II", 2, 8)
-        p.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match=r"layer 1 weight is stored as \(2, 8\)"):
-            load_checkpoint(p)
-
-    def test_non_finite_reflection_vector_names_the_layer(self, tmp_path):
-        p = tmp_path / "net.ckpt"
-        spec = NetworkSpec(2, 4, 4, 0, ActivationKind.TANH)
-        save_checkpoint(build_network(spec, InitializerSpec(InitKind.HOUSEHOLDER), Rng(23)), p)
-        raw = bytearray(p.read_bytes())
-        # layer 2's vectors: after magic, header, layer 1 (tag, 4x4 array, bias) and layer 2's tag and shape
-        start = 4 + 22 + (1 + 12 + 128 + 8 + 32) + 1 + 12
-        raw[start : start + 8] = struct.pack("<d", float("nan"))
-        p.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="layer 2 reflection vectors: reflection vectors must be finite"):
-            load_checkpoint(p)
-
-    @pytest.mark.parametrize("init", [GAUSS, InitializerSpec(InitKind.HOUSEHOLDER)], ids=["dense", "householder"])
-    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data=st.data())
-    def test_any_prefix_or_mutation_loads_or_raises_value_error(self, init, data, tmp_path):
-        # Loading materializes the reflections with a linear solve, so a
-        # corrupt stack must surface as ValueError, never as LinAlgError.
-        p = tmp_path / "net.ckpt"
-        save_checkpoint(build_network(NetworkSpec(2, 4, 4, 2, ActivationKind.TANH), init, Rng(23)), p)
-        raw = bytearray(p.read_bytes())
-        if data.draw(st.booleans(), label="cut"):
-            raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="prefix")]
-        else:
-            # single random bytes, or the 8 bytes of a float no reflection can use
-            patches = st.one_of(st.binary(min_size=1, max_size=1), st.sampled_from(UNUSABLE_FLOAT_BYTES))
-            edits = st.tuples(st.integers(0, len(raw) - 1), patches)
-            for i, patch in data.draw(st.lists(edits, min_size=1, max_size=8), label="mutations"):
-                patch = patch[: len(raw) - i]
-                raw[i : i + len(patch)] = patch
-        p.write_bytes(bytes(raw))
-        try:
-            state = load_checkpoint(p)
-        except ValueError:
-            return
-        spec = state.spec
-        assert [w.shape for w in state.weights] == [(spec.width_N, spec.fan_in(l)) for l in range(spec.depth_L)]
-        for stack, w in zip(state.stacks or [], state.weights):
-            if stack is not None:
-                assert np.abs(w.T @ w - np.eye(spec.width_N)).max() <= 1e-12
-
-    @pytest.mark.parametrize("init", [GAUSS, InitializerSpec(InitKind.HOUSEHOLDER)], ids=["dense", "householder"])
-    def test_every_prefix_and_byte_flip(self, init, tmp_path):
-        # Every cut and every single-byte flip (three masks) either loads
-        # arrays of the shapes its own header gives or raises ValueError:
-        # no other exception, and no allocation the file's size does not back.
-        p = tmp_path / "net.ckpt"
-        save_checkpoint(build_network(NetworkSpec(2, 4, 4, 2, ActivationKind.TANH), init, Rng(23)), p)
-        raw = p.read_bytes()
-        variants = [raw[:cut] for cut in range(len(raw))]
-        for i in range(len(raw)):
-            for mask in (0x01, 0x80, 0xFF):
-                flipped = bytearray(raw)
-                flipped[i] ^= mask
-                variants.append(bytes(flipped))
-        loaded = 0
-        for data in variants:
-            p.write_bytes(data)
-            try:
-                state = load_checkpoint(p)
-            except ValueError:
-                continue
-            loaded += 1
-            spec = state.spec
-            assert [w.shape for w in state.weights] == [(spec.width_N, spec.fan_in(l)) for l in range(spec.depth_L)]
-            assert [b.shape for b in state.biases] == [(spec.width_N,)] * spec.depth_L
-            assert state.readout_weight.shape == (spec.num_classes, spec.width_N)
-            assert state.readout_bias.shape == (spec.num_classes,)
-            for stack in state.stacks or []:
-                assert stack is None or stack.vectors.shape == (spec.width_N, spec.width_N)
-        assert loaded > 0  # flips of the float data load
