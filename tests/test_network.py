@@ -241,3 +241,70 @@ def test_stack_states_names_what_differs(first, second, match):
     with pytest.raises(ValueError, match=match):
         stack_states(runs)
 
+
+
+@pytest.mark.parametrize("num_classes", [0, 2])
+@pytest.mark.parametrize("kind", list(InitKind))
+def test_run_state_returns_each_run_bit_for_bit(kind, num_classes):
+    # Each run taken out of a stack is the run that went in, to the bit, and
+    # owns its arrays: writing to it leaves the stack as it was.
+    spec = NetworkSpec(3, 4, 4, num_classes, ActivationKind.TANH)
+    runs = [build_network(spec, InitializerSpec(kind, 1.1), Rng(50, (run,))) for run in range(3)]
+    state = stack_states(runs)
+    batch = Rng(51).normal(size=(6, 4))
+    for r, run in enumerate(runs):
+        got = run_state(state, r)
+        assert got.spec == spec
+        pairs = [*zip(got.weights, run.weights, strict=True), *zip(got.biases, run.biases, strict=True)]
+        if num_classes:
+            pairs += [(got.readout_weight, run.readout_weight), (got.readout_bias, run.readout_bias)]
+        else:
+            assert got.readout_weight is None and got.readout_bias is None
+        assert (got.stacks is None) == (run.stacks is None) == (kind is not InitKind.HOUSEHOLDER)
+        for a, b in zip(got.stacks or [], run.stacks or [], strict=True):
+            pairs.append((a.vectors, b.vectors))
+        for a, b in pairs:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        whole = [*state.weights, *state.biases, *(s.vectors for s in state.stacks or [])]
+        assert not any(np.shares_memory(a, w) for a, _ in pairs for w in whole)
+        assert output(got, batch).tobytes() == output(run, batch).tobytes()
+
+
+@pytest.mark.parametrize("kind", list(InitKind))
+def test_stacked_forward_and_backward_equal_each_run_alone(kind):
+    # A stacked state applied to one batch per run, or to one batch that all
+    # runs share, gives each run's own activations, logits and gradients.
+    spec = NetworkSpec(3, 5, 4, 2, ActivationKind.TANH)
+    runs = [build_network(spec, InitializerSpec(kind, 1.1), Rng(52, (run,))) for run in range(3)]
+    batches = Rng(53).normal(size=(3, 6, 4))
+    g_out = Rng(54).normal(size=(3, 6, 2))
+    alone = []
+    for run, batch, g in zip(runs, batches, g_out):
+        trace = forward(run, batch)
+        alone.append((trace, backward(run, trace, g)))
+    state = stack_states(runs)
+    trace = forward(state, batches)
+    grads = backward(state, trace, g_out)
+    for r, (t, gr) in enumerate(alone):
+        assert np.allclose(trace.logits[r], t.logits, rtol=0, atol=1e-12)
+        assert all(np.allclose(a[r], b, rtol=0, atol=1e-12) for a, b in zip(trace.post, t.post, strict=True))
+        assert all(np.allclose(a[r], b, rtol=0, atol=1e-12) for a, b in zip(grads.weights, gr.weights, strict=True))
+        assert all(np.allclose(a[r], b, rtol=0, atol=1e-12) for a, b in zip(grads.biases, gr.biases, strict=True))
+        for a, b in zip(grads.stacks or [], gr.stacks or [], strict=True):
+            assert (a is None) == (b is None)
+            assert a is None or np.allclose(a[r], b, rtol=0, atol=1e-12)
+        assert np.allclose(grads.readout_weight[r], gr.readout_weight, rtol=0, atol=1e-12)
+        assert np.allclose(grads.input_gradient[r], gr.input_gradient, rtol=0, atol=1e-12)
+    shared = output(state, batches[0])
+    assert shared.shape == (3, 6, 2)
+    for r, run in enumerate(runs):
+        assert np.allclose(shared[r], output(run, batches[0]), rtol=0, atol=1e-12)
+
+
+def test_stacked_state_refuses_a_batch_for_another_number_of_runs():
+    spec = NetworkSpec(2, 4, 3, 0, ActivationKind.TANH)
+    state = stack_states([build_network(spec, GAUSS, Rng(55, (run,))) for run in range(3)])
+    with pytest.raises(ValueError, match=r"batch must be \(n, 3\) or \(3, n, 3\), got \(2, 5, 3\)"):
+        forward(state, np.zeros((2, 5, 3)))
+    with pytest.raises(ValueError, match=r"got \(3, 5, 4\)"):
+        output(state, np.zeros((3, 5, 4)))
