@@ -12,7 +12,7 @@ Jacobian and moment forms are the random-matrix approximations.  Like
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -56,8 +56,6 @@ class VniReport:
     vni_jacobian: float | None
     vni_theoretical: float | None
     vni_theoretical_raw: float | None
-    corr_sq: np.ndarray = field(repr=False)
-    node_variances: np.ndarray = field(repr=False)
     enn: dict = field(default_factory=dict)
 
 
@@ -66,8 +64,6 @@ class GradientDiagnostics:
     per_layer_gain: np.ndarray  # fan_in * Var[W_l] * mu_1 per backbone layer
     var_x_L: float
     var_input_grad: float
-    sigma_x_sq: float
-    sigma_y_sq: float
     predicted_var_x_L: float
     predicted_var_input_grad: float
 
@@ -229,13 +225,15 @@ def gradient_diagnostics(
     predictions sigma_x^2 (sigma_w^2 mu_1)^L etc.
 
     ``loss_grads`` is dLoss/dx_L (readout excluded), one row per probe sample.
+    Only the input gradient is read, so the reflection-vector gradients are
+    not computed.
     """
     probe = np.asarray(probe_batch, dtype=np.float64)
     if probe.size == 0:
         raise ValueError("probe batch must be nonempty")
     spec = state.spec
     sigma_x_sq = float(probe.var())
-    backbone = headless(state)
+    backbone = replace(headless(state), stacks=None)
     trace = forward(backbone, probe)
     grads = backward(backbone, trace, np.asarray(loss_grads, dtype=np.float64))
     x_l = trace.post[-1]
@@ -248,8 +246,6 @@ def gradient_diagnostics(
         per_layer_gain=gains,
         var_x_L=var_x_l,
         var_input_grad=var_in,
-        sigma_x_sq=sigma_x_sq,
-        sigma_y_sq=sigma_y_sq,
         predicted_var_x_L=sigma_x_sq * gain**spec.depth_L,
         predicted_var_input_grad=sigma_y_sq * gain**spec.depth_L,
     )
@@ -267,7 +263,7 @@ def vni_report(
     computed once."""
     backbone = headless(state)
     cov, var = _corr_stats(output(backbone, probe_batch))
-    value, corr_sq, _ = _weighted_corr_sq(cov, var)
+    value = _weighted_corr_sq(cov, var)[0]
     cov_value = vni_from_covariance(cov)
     jac_value = None
     if with_jacobian:
@@ -278,4 +274,4 @@ def vni_report(
         theo, theo_raw = vni_theoretical(state.spec.depth_L, state.spec.width_N, moments, s1)
     lam = sym_eigenvalues(cov)
     enn = {eps: _enn_count(lam, eps) for eps in DEFAULT_ENN_EPSILONS}
-    return VniReport(value, cov_value, jac_value, theo, theo_raw, corr_sq, var, enn)
+    return VniReport(value, cov_value, jac_value, theo, theo_raw, enn)

@@ -72,7 +72,10 @@ class ExperimentConfig:
             if not getattr(self, name):
                 raise ValueError(f"{name} must hold at least one value")
         # the indicator correlates probe rows, so it needs two of them
-        smallest = {"runs": 1, "batch_size": 1, "probe_samples": 2, "epochs": 0, "widths": 1, "depths": 1}
+        smallest = {
+            "runs": 1, "batch_size": 1, "probe_samples": 2, "epochs": 0, "widths": 1, "depths": 1,
+            "train_slice": 1, "test_slice": 1, "master_seed": 0,
+        }  # fmt: skip
         for name, least in smallest.items():
             v = getattr(self, name)
             if min(v if isinstance(v, list) else [v]) < least:

@@ -60,22 +60,18 @@ MNIST_MIRRORS = (
 @dataclass
 class Dataset:
     inputs: np.ndarray  # num_samples x input_dim, float64, finite
-    labels: np.ndarray | None  # int64 in [0, num_classes), or None (probe)
+    labels: np.ndarray  # int64 in [0, num_classes)
     num_classes: int
-    name: str
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
         if not np.all(np.isfinite(self.inputs)):
             raise ValueError("dataset inputs must be finite")
-        if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.shape[0] != self.inputs.shape[0]:
-                raise ValueError("label count does not match input count")
-            if self.num_classes > 0 and (
-                self.labels.min(initial=0) < 0 or self.labels.max(initial=0) >= self.num_classes
-            ):
-                raise ValueError(f"labels outside [0, {self.num_classes})")
+        self.labels = np.asarray(self.labels, dtype=np.int64)
+        if self.labels.shape[0] != self.inputs.shape[0]:
+            raise ValueError("label count does not match input count")
+        if self.labels.min(initial=0) < 0 or self.labels.max(initial=0) >= self.num_classes:
+            raise ValueError(f"labels outside [0, {self.num_classes})")
 
     @property
     def num_samples(self) -> int:
@@ -87,12 +83,7 @@ class Dataset:
 
     def take(self, n: int) -> "Dataset":
         """The first ``n`` samples, for desk-scale runs."""
-        return replace(
-            self,
-            inputs=self.inputs[:n].copy(),
-            labels=None if self.labels is None else self.labels[:n].copy(),
-            name=f"{self.name}[0:{n}]",
-        )
+        return replace(self, inputs=self.inputs[:n].copy(), labels=self.labels[:n].copy())
 
 
 def _read_be_u32(f, what: str) -> int:
@@ -141,7 +132,7 @@ def load_mnist_idx(images_path, labels_path) -> Dataset:
         raise ValueError("labels outside 0-9")
     inputs = images.astype(np.float64) / 255.0
     inputs -= inputs.mean(axis=0)
-    return Dataset(inputs=inputs, labels=labels, num_classes=10, name="mnist")
+    return Dataset(inputs=inputs, labels=labels, num_classes=10)
 
 
 _SYNTHETIC_KINDS = ("and2", "and4", "xor2")
@@ -169,16 +160,15 @@ def synthetic_task(kind: str) -> Dataset:
         labels = (patterns[:, 0] & patterns[:, 1]) * 2 + (patterns[:, 2] & patterns[:, 3])
         classes = 4
     inputs = patterns.astype(np.float64) * 2.0 - 1.0
-    return Dataset(inputs=inputs, labels=labels.astype(np.int64), num_classes=classes, name=kind)
+    return Dataset(inputs=inputs, labels=labels.astype(np.int64), num_classes=classes)
 
 
-def gaussian_probe(n_samples: int, dim: int, sigma_x_sq: float, rng: Rng) -> Dataset:
-    """Unlabeled i.i.d. Gaussian probe batch with zero mean and the given
-    per-feature variance."""
-    if sigma_x_sq <= 0:
-        raise ValueError("sigma_x_sq must be positive")
-    inputs = rng.normal(size=(n_samples, dim), std=np.sqrt(sigma_x_sq))
-    return Dataset(inputs=inputs, labels=None, num_classes=0, name="gaussian_probe")
+def gaussian_probe(n_samples: int, dim: int, sigma_x_sq: float, rng: Rng) -> np.ndarray:
+    """An n_samples x dim probe batch of i.i.d. Gaussian entries with zero
+    mean and the given per-feature variance."""
+    if not 0 < sigma_x_sq < np.inf:
+        raise ValueError("sigma_x_sq must be positive and finite")
+    return rng.normal(size=(n_samples, dim), std=np.sqrt(sigma_x_sq))
 
 
 def fetch_mnist(out_dir, mirrors=MNIST_MIRRORS) -> list:

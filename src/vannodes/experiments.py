@@ -223,8 +223,7 @@ def _probe_network(config: ExperimentConfig, depth: int, width: int, gain: GainS
     ``rng.spawn(0)`` and a Gaussian probe drawn from ``rng.spawn(1)``."""
     spec = config.network_spec(depth, width, width, 0)
     state = build_network(spec, _init_spec(config, config.init_kind, gain), rng.spawn(0))
-    probe = gaussian_probe(config.probe_samples, width, config.sigma_x_sq, rng.spawn(1)).inputs
-    return state, probe
+    return state, gaussian_probe(config.probe_samples, width, config.sigma_x_sq, rng.spawn(1))
 
 
 def _train_runs(

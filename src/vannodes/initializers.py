@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import Rng, qr_orthogonal, sample_gaussian, sample_uniform
+from .linalg import Rng
 
 __all__ = [
     "InitKind",
@@ -72,15 +72,22 @@ def init_scaled(kind: InitKind, fan_in: int, fan_out: int, sigma_w_sq: float, rn
         raise ValueError("dimensions must be >= 1")
     var = sigma_w_sq / fan_in
     if kind is InitKind.SCALED_GAUSSIAN:
-        return sample_gaussian(fan_out, fan_in, 0.0, var, rng)
+        return rng.normal(size=(fan_out, fan_in), std=math.sqrt(var))
     if kind is InitKind.SCALED_UNIFORM:
-        return sample_uniform(fan_out, fan_in, math.sqrt(3.0 * var), rng)
+        half_width = math.sqrt(3.0 * var)
+        return rng.uniform(size=(fan_out, fan_in), low=-half_width, high=half_width)
     raise ValueError(f"init_scaled does not handle {kind!r}")
 
 
 def init_orthogonal(n: int, sigma_w: float, rng: Rng) -> np.ndarray:
-    """sigma_w times a Haar-like orthogonal matrix (square layers only)."""
-    return sigma_w * qr_orthogonal(n, rng)
+    """sigma_w times a Haar-like orthogonal matrix (square layers only): the
+    QR of a Gaussian draw with the signs of R's diagonal folded into Q."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    q, r = np.linalg.qr(rng.normal(size=(n, n)))
+    signs = np.sign(np.diag(r))
+    signs[signs == 0] = 1.0
+    return sigma_w * (q * signs)
 
 
 def init_bottleneck(
@@ -99,8 +106,8 @@ def init_bottleneck(
     """
     if not (1 <= n_b <= min(n_in, n_out)):
         raise ValueError(f"bottleneck dimension {n_b} out of range for {n_in}x{n_out}")
-    u = sample_gaussian(n_b, n_in, 0.0, 1.0, rng)
-    v = sample_gaussian(n_out, n_b, 0.0, 1.0, rng)
+    u = rng.normal(size=(n_b, n_in))
+    v = rng.normal(size=(n_out, n_b))
     n_mean = (n_in + n_out) / 2.0
     return (v @ u) / math.sqrt(n_b * n_mean)
 

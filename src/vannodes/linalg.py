@@ -1,7 +1,7 @@
-"""Dense linear algebra helpers and deterministic random streams.
+"""Deterministic random streams and the symmetric eigen-solve.
 
-Matrices and vectors are plain float64 numpy arrays.  The eigensolver and QR
-are delegated to LAPACK (via numpy); the contracts here add the shape and
+Matrices and vectors are plain float64 numpy arrays.  The eigensolver is
+delegated to LAPACK (via numpy); the contract here adds the shape and
 symmetry checks the rest of the package relies on.
 """
 
@@ -9,13 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "Rng",
-    "sym_eigenvalues",
-    "qr_orthogonal",
-    "sample_gaussian",
-    "sample_uniform",
-]
+__all__ = ["Rng", "sym_eigenvalues"]
 
 
 class Rng:
@@ -70,28 +64,3 @@ def sym_eigenvalues(a: np.ndarray, return_vectors: bool = False):
     w = np.linalg.eigvalsh(a)
     return w[::-1].copy()
 
-
-def qr_orthogonal(n: int, rng: Rng) -> np.ndarray:
-    """Haar-like random orthogonal matrix: QR of a Gaussian draw with the
-    R diagonal signs folded into Q."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    g = rng.normal(size=(n, n))
-    q, r = np.linalg.qr(g)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return q * signs
-
-
-def sample_gaussian(rows: int, cols: int, mean: float, variance: float, rng: Rng) -> np.ndarray:
-    if variance < 0:
-        raise ValueError("variance must be non-negative")
-    if variance == 0:
-        return np.full((rows, cols), float(mean))
-    return rng.normal(size=(rows, cols), mean=mean, std=np.sqrt(variance))
-
-
-def sample_uniform(rows: int, cols: int, half_width: float, rng: Rng) -> np.ndarray:
-    if half_width < 0:
-        raise ValueError("half_width must be non-negative")
-    return rng.uniform(size=(rows, cols), low=-half_width, high=half_width)

@@ -103,8 +103,9 @@ def line_plot(path, x, series: dict, title="", x_label="", y_label=""):
     _write(path, parts)
 
 
-def heatmap(path, matrix, title="", vmin=0.0, vmax=1.0):
-    """Grayscale cell grid; black = vmax (full correlation), white = vmin."""
+def heatmap(path, matrix, title=""):
+    """Grayscale cell grid of values in [0, 1]; black = 1 (full correlation),
+    white = 0."""
     m = np.asarray(matrix, dtype=float)
     rows, cols = m.shape
     side = min((_W - _ML - _MR) / cols, (_H - _MT - _MB) / rows)
@@ -114,11 +115,9 @@ def heatmap(path, matrix, title="", vmin=0.0, vmax=1.0):
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<text x="{_W / 2}" y="18" text-anchor="middle" font-size="14">{title}</text>',
     ]
-    span = vmax - vmin or 1.0
     for i in range(rows):
         for j in range(cols):
-            level = (float(m[i, j]) - vmin) / span
-            shade = int(round(255 * (1.0 - min(max(level, 0.0), 1.0))))
+            shade = int(round(255 * (1.0 - min(max(float(m[i, j]), 0.0), 1.0))))
             parts.append(
                 f'<rect x="{_ML + j * side:.2f}" y="{_MT + i * side:.2f}" '
                 f'width="{side:.2f}" height="{side:.2f}" fill="rgb({shade},{shade},{shade})"/>'

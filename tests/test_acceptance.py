@@ -71,7 +71,7 @@ def test_criterion_01_theory_vs_simulation():
     sw2, q_star, mom = tuned(ActivationKind.HARD_TANH, sigma_x_sq)
     init = InitializerSpec(GAUSS, sw2)
     s1 = vn.s1_for_ensemble(GAUSS)
-    probe = vn.gaussian_probe(1000, n, sigma_x_sq, Rng(7)).inputs
+    probe = vn.gaussian_probe(1000, n, sigma_x_sq, Rng(7))
     worst = ("", 0.0)
     ok = True
     for depth in range(10, 101, 10):
@@ -112,7 +112,7 @@ def test_criterion_03_monotonicity():
     init = InitializerSpec(GAUSS, sw2)
 
     def mean_vni(depth, width):
-        probe = vn.gaussian_probe(1000, width, sigma_x_sq, Rng(7)).inputs
+        probe = vn.gaussian_probe(1000, width, sigma_x_sq, Rng(7))
         vals = [
             measure_vni(depth, width, ActivationKind.HARD_TANH, init, probe, Rng(0, (width, depth, s)))
             for s in range(seeds)
@@ -151,7 +151,7 @@ def test_criterion_05_orthogonal_depth_independence():
     n, seeds, sigma_x_sq = 100, 20, 1.0
     sw2, _, _ = tuned(ActivationKind.TANH, sigma_x_sq)
     init = InitializerSpec(InitKind.ORTHOGONAL, sw2)
-    probe = vn.gaussian_probe(1000, n, sigma_x_sq, Rng(7)).inputs
+    probe = vn.gaussian_probe(1000, n, sigma_x_sq, Rng(7))
     means = []
     for depth in (10, 50, 100):
         vals = [
@@ -338,7 +338,7 @@ def test_criterion_08_training_dynamics():
     # room is the stricter of the two.
     sw2, _, mom = tuned(ActivationKind.TANH, 1.0)
     ds = vn.synthetic_task("and4")
-    probe = vn.gaussian_probe(1000, 4, 1.0, Rng(999)).inputs
+    probe = vn.gaussian_probe(1000, 4, 1.0, Rng(999))
     spec = NetworkSpec(50, 100, 4, 4, ActivationKind.TANH)
 
     def run(lr, epochs, run_idx):
@@ -433,17 +433,18 @@ def test_criterion_10_failure_mode_attribution():
     sw2, _, mom = tuned(ActivationKind.TANH, 1.0)
     ds = vn.synthetic_task("xor2")
     rows = []
+    runs = [(lr, run) for lr in (0.003, 0.03, 0.3) for run in range(5)]
     for depth in (5, 15, 30):
-        for lr in (0.003, 0.03, 0.3):
-            for run in range(5):
-                spec = NetworkSpec(depth, 32, 2, 2, ActivationKind.TANH)
-                res = vn.train(
-                    spec, InitializerSpec(GAUSS, sw2), vn.OptimizerSpec(vn.OptimizerKind.SGD, lr),
-                    ds, vn.SuccessCriterion("train_accuracy", 0.99, 150), Rng(run, (10, depth)),
-                    batch_size=1, mu1=mom.mu1, epochs=150,
-                )
-                rec = res.records[-1]
-                rows.append((res.success, res.reason, rec.vni, float(np.median(rec.per_layer_gain))))
+        # the 15 runs of a depth are trained together, each bit for bit as alone
+        results = vn.train(
+            NetworkSpec(depth, 32, 2, 2, ActivationKind.TANH), InitializerSpec(GAUSS, sw2),
+            [vn.OptimizerSpec(vn.OptimizerKind.SGD, lr) for lr, _ in runs],
+            ds, vn.SuccessCriterion("train_accuracy", 0.99, 150), [Rng(run, (10, depth)) for _, run in runs],
+            batch_size=1, mu1=mom.mu1, epochs=150,
+        )
+        for res in results:
+            rec = res.records[-1]
+            rows.append((res.success, res.reason, rec.vni, float(np.median(rec.per_layer_gain))))
     succ = [r for r in rows if r[0]]
     fail = [r for r in rows if not r[0] and r[1] != "diverged"]
     assert succ and fail, "grid produced no successes or no completed failures"

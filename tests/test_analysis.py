@@ -9,7 +9,8 @@ from vannodes import analysis as an
 from vannodes.activations import ActivationMoments, ActivationKind, mu_quadrature
 from vannodes.initializers import InitKind, InitializerSpec
 from vannodes.linalg import Rng
-from vannodes.network import NetworkSpec, build_network, forward, jacobian, run_state, stack_states
+from vannodes import network
+from vannodes.network import NetworkSpec, backward, build_network, forward, headless, jacobian, run_state, stack_states
 
 
 def make_activations(n_samples=4000, width=20, seed=0):
@@ -235,6 +236,24 @@ class TestGradientDiagnostics:
         for r, run in enumerate(runs):
             assert gains[r].tobytes() == an.per_layer_gain(run, 0.7).tobytes()
             assert gains[r].tobytes() == an.per_layer_gain(run_state(state, r), 0.7).tobytes()
+
+    def test_input_gradient_skips_the_reflection_gradients(self, monkeypatch):
+        # Only the input gradient is read, so no reflection-vector gradient is
+        # formed; the input gradient keeps the bits of a full backward pass.
+        spec = NetworkSpec(3, 8, 5, 2, ActivationKind.TANH)
+        state = build_network(spec, InitializerSpec(InitKind.HOUSEHOLDER, 1.0), Rng(31))
+        probe = Rng(32).normal(size=(50, 5))
+        g = Rng(33).normal(size=(50, 8))
+        backbone = headless(state)
+        full = backward(backbone, forward(backbone, probe), g)
+        assert all(s is not None for s in full.stacks[1:])
+
+        def refuse(*args):
+            raise AssertionError("householder_backward called")
+
+        monkeypatch.setattr(network, "householder_backward", refuse)
+        d = an.gradient_diagnostics(state, probe, g, mu1=1.0)
+        assert d.var_input_grad == float(full.input_gradient.var())
 
     def test_forward_variance_prediction(self):
         # linear net at sigma_w^2 = 1: Var[x_L] should stay near Var[x_0]

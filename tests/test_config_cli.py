@@ -87,6 +87,11 @@ class TestConfig:
             ("probe_samples=1", "probe_samples"),
             ("sigma_w_sq=nan", "sigma_w_sq"),
             ("dataset=foo", "dataset"),
+            ("master_seed=-1", "master_seed"),
+            ("train_slice=0", "train_slice"),
+            ("train_slice=-5", "train_slice"),
+            ("test_slice=0", "test_slice"),
+            ("test_slice=-5", "test_slice"),
         ],
     )
     def test_bad_sizes_rejected(self, line, key):

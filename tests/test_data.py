@@ -146,12 +146,13 @@ class TestSyntheticTasks:
 
 
 def test_gaussian_probe_statistics():
-    ds = dt.gaussian_probe(50000, 10, 0.25, Rng(2))
-    assert ds.labels is None
-    assert abs(ds.inputs.mean()) < 0.01
-    assert ds.inputs.var() == pytest.approx(0.25, rel=0.02)
-    with pytest.raises(ValueError):
-        dt.gaussian_probe(10, 5, -1.0, Rng(0))
+    probe = dt.gaussian_probe(50000, 10, 0.25, Rng(2))
+    assert probe.shape == (50000, 10)
+    assert abs(probe.mean()) < 0.01
+    assert probe.var() == pytest.approx(0.25, rel=0.02)
+    for bad in (-1.0, 0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="sigma_x_sq"):
+            dt.gaussian_probe(10, 5, bad, Rng(0))
 
 
 def test_take():

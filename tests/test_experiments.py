@@ -197,7 +197,7 @@ def _sweep_reference(config) -> dict:
     for width in config.widths:
         for run in range(config.runs):
             rng = Rng(config.master_seed, (width, run))
-            probe = gaussian_probe(config.probe_samples, width, config.sigma_x_sq, rng.spawn(1)).inputs
+            probe = gaussian_probe(config.probe_samples, width, config.sigma_x_sq, rng.spawn(1))
             for depth in config.depths:
                 state = build_network(config.network_spec(depth, width, width, 0), init, rng.spawn(0))
                 values[f"N{width}_L{depth}_r{run}"] = vni_empirical(output(state, probe))[0]

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,19 @@ def test_scaled_uniform_variance_and_bounds():
 def test_orthogonal_init():
     w = ini.init_orthogonal(30, np.sqrt(1.3), Rng(3))
     assert np.allclose(w @ w.T, 1.3 * np.eye(30), atol=1e-10)
+
+
+def test_qr_orthogonal():
+    q = ini.init_orthogonal(15, 1.0, Rng(2))
+    assert np.allclose(q @ q.T, np.eye(15), atol=1e-10)
+    assert np.allclose(q.T @ q, np.eye(15), atol=1e-10)
+
+
+def test_qr_haar_sign_symmetry():
+    # first entry should not have a sign bias (the raw QR of a Gaussian
+    # matrix does, without the R-diagonal sign fix)
+    signs = [np.sign(ini.init_orthogonal(3, 1.0, Rng(s))[0, 0]) for s in range(400)]
+    assert abs(np.mean(signs)) < 0.15
 
 
 def test_bottleneck_rank_and_scale():
@@ -358,3 +373,26 @@ class TestDispatch:
             InitializerSpec(InitKind.SCALED_GAUSSIAN, -1.0)
         with pytest.raises(ValueError):
             InitializerSpec(InitKind.BOTTLENECK, 1.0, bottleneck_nb=0)
+
+
+# The first 16 hex digits of the SHA-256 of each kind's draw at Rng(5, (1,)),
+# sigma_w^2 = 1.3 and N_b = 2, for a square 7 x 7 layer and a rectangular
+# 5 -> 3 one (every kind falls back to the scaled Gaussian there).  A change
+# to any draw, its order or its scale shows here.
+INIT_DIGESTS = {
+    InitKind.SCALED_GAUSSIAN: ("fd30811a4703b1e8", "4bfb1777c68014af"),
+    InitKind.SCALED_UNIFORM: ("2ae53b2c7a6223c4", "5abb957e966f3ee4"),
+    InitKind.ORTHOGONAL: ("1592f2685064ccc0", "4bfb1777c68014af"),
+    InitKind.BOTTLENECK: ("ac68baf55dc4aef1", "4bfb1777c68014af"),
+    InitKind.HOUSEHOLDER: ("242bc5f0135ab62f", "4bfb1777c68014af"),
+}
+
+
+@pytest.mark.parametrize("kind", list(InitKind), ids=lambda k: k.value)
+def test_init_weight_draws_are_pinned(kind):
+    digests = []
+    for fan_in, fan_out in ((7, 7), (5, 3)):
+        w = ini.init_weight(InitializerSpec(kind, 1.3, 2), fan_in, fan_out, Rng(5, (1,)))
+        a = w.vectors if isinstance(w, HouseholderStack) else w
+        digests.append(hashlib.sha256(a.tobytes()).hexdigest()[:16])
+    assert tuple(digests) == INIT_DIGESTS[kind]

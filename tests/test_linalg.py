@@ -3,13 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vannodes.linalg import (
-    Rng,
-    qr_orthogonal,
-    sample_gaussian,
-    sample_uniform,
-    sym_eigenvalues,
-)
+from vannodes.initializers import init_orthogonal
+from vannodes.linalg import Rng, sym_eigenvalues
 
 
 class TestRng:
@@ -81,33 +76,6 @@ class TestEigenvalues:
         rng = Rng(seed)
         a = rng.normal(size=(n, n))
         a = a + a.T
-        q = qr_orthogonal(n, rng.spawn(0))
+        q = init_orthogonal(n, 1.0, rng.spawn(0))
         assert np.allclose(sym_eigenvalues(a), sym_eigenvalues(q @ a @ q.T), atol=1e-8)
 
-
-class TestSampling:
-    def test_qr_orthogonal(self):
-        q = qr_orthogonal(15, Rng(2))
-        assert np.allclose(q @ q.T, np.eye(15), atol=1e-10)
-        assert np.allclose(q.T @ q, np.eye(15), atol=1e-10)
-
-    def test_qr_haar_sign_symmetry(self):
-        # first entry should not have a sign bias (the raw QR of a Gaussian
-        # matrix does, without the R-diagonal sign fix)
-        signs = [np.sign(qr_orthogonal(3, Rng(s))[0, 0]) for s in range(400)]
-        assert abs(np.mean(signs)) < 0.15
-
-    def test_gaussian_variance(self):
-        w = sample_gaussian(300, 300, 0.0, 0.25, Rng(4))
-        assert abs(w.var() - 0.25) < 0.005
-
-    def test_uniform_bounds_and_variance(self):
-        w = sample_uniform(300, 300, 0.6, Rng(6))
-        assert w.min() >= -0.6 and w.max() <= 0.6
-        assert abs(w.var() - 0.6**2 / 3) < 0.005
-
-    def test_negative_scale_rejected(self):
-        with pytest.raises(ValueError):
-            sample_gaussian(2, 2, 0.0, -1.0, Rng(0))
-        with pytest.raises(ValueError):
-            sample_uniform(2, 2, -0.5, Rng(0))
