@@ -10,7 +10,6 @@ from .activations import ActivationKind, ActivationMoments, moments, tune_sigma_
 from .analysis import (
     DEFAULT_ENN_EPSILONS,
     GradientDiagnostics,
-    SpectralMoments,
     VniReport,
     correlation_heatmap,
     enn_from_rsq,

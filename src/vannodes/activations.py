@@ -3,15 +3,16 @@
 ``mu_k`` here is E[phi'(h)^(2k)] with h ~ N(0, q_star), in closed form for
 linear, ReLU and hard-tanh and by Gauss-Hermite quadrature for tanh
 (``mu_quadrature``).  q_star is the attracting fixed point of the forward
-variance map q -> sigma_w^2 m(q) + sigma_b^2, m(q) = E[phi(sqrt(q) z)^2].
+variance map q -> sigma_w^2 m(q), m(q) = E[phi(sqrt(q) z)^2]; the networks
+here start from zero biases, so the map has no bias term.
 mu_1 is the backward gain factor: a layer multiplies gradient variance by
 sigma_w^2 * mu_1, so sigma_w^2 * mu_1 = 1 is the norm-preserving operating
 point.
 
 Both are solved directly: q_star by safeguarded Newton on
-F(q) = q - sigma_w^2 m(q) - sigma_b^2 (``variance_fixed_point``), and the
+F(q) = q - sigma_w^2 m(q) (``variance_fixed_point``), and the
 norm-preserving sigma_w^2 by bisection on g(s) = s mu_1(q_star(s)) - 1
-(``tune_sigma_w_sq``, which takes no bias).  For tanh and hard-tanh its root
+(``tune_sigma_w_sq``).  For tanh and hard-tanh its root
 is the critical point sigma_w^2 = 1, q_star = 0 (Schoenholz et al. 2017, "Deep
 Information Propagation"): the plain recursion slows down critically there,
 taking about 1/(sigma_w^2 - 1) steps.
@@ -176,23 +177,17 @@ def moments(kind: ActivationKind, q_star: float) -> ActivationMoments:
     return ActivationMoments(*mu_quadrature(kind, q_star), q_star)
 
 
-def variance_fixed_point(
-    kind: ActivationKind,
-    sigma_w_sq: float,
-    sigma_b_sq: float = 0.0,
-    sigma_x_sq: float = 0.1,
-) -> float:
+def variance_fixed_point(kind: ActivationKind, sigma_w_sq: float, sigma_x_sq: float) -> float:
     """Limit of the pre-activation variance recursion
-    q_{l+1} = sigma_w^2 m(q_l) + sigma_b^2, m(q) = E[phi(sqrt(q) z)^2], from
+    q_{l+1} = sigma_w^2 m(q_l), m(q) = E[phi(sqrt(q) z)^2], from
     q_0 = sigma_x^2.
 
     The map is increasing, so the recursion moves monotonically to the
-    nearest root of F(q) = q - sigma_w^2 m(q) - sigma_b^2 on the side where
+    nearest root of F(q) = q - sigma_w^2 m(q) on the side where
     F(sigma_x^2) points.  That root is bracketed and solved by Newton's
     method, falling back to bisection when a step leaves the bracket, until
-    |F| is at rounding level.  With sigma_b = 0 and
-    sigma_w^2 m'(0) <= 1 the recursion decays to the root at 0 and 0.0 is
-    returned.
+    |F| is at rounding level.  With sigma_w^2 m'(0) <= 1 the recursion
+    decays to the root at 0 and 0.0 is returned.
 
     Raises FloatingPointError when the recursion grows past 1e12 (no root
     above sigma_x^2), and ConvergenceError when F changes sign without
@@ -204,22 +199,20 @@ def variance_fixed_point(
     def residual(q: float) -> tuple[float, float]:
         """F(q) and the rounding level it can be resolved to."""
         mapped = sigma_w_sq * mean_sq_activation(kind, q)
-        return q - mapped - sigma_b_sq, 16.0 * _EPS * (q + mapped + sigma_b_sq)
+        return q - mapped, 16.0 * _EPS * (q + mapped)
 
     q = float(sigma_x_sq)
     f, noise = residual(q)
     if abs(f) <= noise:
         return q
-    if sigma_b_sq == 0 and sigma_w_sq * mean_sq_activation_derivative(kind, 0.0) <= 1.0:
+    if sigma_w_sq * mean_sq_activation_derivative(kind, 0.0) <= 1.0:
         # phi(h)^2 <= m'(0) h^2 for every kind here, so the map pulls each q > 0 down.
         return 0.0
     if f > 0:
-        # Descending: F(0) = -sigma_b^2 <= 0, and with sigma_b = 0 F < 0 just above 0.
+        # Descending: F(0) = 0, and F < 0 just above 0.
         lo, hi = 0.0, q
-    else:
-        # Ascending: F(sigma_b^2) = -sigma_w^2 m(sigma_b^2) < 0 too, so doubling
-        # from there also moves off q = 0.
-        lo, hi = q, max(q, sigma_b_sq)
+    else:  # ascending: double q until F turns positive
+        lo, hi = q, q
         while f < 0:
             lo, hi = hi, 2.0 * hi
             if hi > 1e12:
@@ -247,11 +240,10 @@ def variance_fixed_point(
 
 
 def tune_sigma_w_sq(kind: ActivationKind, sigma_x_sq: float = 0.1) -> tuple[float, float]:
-    """Solve sigma_w^2 * mu_1(q_star(sigma_w^2)) = 1, with no bias
-    (sigma_b = 0).
+    """Solve sigma_w^2 * mu_1(q_star(sigma_w^2)) = 1.
 
     Returns (sigma_w_sq, q_star), with q_star exactly as
-    ``variance_fixed_point(kind, sigma_w_sq, 0.0, sigma_x_sq)`` returns it.
+    ``variance_fixed_point(kind, sigma_w_sq, sigma_x_sq)`` returns it.
     Linear and ReLU have a q-independent mu_1, so sigma_w^2 = 1 / mu_1.
     Tanh and hard-tanh bisect g(s) = s mu_1(q_star(s)) - 1 until |g| <= 1e-12,
     mu_1 by quadrature so the result is deterministic.  g(1) <= 0 because
@@ -261,10 +253,10 @@ def tune_sigma_w_sq(kind: ActivationKind, sigma_x_sq: float = 0.1) -> tuple[floa
     """
     if kind in (ActivationKind.LINEAR, ActivationKind.RELU):
         s = 1.0 / mu_quadrature(kind, 0.0)[0]
-        return s, variance_fixed_point(kind, s, 0.0, sigma_x_sq)
+        return s, variance_fixed_point(kind, s, sigma_x_sq)
 
     def g(s: float) -> tuple[float, float]:
-        q = variance_fixed_point(kind, s, 0.0, sigma_x_sq)
+        q = variance_fixed_point(kind, s, sigma_x_sq)
         return s * mu_quadrature(kind, q)[0] - 1.0, q
 
     lo, hi = 1.0, 2.0

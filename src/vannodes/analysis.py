@@ -23,7 +23,6 @@ from .network import NetworkState, backward, forward, headless, jacobian, output
 
 __all__ = [
     "VniReport",
-    "SpectralMoments",
     "GradientDiagnostics",
     "vni_empirical",
     "vni_from_covariance",
@@ -40,13 +39,6 @@ __all__ = [
 ]
 
 DEFAULT_ENN_EPSILONS = (0.01, 0.1, 0.5, 0.9)
-
-
-@dataclass
-class SpectralMoments:
-    m1: float
-    m2: float
-    eigenvalues: np.ndarray = field(repr=False)
 
 
 @dataclass
@@ -114,7 +106,7 @@ def vni_from_covariance(c: np.ndarray) -> float:
     return float(np.sum(c * c) / trace**2)
 
 
-def vni_from_jacobian(j: np.ndarray):
+def vni_from_jacobian(j: np.ndarray) -> float:
     """Moment form m_2 / (N m_1^2) from the spectrum of J J^T.
 
     The linearized covariance is C = sigma_x^2 J J^T; the input scale
@@ -128,7 +120,7 @@ def vni_from_jacobian(j: np.ndarray):
     m2 = float((lam**2).mean())
     if m1 == 0:
         raise ValueError("fully degenerate Jacobian: m_1 = 0")
-    return m2 / (n * m1 * m1), SpectralMoments(m1, m2, lam)
+    return m2 / (n * m1 * m1)
 
 
 def vni_theoretical(depth: int, width: int, moments: ActivationMoments, s1: float):
@@ -268,7 +260,7 @@ def vni_report(
     jac_value = None
     if with_jacobian:
         j = jacobian(backbone, np.asarray(probe_batch)[0])
-        jac_value, _ = vni_from_jacobian(j)
+        jac_value = vni_from_jacobian(j)
     theo = theo_raw = None
     if moments is not None and s1 is not None:
         theo, theo_raw = vni_theoretical(state.spec.depth_L, state.spec.width_N, moments, s1)

@@ -30,7 +30,7 @@ def _load_config(args, experiment: str) -> ExperimentConfig:
     overrides = {}
     for item in args.set or []:
         if "=" not in item:
-            raise SystemExit(f"--set expects key=value, got {item!r}")
+            raise ValueError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         overrides[key.strip()] = value.strip()
     overrides["experiment"] = experiment

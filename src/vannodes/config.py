@@ -63,9 +63,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        ActivationKind(self.activation)
-        InitKind(self.init)
-        OptimizerKind(self.optimizer)
+        for name, kind in (("activation", ActivationKind), ("init", InitKind), ("optimizer", OptimizerKind)):
+            value, choices = getattr(self, name), [k.value for k in kind]
+            if value not in choices:
+                raise ValueError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
         if self.dataset.lower() not in DATASETS:
             raise ValueError(f"dataset must be one of {', '.join(DATASETS)}, got {self.dataset!r}")
         for name in ("widths", "depths", "learning_rates"):
@@ -136,14 +137,17 @@ class ExperimentConfig:
     @classmethod
     def from_text(cls, text: str, overrides: dict | None = None) -> "ExperimentConfig":
         raw: dict = {}
+        first_line: dict = {}
         for lineno, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
                 raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            raw[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in raw:
+                raise ValueError(f"config key {key!r} given twice: lines {first_line[key]} and {lineno}")
+            raw[key], first_line[key] = value, lineno
         if overrides:
             raw.update(overrides)
         return cls().with_overrides(raw)

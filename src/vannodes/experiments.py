@@ -195,10 +195,10 @@ def resolve_gain(config: ExperimentConfig, sigma_x_sq: float, init_kind: InitKin
     kind = config.activation_kind
     if init_kind in (InitKind.BOTTLENECK, InitKind.HOUSEHOLDER):
         s = 1.0
-        q = act.variance_fixed_point(kind, s, 0.0, sigma_x_sq)
+        q = act.variance_fixed_point(kind, s, sigma_x_sq)
     elif config.sigma_w_sq > 0:
         s = config.sigma_w_sq
-        q = act.variance_fixed_point(kind, s, 0.0, sigma_x_sq)
+        q = act.variance_fixed_point(kind, s, sigma_x_sq)
     else:
         s, q = act.tune_sigma_w_sq(kind, sigma_x_sq)
     mu1, mu2 = act.mu_quadrature(kind, q)

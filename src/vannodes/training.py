@@ -1,4 +1,4 @@
-"""Optimizers, softmax cross-entropy, and the instrumented training engine.
+"""Plain SGD, softmax cross-entropy, and the instrumented training engine.
 
 Every run owns an Rng stream derived from (master_seed, run key), so runs are
 bit-reproducible.  ``train`` steps the runs of one shape together, in stacks
@@ -50,18 +50,8 @@ __all__ = [
 
 class OptimizerKind(enum.Enum):
     SGD = "sgd"
-    SGD_MOMENTUM = "sgd_momentum"
-    ADAM = "adam"
-    RMSPROP = "rmsprop"
 
 
-# Fixed optimizer hyperparameters; only the kind and the learning rate vary.
-_MOMENTUM = 0.9
-_ADAM_BETA1 = 0.9
-_ADAM_BETA2 = 0.999
-_ADAM_EPS = 1e-8
-_RMSPROP_DECAY = 0.9
-_RMSPROP_EPS = 1e-8
 # Rows per forward pass in ``evaluate``, and of the task inputs that are the
 # default probe and the input-gradient batch of the epoch statistics.
 _EVAL_BATCH = 1000
@@ -80,64 +70,34 @@ class OptimizerSpec:
     learning_rate: float = 0.01
 
     def __post_init__(self):
+        if self.kind is not OptimizerKind.SGD:
+            raise ValueError(f"only plain SGD is implemented, got optimizer {self.kind!r}")
         if not self.learning_rate > 0:  # NaN too
             raise ValueError("learning_rate must be positive")
 
 
 class Optimizer:
-    """Updates a flat list of parameter arrays in place.  Householder layers
-    expose their reflection-vector arrays as leaves, so the materialized
-    weights stay exactly orthogonal.
+    """Plain SGD on a flat list of parameter arrays, in place.  Householder
+    layers expose their reflection-vector arrays as leaves, so the
+    materialized weights stay exactly orthogonal.
 
     ``learning_rate`` overrides the spec's; the trainer passes an R x 1 x 1
     array of per-run rates for leaves stacked along a leading run axis."""
 
     def __init__(self, spec: OptimizerSpec, learning_rate=None):
-        self.spec = spec
         self.learning_rate = spec.learning_rate if learning_rate is None else learning_rate
-        self.t = 0
-        self._leaves = 0
-        self._m: list = []
-        self._v: list = []
 
     def take(self, runs):
-        """Keep the state of the runs ``runs`` (indices along the run axis)."""
-        self._m = [m[runs] for m in self._m]
-        self._v = [v[runs] for v in self._v]
+        """Keep the rates of the runs ``runs`` (indices along the run axis)."""
         if np.ndim(self.learning_rate):
             self.learning_rate = self.learning_rate[runs]
 
     def step(self, leaves: list):
         """``leaves`` is a list of (param, grad) array pairs of equal shape."""
-        kind, lr = self.spec.kind, self.learning_rate
-        if self.t == 0:  # moment arrays only for the kinds that keep them
-            self._leaves = len(leaves)
-            if kind in (OptimizerKind.SGD_MOMENTUM, OptimizerKind.ADAM):
-                self._m = [np.zeros_like(p) for p, _ in leaves]
-            if kind in (OptimizerKind.ADAM, OptimizerKind.RMSPROP):
-                self._v = [np.zeros_like(p) for p, _ in leaves]
-        if len(leaves) != self._leaves:
-            raise ValueError("leaf count changed between optimizer steps")
-        self.t += 1
-        for i, (p, g) in enumerate(leaves):
+        for p, g in leaves:
             if p.shape != g.shape:
                 raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-            if kind is OptimizerKind.SGD:
-                p -= lr * g
-            elif kind is OptimizerKind.SGD_MOMENTUM:
-                self._m[i] = _MOMENTUM * self._m[i] + g
-                p -= lr * self._m[i]
-            elif kind is OptimizerKind.ADAM:
-                self._m[i] = _ADAM_BETA1 * self._m[i] + (1 - _ADAM_BETA1) * g
-                self._v[i] = _ADAM_BETA2 * self._v[i] + (1 - _ADAM_BETA2) * g * g
-                m_hat = self._m[i] / (1 - _ADAM_BETA1**self.t)
-                v_hat = self._v[i] / (1 - _ADAM_BETA2**self.t)
-                p -= lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
-            elif kind is OptimizerKind.RMSPROP:
-                self._v[i] = _RMSPROP_DECAY * self._v[i] + (1 - _RMSPROP_DECAY) * g * g
-                p -= lr * g / (np.sqrt(self._v[i]) + _RMSPROP_EPS)
-            else:
-                raise ValueError(f"unknown optimizer {kind!r}")
+            p -= self.learning_rate * g
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
@@ -312,7 +272,7 @@ def train(
     as diverged.
 
     ``optimizer_spec`` and ``rng`` may instead be lists of equal length, one
-    entry per run, all of one optimizer kind; a list of results is then
+    entry per run; a list of results is then
     returned.  Each run draws its network from ``rng.spawn(0)`` and its data
     order from ``rng.spawn(1)``.  The runs are split into stacks that fit
     ``_TRACE_FLOATS`` and the runs of a stack are stepped together; every
@@ -327,8 +287,6 @@ def train(
         raise ValueError("network num_classes does not match dataset")
     if criterion.metric == "test_accuracy" and test_set is None:
         raise ValueError("a test_accuracy criterion needs a test_set")
-    if len({o.kind for o in opt_specs}) > 1:
-        raise ValueError("runs trained together must share one optimizer kind")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if epochs is not None and epochs < 0:

@@ -112,30 +112,33 @@ def test_mu2_le_mu1_le_one_for_bounded_slope(kind, q):
 
 class TestVarianceFixedPoint:
     def test_linear_closed_form(self):
-        # q_{t+1} = sw2 * q_t + sb2  ->  q* = sb2 / (1 - sw2)
-        q = act.variance_fixed_point(ActivationKind.LINEAR, 0.5, 0.3, 1.0)
-        assert q == pytest.approx(0.3 / 0.5, abs=1e-8)
+        # q_{t+1} = sw2 * q_t: decays to 0 for sw2 < 1, and keeps q_0 at sw2 = 1
+        assert act.variance_fixed_point(ActivationKind.LINEAR, 0.5, 1.0) == 0.0
+        assert act.variance_fixed_point(ActivationKind.LINEAR, 1.0, 0.7) == 0.7
+        assert act.variance_fixed_point(ActivationKind.RELU, 2.0, 0.7) == 0.7
 
     def test_is_a_fixed_point(self):
+        # sw2 m'(0) > 1, so the recursion settles at a root above 0, from below and from above
         for kind in (ActivationKind.TANH, ActivationKind.HARD_TANH):
-            q = act.variance_fixed_point(kind, 1.4, 0.05, 0.2)
-            nxt = 1.4 * act.mean_sq_activation(kind, q) + 0.05
-            assert nxt == pytest.approx(q, abs=1e-7)
+            for sigma_x_sq in (0.2, 5.0):
+                q = act.variance_fixed_point(kind, 1.4, sigma_x_sq)
+                nxt = 1.4 * act.mean_sq_activation(kind, q)
+                assert q > 0.1 and nxt == pytest.approx(q, abs=1e-7)
 
     def test_divergence_raises(self):
         with pytest.raises(FloatingPointError):
-            act.variance_fixed_point(ActivationKind.LINEAR, 2.0, 1.0, 1.0)
+            act.variance_fixed_point(ActivationKind.LINEAR, 2.0, 1.0)
 
     def test_empirical_forward_variance(self):
         # push a wide batch through one layer and compare variances
         kind = ActivationKind.TANH
-        sw2, sb2, q0 = 1.5, 0.1, 0.7
+        sw2, q0 = 1.5, 0.7
         rng = Rng(41)
         h = rng.normal(size=500_000, std=math.sqrt(q0))
         w_scale = math.sqrt(sw2)
-        # E[ sw2 * phi(h)^2 ] + sb2 is the one-step map
-        got = w_scale**2 * float(np.mean(act.apply(kind, h) ** 2)) + sb2
-        want = sw2 * act.mean_sq_activation(kind, q0) + sb2
+        # E[ sw2 * phi(h)^2 ] is the one-step map
+        got = w_scale**2 * float(np.mean(act.apply(kind, h) ** 2))
+        want = sw2 * act.mean_sq_activation(kind, q0)
         assert got == pytest.approx(want, rel=5e-3)
 
 
@@ -171,13 +174,13 @@ class TestDirectSolves:
         sw2, q = act.tune_sigma_w_sq(kind, sigma_x_sq)
         mu1, _ = act.mu_quadrature(kind, q)
         assert abs(sw2 * mu1 - 1.0) <= 1e-12
-        assert act.variance_fixed_point(kind, sw2, 0.0, sigma_x_sq) == q
+        assert act.variance_fixed_point(kind, sw2, sigma_x_sq) == q
 
     def test_tanh_critical_point_is_zero(self):
-        assert act.variance_fixed_point(ActivationKind.TANH, 1.0, 0.0, 0.1) <= 1e-12
+        assert act.variance_fixed_point(ActivationKind.TANH, 1.0, 0.1) <= 1e-12
 
     def test_map_without_fixed_point_raises(self, monkeypatch):
         # 2 m(q) jumps over the diagonal at q = 5: F = q - 2 m(q) is -1 below and +1 above.
         monkeypatch.setattr(act, "mean_sq_activation", lambda kind, q: (q + 1.0 if q < 5.0 else q - 1.0) / 2)
         with pytest.raises(act.ConvergenceError):
-            act.variance_fixed_point(ActivationKind.TANH, 2.0, 0.0, 0.1)
+            act.variance_fixed_point(ActivationKind.TANH, 2.0, 0.1)

@@ -92,6 +92,9 @@ class TestConfig:
             ("train_slice=-5", "train_slice"),
             ("test_slice=0", "test_slice"),
             ("test_slice=-5", "test_slice"),
+            ("activation=foo", "activation"),
+            ("init=foo", "init"),
+            ("optimizer=adam", "optimizer"),
         ],
     )
     def test_bad_sizes_rejected(self, line, key):
@@ -104,6 +107,12 @@ class TestConfig:
     def test_parse_error_names_the_key(self, line, key):
         with pytest.raises(ValueError, match=f"^{key}: "):
             ExperimentConfig.from_text(line)
+
+    def test_key_given_twice_rejected(self):
+        with pytest.raises(ValueError, match=r"'runs' given twice: lines 2 and 4"):
+            ExperimentConfig.from_text("# runs\nruns=2\nepochs=3\nruns=3\n")
+        # --set still overrides a key the file gives once
+        assert ExperimentConfig.from_text("runs=2\n", {"runs": "3"}).runs == 3
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(st.text(), st.lists(st.tuples(st.sampled_from(KEYS), VALUES), max_size=4)))
@@ -165,6 +174,18 @@ class TestCli:
         rc = main(["sweep", "--set", "bogus_key=1", "--set", f"out_dir={tmp_path}"])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_set_without_equals_exits_2(self, tmp_path, capsys):
+        rc = main(["sweep", "--set", "foo", "--set", f"out_dir={tmp_path}"])
+        assert rc == 2
+        assert "config error: --set expects key=value, got 'foo'" in capsys.readouterr().err
+
+    def test_config_file_key_given_twice_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("runs=2\nruns=3\n")
+        rc = main(["sweep", "--config", str(cfg), "--set", f"out_dir={tmp_path}"])
+        assert rc == 2
+        assert "config error: config key 'runs' given twice: lines 1 and 2" in capsys.readouterr().err
 
     def test_failed_run_exits_nonzero(self, tmp_path, capsys):
         # point the grid at a missing MNIST directory: the run cannot complete
