@@ -31,7 +31,7 @@ from .config import ExperimentConfig
 from .data import gaussian_probe, load_mnist_idx, synthetic_task
 from .initializers import InitKind, InitializerSpec
 from .linalg import Rng
-from .network import build_network, layers, output
+from .network import build_network, streamed_layers
 from .training import train
 
 __all__ = [
@@ -218,12 +218,12 @@ def _init_spec(config: ExperimentConfig, init_kind: InitKind, gain: GainSetup) -
     return InitializerSpec(init_kind, gain.sigma_w_sq, config.bottleneck_nb)
 
 
-def _probe_network(config: ExperimentConfig, depth: int, width: int, gain: GainSetup, rng: Rng) -> tuple:
-    """(network, probe inputs): one width x width network drawn from
-    ``rng.spawn(0)`` and a Gaussian probe drawn from ``rng.spawn(1)``."""
+def _probe_layers(config: ExperimentConfig, depth: int, width: int, gain: GainSetup, rng: Rng):
+    """x_1..x_depth of one width x width network drawn from ``rng.spawn(0)``,
+    streamed over a Gaussian probe drawn from ``rng.spawn(1)``."""
     spec = config.network_spec(depth, width, width, 0)
-    state = build_network(spec, _init_spec(config, config.init_kind, gain), rng.spawn(0))
-    return state, gaussian_probe(config.probe_samples, width, config.sigma_x_sq, rng.spawn(1))
+    probe = gaussian_probe(config.probe_samples, width, config.sigma_x_sq, rng.spawn(1))
+    return streamed_layers(spec, _init_spec(config, config.init_kind, gain), rng.spawn(0), probe)
 
 
 def _train_runs(
@@ -286,7 +286,8 @@ def run_vni_sweep(config: ExperimentConfig) -> dict:
     every listed depth from one forward pass: layer l's weights come from
     their own stream, so the first L layers are the L-layer network of the
     same key.  The depths of one run therefore share weights; across runs
-    they are independent draws.
+    they are independent draws.  The pass draws each layer as it reaches it
+    (``streamed_layers``), so a run holds one layer's weight, not the network.
     """
     gain = resolve_gain(config, config.sigma_x_sq, config.init_kind)
     s1 = _s1(config)
@@ -296,11 +297,8 @@ def run_vni_sweep(config: ExperimentConfig) -> dict:
     def compute(missing):
         [(width, depth, run)] = missing  # groups of one row, each stored as soon as computed
         if (width, run) not in profiles:
-            rng = Rng(config.master_seed, (width, run))
-            state, probe = _probe_network(config, max(listed), width, gain, rng)
-            profiles[(width, run)] = {
-                d: float(vni_empirical(x)[0]) for d, x in enumerate(layers(state, probe), 1) if d in listed
-            }
+            probe_pass = _probe_layers(config, max(listed), width, gain, Rng(config.master_seed, (width, run)))
+            profiles[(width, run)] = {d: float(vni_empirical(x)[0]) for d, x in enumerate(probe_pass, 1) if d in listed}
         return [[width, depth, profiles[(width, run)][depth]]]
 
     cells = [
@@ -344,8 +342,9 @@ def run_heatmap(config: ExperimentConfig) -> dict:
     cells += [(width, config.depths[0]) for width in config.widths[1:]]
     results, summary = {}, []
     for width, depth in cells:
-        state, probe = _probe_network(config, depth, width, gain, Rng(config.master_seed, (width, depth)))
-        vni, corr_sq, _ = vni_empirical(output(state, probe))
+        for x_L in _probe_layers(config, depth, width, gain, Rng(config.master_seed, (width, depth))):
+            pass
+        vni, corr_sq, _ = vni_empirical(x_L)
         permuted, _ = correlation_heatmap(corr_sq)
         tag = f"heatmap_N{width}_L{depth}"
         _write_csv(
@@ -514,7 +513,9 @@ def run_diagnostics(config: ExperimentConfig) -> dict:
     depth = config.depths[0]
     gain = resolve_gain(config, config.sigma_x_sq, config.init_kind)
     rng = Rng(config.master_seed, (depth, width))
-    state, probe = _probe_network(config, depth, width, gain, rng)
+    spec = config.network_spec(depth, width, width, 0)
+    state = build_network(spec, _init_spec(config, config.init_kind, gain), rng.spawn(0))
+    probe = gaussian_probe(config.probe_samples, width, config.sigma_x_sq, rng.spawn(1))
     report = vni_report(state, probe, moments=gain, s1=_s1(config), with_jacobian=True)
     loss_grads = rng.spawn(2).normal(size=(probe.shape[0], width))
     diag = gradient_diagnostics(state, probe, loss_grads, mu1=gain.mu1)

@@ -6,8 +6,11 @@ input_dim != N); an optional linear readout maps to num_classes.  Node
 statistics (VNI etc.) are always taken at backbone layer L, before the
 readout.
 
-``layers`` is the one loop over the layers: ``output`` reads its last
-post-activation and ``forward`` keeps them all.  Back-propagation and the
+``layers`` is the one loop over the layers of a built network: ``output``
+reads its last post-activation and ``forward`` keeps them all.
+``streamed_layers`` runs the same per-layer step over a network it draws one
+layer at a time, for a probe pass that needs no network afterwards: it holds
+one layer's weight instead of L.  Back-propagation and the
 Jacobian read phi'(h_l) from the post-activations x_l alone
 (``activations.derivative``), so no pre-activation is stored.
 
@@ -50,6 +53,7 @@ __all__ = [
     "headless",
     "forward",
     "layers",
+    "streamed_layers",
     "output",
     "backward",
     "jacobian",
@@ -122,7 +126,7 @@ def build_network(spec: NetworkSpec, init: InitializerSpec, rng: Rng) -> Network
     reflection stacks and stay exactly orthogonal under training updates;
     ``rematerialize`` forms each stack's W and WY factors.
     """
-    layers = [init_weight(init, spec.fan_in(l), spec.width_N, rng.spawn(l)) for l in range(spec.depth_L)]
+    layers = [_layer_weight(spec, init, rng, l) for l in range(spec.depth_L)]
     stacks = [w if isinstance(w, HouseholderStack) else None for w in layers]
     readout = [None, None]
     if spec.num_classes > 0:
@@ -132,6 +136,12 @@ def build_network(spec: NetworkSpec, init: InitializerSpec, rng: Rng) -> Network
     state = NetworkState(spec, layers, biases, stacks if any(stacks) else None, *readout)
     state.rematerialize()
     return state
+
+
+def _layer_weight(spec: NetworkSpec, init: InitializerSpec, rng: Rng, l: int):
+    """Layer l's weight, drawn from its own stream ``rng.spawn(l)``: a dense
+    matrix or a HouseholderStack."""
+    return init_weight(init, spec.fan_in(l), spec.width_N, rng.spawn(l))
 
 
 def stack_states(states: list) -> NetworkState:
@@ -194,10 +204,9 @@ def headless(state: NetworkState) -> NetworkState:
     return replace(state, spec=replace(state.spec, num_classes=0), readout_weight=None, readout_bias=None)
 
 
-def _as_batch(state: NetworkState, batch: np.ndarray) -> np.ndarray:
-    """An n x input_dim batch, or for a stacked state also R x n x input_dim."""
-    d = state.spec.input_dim
-    runs = state.weights[0].shape[:-2]
+def _as_batch(spec: NetworkSpec, batch: np.ndarray, runs: tuple = ()) -> np.ndarray:
+    """An n x input_dim batch, or for a stack of ``runs`` also R x n x input_dim."""
+    d = spec.input_dim
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim < 2 or x.shape[-1] != d or x.shape[:-2] not in ((), runs):
         shapes = f"(n, {d})" + (f" or ({runs[0]}, n, {d})" if runs else "")
@@ -208,7 +217,7 @@ def _as_batch(state: NetworkState, batch: np.ndarray) -> np.ndarray:
 def forward(state: NetworkState, batch: np.ndarray) -> ForwardTrace:
     """Forward pass keeping every layer's post-activation, which
     back-propagation and the Jacobian read."""
-    x = _as_batch(state, batch)
+    x = _as_batch(state.spec, batch, state.weights[0].shape[:-2])
     trace = ForwardTrace(inputs=x, post=list(layers(state, x)))
     if state.spec.num_classes > 0:
         trace.logits = trace.post[-1] @ state.readout_weight.swapaxes(-1, -2) + state.readout_bias
@@ -220,13 +229,40 @@ def layers(state: NetworkState, batch: np.ndarray):
     per-layer trace: each layer is computed in place into a fresh array, so
     at most two activation arrays are alive while the caller holds only the
     latest."""
-    spec = state.spec
-    x = _as_batch(state, batch)
+    kind = state.spec.activation
+    x = _as_batch(state.spec, batch, state.weights[0].shape[:-2])
     for w, b in zip(state.weights, state.biases):
-        h = x @ w.swapaxes(-1, -2)
-        h += b
-        x = act.apply(spec.activation, h, out=h)
+        x = _layer_step(kind, x, w, b)
         yield x
+
+
+def streamed_layers(spec: NetworkSpec, init: InitializerSpec, rng: Rng, batch: np.ndarray):
+    """Yield the post-activations x_1..x_L of the backbone that
+    ``build_network(spec, init, rng)`` draws, bit for bit, over an
+    n x input_dim batch, without building it: layer l's weight is drawn when
+    the pass reaches it (a Householder layer is materialized alone) and
+    dropped after its step.  So the pass holds one weight and a few
+    activation arrays, O(N^2 + n N) instead of the network's O(L N^2).  No
+    readout is drawn; ``build_network`` draws it last, from its own stream.
+    The zero bias is added as ``layers`` adds it, so that a product's -0.0
+    becomes +0.0 on both paths."""
+    x = _as_batch(spec, batch)
+    bias = np.zeros(spec.width_N)
+    for l in range(spec.depth_L):
+        w = _layer_weight(spec, init, rng, l)
+        if isinstance(w, HouseholderStack):
+            w = householder_materialize(w)
+        x = _layer_step(spec.activation, x, w, bias)
+        del w  # so that one weight is alive when the next layer is drawn
+        yield x
+
+
+def _layer_step(kind: ActivationKind, x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The one per-layer step, phi(x W^T + b), computed in place into a
+    fresh array."""
+    h = x @ w.swapaxes(-1, -2)
+    h += b
+    return act.apply(kind, h, out=h)
 
 
 def output(state: NetworkState, batch: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ import vannodes as vn
 from vannodes.activations import ActivationKind
 from vannodes.initializers import InitKind, InitializerSpec
 from vannodes.linalg import Rng
-from vannodes.network import NetworkSpec, backward, build_network, forward
+from vannodes.network import NetworkSpec, backward, build_network, forward, streamed_layers
 
 # Minutes of end-to-end runs: ``pytest -m "not slow"`` runs the unit suite alone.
 pytestmark = pytest.mark.slow
@@ -58,9 +58,11 @@ def tuned(kind: ActivationKind, sigma_x_sq: float):
 
 
 def measure_vni(depth, width, kind, init, probe, rng):
-    spec = NetworkSpec(depth, width, probe.shape[1], 0, kind)
-    state = build_network(spec, init, rng)
-    value, _, _ = vn.vni_empirical(forward(state, probe).post[-1])
+    # x_L of the network build_network(spec, init, rng) would draw, one layer
+    # held at a time
+    for x_L in streamed_layers(NetworkSpec(depth, width, probe.shape[1], 0, kind), init, rng, probe):
+        pass
+    value, _, _ = vn.vni_empirical(x_L)
     return value
 
 

@@ -341,21 +341,21 @@ def test_sweep_keeps_the_rows_computed_before_a_failure(tmp_path, monkeypatch):
     fresh_lines = fresh[runs_name].decode().splitlines(keepends=True)
     for path in tmp_path.iterdir():
         path.unlink()
-    probe_network = experiments._probe_network
+    streamed_layers = experiments.streamed_layers
     calls = []
 
-    def failing_probe_network(*args):
+    def failing_streamed_layers(*args):
         calls.append(args)
         if len(calls) == 3:
             raise RuntimeError("run failed")
-        return probe_network(*args)
+        return streamed_layers(*args)
 
-    monkeypatch.setattr(experiments, "_probe_network", failing_probe_network)
+    monkeypatch.setattr(experiments, "streamed_layers", failing_streamed_layers)
     with pytest.raises(RuntimeError):
         experiments.run_vni_sweep(config)
-    # the first width's two networks gave all its rows; the next width's first failed
+    # the first width's two probe passes gave all its rows; the next width's first failed
     kept = (tmp_path / runs_name).read_text().splitlines(keepends=True)
     assert kept == fresh_lines[: 2 + len(SWEEP["depths"]) * SWEEP["runs"]]
-    monkeypatch.setattr(experiments, "_probe_network", probe_network)
+    monkeypatch.setattr(experiments, "streamed_layers", streamed_layers)
     experiments.run_vni_sweep(config)
     assert _files(tmp_path) == fresh

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from vannodes.network import (
     output,
     run_state,
     stack_states,
+    streamed_layers,
 )
 
 GAUSS = InitializerSpec(InitKind.SCALED_GAUSSIAN, 1.2)
@@ -73,16 +76,33 @@ def test_output_equals_forward(kind, num_classes, input_dim, init):
 
 
 @pytest.mark.parametrize("kind", list(ActivationKind))
-@pytest.mark.parametrize("init", [GAUSS, InitializerSpec(InitKind.HOUSEHOLDER)], ids=["gauss", "householder"])
+@pytest.mark.parametrize(
+    "init",
+    [
+        GAUSS,
+        InitializerSpec(InitKind.HOUSEHOLDER),
+        InitializerSpec(InitKind.SCALED_UNIFORM, 1.2),
+        InitializerSpec(InitKind.ORTHOGONAL, 1.1),
+        InitializerSpec(InitKind.BOTTLENECK, bottleneck_nb=2),
+    ],
+    ids=["gauss", "householder", "uniform", "orthogonal", "bottleneck"],
+)
 def test_layers_equal_forward_post(kind, init):
-    state = build_network(NetworkSpec(4, 6, 6, 3, kind), init, Rng(32))
-    batch = Rng(33).normal(size=(9, 6))
-    before = batch.copy()
-    got = list(layers(state, batch))  # every yielded array stays valid
-    post = forward(state, batch).post
-    assert len(got) == len(post)
-    assert all(np.array_equal(a, b) for a, b in zip(got, post))
-    assert np.array_equal(batch, before)
+    # streamed_layers draws each layer from the stream build_network draws it
+    # from and leaves out the readout, drawn last from its own stream: its x_l
+    # are the built network's byte for byte, the sign of a zero included.
+    for input_dim in (6, 5):  # square, then a rectangular first layer
+        spec = NetworkSpec(4, 6, input_dim, 3, kind)
+        state = build_network(spec, init, Rng(32))
+        batch = Rng(33).normal(size=(9, input_dim))
+        before = batch.copy()
+        got = list(layers(state, batch))  # every yielded array stays valid
+        post = forward(state, batch).post
+        assert len(got) == len(post)
+        assert all(np.array_equal(a, b) for a, b in zip(got, post))
+        streamed = streamed_layers(spec, init, Rng(32), batch)
+        assert [x.tobytes() for x in streamed] == [x.tobytes() for x in got]
+        assert np.array_equal(batch, before)
 
 
 @pytest.mark.parametrize("kind", list(InitKind))
@@ -100,13 +120,36 @@ def test_shallow_network_is_prefix_of_deep(kind):
 
 
 def test_output_validates_like_forward():
-    state = build_network(NetworkSpec(2, 5, 3, 4, ActivationKind.RELU), GAUSS, Rng(3))
-    for bad in (Rng(4).normal(size=(7, 2)), Rng(4).normal(size=3)):
+    spec = NetworkSpec(2, 5, 3, 4, ActivationKind.RELU)
+    state = build_network(spec, GAUSS, Rng(3))
+    for bad in (Rng(4).normal(size=(7, 2)), Rng(4).normal(size=3), Rng(4).normal(size=(1, 7, 3))):
         with pytest.raises(ValueError) as from_forward:
             forward(state, bad)
         with pytest.raises(ValueError) as from_output:
             output(state, bad)
-        assert str(from_output.value) == str(from_forward.value)
+        with pytest.raises(ValueError) as from_streamed:
+            next(streamed_layers(spec, GAUSS, Rng(3), bad))
+        assert str(from_output.value) == str(from_streamed.value) == str(from_forward.value)
+
+
+def test_streamed_pass_holds_one_layer_not_the_network():
+    # N = 128, L = 64: the built network's weights alone take 8.4 MB, while a
+    # streamed pass holds one 131 kB weight, the draw's temporaries and a few
+    # 256 x 128 activation arrays.
+    spec = NetworkSpec(64, 128, 128, 0, ActivationKind.TANH)
+    batch = Rng(38).normal(size=(256, 128))
+    bound = 4 * 128 * 128 * 8 + 4 * batch.nbytes
+    tracemalloc.start()
+    try:
+        for x in streamed_layers(spec, GAUSS, Rng(39), batch):
+            pass
+        _, streamed_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        build_network(spec, GAUSS, Rng(39))
+        _, built_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert streamed_peak < bound < built_peak, (streamed_peak, bound, built_peak)
 
 
 @pytest.mark.parametrize("num_classes", [0, 3])
