@@ -61,89 +61,107 @@ def _header(config: ExperimentConfig) -> str:
     return f"# config_hash={config.config_hash()} master_seed={config.master_seed}\n"
 
 
+def _number(kind=float, lo: float = -math.inf, hi: float = math.inf):
+    """Parser of a run-CSV field that holds a finite ``kind`` in [lo, hi]."""
+    def parse(text: str):
+        value = kind(text)
+        if not (math.isfinite(value) and lo <= value <= hi):
+            raise ValueError(f"{text!r} is not a finite value in [{lo}, {hi}]")
+        return value
+    return parse
+
+
+_FINITE, _VNI, _SUCCESS = _number(), _number(float, 0.0, 1.0), _number(int, 0, 1)
+
+
+def _series(text: str) -> list:  # a ;-joined series of indicators
+    return [_VNI(v) for v in text.split(";")]
+
+
 class RunStore:
     """Append-only CSV of per-run results, keyed for resumability.
 
-    A row cut short by a crash (no trailing newline), with the wrong number
-    of fields, with bytes that are not UTF-8 or with a value that is not a
-    finite float is dropped on load with a warning, so its run is computed
-    again; the file is then rewritten with the kept rows only, so the next
-    load finds nothing to drop.
+    ``columns`` maps each column's name to its parser, which raises
+    ValueError on a value outside the column's kind.  A row cut short by a
+    crash (no trailing newline), with the wrong number of fields, with bytes
+    that are not UTF-8 or with a value its parser refuses is dropped on load
+    with a warning and taken out of the file, so its run is computed again;
+    ``add`` raises on such a row instead of writing it.
     """
 
-    def __init__(self, config: ExperimentConfig, name: str, columns: list):
+    def __init__(self, config: ExperimentConfig, name: str, columns: dict):
         self.path = _path(config, name)
-        self.columns = list(columns)
+        self.columns = columns
         self.rows: dict = {}
-        header = (_header(config) + "key," + ",".join(self.columns) + "\n").encode()
+        header = (_header(config) + "key," + ",".join(columns) + "\n").encode()
         data = b""
         if os.path.exists(self.path):
             with open(self.path, "rb") as f:
                 data = f.read()
         if data.startswith(header):
             self._load(data, len(header))
-            self._f = open(self.path, "a")
             return
         if data:
             warnings.warn(f"{self.path}: header cut short or altered; every run is recomputed")
-        self._f = open(self.path, "w")
-        self._f.write(header.decode())
-        self._f.flush()
+        with open(self.path, "wb") as f:
+            f.write(header)
+
+    def _parse(self, fields: list) -> list:
+        """``fields`` parsed by their columns' parsers; a failure names the column."""
+        values = []
+        for (name, parse), text in zip(self.columns.items(), fields, strict=True):
+            try:
+                values.append(parse(text))
+            except ValueError as e:
+                raise ValueError(f"{self.path}: column {name}: {e}") from None
+        return values
 
     def _load(self, data: bytes, start: int):
         """Keep the complete rows of ``data[start:]``.  When any is dropped,
-        replace the file by its header and the kept rows, written to
+        replace the file by its header and the kept rows' bytes, written to
         ``<path>.part`` first so that a crash leaves the old file whole."""
         lines = data[start:].split(b"\n")
         dropped = int(lines.pop() != b"")  # a last row with no newline
+        kept = {}
         for line in lines:
-            try:
-                parts = line.decode().split(",")
-                whole = len(parts) == len(self.columns) + 1 and all(
-                    math.isfinite(float(v)) for field in parts[1:] for v in field.split(";")
-                )
-            except ValueError:  # not UTF-8, or a value that is not a number
-                whole = False
-            if whole:
-                self.rows[parts[0]] = parts[1:]
-            else:
+            try:  # a decode error is a ValueError too
+                key, *fields = line.decode().split(",")
+                self.rows[key] = self._parse(fields)
+                kept[key] = line
+            except ValueError:
                 dropped += 1
         if dropped:
             warnings.warn(f"{self.path}: dropped {dropped} incomplete or corrupt row(s); their runs are recomputed")
-            with open(self.path + ".part", "w") as f:
-                f.write(data[:start].decode())
-                f.writelines(",".join([key, *values]) + "\n" for key, values in self.rows.items())
+            with open(self.path + ".part", "wb") as f:
+                f.write(data[:start] + b"".join(line + b"\n" for line in kept.values()))
             os.replace(self.path + ".part", self.path)
 
     def add(self, key: str, values: list):
-        formatted = [f"{v:.10g}" if isinstance(v, float) else str(v) for v in values]
-        self.rows[key] = formatted
-        self._f.write(",".join([key] + formatted) + "\n")
-        self._f.flush()
+        fields = [
+            f"{v:.10g}" if isinstance(v, float) else ";".join(map(repr, v)) if isinstance(v, list) else str(v)
+            for v in values
+        ]
+        self.rows[key] = self._parse(fields)
+        with open(self.path, "a") as f:
+            f.write(",".join([key, *fields]) + "\n")
 
-    def close(self):
-        self._f.close()
 
-
-def _stored_runs(config: ExperimentConfig, name: str, columns: list, groups: list, compute) -> list:
+def _stored_runs(config: ExperimentConfig, name: str, columns: dict, groups: list, compute) -> list:
     """Stored rows of the run CSV ``name``, grouped by ``config.runs``.
 
     ``groups`` lists groups of (run key, run arguments) pairs, run index
     innermost.  Only the keys the CSV does not hold yet are computed: for
     each group, ``compute`` gets the arguments of its missing keys, in
     order, and returns their rows.  Returns one list of ``config.runs`` rows
-    per cell, in the order of ``groups``, as stored (strings).
+    per cell, in the order of ``groups``, each parsed by ``columns`` (``RunStore``).
     """
     store = RunStore(config, name, columns)
-    try:
-        for group in groups:
-            missing = {key: args for key, args in group if key not in store.rows}
-            if missing:
-                for key, row in zip(missing, compute(list(missing.values())), strict=True):
-                    store.add(key, row)
-        rows = [store.rows[key] for group in groups for key, _ in group]
-    finally:
-        store.close()
+    for group in groups:
+        missing = {key: args for key, args in group if key not in store.rows}
+        if missing:
+            for key, row in zip(missing, compute(list(missing.values())), strict=True):
+                store.add(key, row)
+    rows = [store.rows[key] for group in groups for key, _ in group]
     return [rows[i : i + config.runs] for i in range(0, len(rows), config.runs)]
 
 
@@ -307,12 +325,13 @@ def run_vni_sweep(config: ExperimentConfig) -> dict:
         for depth in config.depths
         for run in range(config.runs)
     ]
-    stored = iter(_stored_runs(config, "sweep_runs", ["width", "depth", "vni"], [[c] for c in cells], compute))
+    columns = {"width": int, "depth": int, "vni": _VNI}
+    stored = iter(_stored_runs(config, "sweep_runs", columns, [[c] for c in cells], compute))
     rows, results = [], {}
     for width in config.widths:
         means, stds, theos = [], [], []
         for depth in config.depths:
-            vals = np.array([float(row[2]) for row in next(stored)])
+            vals = np.array([row[2] for row in next(stored)])
             theo_raw = np.nan if s1 is None else vni_theoretical(depth, width, gain, s1)[1]
             means.append(vals.mean())
             stds.append(vals.std(ddof=1) if config.runs > 1 else 0.0)
@@ -373,7 +392,7 @@ def run_dynamics(config: ExperimentConfig) -> dict:
     def compute(missing):
         results = _train_runs(config, config.depths[0], config.init_kind, task, gain, missing)
         return [
-            [lr, key[1], len(r.records), ";".join(repr(rec.vni) for rec in r.records)]
+            [lr, key[1], len(r.records), [rec.vni for rec in r.records]]
             for (lr, key), r in zip(missing, results)
         ]
 
@@ -382,10 +401,11 @@ def run_dynamics(config: ExperimentConfig) -> dict:
         for lr_index, lr in enumerate(config.learning_rates)
         for run in range(config.runs)
     ]
-    stored = _stored_runs(config, "dynamics_runs", ["lr", "run", "epochs", "vni_series"], [cells], compute)
+    columns = {"lr": _FINITE, "run": int, "epochs": int, "vni_series": _series}
+    stored = _stored_runs(config, "dynamics_runs", columns, [cells], compute)
     series, rows, plot_series = {}, [], {}
     for lr, cell in zip(config.learning_rates, stored):
-        runs = [[float(v) for v in row[3].split(";")] for row in cell]
+        runs = [row[3] for row in cell]
         n_epochs = min(len(v) for v in runs)
         vni = np.array([v[:n_epochs] for v in runs])
         q1, med, q3 = np.percentile(vni, [25, 50, 75], axis=0)
@@ -452,17 +472,17 @@ def run_grid(config: ExperimentConfig) -> dict:
         ]
         for d_index, depth in enumerate(config.depths)
     ]
-    columns = ["depth", "lr", "run", "success", "final_vni", "gain_median"]
+    columns = {"depth": int, "lr": _FINITE, "run": int, "success": _SUCCESS, "final_vni": _VNI, "gain_median": _FINITE}
     stored = iter(_stored_runs(config, "grid_runs", columns, groups, compute))
     prob = np.zeros((len(config.depths), len(config.learning_rates)))
     success_rows, per_run = [], []
     for i, depth in enumerate(config.depths):
         for j, lr in enumerate(config.learning_rates):
             cell = next(stored)
-            frac = sum(float(c[3]) for c in cell) / config.runs
+            frac = sum(c[3] for c in cell) / config.runs
             prob[i, j] = frac
             success_rows.append([depth, f"{lr:g}", f"{frac:.4f}"])
-            per_run.extend([float(c[3]), float(c[4]), float(c[5])] for c in cell)
+            per_run.extend(c[3:] for c in cell)
     _write_csv(config, "grid", "depth,lr,success_fraction", success_rows)
     svgplot.heatmap(
         _path(config, "grid", "svg"),
@@ -471,15 +491,15 @@ def run_grid(config: ExperimentConfig) -> dict:
     )
     succ = np.array([r for r in per_run if r[0] == 1])
     fail = np.array([r for r in per_run if r[0] == 0])
-    groups = {}
+    gains = {}
     if succ.size:
-        groups["success gain"] = succ[:, 2]
+        gains["success gain"] = succ[:, 2]
     if fail.size:
-        groups["failure gain"] = fail[:, 2]
-    if groups:
+        gains["failure gain"] = fail[:, 2]
+    if gains:
         svgplot.box_plot(
             _path(config, "grid_gain_box", "svg"),
-            groups,
+            gains,
             title="Per-layer gain by outcome",
             y_label="median layer gain",
         )

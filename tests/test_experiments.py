@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from vannodes import experiments
 from vannodes.analysis import vni_empirical
+from vannodes.cli import _RUNNERS
 from vannodes.config import ExperimentConfig
 from vannodes.data import gaussian_probe
 from vannodes.initializers import InitializerSpec
@@ -25,6 +27,10 @@ TINY = {
     "vni_sweep": dict(experiment="vni_sweep", widths=[8], depths=[2], runs=2, probe_samples=64, sigma_w_sq=1.0),
     "grid": dict(
         experiment="grid", widths=[8], depths=[2], runs=2, learning_rates=[0.1], epochs=2, max_epochs=2,
+        batch_size=4, success_metric="train_accuracy", sigma_w_sq=1.0,
+    ),
+    "dynamics": dict(
+        experiment="dynamics", widths=[8], depths=[2], runs=2, learning_rates=[0.1], epochs=2, max_epochs=2,
         batch_size=4, success_metric="train_accuracy", sigma_w_sq=1.0,
     ),
 }  # fmt: skip
@@ -46,13 +52,68 @@ def test_resumed_run_rewrites_identical_files(experiment, runner, tmp_path):
     assert _files(tmp_path) == fresh
 
 
-def test_run_store_recomputes_rows_cut_short(tmp_path):
+# sha256 of every file the seven subcommands write at SMALL, recorded before
+# the run-CSV columns were typed: the typed store writes the same bytes
+OUTPUT_DIGESTS = {
+    "diagnostics_9bd2917e5f4d.csv": "f94b3f11d6fa528861d4a2fc10db5df23243cbda00c681e914d6ca03f2f5c2e9",
+    "dynamics_69f636575cc1.csv": "0a3b4ac4b82ed1fe93e8e872ebab6d414ea2a56370e8480dc439dc21e7652a67",
+    "dynamics_69f636575cc1.svg": "6d124cb1e601147bb157b99680fc74eeb2821fd6a16409a1619927e9ee883624",
+    "dynamics_runs_69f636575cc1.csv": "14d13356bb94aa139e3c47fa696f3f92dddfc62d770040c0f8e624c620fee695",
+    "grid_d2fe2541efd5.csv": "6b742626cff63427221209577847f2e184dca63863b4a319c496d377cfc0fa5c",
+    "grid_d2fe2541efd5.svg": "e16ed658b35709057235ca791eaf2ebfd1b6e88bee91d2747486af6c7e8f7269",
+    "grid_gain_box_d2fe2541efd5.svg": "975a92dce032e57aa9b8d68a206848c9e21a6474248a8e416da877bf82ef1a5f",
+    "grid_runs_d2fe2541efd5.csv": "6e456e3a9aefa16992bb47ebbbee6b329f619cd8785182ee17777af83d625d96",
+    "grid_vni_hist_d2fe2541efd5.csv": "0b5c495e99d9dd9eedbe28b4e82a9bb428960140ce3ba4daea79d55c68f64dc7",
+    "heatmap_N10_L4_ef7b08b6227f.csv": "6219d5d058fc39b561d2a41f1d1f646c12d6d3e6a31929a611959b9c7ab04318",
+    "heatmap_N10_L4_ef7b08b6227f.svg": "caee37a9e9e7d7e2d4eb210d851857c189aaadc533265cc02b2af0a082320e7d",
+    "heatmap_N12_L4_ef7b08b6227f.csv": "acfbacf2673d16a8b386bc5df0939c97e6018a23b4a4eb31c0ca6a4aeb2c1568",
+    "heatmap_N12_L4_ef7b08b6227f.svg": "7852b930486f75d32564992f7efbf10a6669f9afb37e923bcaf333468454eb2c",
+    "heatmap_N12_L6_ef7b08b6227f.csv": "e5f7c5aa3483f6a48e202e1bc09a13d67d1f520f154da5b38d790275da2a61b1",
+    "heatmap_N12_L6_ef7b08b6227f.svg": "31fcd61571cd2427d64ba08d8c4e73fa028abd30a842e41db4b6e752d335f4c8",
+    "heatmap_summary_ef7b08b6227f.csv": "b987b5d87a15e4e9a1e70b9230a2c90610100d1ff3252c3bf14fd4880f3eff8c",
+    "orthogonal_table_91a2cf6b5167.csv": "3c9f07069cbd4ef490e939e430d8746a9546530e3a0065b7a0001c180f998d2d",
+    "sweep_5150ab322a67.csv": "e9d357aad1ef117ee884637b069f951e8c2a3db88ea5a19d6d2eb48640476708",
+    "sweep_N10_5150ab322a67.svg": "80b82a2d054ea56df00b4358df716c2df6ea65b464c08bcd8efaecf8088d5024",
+    "sweep_N12_5150ab322a67.svg": "afab768265cd8d43dc9a3a485f21394ea5d17fd434dd7ff3de598f4c4d62e39c",
+    "sweep_runs_5150ab322a67.csv": "b5dc65b2e82d3516a6096751d2376e6617d219e2b93e11e394949e17a8cddbbc",
+    "tasks_ratio_4b95172312cd.csv": "dc552d4d5ab3072e6ec22334c46f1e158bc3887c8a14f60c216c8e43a70c956f",
+    "tasks_table_4b95172312cd.csv": "c169d11c6ab5727f66edaad8e43610ff518be649d8e1dc1de8b7e00b15c0ccc2",
+}
+
+
+def test_every_subcommand_writes_the_recorded_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a relative out_dir keeps the config hashes fixed
+    for experiment, runner, _ in _RUNNERS.values():
+        runner(ExperimentConfig(experiment=experiment, **SMALL, out_dir="out"))
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in _files(tmp_path / "out").items()}
+    assert digests == OUTPUT_DIGESTS
+
+
+# each resumable runner's run CSV: the index of its indicator field in a row
+# (the key is field 0), and (field, text) damages of its other columns: a
+# count that is not an int, and grid's success that is not 0/1
+INDICATOR_FIELD = {"vni_sweep": 3, "grid": 5, "dynamics": 4}
+OWN_DAMAGES = {"vni_sweep": [(1, b"2.5")], "grid": [(1, b"2.5"), (4, b"2")], "dynamics": [(2, b"2.5")]}
+RUNNERS = {experiment: runner for experiment, runner, _ in _RUNNERS.values()}
+
+
+def _with_field(data: bytes, index: int, text: bytes) -> bytes:
+    """``data`` with field ``index`` of its last row replaced by ``text``."""
+    head, last = data.rstrip(b"\n").rsplit(b"\n", 1)
+    fields = last.split(b",")
+    fields[index] = text
+    return head + b"\n" + b",".join(fields) + b"\n"
+
+
+@pytest.mark.parametrize("experiment", sorted(TINY))
+def test_run_store_recomputes_rows_cut_short(experiment, tmp_path):
     # A crash while appending leaves a cut-off last row: it is dropped with
     # a warning and recomputed, wherever the cut falls.
-    config = ExperimentConfig(**TINY["vni_sweep"], out_dir=str(tmp_path))
-    experiments.run_vni_sweep(config)
+    config = ExperimentConfig(**TINY[experiment], out_dir=str(tmp_path))
+    run = RUNNERS[experiment]
+    run(config)
     fresh = _files(tmp_path)
-    runs_name = f"sweep_runs_{config.config_hash()}.csv"
+    runs_name = next(name for name in fresh if "_runs_" in name)
     data = fresh[runs_name]
     last_row = data.rstrip(b"\n").rfind(b"\n") + 1
     for cut in range(len(data)):
@@ -61,22 +122,31 @@ def test_run_store_recomputes_rows_cut_short(tmp_path):
         (tmp_path / runs_name).write_bytes(data[:cut])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            experiments.run_vni_sweep(config)
+            run(config)
         assert _files(tmp_path) == fresh, cut
         if cut > last_row:
             assert any(runs_name in str(w.message) for w in caught), cut
 
-    # a complete line with a field missing, with bytes that are not UTF-8 or
-    # with a value that is not a finite float is dropped and recomputed too
-    summary_name = f"sweep_{config.config_hash()}.csv"
-    value = data.rfind(b",") + 1  # the last row's indicator
-    damaged = [data[:value] + bad + b"\n" for bad in (b"\xff", b"abc", b"nan", b"-inf", b"0.5;x")]
-    for corrupt in [data[:last_row] + data[last_row:].split(b",")[0] + b",8,2\n", *damaged]:
+    # A complete last row with a field missing, with bytes that are not
+    # UTF-8, or with a value outside its column's kind is dropped with one
+    # warning and recomputed. An indicator must be in [0, 1]: a ";" in place
+    # of its "." splits it, or a series element, into two numbers.
+    field = INDICATOR_FIELD[experiment]
+    indicator = data[last_row:].rstrip(b"\n").split(b",")[field]
+    bad_indicators = [b"\xff", b"abc", b"nan", b"-inf", b"0.5;x", b"0.362964e255", b"1.5", indicator.replace(b".", b";", 1)]
+    damages = [(field, bad) for bad in bad_indicators] + OWN_DAMAGES[experiment]
+    short = data[:last_row] + b",".join(data[last_row:].split(b",")[:-1]) + b"\n"
+    for corrupt in [short, *(_with_field(data, index, bad) for index, bad in damages)]:
+        for path in tmp_path.iterdir():
+            path.unlink()
         (tmp_path / runs_name).write_bytes(corrupt)
-        with pytest.warns(UserWarning, match=runs_name):
-            experiments.run_vni_sweep(config)
-        assert _files(tmp_path)[summary_name] == fresh[summary_name], corrupt
-
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run(config)
+        assert [str(w.message) for w in caught] == [
+            f"{tmp_path / runs_name}: dropped 1 incomplete or corrupt row(s); their runs are recomputed"
+        ], corrupt
+        assert _files(tmp_path) == fresh, corrupt
 
 
 def test_run_store_drops_a_corrupt_row_from_the_file(tmp_path):
@@ -102,6 +172,8 @@ def _aggregates(config) -> list:
     """The arrays a resumable runner aggregates from its run CSV."""
     if config.experiment == "vni_sweep":
         return [a for _, means, stds, _ in experiments.run_vni_sweep(config).values() for a in (means, stds)]
+    if config.experiment == "dynamics":
+        return [a for quartiles in experiments.run_dynamics(config).values() for a in quartiles[1:]]
     return list(experiments.run_grid(config).values())
 
 
@@ -144,19 +216,15 @@ def test_run_store_survives_any_damage(experiment, fresh_run_csvs, data):
     assert all(np.isfinite(a).all() for a in aggregates)
 
 
-def test_run_store_closed_when_a_run_fails(tmp_path, monkeypatch):
-    closed = []
-    close = experiments.RunStore.close
-    monkeypatch.setattr(experiments.RunStore, "close", lambda self: closed.append(close(self)))
-
-    def fail(*args, **kwargs):
-        raise RuntimeError("run failed")
-
-    monkeypatch.setattr(experiments, "train", fail)
-    config = ExperimentConfig(experiment="grid", **SMALL, out_dir=str(tmp_path))
-    with pytest.raises(RuntimeError):
-        experiments.run_grid(config)
-    assert len(closed) == 1
+def test_run_store_refuses_a_row_its_load_would_drop(tmp_path, monkeypatch):
+    # A computed indicator outside [0, 1] raises, naming its column, and
+    # never reaches the run CSV, where the next load would drop it.
+    config = ExperimentConfig(**TINY["vni_sweep"], out_dir=str(tmp_path))
+    monkeypatch.setattr(experiments, "vni_empirical", lambda x: (1.5, None, None))
+    with pytest.raises(ValueError, match="column vni: '1.5'"):
+        experiments.run_vni_sweep(config)
+    path = tmp_path / f"sweep_runs_{config.config_hash()}.csv"
+    assert path.read_text().splitlines()[1:] == ["key,width,depth,vni"]
 
 
 @pytest.mark.parametrize("nb", [1, 3])
