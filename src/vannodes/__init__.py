@@ -6,7 +6,7 @@ and provides initializers and a reflection-based orthogonal parametrization
 for studying and counteracting the collapse during training.
 """
 
-from .activations import ActivationKind, ActivationMoments, moments, tune_sigma_w_sq, variance_fixed_point
+from .activations import ActivationKind, ActivationMoments, tune_sigma_w_sq, variance_fixed_point
 from .analysis import (
     DEFAULT_ENN_EPSILONS,
     GradientDiagnostics,
@@ -38,8 +38,6 @@ from .network import (
 )
 from .training import (
     Optimizer,
-    OptimizerKind,
-    OptimizerSpec,
     SuccessCriterion,
     TrainRecord,
     TrainResult,

@@ -33,7 +33,6 @@ __all__ = [
     "apply",
     "derivative",
     "variance_fixed_point",
-    "moments",
     "mean_sq_activation",
     "mean_sq_activation_derivative",
     "mu_quadrature",
@@ -170,11 +169,6 @@ class ActivationMoments:
     mu1: float
     mu2: float
     q_star: float
-
-
-def moments(kind: ActivationKind, q_star: float) -> ActivationMoments:
-    """mu_1 = E[phi'^2] and mu_2 = E[phi'^4] at q_star, from ``mu_quadrature``."""
-    return ActivationMoments(*mu_quadrature(kind, q_star), q_star)
 
 
 def variance_fixed_point(kind: ActivationKind, sigma_w_sq: float, sigma_x_sq: float) -> float:

@@ -13,7 +13,7 @@ from .activations import ActivationKind
 from .data import DATASETS
 from .initializers import InitKind, InitializerSpec
 from .network import NetworkSpec
-from .training import OptimizerKind, OptimizerSpec, SuccessCriterion
+from .training import SuccessCriterion
 
 __all__ = ["ExperimentConfig", "EXPERIMENTS"]
 
@@ -63,10 +63,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        for name, kind in (("activation", ActivationKind), ("init", InitKind), ("optimizer", OptimizerKind)):
+        for name, kind in (("activation", ActivationKind), ("init", InitKind)):
             value, choices = getattr(self, name), [k.value for k in kind]
             if value not in choices:
                 raise ValueError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
+        if self.optimizer != "sgd":  # plain SGD is the only optimizer
+            raise ValueError(f"optimizer must be sgd, got {self.optimizer!r}")
         if self.dataset.lower() not in DATASETS:
             raise ValueError(f"dataset must be one of {', '.join(DATASETS)}, got {self.dataset!r}")
         for name in ("widths", "depths", "learning_rates"):
@@ -74,7 +76,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must hold at least one value")
         # the indicator correlates probe rows, so it needs two of them
         smallest = {
-            "runs": 1, "batch_size": 1, "probe_samples": 2, "epochs": 0, "widths": 1, "depths": 1,
+            "runs": 1, "batch_size": 1, "probe_samples": 2, "epochs": 1, "widths": 1, "depths": 1,
             "train_slice": 1, "test_slice": 1, "master_seed": 0,
         }  # fmt: skip
         for name, least in smallest.items():
@@ -85,10 +87,11 @@ class ExperimentConfig:
             raise ValueError(f"sigma_x_sq must be positive and finite, got {self.sigma_x_sq}")
         if not math.isfinite(self.sigma_w_sq):
             raise ValueError(f"sigma_w_sq must be finite, got {self.sigma_w_sq}")
+        if not all(lr > 0 for lr in self.learning_rates):  # NaN too
+            raise ValueError(f"learning_rates must be positive, got {self.learning_rates}")
         # the rules of the runners' own specs, stated once in their classes
         owned = {
             "max_epochs, success_metric, success_threshold": self.success_criterion,
-            "learning_rates": lambda: [self.optimizer_spec(lr) for lr in self.learning_rates],
             "bottleneck_nb": lambda: InitializerSpec(self.init_kind, 1.0, self.bottleneck_nb),
         }
         for keys, build in owned.items():
@@ -113,9 +116,6 @@ class ExperimentConfig:
     @property
     def init_kind(self) -> InitKind:
         return InitKind(self.init)
-
-    def optimizer_spec(self, learning_rate: float) -> OptimizerSpec:
-        return OptimizerSpec(OptimizerKind(self.optimizer), learning_rate)
 
     def network_spec(self, depth: int, width: int, input_dim: int, num_classes: int) -> NetworkSpec:
         return NetworkSpec(depth, width, input_dim, num_classes, self.activation_kind)

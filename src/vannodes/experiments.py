@@ -82,14 +82,16 @@ class RunStore:
     """Append-only CSV of per-run results, keyed for resumability.
 
     ``columns`` maps each column's name to its parser, which raises
-    ValueError on a value outside the column's kind.  A row cut short by a
-    crash (no trailing newline), with the wrong number of fields, with bytes
-    that are not UTF-8 or with a value its parser refuses is dropped on load
-    with a warning and taken out of the file, so its run is computed again;
-    ``add`` raises on such a row instead of writing it.
+    ValueError on a value outside the column's kind, and ``keys`` holds the
+    run keys of ``config``.  A row cut short by a crash (no trailing
+    newline), with the wrong number of fields, with bytes that are not
+    UTF-8, with a value its parser refuses or with a key not in ``keys`` is
+    dropped on load with a warning and taken out of the file, so its run is
+    computed again; ``add`` raises on a row its parsers refuse instead of
+    writing it.
     """
 
-    def __init__(self, config: ExperimentConfig, name: str, columns: dict):
+    def __init__(self, config: ExperimentConfig, name: str, columns: dict, keys: set):
         self.path = _path(config, name)
         self.columns = columns
         self.rows: dict = {}
@@ -99,7 +101,7 @@ class RunStore:
             with open(self.path, "rb") as f:
                 data = f.read()
         if data.startswith(header):
-            self._load(data, len(header))
+            self._load(data, len(header), keys)
             return
         if data:
             warnings.warn(f"{self.path}: header cut short or altered; every run is recomputed")
@@ -116,16 +118,19 @@ class RunStore:
                 raise ValueError(f"{self.path}: column {name}: {e}") from None
         return values
 
-    def _load(self, data: bytes, start: int):
-        """Keep the complete rows of ``data[start:]``.  When any is dropped,
-        replace the file by its header and the kept rows' bytes, written to
-        ``<path>.part`` first so that a crash leaves the old file whole."""
+    def _load(self, data: bytes, start: int, keys: set):
+        """Keep the complete rows of ``data[start:]`` whose key is in ``keys``.
+        When any is dropped, replace the file by its header and the kept
+        rows' bytes, written to ``<path>.part`` first so that a crash leaves
+        the old file whole."""
         lines = data[start:].split(b"\n")
         dropped = int(lines.pop() != b"")  # a last row with no newline
         kept = {}
         for line in lines:
             try:  # a decode error is a ValueError too
                 key, *fields = line.decode().split(",")
+                if key not in keys:
+                    raise ValueError(f"{key!r} is not a run of this config")
                 self.rows[key] = self._parse(fields)
                 kept[key] = line
             except ValueError:
@@ -155,7 +160,7 @@ def _stored_runs(config: ExperimentConfig, name: str, columns: dict, groups: lis
     order, and returns their rows.  Returns one list of ``config.runs`` rows
     per cell, in the order of ``groups``, each parsed by ``columns`` (``RunStore``).
     """
-    store = RunStore(config, name, columns)
+    store = RunStore(config, name, columns, {key for group in groups for key, _ in group})
     for group in groups:
         missing = {key: args for key, args in group if key not in store.rows}
         if missing:
@@ -259,10 +264,9 @@ def _train_runs(
     return train(
         spec,
         _init_spec(config, init_kind, gain),
-        [config.optimizer_spec(lr) for lr, _ in runs],
+        [(lr, Rng(config.master_seed, key)) for lr, key in runs],
         train_set,
         config.success_criterion(),
-        [Rng(config.master_seed, key) for _, key in runs],
         test_set=test_set,
         batch_size=config.batch_size,
         mu1=gain.mu1,

@@ -13,7 +13,6 @@ log-norm of the input gradient, each read for all runs of a stack at once.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field, replace
 
@@ -36,8 +35,6 @@ from .network import (
 )
 
 __all__ = [
-    "OptimizerKind",
-    "OptimizerSpec",
     "Optimizer",
     "SuccessCriterion",
     "TrainRecord",
@@ -46,10 +43,6 @@ __all__ = [
     "train",
     "evaluate",
 ]
-
-
-class OptimizerKind(enum.Enum):
-    SGD = "sgd"
 
 
 # Rows per forward pass in ``evaluate``, and of the task inputs that are the
@@ -64,28 +57,16 @@ _EVAL_BATCH = 1000
 _TRACE_FLOATS = 1 << 22
 
 
-@dataclass
-class OptimizerSpec:
-    kind: OptimizerKind = OptimizerKind.SGD
-    learning_rate: float = 0.01
-
-    def __post_init__(self):
-        if self.kind is not OptimizerKind.SGD:
-            raise ValueError(f"only plain SGD is implemented, got optimizer {self.kind!r}")
-        if not self.learning_rate > 0:  # NaN too
-            raise ValueError("learning_rate must be positive")
-
-
 class Optimizer:
     """Plain SGD on a flat list of parameter arrays, in place.  Householder
     layers expose their reflection-vector arrays as leaves, so the
     materialized weights stay exactly orthogonal.
 
-    ``learning_rate`` overrides the spec's; the trainer passes an R x 1 x 1
+    ``learning_rate`` is one float shared by every run, or an R x 1 x 1
     array of per-run rates for leaves stacked along a leading run axis."""
 
-    def __init__(self, spec: OptimizerSpec, learning_rate=None):
-        self.learning_rate = spec.learning_rate if learning_rate is None else learning_rate
+    def __init__(self, learning_rate):
+        self.learning_rate = learning_rate
 
     def take(self, runs):
         """Keep the rates of the runs ``runs`` (indices along the run axis)."""
@@ -160,7 +141,7 @@ class TrainRecord:
 class TrainResult:
     records: list
     success: bool
-    reason: str  # "converged", "max_epochs", "diverged", "no_epochs"
+    reason: str  # "converged", "max_epochs", "diverged"
     converged_epoch: int | None = None
     final_state: NetworkState | None = None
 
@@ -250,47 +231,43 @@ def _epoch_stats(
 def train(
     spec: NetworkSpec,
     init: InitializerSpec,
-    optimizer_spec: OptimizerSpec | list,
+    runs: list,
     train_set: Dataset,
     criterion: SuccessCriterion,
-    rng: Rng | list,
     test_set: Dataset | None = None,
     batch_size: int = 100,
     probe: np.ndarray | None = None,
     mu1: float = 1.0,
     early_stop: bool = False,
     epochs: int | None = None,
-) -> TrainResult | list:
-    """Instrumented training of one run, or of several runs of one shape.
+) -> list:
+    """Instrumented training of the runs ``runs``, (learning rate, Rng)
+    pairs of networks of one shape; returns one TrainResult per run, in order.
 
     ``probe`` defaults to the task inputs; a record is emitted at epoch 0
-    (before any update) and after every epoch.  With ``early_stop`` the run
+    (before any update) and after every epoch.  With ``early_stop`` a run
     ends at the first epoch meeting the criterion; otherwise it continues to
     ``epochs`` (default: criterion.max_epochs) and the success flag reflects
     whether the criterion was met at any epoch <= max_epochs.  A run whose
     batch loss turns non-finite gets no update from that batch on and ends
     as diverged.
 
-    ``optimizer_spec`` and ``rng`` may instead be lists of equal length, one
-    entry per run; a list of results is then
-    returned.  Each run draws its network from ``rng.spawn(0)`` and its data
-    order from ``rng.spawn(1)``.  The runs are split into stacks that fit
+    Each run draws its network from ``rng.spawn(0)`` and its data order from
+    ``rng.spawn(1)``.  The runs are split into stacks that fit
     ``_TRACE_FLOATS`` and the runs of a stack are stepped together; every
     operation acts on each run's slice alone, so each result is
     bit-identical to the run's trained alone.
     """
-    many = isinstance(rng, list)
-    if many != isinstance(optimizer_spec, list) or many and len(rng) != len(optimizer_spec):
-        raise ValueError("optimizer_spec and rng must be lists of equal length, or neither a list")
-    opt_specs, rngs = (optimizer_spec, rng) if many else ([optimizer_spec], [rng])
     if spec.num_classes != train_set.num_classes:
         raise ValueError("network num_classes does not match dataset")
     if criterion.metric == "test_accuracy" and test_set is None:
         raise ValueError("a test_accuracy criterion needs a test_set")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if epochs is not None and epochs < 0:
-        raise ValueError(f"epochs must be >= 0, got {epochs}")
+    if epochs is not None and epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    if not all(lr > 0 for lr, _ in runs):  # NaN too
+        raise ValueError(f"learning rates must be positive, got {[lr for lr, _ in runs]}")
     max_epochs = criterion.max_epochs if epochs is None else epochs
     n = train_set.num_samples
     probe = train_set.inputs[:_EVAL_BATCH] if probe is None else probe
@@ -300,18 +277,17 @@ def train(
     if init.kind is InitKind.HOUSEHOLDER:  # 3 n x n factors per layer
         rows += 3 * spec.depth_L * spec.width_N
     size = max(1, _TRACE_FLOATS // (rows * spec.width_N))
-    if len(rngs) > size:  # one stack after another
-        stacks = [slice(a, a + size) for a in range(0, len(rngs), size)]
-        args = (test_set, batch_size, probe, mu1, early_stop, epochs)
-        return [res for s in stacks for res in train(spec, init, opt_specs[s], train_set, criterion, rngs[s], *args)]
-    results = [TrainResult([], False, "max_epochs" if max_epochs else "no_epochs") for _ in rngs]
-    if max_epochs == 0 or not rngs:
-        return results if many else results[0]
-    state = stack_states([build_network(spec, init, r.spawn(0)) for r in rngs])
-    lrs = np.array([o.learning_rate for o in opt_specs])
+    if len(runs) > size:  # one stack after another
+        args = (train_set, criterion, test_set, batch_size, probe, mu1, early_stop, epochs)
+        return [res for a in range(0, len(runs), size) for res in train(spec, init, runs[a : a + size], *args)]
+    if not runs:
+        return []
+    results = [TrainResult([], False, "max_epochs") for _ in runs]
+    state = stack_states([build_network(spec, init, rng.spawn(0)) for _, rng in runs])
+    lrs = np.array([lr for lr, _ in runs])
     # one rate for every run is kept a float: scaling by it is the cheaper product
-    opt = Optimizer(opt_specs[0], lrs[0] if np.all(lrs == lrs[0]) else lrs[:, None, None])
-    data_rngs = [r.spawn(1) for r in rngs]
+    opt = Optimizer(lrs[0] if np.all(lrs == lrs[0]) else lrs[:, None, None])
+    data_rngs = [rng.spawn(1) for _, rng in runs]
     active = list(results)  # the run of each row of the stack
 
     loss0, acc0 = evaluate(state, train_set)
@@ -357,4 +333,4 @@ def train(
             state = stack_states([run_state(state, row) for row in keep])
             opt.take(keep)
             active, data_rngs = [active[row] for row in keep], [data_rngs[row] for row in keep]
-    return results if many else results[0]
+    return results

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import vannodes as vn
-from vannodes.activations import ActivationKind
+from vannodes.activations import ActivationKind, ActivationMoments, mu_quadrature
 from vannodes.initializers import InitKind, InitializerSpec
 from vannodes.linalg import Rng
 from vannodes.network import NetworkSpec, backward, build_network, forward, streamed_layers
@@ -53,7 +53,7 @@ def mnist_dir():
 def tuned(kind: ActivationKind, sigma_x_sq: float):
     """Tuned gain, its fixed-point variance, and the derivative moments."""
     sw2, q_star = vn.tune_sigma_w_sq(kind, sigma_x_sq)
-    mom = vn.moments(kind, q_star)
+    mom = ActivationMoments(*mu_quadrature(kind, q_star), q_star)
     return sw2, q_star, mom
 
 
@@ -181,14 +181,13 @@ def _train_task(task, init_kind, sw2, mu1, seed_key, lr=0.01, epochs=100, depth=
     return vn.train(
         spec,
         init,
-        vn.OptimizerSpec(vn.OptimizerKind.SGD, lr),
+        [(lr, Rng(1, seed_key))],
         ds,
         vn.SuccessCriterion("test_accuracy", 0.99, epochs),
-        Rng(1, seed_key),
         test_set=ds,
         batch_size=1,
         mu1=mu1,
-    )
+    )[0]
 
 
 def test_criterion_06_walking_dead_table():
@@ -247,14 +246,13 @@ def test_criterion_06_walking_dead_table():
         spec = NetworkSpec(20, 64, train_set.input_dim, 10, ActivationKind.TANH)
         crit = vn.SuccessCriterion("test_accuracy", 0.9, 100)
         res_g = vn.train(
-            spec, InitializerSpec(GAUSS, sw2), vn.OptimizerSpec(vn.OptimizerKind.SGD, 0.01),
-            train_set, crit, Rng(0, (2,)), test_set=test_set, batch_size=1, mu1=mom.mu1,
-        )
+            spec, InitializerSpec(GAUSS, sw2), [(0.01, Rng(0, (2,)))],
+            train_set, crit, test_set=test_set, batch_size=1, mu1=mom.mu1,
+        )[0]
         res_b = vn.train(
-            spec, InitializerSpec(InitKind.BOTTLENECK, sw2, bottleneck_nb=1),
-            vn.OptimizerSpec(vn.OptimizerKind.SGD, 0.01),
-            train_set, crit, Rng(0, (2,)), test_set=test_set, batch_size=1, mu1=mom.mu1,
-        )
+            spec, InitializerSpec(InitKind.BOTTLENECK, sw2, bottleneck_nb=1), [(0.01, Rng(0, (2,)))],
+            train_set, crit, test_set=test_set, batch_size=1, mu1=mom.mu1,
+        )[0]
         ok_mnist = res_g.success and not res_b.success
         ok_mnist = ok_mnist and all(r.vni >= 0.95 for r in res_b.records)
         mnist_note = f"MNIST gauss={res_g.success} bneck={res_b.success}"
@@ -293,14 +291,13 @@ def test_criterion_07_reflection_rescue():
     )
     sw2, _, mom = tuned(ActivationKind.TANH, 1.0)
     crit = vn.SuccessCriterion("test_accuracy", 0.9, 100)
-    opt = vn.OptimizerSpec(vn.OptimizerKind.SGD, 0.01)
     failing_depth = None
     for depth in (50, 100, 200):
         spec = NetworkSpec(depth, 64, train_set.input_dim, 10, ActivationKind.TANH)
         res = vn.train(
-            spec, InitializerSpec(GAUSS, sw2), opt, train_set, crit,
-            Rng(0, (3, depth)), test_set=test_set, batch_size=1, mu1=mom.mu1,
-        )
+            spec, InitializerSpec(GAUSS, sw2), [(0.01, Rng(0, (3, depth)))], train_set, crit,
+            test_set=test_set, batch_size=1, mu1=mom.mu1,
+        )[0]
         if not res.success:
             failing_depth = depth
             break
@@ -345,10 +342,10 @@ def test_criterion_08_training_dynamics():
 
     def run(lr, epochs, run_idx):
         return vn.train(
-            spec, InitializerSpec(GAUSS, sw2), vn.OptimizerSpec(vn.OptimizerKind.SGD, lr),
-            ds, vn.SuccessCriterion("train_accuracy", 0.99, epochs), Rng(run_idx, (8,)),
+            spec, InitializerSpec(GAUSS, sw2), [(lr, Rng(run_idx, (8,)))],
+            ds, vn.SuccessCriterion("train_accuracy", 0.99, epochs),
             batch_size=1, mu1=mom.mu1, probe=probe, epochs=epochs,
-        )
+        )[0]
 
     fast = [run(1e-2, 60, i) for i in range(20)]
     med_v0 = float(np.median([r.records[0].vni for r in fast]))
@@ -440,8 +437,8 @@ def test_criterion_10_failure_mode_attribution():
         # the 15 runs of a depth are trained together, each bit for bit as alone
         results = vn.train(
             NetworkSpec(depth, 32, 2, 2, ActivationKind.TANH), InitializerSpec(GAUSS, sw2),
-            [vn.OptimizerSpec(vn.OptimizerKind.SGD, lr) for lr, _ in runs],
-            ds, vn.SuccessCriterion("train_accuracy", 0.99, 150), [Rng(run, (10, depth)) for _, run in runs],
+            [(lr, Rng(run, (10, depth))) for lr, run in runs],
+            ds, vn.SuccessCriterion("train_accuracy", 0.99, 150),
             batch_size=1, mu1=mom.mu1, epochs=150,
         )
         for res in results:

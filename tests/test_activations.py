@@ -97,7 +97,7 @@ def test_tanh_quadrature_against_monte_carlo():
 
 
 def test_moments_closed_form_path():
-    m = act.moments(ActivationKind.RELU, 2.0)
+    m = act.ActivationMoments(*act.mu_quadrature(ActivationKind.RELU, 2.0), 2.0)
     assert (m.mu1, m.mu2) == (0.5, 0.5)
 
 

@@ -69,6 +69,7 @@ class TestConfig:
             ("batch_size=-5", "batch_size"),
             ("batch_size=0", "batch_size"),
             ("epochs=-2", "epochs"),
+            ("epochs=0", "epochs"),
             ("probe_samples=0", "probe_samples"),
             ("widths=0", "widths"),
             ("widths=8,-1", "widths"),
@@ -170,10 +171,23 @@ class TestCli:
         assert main(args) == 0  # second invocation resumes, adds nothing
         assert open(runs_csv).read() == before
 
-    def test_bad_config_exits_2(self, tmp_path, capsys):
-        rc = main(["sweep", "--set", "bogus_key=1", "--set", f"out_dir={tmp_path}"])
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("bogus_key=1", "bogus_key"),
+            ("learning_rates=-1", "learning_rates"),
+            ("learning_rates=nan", "learning_rates"),
+            ("optimizer=adam", "optimizer"),
+            ("epochs=0", "epochs"),
+        ],
+    )
+    def test_bad_config_exits_2(self, line, key, tmp_path, capsys):
+        # refused at load, before a runner writes anything
+        rc = main(["grid", *SMALL, "--set", line, "--set", f"out_dir={tmp_path}/o"])
         assert rc == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+        assert not os.path.exists(tmp_path / "o")
 
     def test_set_without_equals_exits_2(self, tmp_path, capsys):
         rc = main(["sweep", "--set", "foo", "--set", f"out_dir={tmp_path}"])

@@ -168,6 +168,30 @@ def test_run_store_drops_a_corrupt_row_from_the_file(tmp_path):
     assert sorted(path.read_bytes().splitlines()) == sorted(fresh.splitlines())
     assert not list(tmp_path.glob("*.part"))
 
+
+def test_run_store_drops_a_row_of_another_config(tmp_path):
+    # A row whose key is no run of this config (a renamed key) is dropped
+    # like a corrupt one: the first rerun warns once and leaves the file as
+    # a fresh run writes it, the next warns of nothing.
+    config = ExperimentConfig(**TINY["vni_sweep"], out_dir=str(tmp_path))
+    experiments.run_vni_sweep(config)
+    path = tmp_path / f"sweep_runs_{config.config_hash()}.csv"
+    fresh = path.read_bytes()
+    assert b"\nN8_L2_r1," in fresh
+    path.write_bytes(fresh.replace(b"\nN8_L2_r1,", b"\nN8_L2_s1,"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        experiments.run_vni_sweep(config)
+    assert [str(w.message) for w in caught] == [
+        f"{path}: dropped 1 incomplete or corrupt row(s); their runs are recomputed"
+    ]
+    assert path.read_bytes() == fresh
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        experiments.run_vni_sweep(config)
+    assert path.read_bytes() == fresh
+
+
 def _aggregates(config) -> list:
     """The arrays a resumable runner aggregates from its run CSV."""
     if config.experiment == "vni_sweep":
@@ -384,8 +408,7 @@ def test_grid_resume_trains_only_the_missing_runs(tmp_path, monkeypatch):
     train = experiments.train
 
     def counting_train(*args, **kwargs):
-        rngs = args[5]
-        trained.extend(r.key for r in (rngs if isinstance(rngs, list) else [rngs]))
+        trained.extend(rng.key for _, rng in args[2])
         return train(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "train", counting_train)

@@ -7,7 +7,7 @@ from vannodes import initializers as ini
 from vannodes.initializers import HouseholderStack, InitKind, InitializerSpec
 from vannodes.linalg import Rng
 from vannodes.network import NetworkSpec, backward, build_network, forward, run_state, stack_states
-from vannodes.training import Optimizer, OptimizerSpec, _param_leaves
+from vannodes.training import Optimizer, _param_leaves
 
 
 def test_scaled_gaussian_variance():
@@ -317,7 +317,7 @@ def test_backward_reads_the_factors_of_the_last_update():
     init = InitializerSpec(InitKind.HOUSEHOLDER)
     state = stack_states([build_network(spec, init, Rng(80, (run,))) for run in range(2)])
     batch, g = Rng(81).normal(size=(2, 5, 20)), Rng(82).normal(size=(2, 5, 20))
-    opt = Optimizer(OptimizerSpec(learning_rate=0.1))
+    opt = Optimizer(0.1)
     for _ in range(2):
         opt.step(_param_leaves(state, backward(state, forward(state, batch), g)))
         state.rematerialize()

@@ -14,9 +14,9 @@ from vannodes.linalg import Rng
 from vannodes.network import NetworkSpec, build_network, stack_states
 
 
-def step_scalar(spec, w0, grads):
+def step_scalar(learning_rate, w0, grads):
     """Drive the optimizer with a single 1x1 'parameter'."""
-    opt = tr.Optimizer(spec)
+    opt = tr.Optimizer(learning_rate)
     w = np.array([[w0]])
     trail = []
     for g in grads:
@@ -27,18 +27,11 @@ def step_scalar(spec, w0, grads):
 
 class TestOptimizers:
     def test_sgd(self):
-        spec = tr.OptimizerSpec(tr.OptimizerKind.SGD, 0.1)
-        assert step_scalar(spec, 1.0, [2.0, -1.0]) == pytest.approx([0.8, 0.9])
-
-    def test_bad_spec(self):
-        with pytest.raises(ValueError):
-            tr.OptimizerSpec(tr.OptimizerKind.SGD, -0.1)
-        with pytest.raises(ValueError, match="only plain SGD"):
-            tr.OptimizerSpec("adam", 0.1)
+        assert step_scalar(0.1, 1.0, [2.0, -1.0]) == pytest.approx([0.8, 0.9])
 
     def test_stacked_runs_step_at_their_own_rates(self):
         # an R x 1 x 1 rate array scales each run's slice; take keeps the chosen runs' rates
-        opt = tr.Optimizer(tr.OptimizerSpec(), np.array([0.1, 0.5, 1.0]).reshape(3, 1, 1))
+        opt = tr.Optimizer(np.array([0.1, 0.5, 1.0]).reshape(3, 1, 1))
         w = np.ones((3, 1, 2))
         opt.step([(w, np.full((3, 1, 2), 2.0))])
         assert w[:, 0, 0].tolist() == pytest.approx([0.8, 0.0, -1.0])
@@ -48,7 +41,7 @@ class TestOptimizers:
         assert v[:, 0, 0].tolist() == pytest.approx([0.0, 0.9])
 
     def test_gradient_of_another_shape_rejected(self):
-        opt = tr.Optimizer(tr.OptimizerSpec(tr.OptimizerKind.SGD, 0.1))
+        opt = tr.Optimizer(0.1)
         with pytest.raises(ValueError, match="gradient shape"):
             opt.step([(np.zeros((2, 3)), np.zeros((3, 2)))])
 
@@ -86,22 +79,21 @@ class TestLoss:
 def xor_setup(depth=4, width=16, lr=0.1, epochs=60, metric="train_accuracy"):
     spec = NetworkSpec(depth, width, 2, 2, ActivationKind.TANH)
     init = InitializerSpec(InitKind.SCALED_GAUSSIAN, 1.5)
-    opt = tr.OptimizerSpec(tr.OptimizerKind.SGD, lr)
     crit = tr.SuccessCriterion(metric, 0.99, epochs)
-    return spec, init, opt, synthetic_task("xor2"), crit
+    return spec, init, lr, synthetic_task("xor2"), crit
 
 
 class TestTrain:
     def test_learns_xor(self):
-        spec, init, opt, ds, crit = xor_setup()
-        res = tr.train(spec, init, opt, ds, crit, Rng(0), test_set=ds, batch_size=4, epochs=60)
+        spec, init, lr, ds, crit = xor_setup()
+        [res] = tr.train(spec, init, [(lr, Rng(0))], ds, crit, test_set=ds, batch_size=4, epochs=60)
         assert res.success
         assert res.reason == "converged"
         assert res.records[-1].train_accuracy == 1.0
 
     def test_records(self):
-        spec, init, opt, ds, crit = xor_setup(epochs=5)
-        res = tr.train(spec, init, opt, ds, crit, Rng(0), test_set=ds, batch_size=4, epochs=5)
+        spec, init, lr, ds, crit = xor_setup(epochs=5)
+        [res] = tr.train(spec, init, [(lr, Rng(0))], ds, crit, test_set=ds, batch_size=4, epochs=5)
         assert len(res.records) == 6  # epoch 0 snapshot + 5 epochs
         assert [r.epoch for r in res.records] == list(range(6))
         r = res.records[0]
@@ -110,38 +102,42 @@ class TestTrain:
         assert np.isfinite(r.input_grad_log_norm)
 
     def test_deterministic(self):
-        spec, init, opt, ds, crit = xor_setup(epochs=8)
-        a = tr.train(spec, init, opt, ds, crit, Rng(42), test_set=ds, batch_size=4, epochs=8)
-        b = tr.train(spec, init, opt, ds, crit, Rng(42), test_set=ds, batch_size=4, epochs=8)
+        spec, init, lr, ds, crit = xor_setup(epochs=8)
+        [a] = tr.train(spec, init, [(lr, Rng(42))], ds, crit, test_set=ds, batch_size=4, epochs=8)
+        [b] = tr.train(spec, init, [(lr, Rng(42))], ds, crit, test_set=ds, batch_size=4, epochs=8)
         assert [r.train_loss for r in a.records] == [r.train_loss for r in b.records]
         assert [r.vni for r in a.records] == [r.vni for r in b.records]
 
     def test_seed_changes_outcome(self):
-        spec, init, opt, ds, crit = xor_setup(epochs=3)
-        a = tr.train(spec, init, opt, ds, crit, Rng(1), batch_size=4, epochs=3)
-        b = tr.train(spec, init, opt, ds, crit, Rng(2), batch_size=4, epochs=3)
+        spec, init, lr, ds, crit = xor_setup(epochs=3)
+        [a] = tr.train(spec, init, [(lr, Rng(1))], ds, crit, batch_size=4, epochs=3)
+        [b] = tr.train(spec, init, [(lr, Rng(2))], ds, crit, batch_size=4, epochs=3)
         assert a.records[-1].train_loss != b.records[-1].train_loss
 
-    @pytest.mark.parametrize("batch_size, epochs", [(0, 3), (-1, 3), (4, -2)])
+    @pytest.mark.parametrize("batch_size, epochs", [(0, 3), (-1, 3), (4, -2), (4, 0)])
     def test_bad_run_sizes_rejected(self, batch_size, epochs):
-        spec, init, opt, ds, crit = xor_setup(epochs=3)
+        spec, init, lr, ds, crit = xor_setup(epochs=3)
         name = "batch_size" if batch_size < 1 else "epochs"
-        with pytest.raises(ValueError, match=f"{name} must be"):
-            tr.train(spec, init, opt, ds, crit, Rng(0), batch_size=batch_size, epochs=epochs)
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            tr.train(spec, init, [(lr, Rng(0))], ds, crit, batch_size=batch_size, epochs=epochs)
+
+    @pytest.mark.parametrize("lr", [0.0, -0.1, math.nan])
+    def test_non_positive_learning_rate_rejected(self, lr):
+        spec, init, _, ds, crit = xor_setup(epochs=1)
+        with pytest.raises(ValueError, match="learning rates must be positive"):
+            tr.train(spec, init, [(0.1, Rng(0)), (lr, Rng(1))], ds, crit, batch_size=4)
 
     def test_test_accuracy_criterion_needs_a_test_set(self):
         # Without a test set the test accuracy is NaN, so the run could never
         # succeed, however well it learns the training set.
-        spec, init, opt, ds, crit = xor_setup(depth=2, width=8, lr=0.5, epochs=30, metric="test_accuracy")
+        spec, init, lr, ds, crit = xor_setup(depth=2, width=8, lr=0.5, epochs=30, metric="test_accuracy")
         with pytest.raises(ValueError, match="test_set"):
-            tr.train(spec, init, opt, ds, crit, Rng(0), batch_size=4)
-        assert tr.train(spec, init, opt, ds, crit, Rng(0), test_set=ds, batch_size=4).success
+            tr.train(spec, init, [(lr, Rng(0))], ds, crit, batch_size=4)
+        assert tr.train(spec, init, [(lr, Rng(0))], ds, crit, test_set=ds, batch_size=4)[0].success
 
     def test_early_stop(self):
-        spec, init, opt, ds, crit = xor_setup(epochs=200)
-        res = tr.train(
-            spec, init, opt, ds, crit, Rng(0), batch_size=4, epochs=200, early_stop=True
-        )
+        spec, init, lr, ds, crit = xor_setup(epochs=200)
+        [res] = tr.train(spec, init, [(lr, Rng(0))], ds, crit, batch_size=4, epochs=200, early_stop=True)
         assert res.success
         assert len(res.records) < 201
         assert res.converged_epoch == res.records[-1].epoch
@@ -150,10 +146,9 @@ class TestTrain:
         # unbounded activation + huge step: loss overflows to non-finite
         spec = NetworkSpec(4, 16, 2, 2, ActivationKind.RELU)
         init = InitializerSpec(InitKind.SCALED_GAUSSIAN, 2.0)
-        opt = tr.OptimizerSpec(tr.OptimizerKind.SGD, 1e12)
         crit = tr.SuccessCriterion("train_accuracy", 0.99, 20)
         with np.errstate(over="ignore", invalid="ignore"):
-            res = tr.train(spec, init, opt, synthetic_task("xor2"), crit, Rng(0), batch_size=4, epochs=20)
+            [res] = tr.train(spec, init, [(1e12, Rng(0))], synthetic_task("xor2"), crit, batch_size=4, epochs=20)
         assert not res.success
         assert res.reason == "diverged"
 
@@ -167,9 +162,9 @@ class TestTrain:
             leaves[leaf][0][0] = np.inf
 
         monkeypatch.setattr(tr.Optimizer, "step", poisoned_step)
-        spec, init, opt, ds, crit = xor_setup(depth=2, width=4, epochs=1)
+        spec, init, lr, ds, crit = xor_setup(depth=2, width=4, epochs=1)
         with np.errstate(all="ignore"):
-            res = tr.train(spec, init, opt, ds, crit, Rng(0), batch_size=4, epochs=1)
+            [res] = tr.train(spec, init, [(lr, Rng(0))], ds, crit, batch_size=4, epochs=1)
         assert all(np.all(np.isfinite(w)) for w in res.final_state.weights)
         assert res.reason == "diverged"
 
@@ -185,10 +180,9 @@ class TestTrain:
         # gradient log-norm.  Both runs end as diverged, keeping epoch 0 only.
         spec = NetworkSpec(3, 32, 4, 4, ActivationKind.RELU)
         init = InitializerSpec(InitKind.SCALED_GAUSSIAN, 2.0)
-        opt = tr.OptimizerSpec(tr.OptimizerKind.SGD, lr)
         crit = tr.SuccessCriterion("train_accuracy", 0.99, 10)
         with np.errstate(all="ignore"):
-            res = tr.train(spec, init, opt, synthetic_task("and4"), crit, Rng(seed), batch_size=1)
+            [res] = tr.train(spec, init, [(lr, Rng(seed))], synthetic_task("and4"), crit, batch_size=1)
         assert res.reason == "diverged"
         assert [r.epoch for r in res.records] == [0]
 
@@ -197,11 +191,10 @@ class TestTrain:
         # the overflow and NaN itself, so numpy has nothing to warn about.
         spec = NetworkSpec(3, 32, 4, 4, ActivationKind.RELU)
         init = InitializerSpec(InitKind.SCALED_GAUSSIAN, 2.0)
-        opt = tr.OptimizerSpec(tr.OptimizerKind.SGD, 1.0)
         crit = tr.SuccessCriterion("train_accuracy", 0.99, 10)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = tr.train(spec, init, opt, synthetic_task("and4"), crit, Rng(2), batch_size=1)
+            [res] = tr.train(spec, init, [(1.0, Rng(2))], synthetic_task("and4"), crit, batch_size=1)
         assert res.reason == "diverged"
 
     def test_undefined_indicator_alone_diverges(self):
@@ -210,28 +203,26 @@ class TestTrain:
         # on the task inputs converges.
         spec = NetworkSpec(2, 8, 2, 2, ActivationKind.RELU)
         init = InitializerSpec(InitKind.SCALED_GAUSSIAN, 2.0)
-        opt = tr.OptimizerSpec(tr.OptimizerKind.SGD, 0.1)
         crit = tr.SuccessCriterion("train_accuracy", 0.99, 5)
         probe = Rng(1).normal(size=(16, 2)) * 1e200
-        res = tr.train(spec, init, opt, synthetic_task("xor2"), crit, Rng(0), batch_size=4, probe=probe)
+        [res] = tr.train(spec, init, [(0.1, Rng(0))], synthetic_task("xor2"), crit, batch_size=4, probe=probe)
         assert res.reason == "diverged" and len(res.records) == 1
         assert math.isnan(res.records[0].vni) and math.isfinite(res.records[0].input_grad_log_norm)
-        assert tr.train(spec, init, opt, synthetic_task("xor2"), crit, Rng(0), batch_size=4).success
+        assert tr.train(spec, init, [(0.1, Rng(0))], synthetic_task("xor2"), crit, batch_size=4)[0].success
 
     def test_failure_reason(self):
         # 1 epoch of SGD will not solve xor
-        spec, init, opt, ds, crit = xor_setup(epochs=1)
-        res = tr.train(spec, init, opt, ds, crit, Rng(3), batch_size=4, epochs=1)
+        spec, init, lr, ds, crit = xor_setup(epochs=1)
+        [res] = tr.train(spec, init, [(lr, Rng(3))], ds, crit, batch_size=4, epochs=1)
         assert not res.success
         assert res.reason == "max_epochs"
 
     def test_householder_training_stays_orthogonal(self):
         spec = NetworkSpec(3, 4, 4, 4, ActivationKind.TANH)
         init = InitializerSpec(InitKind.HOUSEHOLDER)
-        opt = tr.OptimizerSpec(tr.OptimizerKind.SGD, 0.05)
         crit = tr.SuccessCriterion("train_accuracy", 0.99, 10)
         ds = synthetic_task("and4")
-        res = tr.train(spec, init, opt, ds, crit, Rng(4), batch_size=4, epochs=10)
+        [res] = tr.train(spec, init, [(0.05, Rng(4))], ds, crit, batch_size=4, epochs=10)
         w = res.final_state.weights[1]
         assert np.allclose(w @ w.T, np.eye(4), atol=1e-9)
 
@@ -287,46 +278,43 @@ def _fingerprint(res) -> tuple:
 
 def _case(name) -> tuple:
     """(train arguments, train keywords, runs) of one golden case; each run
-    is an (OptimizerSpec, Rng) pair."""
+    is a (learning rate, Rng) pair."""
     and4, xor2 = synthetic_task("and4"), synthetic_task("xor2")
     tanh, relu = ActivationKind.TANH, ActivationKind.RELU
     gauss = InitKind.SCALED_GAUSSIAN
-    sgd = tr.OptimizerKind.SGD
     crit = tr.SuccessCriterion("train_accuracy", 0.99, 10)
     if name == "grid_tanh":  # the grid-tanh workload at one depth: its three learning rates
         args = (NetworkSpec(10, 32, 4, 4, tanh), InitializerSpec(gauss, 1.00101), and4, crit)
-        runs = [((sgd, lr), Rng(7, (1, j, 0))) for j, lr in enumerate((0.01, 0.1, 1.0))]
+        runs = [(lr, Rng(7, (1, j, 0))) for j, lr in enumerate((0.01, 0.1, 1.0))]
         return args, dict(batch_size=1, mu1=0.99), runs
     if name == "relu_nan_indicator":  # diverges in epoch 1 on its statistics
         args = (NetworkSpec(3, 32, 4, 4, relu), InitializerSpec(gauss, 2.0), and4, crit)
-        return args, dict(batch_size=1), [((sgd, 1.0), Rng(2))]
+        return args, dict(batch_size=1), [(1.0, Rng(2))]
     if name == "relu_overflow":  # the loss turns non-finite inside an epoch
         args = (NetworkSpec(4, 16, 2, 2, relu), InitializerSpec(gauss, 2.0), xor2, crit)
-        return args, dict(batch_size=4, epochs=20), [((sgd, 1e12), Rng(0))]
+        return args, dict(batch_size=4, epochs=20), [(1e12, Rng(0))]
     if name == "xor2_early_stop":
         spec, init, _, ds, c = xor_setup(epochs=200)
-        return (spec, init, ds, c), dict(batch_size=4, epochs=200, early_stop=True), [((sgd, 0.1), Rng(0))]
+        return (spec, init, ds, c), dict(batch_size=4, epochs=200, early_stop=True), [(0.1, Rng(0))]
     if name == "xor2_two_rates":  # two rates in one stack, scored on a test set
         spec, init, _, ds, c = xor_setup(epochs=5)
-        runs = [((sgd, lr), Rng(5 + i)) for i, lr in enumerate((0.05, 0.2))]
+        runs = [(lr, Rng(5 + i)) for i, lr in enumerate((0.05, 0.2))]
         return (spec, init, ds, c), dict(test_set=ds, batch_size=4, epochs=5), runs
     if name == "householder":
         args = (NetworkSpec(3, 4, 4, 4, tanh), InitializerSpec(InitKind.HOUSEHOLDER), and4, crit)
-        runs = [((sgd, 0.05), Rng(4)), ((sgd, 0.2), Rng(5))]
+        runs = [(0.05, Rng(4)), (0.2, Rng(5))]
         return args, dict(batch_size=4, test_set=and4), runs
     if name == "orthogonal":
         args = (NetworkSpec(3, 16, 4, 4, tanh), InitializerSpec(InitKind.ORTHOGONAL), and4, crit)
-        return args, dict(batch_size=4, epochs=5), [((sgd, 0.1), Rng(6))]
+        return args, dict(batch_size=4, epochs=5), [(0.1, Rng(6))]
     raise KeyError(name)
 
 
 def _train_case(name, together: bool) -> list:
     (spec, init, ds, crit), kw, runs = _case(name)
-    opts = [tr.OptimizerSpec(*o) for o, _ in runs]
-    rngs = [r for _, r in runs]
     if together:
-        return tr.train(spec, init, opts, ds, crit, rngs, **kw)
-    return [tr.train(spec, init, o, ds, crit, r, **kw) for o, r in zip(opts, rngs)]
+        return tr.train(spec, init, runs, ds, crit, **kw)
+    return [tr.train(spec, init, [run], ds, crit, **kw)[0] for run in runs]
 
 
 GOLDEN = {
@@ -386,14 +374,12 @@ def test_runs_trained_together_equal_runs_trained_alone(seed, batch_size):
     init = InitializerSpec(InitKind.SCALED_GAUSSIAN, 2.0)
     ds = synthetic_task("xor2")
     crit = tr.SuccessCriterion("train_accuracy", 0.99, 15)
-    lrs = (0.1, 1e12, 0.3, 1e-3)
-    opts = [tr.OptimizerSpec(tr.OptimizerKind.SGD, lr) for lr in lrs]
-    rngs = [Rng(seed, (run,)) for run in range(len(lrs))]
+    runs = [(lr, Rng(seed, (run,))) for run, lr in enumerate((0.1, 1e12, 0.3, 1e-3))]
     kw = dict(test_set=ds, batch_size=batch_size, early_stop=True, mu1=0.5)
-    together = tr.train(spec, init, opts, ds, crit, rngs, **kw)
+    together = tr.train(spec, init, runs, ds, crit, **kw)
     assert {"converged", "diverged", "max_epochs"} <= {r.reason for r in together}
-    for opt, rng, res in zip(opts, rngs, together, strict=True):
-        _assert_same_run(res, tr.train(spec, init, opt, ds, crit, rng, **kw))
+    for run, res in zip(runs, together, strict=True):
+        _assert_same_run(res, tr.train(spec, init, [run], ds, crit, **kw)[0])
 
 
 def test_undefined_epoch_statistics_diverge_in_a_stack():
@@ -404,22 +390,19 @@ def test_undefined_epoch_statistics_diverge_in_a_stack():
     init = InitializerSpec(InitKind.SCALED_GAUSSIAN, 2.0)
     crit = tr.SuccessCriterion("train_accuracy", 0.99, 10)
     ds = synthetic_task("and4")
-    runs = [(10.0, 0), (10.0, 1), (10.0, 2), (10.0, 3), (1.0, 2), (0.01, 0)]
-    opts = [tr.OptimizerSpec(tr.OptimizerKind.SGD, lr) for lr, _ in runs]
+    runs = [(lr, Rng(seed)) for lr, seed in [(10.0, 0), (10.0, 1), (10.0, 2), (10.0, 3), (1.0, 2), (0.01, 0)]]
     with np.errstate(all="ignore"):
-        together = tr.train(spec, init, opts, ds, crit, [Rng(seed) for _, seed in runs], batch_size=1)
-        alone = [tr.train(spec, init, opt, ds, crit, Rng(seed), batch_size=1) for opt, (_, seed) in zip(opts, runs)]
+        together = tr.train(spec, init, runs, ds, crit, batch_size=1)
+        alone = [tr.train(spec, init, [run], ds, crit, batch_size=1)[0] for run in runs]
     assert [len(r.records) for r in together] == [1] * 5 + [11]
     assert [r.reason for r in together[:5]] == ["diverged"] * 5 and together[5].reason != "diverged"
     for a, b in zip(together, alone, strict=True):
         _assert_same_run(a, b)
 
 
-def test_train_takes_equal_length_run_lists():
-    spec, init, opt, ds, crit = xor_setup(epochs=1)
-    with pytest.raises(ValueError, match="equal length"):
-        tr.train(spec, init, [opt, opt], ds, crit, [Rng(0)], batch_size=4)
-    assert tr.train(spec, init, [], ds, crit, [], batch_size=4) == []
+def test_train_of_no_runs_returns_no_results():
+    spec, init, _, ds, crit = xor_setup(epochs=1)
+    assert tr.train(spec, init, [], ds, crit, batch_size=4) == []
 
 
 @pytest.mark.parametrize("name", ["grid_tanh", "householder"])
@@ -437,9 +420,8 @@ def test_runs_that_leave_the_stack_own_their_final_state():
     init = InitializerSpec(InitKind.SCALED_GAUSSIAN, 2.0)
     ds = synthetic_task("xor2")
     crit = tr.SuccessCriterion("train_accuracy", 0.99, 15)
-    opts = [tr.OptimizerSpec(tr.OptimizerKind.SGD, lr) for lr in (0.1, 1e12, 0.3, 1e-3)]
-    rngs = [Rng(3, (run,)) for run in range(len(opts))]
-    results = tr.train(spec, init, opts, ds, crit, rngs, batch_size=1, early_stop=True, mu1=0.5)
+    runs = [(lr, Rng(3, (run,))) for run, lr in enumerate((0.1, 1e12, 0.3, 1e-3))]
+    results = tr.train(spec, init, runs, ds, crit, batch_size=1, early_stop=True, mu1=0.5)
     assert {r.reason for r in results} == {"converged", "diverged", "max_epochs"}
     results += _train_case("householder", together=True)  # runs that all reach the last epoch
     for res in results:
@@ -456,8 +438,8 @@ def test_train_forms_the_factors_once_per_build_and_step(monkeypatch):
     monkeypatch.setattr(ini, "_wy_factors", lambda v: calls.append(v.shape) or wy_factors(v))
     spec = NetworkSpec(3, 4, 4, 4, ActivationKind.TANH)
     crit = tr.SuccessCriterion("train_accuracy", 0.99, 4)
-    opts, rngs = [tr.OptimizerSpec(tr.OptimizerKind.SGD, 0.1)] * 2, [Rng(5, (r,)) for r in range(2)]
-    tr.train(spec, InitializerSpec(InitKind.HOUSEHOLDER), opts, synthetic_task("and4"), crit, rngs, batch_size=8)
+    runs = [(0.1, Rng(5, (r,))) for r in range(2)]
+    tr.train(spec, InitializerSpec(InitKind.HOUSEHOLDER), runs, synthetic_task("and4"), crit, batch_size=8)
     runs, layers, steps = 2, 3, 4 * 2
     assert len(calls) == layers * (runs + steps)
 
