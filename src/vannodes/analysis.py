@@ -12,7 +12,7 @@ Jacobian and moment forms are the random-matrix approximations.  Like
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -217,15 +217,13 @@ def gradient_diagnostics(
     predictions sigma_x^2 (sigma_w^2 mu_1)^L etc.
 
     ``loss_grads`` is dLoss/dx_L (readout excluded), one row per probe sample.
-    Only the input gradient is read, so the reflection-vector gradients are
-    not computed.
     """
     probe = np.asarray(probe_batch, dtype=np.float64)
     if probe.size == 0:
         raise ValueError("probe batch must be nonempty")
     spec = state.spec
     sigma_x_sq = float(probe.var())
-    backbone = replace(headless(state), stacks=None)
+    backbone = headless(state)
     trace = forward(backbone, probe)
     grads = backward(backbone, trace, np.asarray(loss_grads, dtype=np.float64))
     x_l = trace.post[-1]

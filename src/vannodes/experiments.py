@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,10 +86,10 @@ class RunStore:
     ValueError on a value outside the column's kind, and ``keys`` holds the
     run keys of ``config``.  A row cut short by a crash (no trailing
     newline), with the wrong number of fields, with bytes that are not
-    UTF-8, with a value its parser refuses or with a key not in ``keys`` is
-    dropped on load with a warning and taken out of the file, so its run is
-    computed again; ``add`` raises on a row its parsers refuse instead of
-    writing it.
+    UTF-8, with a value its parser refuses, with a key not in ``keys`` or
+    with a key that another row repeats is dropped on load with a warning
+    and taken out of the file, so its run is computed again; ``add`` raises
+    on a row its parsers refuse instead of writing it.
     """
 
     def __init__(self, config: ExperimentConfig, name: str, columns: dict, keys: set):
@@ -119,16 +120,20 @@ class RunStore:
         return values
 
     def _load(self, data: bytes, start: int, keys: set):
-        """Keep the complete rows of ``data[start:]`` whose key is in ``keys``.
-        When any is dropped, replace the file by its header and the kept
-        rows' bytes, written to ``<path>.part`` first so that a crash leaves
-        the old file whole."""
+        """Keep the complete rows of ``data[start:]`` whose key is in ``keys``
+        and in no other row: which of two rows of a key holds its run is
+        unknown, so both are dropped.  When any is dropped, replace the file
+        by its header and the kept rows' bytes, written to ``<path>.part``
+        first so that a crash leaves the old file whole."""
         lines = data[start:].split(b"\n")
         dropped = int(lines.pop() != b"")  # a last row with no newline
+        rows_of = Counter(line.partition(b",")[0] for line in lines)
         kept = {}
         for line in lines:
             try:  # a decode error is a ValueError too
                 key, *fields = line.decode().split(",")
+                if rows_of[key.encode()] > 1:
+                    raise ValueError(f"{key!r} is the key of more than one row")
                 if key not in keys:
                     raise ValueError(f"{key!r} is not a run of this config")
                 self.rows[key] = self._parse(fields)

@@ -141,7 +141,7 @@ class HouseholderStack:
     ``householder_materialize`` read, kept beside the W it returned.  A stack
     the constructor makes holds none until it is materialized, as every
     network's stacks are when the network is built;
-    ``network.stack_states`` moves the runs' factors to the stacked one.
+    ``network.build_stack`` moves the runs' factors to the stacked one.
     An in-place update of the vectors leaves both W and the factors stale
     until the next materialize.
     """

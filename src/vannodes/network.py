@@ -14,8 +14,11 @@ one layer's weight instead of L.  Back-propagation and the
 Jacobian read phi'(h_l) from the post-activations x_l alone
 (``activations.derivative``), so no pre-activation is stored.
 
+``backward`` forms no reflection-vector gradient: training maps each
+Householder layer's weight gradient to one (``householder_backward``).
+
 A state may also hold R networks of one spec stacked along a leading run
-axis (``stack_states``), so that one call steps them all: ``forward``,
+axis (``build_stack``), so that one call steps them all: ``forward``,
 ``layers``, ``output`` and ``backward`` then take an R x n x d batch, or an
 n x d batch that every run sees, and work on each run's slice as they do on
 a single network, bit for bit.  ``run_state`` is the one way a run leaves a
@@ -24,7 +27,7 @@ stack: it copies the run's arrays out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,7 +38,6 @@ from .initializers import (
     InitializerSpec,
     InitKind,
     WYFactors,
-    householder_backward,
     householder_materialize,
     init_scaled,
     init_weight,
@@ -48,7 +50,7 @@ __all__ = [
     "ForwardTrace",
     "Gradients",
     "build_network",
-    "stack_states",
+    "build_stack",
     "run_state",
     "headless",
     "forward",
@@ -113,7 +115,6 @@ class ForwardTrace:
 class Gradients:
     weights: list  # dLoss/dW_l for the materialized matrices
     biases: list
-    stacks: list | None  # per layer: reflection-vector gradients or None
     readout_weight: np.ndarray | None
     readout_bias: np.ndarray | None
     input_gradient: np.ndarray  # dLoss/dx_0, batch x input_dim
@@ -144,21 +145,18 @@ def _layer_weight(spec: NetworkSpec, init: InitializerSpec, rng: Rng, l: int):
     return init_weight(init, spec.fan_in(l), spec.width_N, rng.spawn(l))
 
 
-def stack_states(states: list) -> NetworkState:
-    """The networks ``states``, of one spec and one kind of layers, as one
-    state of copies stacked along a leading run axis.  The WY factors that
-    runs fresh from ``build_network`` hold move to it, so its first backward
-    forms none."""
+def build_stack(spec: NetworkSpec, init: InitializerSpec, rngs: list) -> NetworkState:
+    """The networks ``build_network(spec, init, rng)`` of the ``rngs``, as one
+    state stacked along a leading run axis, run r from ``rngs[r]``.  The WY
+    factors each build forms move to the stack, so its first backward forms
+    none."""
+    return _stack([build_network(spec, init, rng) for rng in rngs])
+
+
+def _stack(states: list) -> NetworkState:
+    """Copies of the networks ``states``, of one spec and one kind of layers,
+    stacked along a leading run axis; the runs' WY factors move to it."""
     first = states[0]
-    kinds = _layer_kinds(first)
-    for r, other in enumerate(states[1:], 1):
-        for f in fields(NetworkSpec):
-            a, b = getattr(first.spec, f.name), getattr(other.spec, f.name)
-            if a != b:
-                raise ValueError(f"cannot stack runs of different specs: run {r} has {f.name} {b}, run 0 has {a}")
-        for l, (a, b) in enumerate(zip(kinds, _layer_kinds(other))):
-            if a != b:
-                raise ValueError(f"cannot stack runs: layer {l + 1} is {a} in run 0 and {b} in run {r}")
     stacks, readout = None, [None, None]
     if first.stacks is not None:
         stacks = [None if s is None else _stacked([t.stacks[l] for t in states]) for l, s in enumerate(first.stacks)]
@@ -167,10 +165,6 @@ def stack_states(states: list) -> NetworkState:
     weights = [np.stack(layer) for layer in zip(*(s.weights for s in states))]
     biases = [np.stack(layer)[:, None] for layer in zip(*(s.biases for s in states))]
     return NetworkState(first.spec, weights, biases, stacks, *readout)
-
-
-def _layer_kinds(state: NetworkState) -> list:
-    return ["dense" if s is None else "Householder" for s in state.stacks or [None] * state.spec.depth_L]
 
 
 def _stacked(stacks: list) -> HouseholderStack:
@@ -288,7 +282,8 @@ def _batch_outer(g: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def backward(state: NetworkState, trace: ForwardTrace, loss_grad_at_output: np.ndarray) -> Gradients:
     """Back-propagate a loss gradient (w.r.t. logits if a readout exists,
-    otherwise w.r.t. x_L) to all parameters and to the input."""
+    otherwise w.r.t. x_L) to the materialized weights, the biases, the
+    readout and the input."""
     spec = state.spec
     g = np.asarray(loss_grad_at_output, dtype=np.float64)
     if len(trace.post) != spec.depth_L or trace.post[0].shape[-2] != trace.inputs.shape[-2]:
@@ -305,20 +300,15 @@ def backward(state: NetworkState, trace: ForwardTrace, loss_grad_at_output: np.n
         raise ValueError(f"loss gradient must be {(*rows, spec.width_N)}, got {g.shape}")
     weight_grads = [None] * spec.depth_L
     bias_grads = [None] * spec.depth_L
-    stack_grads = [None] * spec.depth_L if state.stacks is not None else None
     for l in range(spec.depth_L - 1, -1, -1):
         gh = g * act.derivative(spec.activation, trace.post[l])
         x_prev = trace.inputs if l == 0 else trace.post[l - 1]
-        gw = _batch_outer(gh, x_prev)
-        weight_grads[l] = gw
+        weight_grads[l] = _batch_outer(gh, x_prev)
         bias_grads[l] = gh.sum(axis=-2, keepdims=gh.ndim == 3)
-        if state.stacks is not None and state.stacks[l] is not None:
-            stack_grads[l] = householder_backward(state.stacks[l], gw)
         g = gh @ state.weights[l]
     return Gradients(
         weights=weight_grads,
         biases=bias_grads,
-        stacks=stack_grads,
         readout_weight=readout_gw,
         readout_bias=readout_gb,
         input_gradient=g,

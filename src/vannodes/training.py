@@ -14,24 +14,23 @@ log-norm of the input gradient, each read for all runs of a stack at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .analysis import per_layer_gain, vni_empirical
 from .data import Dataset
-from .initializers import InitializerSpec, InitKind
-from .linalg import Rng
+from .initializers import InitializerSpec, InitKind, householder_backward
 from .network import (
     NetworkSpec,
     NetworkState,
+    _stack,
     backward,
-    build_network,
+    build_stack,
     forward,
     headless,
     output,
     run_state,
-    stack_states,
 )
 
 __all__ = [
@@ -147,10 +146,13 @@ class TrainResult:
 
 
 def _param_leaves(state: NetworkState, grads) -> list:
+    """(parameter, gradient) pairs; a Householder layer's reflection vectors
+    get the map of its weight gradient, read from its kept WY factors."""
     leaves = []
     for l in range(state.spec.depth_L):
-        if state.stacks is not None and state.stacks[l] is not None:
-            leaves.append((state.stacks[l].vectors, grads.stacks[l]))
+        stack = state.stacks[l] if state.stacks is not None else None
+        if stack is not None:
+            leaves.append((stack.vectors, householder_backward(stack, grads.weights[l])))
         else:
             leaves.append((state.weights[l], grads.weights[l]))
         leaves.append((state.biases[l], grads.biases[l]))
@@ -184,13 +186,10 @@ def evaluate(state: NetworkState, dataset: Dataset):
 
 
 def _input_gradient(state: NetworkState, train_set: Dataset) -> np.ndarray:
-    """dLoss/dx_0 on the first task inputs for each run of a stacked state.
-    Only the input gradient is read, so the reflection-vector gradients are
-    not computed."""
-    part = replace(state, stacks=None)
-    trace = forward(part, train_set.inputs[:_EVAL_BATCH])
+    """dLoss/dx_0 on the first task inputs for each run of a stacked state."""
+    trace = forward(state, train_set.inputs[:_EVAL_BATCH])
     labels = np.broadcast_to(train_set.labels[:_EVAL_BATCH], trace.logits.shape[:-1])
-    return backward(part, trace, _cross_entropy(trace.logits, labels)[1]).input_gradient
+    return backward(state, trace, _cross_entropy(trace.logits, labels)[1]).input_gradient
 
 
 def _epoch_stats(
@@ -254,9 +253,9 @@ def train(
 
     Each run draws its network from ``rng.spawn(0)`` and its data order from
     ``rng.spawn(1)``.  The runs are split into stacks that fit
-    ``_TRACE_FLOATS`` and the runs of a stack are stepped together; every
-    operation acts on each run's slice alone, so each result is
-    bit-identical to the run's trained alone.
+    ``_TRACE_FLOATS``, each built by ``network.build_stack``, and the runs of
+    a stack are stepped together; every operation acts on each run's slice
+    alone, so each result is bit-identical to the run's trained alone.
     """
     if spec.num_classes != train_set.num_classes:
         raise ValueError("network num_classes does not match dataset")
@@ -283,7 +282,7 @@ def train(
     if not runs:
         return []
     results = [TrainResult([], False, "max_epochs") for _ in runs]
-    state = stack_states([build_network(spec, init, rng.spawn(0)) for _, rng in runs])
+    state = build_stack(spec, init, [rng.spawn(0) for _, rng in runs])
     lrs = np.array([lr for lr, _ in runs])
     # one rate for every run is kept a float: scaling by it is the cheaper product
     opt = Optimizer(lrs[0] if np.all(lrs == lrs[0]) else lrs[:, None, None])
@@ -330,7 +329,7 @@ def train(
         if len(keep) < len(active):
             if not keep:
                 break
-            state = stack_states([run_state(state, row) for row in keep])
+            state = _stack([run_state(state, row) for row in keep])
             opt.take(keep)
             active, data_rngs = [active[row] for row in keep], [data_rngs[row] for row in keep]
     return results

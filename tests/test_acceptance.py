@@ -21,7 +21,7 @@ import pytest
 
 import vannodes as vn
 from vannodes.activations import ActivationKind, ActivationMoments, mu_quadrature
-from vannodes.initializers import InitKind, InitializerSpec
+from vannodes.initializers import InitKind, InitializerSpec, householder_backward
 from vannodes.linalg import Rng
 from vannodes.network import NetworkSpec, backward, build_network, forward, streamed_layers
 
@@ -401,7 +401,7 @@ def test_criterion_09_gradient_correctness():
             g = Rng(92).normal(size=(2, 8))
             grads = backward(state, forward(state, batch), g)
             params = (
-                [(state.stacks[l].vectors, grads.stacks[l]) for l in range(4)]
+                [(state.stacks[l].vectors, householder_backward(state.stacks[l], grads.weights[l])) for l in range(4)]
                 if state.stacks is not None
                 else [(state.weights[l], grads.weights[l]) for l in range(4)]
             )

@@ -9,8 +9,9 @@ from vannodes import analysis as an
 from vannodes.activations import ActivationMoments, ActivationKind, mu_quadrature
 from vannodes.initializers import InitKind, InitializerSpec
 from vannodes.linalg import Rng
-from vannodes import network
-from vannodes.network import NetworkSpec, backward, build_network, forward, headless, jacobian, run_state, stack_states
+from vannodes import initializers, training
+from vannodes.data import synthetic_task
+from vannodes.network import NetworkSpec, backward, build_network, build_stack, forward, headless, jacobian, run_state
 
 
 def make_activations(n_samples=4000, width=20, seed=0):
@@ -225,8 +226,9 @@ class TestGradientDiagnostics:
         # A rectangular first layer, then square ones (reflection stacks for
         # Householder, materialized in one stacked call).
         spec = NetworkSpec(4, 17, 5, 3, ActivationKind.TANH)
-        runs = [build_network(spec, InitializerSpec(kind, 1.3), Rng(21, (r,))) for r in range(3)]
-        state = stack_states(runs)
+        rngs = [Rng(21, (r,)) for r in range(3)]
+        runs = [build_network(spec, InitializerSpec(kind, 1.3), rng) for rng in rngs]
+        state = build_stack(spec, InitializerSpec(kind, 1.3), rngs)
         state.rematerialize()
         gains = an.per_layer_gain(state, 0.7)
         assert gains.shape == (3, 4)
@@ -235,22 +237,27 @@ class TestGradientDiagnostics:
             assert gains[r].tobytes() == an.per_layer_gain(run_state(state, r), 0.7).tobytes()
 
     def test_input_gradient_skips_the_reflection_gradients(self, monkeypatch):
-        # Only the input gradient is read, so no reflection-vector gradient is
-        # formed; the input gradient keeps the bits of a full backward pass.
+        # Only the optimizer maps a weight gradient to reflection vectors:
+        # backward, the diagnostics and the training statistics' input
+        # gradient run on Householder networks without that map, and the
+        # diagnostics read the input gradient backward gives.
+        def refuse(*args):
+            raise AssertionError("householder_backward called")
+
+        monkeypatch.setattr(initializers, "householder_backward", refuse)
+        monkeypatch.setattr(training, "householder_backward", refuse)
         spec = NetworkSpec(3, 8, 5, 2, ActivationKind.TANH)
         state = build_network(spec, InitializerSpec(InitKind.HOUSEHOLDER, 1.0), Rng(31))
+        assert all(s is not None for s in state.stacks[1:])
         probe = Rng(32).normal(size=(50, 5))
         g = Rng(33).normal(size=(50, 8))
         backbone = headless(state)
         full = backward(backbone, forward(backbone, probe), g)
-        assert all(s is not None for s in full.stacks[1:])
-
-        def refuse(*args):
-            raise AssertionError("householder_backward called")
-
-        monkeypatch.setattr(network, "householder_backward", refuse)
         d = an.gradient_diagnostics(state, probe, g, mu1=1.0)
         assert d.var_input_grad == float(full.input_gradient.var())
+        ds = synthetic_task("and4")
+        runs = build_stack(NetworkSpec(3, 4, 4, 4), InitializerSpec(InitKind.HOUSEHOLDER), [Rng(34, (r,)) for r in range(2)])
+        assert np.isfinite(training._input_gradient(runs, ds)).all()
 
     def test_forward_variance_prediction(self):
         # linear net at sigma_w^2 = 1: Var[x_L] should stay near Var[x_0]

@@ -192,6 +192,33 @@ def test_run_store_drops_a_row_of_another_config(tmp_path):
     assert path.read_bytes() == fresh
 
 
+@pytest.mark.parametrize("experiment", sorted(TINY))
+def test_run_store_drops_every_row_of_a_repeated_key(experiment, tmp_path):
+    # Run 1's row relabelled with run 0's key: neither row can be told to
+    # hold run 0, so the first rerun drops both with one warning and leaves
+    # the file and the aggregates as a fresh run gives them; the next rerun
+    # warns of nothing.
+    config = ExperimentConfig(**TINY[experiment], out_dir=str(tmp_path))
+    want = _aggregates(config)
+    [path] = tmp_path.glob("*_runs_*.csv")
+    fresh = path.read_bytes()
+    *head, first, second = fresh.splitlines(keepends=True)
+    assert len(head) == 2
+    path.write_bytes(b"".join(head) + first + first.partition(b",")[0] + b"," + second.partition(b",")[2])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = _aggregates(config)
+    assert [str(w.message) for w in caught] == [
+        f"{path}: dropped 2 incomplete or corrupt row(s); their runs are recomputed"
+    ]
+    assert path.read_bytes() == fresh
+    assert [np.asarray(a).tobytes() for a in got] == [np.asarray(a).tobytes() for a in want]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _aggregates(config)
+    assert path.read_bytes() == fresh
+
+
 def _aggregates(config) -> list:
     """The arrays a resumable runner aggregates from its run CSV."""
     if config.experiment == "vni_sweep":

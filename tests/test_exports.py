@@ -28,3 +28,21 @@ def test_every_name_the_package_imports_is_a_module_export():
         for alias in node.names:
             assert alias.name in module.__all__, f"{node.module}.{alias.name}"
             assert hasattr(vannodes, alias.asname or alias.name), alias.name
+
+
+def _unused_imports(source: str) -> list:
+    """Names a module's imports bind that no other line of it reads."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"line {line}: {name}" for name, line in bound.items() if name not in read)
+
+
+@pytest.mark.parametrize("name", MODULES)  # not __init__, which only re-exports
+def test_no_module_imports_a_name_it_never_uses(name):
+    path = Path(vannodes.__path__[0]) / f"{name}.py"
+    assert _unused_imports(path.read_text()) == []

@@ -6,7 +6,7 @@ import pytest
 from vannodes import initializers as ini
 from vannodes.initializers import HouseholderStack, InitKind, InitializerSpec
 from vannodes.linalg import Rng
-from vannodes.network import NetworkSpec, backward, build_network, forward, run_state, stack_states
+from vannodes.network import NetworkSpec, backward, build_stack, forward, run_state
 from vannodes.training import Optimizer, _param_leaves
 
 
@@ -311,40 +311,45 @@ def test_backward_after_materialize_makes_no_lapack_call(monkeypatch):
 
 def test_backward_reads_the_factors_of_the_last_update():
     # Two runs stacked, two SGD steps, each followed by rematerialize: the
-    # backward that reads the kept factors has the bits of one on a fresh
-    # stack of the same vectors, which forms its own.
+    # backward that reads the kept factors, alone and as the optimizer's
+    # reflection gradient, has the bits of one on a fresh stack of the same
+    # vectors, which forms its own.
     spec = NetworkSpec(3, 20, 20, 0)
     init = InitializerSpec(InitKind.HOUSEHOLDER)
-    state = stack_states([build_network(spec, init, Rng(80, (run,))) for run in range(2)])
+    state = build_stack(spec, init, [Rng(80, (run,)) for run in range(2)])
     batch, g = Rng(81).normal(size=(2, 5, 20)), Rng(82).normal(size=(2, 5, 20))
     opt = Optimizer(0.1)
     for _ in range(2):
         opt.step(_param_leaves(state, backward(state, forward(state, batch), g)))
         state.rematerialize()
     g_w = Rng(83).normal(size=(2, 20, 20))
-    for stack in state.stacks:
+    grads = backward(state, forward(state, batch), g)
+    leaves = _param_leaves(state, grads)
+    for l, stack in enumerate(state.stacks):
         assert stack.factors is not None
         fresh = HouseholderStack.unchecked(stack.vectors.copy())
         assert ini.householder_backward(stack, g_w).tobytes() == ini.householder_backward(fresh, g_w).tobytes()
+        vectors, grad = leaves[2 * l]
+        assert vectors is stack.vectors
+        assert grad.tobytes() == ini.householder_backward(fresh, grads.weights[l]).tobytes()
 
 
-def test_stack_states_carries_the_factors_of_built_runs(monkeypatch):
+def test_build_stack_carries_the_factors_of_built_runs(monkeypatch):
     # The factors each run formed at its build move beside its stacked
     # vectors, bit for bit those of the stacked vectors, so the first
-    # backward forms none; neither the built runs nor a run taken out of
-    # the stack hold any.
+    # training step's backward and reflection gradients form none; a run
+    # taken out of the stack holds none.
     spec = NetworkSpec(3, 20, 20, 0)
-    runs = [build_network(spec, InitializerSpec(InitKind.HOUSEHOLDER), Rng(84, (run,))) for run in range(3)]
-    state = stack_states(runs)
-    assert all(s.factors is None for run in runs for s in run.stacks)
-    g_w = Rng(85).normal(size=(3, 20, 20))
-    fresh = [ini.householder_backward(HouseholderStack.unchecked(s.vectors.copy()), g_w) for s in state.stacks]
+    state = build_stack(spec, InitializerSpec(InitKind.HOUSEHOLDER), [Rng(84, (run,)) for run in range(3)])
+    batch, g = Rng(85).normal(size=(3, 5, 20)), Rng(86).normal(size=(3, 5, 20))
+    grads = backward(state, forward(state, batch), g)
+    fresh = [HouseholderStack.unchecked(s.vectors.copy()) for s in state.stacks]
+    want = [ini.householder_backward(s, w).tobytes() for s, w in zip(fresh, grads.weights, strict=True)]
     for stack in state.stacks:
         for kept, formed in zip(stack.factors, ini._wy_factors(stack.vectors), strict=True):
             assert kept.tobytes() == formed.tobytes()
     monkeypatch.setattr(np, "linalg", _NoLinalg())
-    for stack, want in zip(state.stacks, fresh):
-        assert ini.householder_backward(stack, g_w).tobytes() == want.tobytes()
+    assert [grad.tobytes() for _, grad in _param_leaves(state, grads)[::2]] == want
     assert all(s.factors is None for r in range(3) for s in run_state(state, r).stacks)
 
 

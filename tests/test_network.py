@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vannodes.activations import ActivationKind, apply as act_apply
-from vannodes.initializers import InitKind, InitializerSpec
+from vannodes.initializers import InitKind, InitializerSpec, householder_backward
 from vannodes.linalg import Rng
 from vannodes.network import (
     NetworkSpec,
@@ -14,8 +14,8 @@ from vannodes.network import (
     jacobian,
     layers,
     output,
+    build_stack,
     run_state,
-    stack_states,
     streamed_layers,
 )
 
@@ -206,6 +206,7 @@ def test_householder_backward_through_network():
     batch = Rng(12).normal(size=(2, 4))
     g = Rng(13).normal(size=(2, 4))
     grads = backward(state, forward(state, batch), g)
+    vector_grads = [householder_backward(state.stacks[l], grads.weights[l]) for l in range(2)]
     eps = 1e-6
     for l in range(2):
         vecs = state.stacks[l].vectors
@@ -219,7 +220,7 @@ def test_householder_backward_through_network():
                 lm = total_loss(state, batch, g)
                 vecs[i, j] += eps
                 state.rematerialize()
-                assert grads.stacks[l][i, j] == pytest.approx((lp - lm) / (2 * eps), abs=1e-5)
+                assert vector_grads[l][i, j] == pytest.approx((lp - lm) / (2 * eps), abs=1e-5)
 
 
 class TestJacobian:
@@ -256,44 +257,22 @@ class TestJacobian:
 
 def test_jacobian_of_a_stacked_state_names_run_state():
     spec = NetworkSpec(3, 5, 5, 0, ActivationKind.TANH)
-    state = stack_states([build_network(spec, GAUSS, Rng(19, (run,))) for run in range(2)])
+    state = build_stack(spec, GAUSS, [Rng(19, (run,)) for run in range(2)])
     with pytest.raises(ValueError, match="run_state"):
         jacobian(state, np.zeros(5))
     assert jacobian(run_state(state, 1), np.zeros(5)).shape == (5, 5)
 
 
-HOUSEHOLDER = InitializerSpec(InitKind.HOUSEHOLDER)
-
-
-@pytest.mark.parametrize(
-    "first, second, match",
-    [
-        (GAUSS, (ActivationKind.RELU, 2, GAUSS), "activation ActivationKind.RELU, run 0 has ActivationKind.TANH"),
-        (GAUSS, (ActivationKind.TANH, 3, GAUSS), "num_classes 3, run 0 has 2"),
-        (GAUSS, (ActivationKind.TANH, 2, HOUSEHOLDER), "layer 1 is dense in run 0 and Householder in run 1"),
-        (HOUSEHOLDER, (ActivationKind.TANH, 2, GAUSS), "layer 1 is Householder in run 0 and dense in run 1"),
-    ],
-    ids=["activation", "num_classes", "dense-then-householder", "householder-then-dense"],
-)
-def test_stack_states_names_what_differs(first, second, match):
-    kind, classes, init = second
-    runs = [
-        build_network(NetworkSpec(3, 4, 4, 2, ActivationKind.TANH), first, Rng(40)),
-        build_network(NetworkSpec(3, 4, 4, classes, kind), init, Rng(41)),
-    ]
-    with pytest.raises(ValueError, match=match):
-        stack_states(runs)
-
-
-
 @pytest.mark.parametrize("num_classes", [0, 2])
 @pytest.mark.parametrize("kind", list(InitKind))
 def test_run_state_returns_each_run_bit_for_bit(kind, num_classes):
-    # Each run taken out of a stack is the run that went in, to the bit, and
-    # owns its arrays: writing to it leaves the stack as it was.
-    spec = NetworkSpec(3, 4, 4, num_classes, ActivationKind.TANH)
-    runs = [build_network(spec, InitializerSpec(kind, 1.1), Rng(50, (run,))) for run in range(3)]
-    state = stack_states(runs)
+    # Each run taken out of a stack is the run build_network draws from its
+    # rng, to the bit, and owns its arrays: writing to it leaves the stack as
+    # it was.
+    spec, init = NetworkSpec(3, 4, 4, num_classes, ActivationKind.TANH), InitializerSpec(kind, 1.1)
+    rngs = [Rng(50, (run,)) for run in range(3)]
+    runs = [build_network(spec, init, rng) for rng in rngs]
+    state = build_stack(spec, init, rngs)
     batch = Rng(51).normal(size=(6, 4))
     for r, run in enumerate(runs):
         got = run_state(state, r)
@@ -313,19 +292,44 @@ def test_run_state_returns_each_run_bit_for_bit(kind, num_classes):
         assert output(got, batch).tobytes() == output(run, batch).tobytes()
 
 
+@pytest.mark.parametrize("num_classes", [0, 2])
+@pytest.mark.parametrize("kind", list(InitKind))
+def test_build_stack_holds_each_run_built_alone(kind, num_classes):
+    # Slice r of every stacked array, and of every Householder layer's WY
+    # factors, has the bits build_network(spec, init, rngs[r]) gives.
+    spec, init = NetworkSpec(3, 4, 4, num_classes, ActivationKind.TANH), InitializerSpec(kind, 1.1)
+    rngs = [Rng(56, (run,)) for run in range(3)]
+    state = build_stack(spec, init, rngs)
+    assert state.spec == spec
+    for r, rng in enumerate(rngs):
+        run = build_network(spec, init, rng)
+        pairs = [(a[r], b) for a, b in zip(state.weights, run.weights, strict=True)]
+        pairs += [(a[r, 0], b) for a, b in zip(state.biases, run.biases, strict=True)]
+        if num_classes:
+            pairs += [(state.readout_weight[r], run.readout_weight), (state.readout_bias[r, 0], run.readout_bias)]
+        else:
+            assert state.readout_weight is None and state.readout_bias is None
+        assert (state.stacks is None) == (run.stacks is None) == (kind is not InitKind.HOUSEHOLDER)
+        for a, b in zip(state.stacks or [], run.stacks or [], strict=True):
+            pairs += [(a.vectors[r], b.vectors), *((x[r], y) for x, y in zip(a.factors, b.factors, strict=True))]
+        for a, b in pairs:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("kind", list(InitKind))
 def test_stacked_forward_and_backward_equal_each_run_alone(kind):
     # A stacked state applied to one batch per run, or to one batch that all
     # runs share, gives each run's own activations, logits and gradients.
-    spec = NetworkSpec(3, 5, 4, 2, ActivationKind.TANH)
-    runs = [build_network(spec, InitializerSpec(kind, 1.1), Rng(52, (run,))) for run in range(3)]
+    spec, init = NetworkSpec(3, 5, 4, 2, ActivationKind.TANH), InitializerSpec(kind, 1.1)
+    rngs = [Rng(52, (run,)) for run in range(3)]
+    runs = [build_network(spec, init, rng) for rng in rngs]
     batches = Rng(53).normal(size=(3, 6, 4))
     g_out = Rng(54).normal(size=(3, 6, 2))
     alone = []
     for run, batch, g in zip(runs, batches, g_out):
         trace = forward(run, batch)
         alone.append((trace, backward(run, trace, g)))
-    state = stack_states(runs)
+    state = build_stack(spec, init, rngs)
     trace = forward(state, batches)
     grads = backward(state, trace, g_out)
     for r, (t, gr) in enumerate(alone):
@@ -333,9 +337,11 @@ def test_stacked_forward_and_backward_equal_each_run_alone(kind):
         assert all(np.allclose(a[r], b, rtol=0, atol=1e-12) for a, b in zip(trace.post, t.post, strict=True))
         assert all(np.allclose(a[r], b, rtol=0, atol=1e-12) for a, b in zip(grads.weights, gr.weights, strict=True))
         assert all(np.allclose(a[r], b, rtol=0, atol=1e-12) for a, b in zip(grads.biases, gr.biases, strict=True))
-        for a, b in zip(grads.stacks or [], gr.stacks or [], strict=True):
+        for l, (a, b) in enumerate(zip(state.stacks or [], runs[r].stacks or [], strict=True)):
             assert (a is None) == (b is None)
-            assert a is None or np.allclose(a[r], b, rtol=0, atol=1e-12)
+            if a is not None:
+                got = householder_backward(a, grads.weights[l])[r]
+                assert np.allclose(got, householder_backward(b, gr.weights[l]), rtol=0, atol=1e-12)
         assert np.allclose(grads.readout_weight[r], gr.readout_weight, rtol=0, atol=1e-12)
         assert np.allclose(grads.input_gradient[r], gr.input_gradient, rtol=0, atol=1e-12)
     shared = output(state, batches[0])
@@ -346,7 +352,7 @@ def test_stacked_forward_and_backward_equal_each_run_alone(kind):
 
 def test_stacked_state_refuses_a_batch_for_another_number_of_runs():
     spec = NetworkSpec(2, 4, 3, 0, ActivationKind.TANH)
-    state = stack_states([build_network(spec, GAUSS, Rng(55, (run,))) for run in range(3)])
+    state = build_stack(spec, GAUSS, [Rng(55, (run,)) for run in range(3)])
     with pytest.raises(ValueError, match=r"batch must be \(n, 3\) or \(3, n, 3\), got \(2, 5, 3\)"):
         forward(state, np.zeros((2, 5, 3)))
     with pytest.raises(ValueError, match=r"got \(3, 5, 4\)"):

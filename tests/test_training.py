@@ -11,7 +11,7 @@ from vannodes.activations import ActivationKind
 from vannodes.data import synthetic_task
 from vannodes.initializers import InitKind, InitializerSpec
 from vannodes.linalg import Rng
-from vannodes.network import NetworkSpec, build_network, stack_states
+from vannodes.network import NetworkSpec, build_stack
 
 
 def step_scalar(learning_rate, w0, grads):
@@ -460,7 +460,7 @@ def test_epoch_stats_flag_only_the_run_with_a_non_finite_parameter(leaf):
     kind = InitKind.HOUSEHOLDER if leaf == "householder" else InitKind.SCALED_GAUSSIAN
     spec = NetworkSpec(3, 4, 4, 4, ActivationKind.TANH)
     ds = synthetic_task("and4")
-    state = stack_states([build_network(spec, InitializerSpec(kind), Rng(0, (run,))) for run in range(3)])
+    state = build_stack(spec, InitializerSpec(kind), [Rng(0, (run,)) for run in range(3)])
     loss, acc = tr.evaluate(state, ds)
     clean = tr._epoch_stats(state, 1, ds.inputs, ds, ds, loss, acc, 1.0)
     if leaf == "householder":
@@ -478,7 +478,7 @@ def test_all_finite_flags_only_the_run_that_holds_a_nan():
     spec = NetworkSpec(3, 4, 4, 4, ActivationKind.TANH)
     init = InitializerSpec(InitKind.SCALED_GAUSSIAN, 1.0)
     for leaf in ("biases", "readout_weight", "readout_bias"):
-        state = stack_states([build_network(spec, init, Rng(0, (run,))) for run in range(3)])
+        state = build_stack(spec, init, [Rng(0, (run,)) for run in range(3)])
         assert tr._all_finite(state).tolist() == [True, True, True]
         array = state.biases[1] if leaf == "biases" else getattr(state, leaf)
         array[1, 0, -1] = np.nan
