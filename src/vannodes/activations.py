@@ -31,6 +31,7 @@ __all__ = [
     "ConvergenceError",
     "ActivationMoments",
     "apply",
+    "in_place",
     "derivative",
     "variance_fixed_point",
     "mean_sq_activation",
@@ -60,22 +61,33 @@ class ActivationKind(enum.Enum):
     HARD_TANH = "hard_tanh"
 
 
+# phi in place: each overwrites its float64 argument with phi of it.
+_IN_PLACE = {
+    ActivationKind.LINEAR: lambda h: h,
+    ActivationKind.RELU: lambda h: np.maximum(h, 0.0, out=h),
+    ActivationKind.TANH: lambda h: np.tanh(h, out=h),
+    ActivationKind.HARD_TANH: lambda h: np.clip(h, -1.0, 1.0, out=h),
+}
+
+
+def in_place(kind: ActivationKind):
+    """phi as a function that overwrites a float64 array h with phi(h) and
+    returns it, for a loop that applies one kind many times: ``apply``
+    without its per-call conversion and dispatch."""
+    if kind not in _IN_PLACE:
+        raise ValueError(f"unknown activation {kind!r}")
+    return _IN_PLACE[kind]
+
+
 def apply(kind: ActivationKind, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """phi(h), written into ``out`` when given (``out=h`` works in place)."""
+    phi = in_place(kind)
     h = np.asarray(h, dtype=np.float64)
-    if kind is ActivationKind.LINEAR:
-        if out is None:
-            return h.copy()
-        if out is not h:
-            out[...] = h
-        return out
-    if kind is ActivationKind.RELU:
-        return np.maximum(h, 0.0, out=out)
-    if kind is ActivationKind.TANH:
-        return np.tanh(h, out=out)
-    if kind is ActivationKind.HARD_TANH:
-        return np.clip(h, -1.0, 1.0, out=out)
-    raise ValueError(f"unknown activation {kind!r}")
+    if out is None:
+        return phi(h.copy())
+    if out is not h:
+        out[...] = h
+    return phi(out)
 
 
 def derivative(kind: ActivationKind, phi: np.ndarray) -> np.ndarray:
@@ -89,7 +101,8 @@ def derivative(kind: ActivationKind, phi: np.ndarray) -> np.ndarray:
     if kind is ActivationKind.RELU:
         return (phi > 0).astype(np.float64)
     if kind is ActivationKind.TANH:
-        return 1.0 - phi * phi
+        d = phi * phi
+        return np.subtract(1.0, d, out=d)
     if kind is ActivationKind.HARD_TANH:
         return (np.abs(phi) < 1.0).astype(np.float64)
     raise ValueError(f"unknown activation {kind!r}")

@@ -16,6 +16,8 @@ Jacobian read phi'(h_l) from the post-activations x_l alone
 
 ``backward`` forms no reflection-vector gradient: training maps each
 Householder layer's weight gradient to one (``householder_backward``).
+Given ``out=``, it writes the parameter gradients into the caller's arrays
+(training's views of one gradient buffer) instead of allocating them.
 
 A state may also hold R networks of one spec stacked along a leading run
 axis (``build_stack``), so that one call steps them all: ``forward``,
@@ -223,10 +225,10 @@ def layers(state: NetworkState, batch: np.ndarray):
     per-layer trace: each layer is computed in place into a fresh array, so
     at most two activation arrays are alive while the caller holds only the
     latest."""
-    kind = state.spec.activation
+    phi = act.in_place(state.spec.activation)
     x = _as_batch(state.spec, batch, state.weights[0].shape[:-2])
     for w, b in zip(state.weights, state.biases):
-        x = _layer_step(kind, x, w, b)
+        x = _layer_step(phi, x, w, b)
         yield x
 
 
@@ -241,22 +243,24 @@ def streamed_layers(spec: NetworkSpec, init: InitializerSpec, rng: Rng, batch: n
     The zero bias is added as ``layers`` adds it, so that a product's -0.0
     becomes +0.0 on both paths."""
     x = _as_batch(spec, batch)
+    del batch  # layer 1 replaces x, so the caller's probe need not outlive it
     bias = np.zeros(spec.width_N)
+    phi = act.in_place(spec.activation)
     for l in range(spec.depth_L):
         w = _layer_weight(spec, init, rng, l)
         if isinstance(w, HouseholderStack):
             w = householder_materialize(w)
-        x = _layer_step(spec.activation, x, w, bias)
+        x = _layer_step(phi, x, w, bias)
         del w  # so that one weight is alive when the next layer is drawn
         yield x
 
 
-def _layer_step(kind: ActivationKind, x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _layer_step(phi, x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The one per-layer step, phi(x W^T + b), computed in place into a
-    fresh array."""
+    fresh array; ``phi`` is ``activations.in_place``'s."""
     h = x @ w.swapaxes(-1, -2)
     h += b
-    return act.apply(kind, h, out=h)
+    return phi(h)
 
 
 def output(state: NetworkState, batch: np.ndarray) -> np.ndarray:
@@ -269,50 +273,51 @@ def output(state: NetworkState, batch: np.ndarray) -> np.ndarray:
     return x
 
 
-def _batch_outer(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """g^T x over the batch rows.  For a batch of one row this is the
-    broadcast product: the same values (a zero may differ in sign, which no
-    update of a nonzero parameter sees), which makes a batch-1 layer-step
-    1-13% faster at N = 32..100 than numpy's matmul of inner dimension 1
-    (``BENCH_stacked_runs.json``)."""
+def _batch_outer(g: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """g^T x over the batch rows, written into ``out`` when given.  For a
+    batch of one row this is the broadcast product: the same values (a zero
+    may differ in sign, which no update of a nonzero parameter sees), which
+    makes a batch-1 layer-step 1-13% faster at N = 32..100 than numpy's
+    matmul of inner dimension 1 (``BENCH_stacked_runs.json``)."""
     if g.shape[-2] == 1:
-        return g.swapaxes(-1, -2) * x
-    return g.swapaxes(-1, -2) @ x
+        return np.multiply(g.swapaxes(-1, -2), x, out=out)
+    return np.matmul(g.swapaxes(-1, -2), x, out=out)
 
 
-def backward(state: NetworkState, trace: ForwardTrace, loss_grad_at_output: np.ndarray) -> Gradients:
+def backward(
+    state: NetworkState, trace: ForwardTrace, loss_grad_at_output: np.ndarray, out: Gradients | None = None
+) -> Gradients:
     """Back-propagate a loss gradient (w.r.t. logits if a readout exists,
     otherwise w.r.t. x_L) to the materialized weights, the biases, the
-    readout and the input."""
+    readout and the input.
+
+    With ``out``, whose arrays have the shapes of the gradients, every
+    gradient but the input's is written into out's arrays and ``out`` is
+    returned with its input gradient set: the same bits, with no array
+    allocated for them."""
     spec = state.spec
     g = np.asarray(loss_grad_at_output, dtype=np.float64)
     if len(trace.post) != spec.depth_L or trace.post[0].shape[-2] != trace.inputs.shape[-2]:
         raise ValueError("trace does not match network state")
     rows = trace.post[-1].shape[:-1]
-    readout_gw = readout_gb = None
+    keep = g.ndim == 3  # a stack's bias gradients are R x 1 x n, as its biases are
+    grads = out if out is not None else Gradients([None] * spec.depth_L, [None] * spec.depth_L, None, None, None)
     if spec.num_classes > 0:
         if g.shape != (*rows, spec.num_classes):
             raise ValueError(f"loss gradient must be {(*rows, spec.num_classes)}, got {g.shape}")
-        readout_gw = _batch_outer(g, trace.post[-1])
-        readout_gb = g.sum(axis=-2, keepdims=g.ndim == 3)
+        grads.readout_weight = _batch_outer(g, trace.post[-1], grads.readout_weight)
+        grads.readout_bias = np.add.reduce(g, axis=-2, keepdims=keep, out=grads.readout_bias)
         g = g @ state.readout_weight
     elif g.shape != (*rows, spec.width_N):
         raise ValueError(f"loss gradient must be {(*rows, spec.width_N)}, got {g.shape}")
-    weight_grads = [None] * spec.depth_L
-    bias_grads = [None] * spec.depth_L
     for l in range(spec.depth_L - 1, -1, -1):
-        gh = g * act.derivative(spec.activation, trace.post[l])
-        x_prev = trace.inputs if l == 0 else trace.post[l - 1]
-        weight_grads[l] = _batch_outer(gh, x_prev)
-        bias_grads[l] = gh.sum(axis=-2, keepdims=gh.ndim == 3)
+        gh = act.derivative(spec.activation, trace.post[l])
+        np.multiply(g, gh, out=gh)
+        grads.weights[l] = _batch_outer(gh, trace.inputs if l == 0 else trace.post[l - 1], grads.weights[l])
+        grads.biases[l] = np.add.reduce(gh, axis=-2, keepdims=keep, out=grads.biases[l])
         g = gh @ state.weights[l]
-    return Gradients(
-        weights=weight_grads,
-        biases=bias_grads,
-        readout_weight=readout_gw,
-        readout_bias=readout_gb,
-        input_gradient=g,
-    )
+    grads.input_gradient = g
+    return grads
 
 
 def jacobian(state: NetworkState, x0: np.ndarray) -> np.ndarray:

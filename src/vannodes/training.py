@@ -6,9 +6,15 @@ along a leading run axis that fit one memory budget, and every operation
 acts on each run's slice alone, so a run's result does not depend on the
 runs it is stacked with.  A run leaves its stack, at its end or its last
 epoch, as a copy (``network.run_state``).
-After each epoch the engine records loss/accuracy, the node-correlation
-indicator on a fixed probe, the per-layer gain sigma_w^2 mu_1, and the
-log-norm of the input gradient, each read for all runs of a stack at once.
+
+A stack's parameters live in one buffer that its arrays view
+(``_flatten``); each step's ``backward`` writes its gradients into a
+gradient buffer of the same layout, and SGD is one update of the whole
+buffer.  After each epoch the engine records loss/accuracy, the
+node-correlation indicator on a fixed probe, the per-layer gain
+sigma_w^2 mu_1, and the log-norm of the input gradient, each read for all
+runs of a stack at once, from one forward pass over the task inputs where
+the probe and the test set allow it (``_epoch_stats``).
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from .analysis import per_layer_gain, vni_empirical
 from .data import Dataset
 from .initializers import InitializerSpec, InitKind, householder_backward
 from .network import (
+    Gradients,
     NetworkSpec,
     NetworkState,
     _stack,
@@ -57,27 +64,23 @@ _TRACE_FLOATS = 1 << 22
 
 
 class Optimizer:
-    """Plain SGD on a flat list of parameter arrays, in place.  Householder
-    layers expose their reflection-vector arrays as leaves, so the
-    materialized weights stay exactly orthogonal.
+    """Plain SGD, in place, on the one buffer that holds the parameters of a
+    stack of runs (``_flatten``).  Householder layers hold their reflection
+    vectors there, so the materialized weights stay exactly orthogonal.
 
-    ``learning_rate`` is one float shared by every run, or an R x 1 x 1
-    array of per-run rates for leaves stacked along a leading run axis."""
+    ``learning_rate`` is one float shared by every parameter, or an array
+    of the buffer's shape that holds each parameter's rate."""
 
     def __init__(self, learning_rate):
         self.learning_rate = learning_rate
 
-    def take(self, runs):
-        """Keep the rates of the runs ``runs`` (indices along the run axis)."""
-        if np.ndim(self.learning_rate):
-            self.learning_rate = self.learning_rate[runs]
-
-    def step(self, leaves: list):
-        """``leaves`` is a list of (param, grad) array pairs of equal shape."""
-        for p, g in leaves:
-            if p.shape != g.shape:
-                raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-            p -= self.learning_rate * g
+    def step(self, params: np.ndarray, grads: np.ndarray):
+        """One update ``params -= learning_rate * grads`` of every parameter;
+        ``grads`` is scratch, scaled in place."""
+        if params.shape != grads.shape:
+            raise ValueError(f"gradient shape {grads.shape} != parameter shape {params.shape}")
+        grads *= self.learning_rate
+        params -= grads
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
@@ -99,15 +102,16 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """``softmax_cross_entropy`` without its checks, for labels already
     checked; the loss is a numpy scalar or array."""
-    classes = logits.shape[-1]
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=-1))
+    classes, n = logits.shape[-1], logits.shape[-2]
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    log_z = np.log(np.add.reduce(np.exp(shifted), axis=-1))
     rows, flat_labels = np.arange(labels.size), labels.reshape(-1)
     picked = shifted.reshape(-1, classes)[rows, flat_labels].reshape(log_z.shape)
-    loss = (log_z - picked).mean(axis=-1)
+    loss = np.add.reduce(log_z - picked, axis=-1) / n  # the mean, without ndarray.mean's wrapper
     probs = np.exp(shifted - log_z[..., None])
     probs.reshape(-1, classes)[rows, flat_labels] -= 1.0
-    return loss, probs / logits.shape[-2]
+    probs /= n
+    return loss, probs
 
 
 @dataclass
@@ -145,21 +149,105 @@ class TrainResult:
     final_state: NetworkState | None = None
 
 
-def _param_leaves(state: NetworkState, grads) -> list:
-    """(parameter, gradient) pairs; a Householder layer's reflection vectors
-    get the map of its weight gradient, read from its kept WY factors."""
-    leaves = []
-    for l in range(state.spec.depth_L):
-        stack = state.stacks[l] if state.stacks is not None else None
-        if stack is not None:
-            leaves.append((stack.vectors, householder_backward(stack, grads.weights[l])))
-        else:
-            leaves.append((state.weights[l], grads.weights[l]))
-        leaves.append((state.biases[l], grads.biases[l]))
+def _param_arrays(state: NetworkState) -> list:
+    """The arrays SGD updates, in the order of the parameter buffer: each
+    layer's weight (a Householder layer's reflection vectors) and bias,
+    then the readout."""
+    stacks = state.stacks or [None] * state.spec.depth_L
+    arrays = [a for w, s, b in zip(state.weights, stacks, state.biases) for a in (w if s is None else s.vectors, b)]
     if state.spec.num_classes > 0:
-        leaves.append((state.readout_weight, grads.readout_weight))
-        leaves.append((state.readout_bias, grads.readout_bias))
-    return leaves
+        arrays += [state.readout_weight, state.readout_bias]
+    return arrays
+
+
+def _flatten(state: NetworkState) -> np.ndarray:
+    """Copy the parameters of a stacked state into one buffer, each array a
+    contiguous block that holds every run's copy, and rebind the state's
+    arrays to views of it; returns the buffer."""
+    arrays = _param_arrays(state)
+    params = np.concatenate([a.reshape(-1) for a in arrays])
+    views = iter(_blocks(params, [a.shape for a in arrays]))
+    for l, s in enumerate(state.stacks or [None] * state.spec.depth_L):
+        w, state.biases[l] = next(views), next(views)
+        if s is None:
+            state.weights[l] = w
+        else:
+            s.vectors = w
+    if state.spec.num_classes > 0:
+        state.readout_weight, state.readout_bias = views
+    return params
+
+
+def _step_buffers(state: NetworkState, lrs: np.ndarray) -> tuple:
+    """For a state whose parameters ``_flatten`` laid out: each parameter's
+    learning rate, from the runs' rates ``lrs`` (one float when they are
+    equal, the cheaper product), a gradient buffer of the parameter
+    buffer's layout, and the ``Gradients`` whose arrays view it, for
+    ``backward(..., out=)``."""
+    arrays = _param_arrays(state)
+    sizes = [a[0].size for a in arrays]
+    rate = lrs[0] if np.all(lrs == lrs[0]) else np.repeat(np.tile(lrs, len(sizes)), np.repeat(sizes, len(lrs)))
+    grads = np.empty(sum(a.size for a in arrays))
+    g, L = _blocks(grads, [a.shape for a in arrays]), state.spec.depth_L
+    return rate, grads, Gradients(g[: 2 * L : 2], g[1 : 2 * L : 2], *(g[2 * L :] or [None, None]), None)
+
+
+def _blocks(buffer: np.ndarray, shapes: list) -> list:
+    """Consecutive blocks of a flat buffer, viewed as arrays of the shapes
+    ``shapes``."""
+    ends = np.cumsum([math.prod(s) for s in shapes]).tolist()
+    return [buffer[end - math.prod(s) : end].reshape(s) for s, end in zip(shapes, ends)]
+
+
+def _gradients(state: NetworkState, trace, loss_grad: np.ndarray, out: Gradients):
+    """Write backward's gradients into ``out`` (``_step_buffers``'), then map
+    each Householder layer's dL/dW, in its slot, to the gradient of its
+    reflection vectors, read from the WY factors its last materialize
+    kept."""
+    backward(state, trace, loss_grad, out=out)
+    for stack, g in zip(state.stacks or (), out.weights):
+        if stack is not None:
+            g[...] = householder_backward(stack, g)
+
+
+def _sgd_epoch(
+    state: NetworkState,
+    params: np.ndarray,
+    lrs: np.ndarray,
+    train_set: Dataset,
+    orders: np.ndarray,
+    batch_size: int,
+    active: list,
+) -> tuple:
+    """One epoch of SGD steps of a stacked state whose parameters are the
+    buffer ``params`` (``_flatten``), run r taking the training rows in the
+    order ``orders[r]`` at the rate ``lrs[r]``; returns each run's summed
+    batch loss and its count of correct predictions.  The gradient buffer
+    lives for the epoch only, so the statistics and the runs' final copies
+    are made without it.
+
+    A run whose batch loss turns non-finite ends diverged with its state
+    from before that batch, recorded in its result (``active``, one per
+    run).  It stays in the stack to the end of the epoch; no operation mixes
+    runs, so the others do not see it."""
+    rate, grads, out = _step_buffers(state, lrs)
+    opt = Optimizer(rate)
+    epoch_loss, epoch_correct = 0.0, 0
+    for start in range(0, orders.shape[1], batch_size):
+        idx = orders[:, start : start + batch_size]
+        y = train_set.labels[idx]
+        trace = forward(state, train_set.inputs[idx])
+        loss, grad = _cross_entropy(trace.logits, y)
+        epoch_loss = epoch_loss + loss * idx.shape[1]
+        if not np.isfinite(loss).all():
+            for row in np.flatnonzero(~np.isfinite(loss)):
+                if active[row].final_state is None:
+                    active[row].final_state = run_state(state, row)
+        epoch_correct = epoch_correct + (trace.logits.argmax(axis=-1) == y).sum(axis=-1)
+        _gradients(state, trace, grad, out)
+        opt.step(params, grads)
+        state.rematerialize()
+    return epoch_loss, epoch_correct
 
 
 def _all_finite(state: NetworkState) -> np.ndarray:
@@ -185,21 +273,14 @@ def evaluate(state: NetworkState, dataset: Dataset):
     return sum(losses) / dataset.num_samples, correct / dataset.num_samples
 
 
-def _input_gradient(state: NetworkState, train_set: Dataset) -> np.ndarray:
-    """dLoss/dx_0 on the first task inputs for each run of a stacked state."""
-    trace = forward(state, train_set.inputs[:_EVAL_BATCH])
-    labels = np.broadcast_to(train_set.labels[:_EVAL_BATCH], trace.logits.shape[:-1])
-    return backward(state, trace, _cross_entropy(trace.logits, labels)[1]).input_gradient
-
-
 def _epoch_stats(
     state: NetworkState,
     epoch: int,
-    probe: np.ndarray,
+    probe: np.ndarray | None,
     train_set: Dataset,
     test_set: Dataset | None,
-    train_loss: np.ndarray,
-    train_acc: np.ndarray,
+    train_loss: np.ndarray | None,
+    train_acc: np.ndarray | None,
     mu1: float,
 ) -> list:
     """One epoch's record of each run of a stacked state.  After epoch 0 a
@@ -207,13 +288,31 @@ def _epoch_stats(
     indicator or gain, all-constant probe activations, or an input-gradient
     log-norm of NaN or +inf (not -inf, which is a truly vanished gradient).
 
+    One ``forward`` over the first ``_EVAL_BATCH`` task inputs gives the
+    input gradient.  When those rows are the whole training set it also
+    gives the training loss and accuracy (read when ``train_loss`` is None,
+    as at epoch 0) and the test accuracy of a test set that is the training
+    set; with ``probe`` None, the task inputs, its last layer is the probe
+    activations.  Any other probe or test set gets its own pass.
+
     Every value is read from the stacked arrays, with one indicator call for
     the runs that have not diverged.  The fields are Python floats, and the
     log-norm is ``math.log10``'s, which ``np.log10`` does not match bit for
     bit."""
-    acts = output(headless(state), probe)
-    g_in = _input_gradient(state, train_set)
-    test_acc = evaluate(state, test_set)[1] if test_set is not None else np.full(len(acts), math.nan)
+    x, y = train_set.inputs[:_EVAL_BATCH], train_set.labels[:_EVAL_BATCH]
+    n = len(x)
+    trace = forward(state, x)
+    loss, grad = _cross_entropy(trace.logits, np.broadcast_to(y, trace.logits.shape[:-1]))
+    g_in = backward(state, trace, grad).input_gradient
+    whole = n == train_set.num_samples
+    acc = (trace.logits.argmax(axis=-1) == y).sum(axis=-1) / n
+    if train_loss is None:  # one chunk's loss, summed and averaged as evaluate does
+        train_loss, train_acc = (loss * n / n, acc) if whole else evaluate(state, train_set)
+    acts = trace.post[-1] if probe is None else output(headless(state), probe)
+    if test_set is None:
+        test_acc = np.full(len(acts), math.nan)
+    else:
+        test_acc = acc if whole and test_set is train_set else evaluate(state, test_set)[1]
     gains = per_layer_gain(state, mu1)
     live = (epoch == 0) | (_all_finite(state) & np.isfinite(train_loss) & np.any(acts != acts[:, :1], axis=(-2, -1)))
     vni = np.full(len(acts), math.nan)
@@ -255,7 +354,11 @@ def train(
     ``rng.spawn(1)``.  The runs are split into stacks that fit
     ``_TRACE_FLOATS``, each built by ``network.build_stack``, and the runs of
     a stack are stepped together; every operation acts on each run's slice
-    alone, so each result is bit-identical to the run's trained alone.
+    alone, so each result is bit-identical to the run's trained alone.  A
+    stack's parameters are moved into one buffer (``_flatten``) after its
+    build and after runs leave it; a step writes the gradients into a
+    buffer of the same layout and updates the parameters in one
+    ``Optimizer.step``.
     """
     if spec.num_classes != train_set.num_classes:
         raise ValueError("network num_classes does not match dataset")
@@ -269,10 +372,10 @@ def train(
         raise ValueError(f"learning rates must be positive, got {[lr for lr, _ in runs]}")
     max_epochs = criterion.max_epochs if epochs is None else epochs
     n = train_set.num_samples
-    probe = train_set.inputs[:_EVAL_BATCH] if probe is None else probe
     # rows of width_N floats per run: the gradient pass's 3 back-propagation arrays, the probe's 3 (with copies)
     grad_rows = min(_EVAL_BATCH, n)
-    rows = spec.depth_L * (min(batch_size, n) + grad_rows) + 3 * grad_rows + 3 * len(probe) + _EVAL_BATCH
+    probe_rows = grad_rows if probe is None else len(probe)
+    rows = spec.depth_L * (min(batch_size, n) + grad_rows) + 3 * grad_rows + 3 * probe_rows + _EVAL_BATCH
     if init.kind is InitKind.HOUSEHOLDER:  # 3 n x n factors per layer
         rows += 3 * spec.depth_L * spec.width_N
     size = max(1, _TRACE_FLOATS // (rows * spec.width_N))
@@ -283,34 +386,16 @@ def train(
         return []
     results = [TrainResult([], False, "max_epochs") for _ in runs]
     state = build_stack(spec, init, [rng.spawn(0) for _, rng in runs])
+    params = _flatten(state)
     lrs = np.array([lr for lr, _ in runs])
-    # one rate for every run is kept a float: scaling by it is the cheaper product
-    opt = Optimizer(lrs[0] if np.all(lrs == lrs[0]) else lrs[:, None, None])
     data_rngs = [rng.spawn(1) for _, rng in runs]
     active = list(results)  # the run of each row of the stack
 
-    loss0, acc0 = evaluate(state, train_set)
-    for res, rec in zip(active, _epoch_stats(state, 0, probe, train_set, test_set, loss0, acc0, mu1)):
+    for res, rec in zip(active, _epoch_stats(state, 0, probe, train_set, test_set, None, None, mu1)):
         res.records.append(rec)
     for epoch in range(1, max_epochs + 1):
         orders = np.stack([r.permutation(n) for r in data_rngs])
-        epoch_loss, epoch_correct = 0.0, 0
-        for start in range(0, n, batch_size):
-            idx = orders[:, start : start + batch_size]
-            y = train_set.labels[idx]
-            trace = forward(state, train_set.inputs[idx])
-            loss, grad = _cross_entropy(trace.logits, y)
-            epoch_loss = epoch_loss + loss * idx.shape[1]
-            if not np.isfinite(loss).all():
-                # The run ends diverged with its state from before this batch.
-                # It stays in the stack to the end of the epoch; no operation
-                # mixes runs, so the others do not see it.
-                for row in np.flatnonzero(~np.isfinite(loss)):
-                    if active[row].final_state is None:
-                        active[row].final_state = run_state(state, row)
-            epoch_correct = epoch_correct + (trace.logits.argmax(axis=-1) == y).sum(axis=-1)
-            opt.step(_param_leaves(state, backward(state, trace, grad)))
-            state.rematerialize()
+        epoch_loss, epoch_correct = _sgd_epoch(state, params, lrs, train_set, orders, batch_size, active)
         stats = _epoch_stats(state, epoch, probe, train_set, test_set, epoch_loss / n, epoch_correct / n, mu1)
         keep = []
         for row, (res, rec) in enumerate(zip(active, stats)):
@@ -330,6 +415,7 @@ def train(
             if not keep:
                 break
             state = _stack([run_state(state, row) for row in keep])
-            opt.take(keep)
+            params = _flatten(state)
+            lrs = lrs[keep]
             active, data_rngs = [active[row] for row in keep], [data_rngs[row] for row in keep]
     return results

@@ -7,7 +7,7 @@ from vannodes import initializers as ini
 from vannodes.initializers import HouseholderStack, InitKind, InitializerSpec
 from vannodes.linalg import Rng
 from vannodes.network import NetworkSpec, backward, build_stack, forward, run_state
-from vannodes.training import Optimizer, _param_leaves
+from vannodes.training import Optimizer, _flatten, _gradients, _step_buffers
 
 
 def test_scaled_gaussian_variance():
@@ -311,27 +311,30 @@ def test_backward_after_materialize_makes_no_lapack_call(monkeypatch):
 
 def test_backward_reads_the_factors_of_the_last_update():
     # Two runs stacked, two SGD steps, each followed by rematerialize: the
-    # backward that reads the kept factors, alone and as the optimizer's
-    # reflection gradient, has the bits of one on a fresh stack of the same
-    # vectors, which forms its own.
+    # backward that reads the kept factors, alone and as the reflection
+    # gradient the step writes to the gradient buffer, has the bits of one
+    # on a fresh stack of the same vectors, which forms its own.
     spec = NetworkSpec(3, 20, 20, 0)
     init = InitializerSpec(InitKind.HOUSEHOLDER)
     state = build_stack(spec, init, [Rng(80, (run,)) for run in range(2)])
+    params = _flatten(state)
+    rate, grads, out = _step_buffers(state, np.array([0.1, 0.1]))
     batch, g = Rng(81).normal(size=(2, 5, 20)), Rng(82).normal(size=(2, 5, 20))
-    opt = Optimizer(0.1)
+    opt = Optimizer(rate)
     for _ in range(2):
-        opt.step(_param_leaves(state, backward(state, forward(state, batch), g)))
+        _gradients(state, forward(state, batch), g, out)
+        opt.step(params, grads)
         state.rematerialize()
     g_w = Rng(83).normal(size=(2, 20, 20))
-    grads = backward(state, forward(state, batch), g)
-    leaves = _param_leaves(state, grads)
+    trace = forward(state, batch)
+    weight_grads = backward(state, trace, g).weights
+    _gradients(state, trace, g, out)
     for l, stack in enumerate(state.stacks):
         assert stack.factors is not None
         fresh = HouseholderStack.unchecked(stack.vectors.copy())
         assert ini.householder_backward(stack, g_w).tobytes() == ini.householder_backward(fresh, g_w).tobytes()
-        vectors, grad = leaves[2 * l]
-        assert vectors is stack.vectors
-        assert grad.tobytes() == ini.householder_backward(fresh, grads.weights[l]).tobytes()
+        assert np.shares_memory(stack.vectors, params) and np.shares_memory(out.weights[l], grads)
+        assert out.weights[l].tobytes() == ini.householder_backward(fresh, weight_grads[l]).tobytes()
 
 
 def test_build_stack_carries_the_factors_of_built_runs(monkeypatch):
@@ -341,15 +344,20 @@ def test_build_stack_carries_the_factors_of_built_runs(monkeypatch):
     # taken out of the stack holds none.
     spec = NetworkSpec(3, 20, 20, 0)
     state = build_stack(spec, InitializerSpec(InitKind.HOUSEHOLDER), [Rng(84, (run,)) for run in range(3)])
+    _flatten(state)
+    _, grads, out = _step_buffers(state, np.full(3, 0.1))
     batch, g = Rng(85).normal(size=(3, 5, 20)), Rng(86).normal(size=(3, 5, 20))
-    grads = backward(state, forward(state, batch), g)
+    trace = forward(state, batch)
+    weight_grads = backward(state, trace, g).weights
     fresh = [HouseholderStack.unchecked(s.vectors.copy()) for s in state.stacks]
-    want = [ini.householder_backward(s, w).tobytes() for s, w in zip(fresh, grads.weights, strict=True)]
+    want = [ini.householder_backward(s, w).tobytes() for s, w in zip(fresh, weight_grads, strict=True)]
     for stack in state.stacks:
         for kept, formed in zip(stack.factors, ini._wy_factors(stack.vectors), strict=True):
             assert kept.tobytes() == formed.tobytes()
     monkeypatch.setattr(np, "linalg", _NoLinalg())
-    assert [grad.tobytes() for _, grad in _param_leaves(state, grads)[::2]] == want
+    _gradients(state, trace, g, out)
+    assert [grad.tobytes() for grad in out.weights] == want
+    assert all(np.shares_memory(grad, grads) for grad in out.weights)
     assert all(s.factors is None for r in range(3) for s in run_state(state, r).stacks)
 
 

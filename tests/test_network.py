@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from vannodes.activations import ActivationKind, apply as act_apply
 from vannodes.initializers import InitKind, InitializerSpec, householder_backward
 from vannodes.linalg import Rng
 from vannodes.network import (
+    Gradients,
     NetworkSpec,
     backward,
     build_network,
@@ -150,6 +152,19 @@ def test_streamed_pass_holds_one_layer_not_the_network():
     finally:
         tracemalloc.stop()
     assert streamed_peak < bound < built_peak, (streamed_peak, bound, built_peak)
+
+
+def test_streamed_pass_frees_the_probe_once_layer_1_replaces_it():
+    # The pass keeps no reference to the probe after its first layer, so a
+    # caller that drops its own frees it for the rest of the pass.
+    spec = NetworkSpec(3, 8, 8, 0, ActivationKind.TANH)
+    probe = Rng(40).normal(size=(16, 8))
+    ref = weakref.ref(probe)
+    pass_ = streamed_layers(spec, GAUSS, Rng(41), probe)
+    del probe
+    x_1 = next(pass_)
+    assert ref() is None
+    assert x_1.shape == (16, 8) and len([x_1, *pass_]) == 3
 
 
 @pytest.mark.parametrize("num_classes", [0, 3])
@@ -357,3 +372,39 @@ def test_stacked_state_refuses_a_batch_for_another_number_of_runs():
         forward(state, np.zeros((2, 5, 3)))
     with pytest.raises(ValueError, match=r"got \(3, 5, 4\)"):
         output(state, np.zeros((3, 5, 4)))
+
+
+def _views_of_one_buffer(grads: Gradients) -> Gradients:
+    """Arrays shaped like ``grads``' parameter gradients, NaN-filled views
+    of one buffer, each starting one float past a 64-byte boundary."""
+    arrays = [*grads.weights, *grads.biases, grads.readout_weight, grads.readout_bias]
+    buf = np.full(sum(a.size for a in arrays) + 1, np.nan)
+    ends = np.cumsum([1] + [a.size for a in arrays]).tolist()
+    views = [buf[end - a.size : end].reshape(a.shape) for a, end in zip(arrays, ends[1:])]
+    depth = len(grads.weights)
+    return Gradients(views[:depth], views[depth : 2 * depth], *views[2 * depth :], None)
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["network", "stack"])
+@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("kind", list(InitKind))
+def test_backward_into_out_has_the_bits_of_the_allocating_backward(kind, rows, stacked):
+    # backward(..., out=) writes each gradient into views of one buffer and
+    # returns them with the input gradient: the bits of the arrays that
+    # backward allocates, at batch 1 (broadcast products) and above.
+    spec, init = NetworkSpec(3, 6, 4, 3, ActivationKind.TANH), InitializerSpec(kind, 1.1)
+    rngs = [Rng(56, (run,)) for run in range(3)]
+    state = build_stack(spec, init, rngs) if stacked else build_network(spec, init, rngs[0])
+    lead = (3,) if stacked else ()
+    trace = forward(state, Rng(57).normal(size=(*lead, rows, 4)))
+    g_out = Rng(58).normal(size=(*lead, rows, 3))
+    want = backward(state, trace, g_out)
+    out = _views_of_one_buffer(want)
+    views = [*out.weights, *out.biases, out.readout_weight, out.readout_bias]
+    got = backward(state, trace, g_out, out=out)
+    assert got is out
+    have = [*got.weights, *got.biases, got.readout_weight, got.readout_bias, got.input_gradient]
+    wanted = [*want.weights, *want.biases, want.readout_weight, want.readout_bias, want.input_gradient]
+    assert all(a is b for a, b in zip(have, views))
+    for a, b in zip(have, wanted, strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()

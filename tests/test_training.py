@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from vannodes import initializers as ini
+from vannodes import network as net
 from vannodes import training as tr
 from vannodes.activations import ActivationKind
-from vannodes.data import synthetic_task
+from vannodes.data import Dataset, synthetic_task
 from vannodes.initializers import InitKind, InitializerSpec
 from vannodes.linalg import Rng
 from vannodes.network import NetworkSpec, build_stack
@@ -20,7 +21,7 @@ def step_scalar(learning_rate, w0, grads):
     w = np.array([[w0]])
     trail = []
     for g in grads:
-        opt.step([(w, np.array([[g]]))])
+        opt.step(w, np.array([[g]]))
         trail.append(w[0, 0])
     return trail
 
@@ -30,20 +31,37 @@ class TestOptimizers:
         assert step_scalar(0.1, 1.0, [2.0, -1.0]) == pytest.approx([0.8, 0.9])
 
     def test_stacked_runs_step_at_their_own_rates(self):
-        # an R x 1 x 1 rate array scales each run's slice; take keeps the chosen runs' rates
-        opt = tr.Optimizer(np.array([0.1, 0.5, 1.0]).reshape(3, 1, 1))
-        w = np.ones((3, 1, 2))
-        opt.step([(w, np.full((3, 1, 2), 2.0))])
-        assert w[:, 0, 0].tolist() == pytest.approx([0.8, 0.0, -1.0])
-        opt.take([2, 0])
-        v = np.ones((2, 1, 2))
-        opt.step([(v, np.ones((2, 1, 2)))])
-        assert v[:, 0, 0].tolist() == pytest.approx([0.0, 0.9])
+        # _flatten lays each parameter array out as one contiguous block of
+        # one buffer that holds every run's copy; _step_buffers gives each
+        # parameter its run's rate (one float when the runs share it) and a
+        # gradient buffer of the same layout.  One step moves each run's
+        # parameters by its rate (the gradient is scratch), and a stack of
+        # chosen runs keeps their rates.
+        spec = NetworkSpec(2, 3, 2, 2)
+        state = build_stack(spec, InitializerSpec(InitKind.SCALED_GAUSSIAN), [Rng(9, (r,)) for r in range(3)])
+        params = tr._flatten(state)
+        rate, grads, out = tr._step_buffers(state, np.array([0.1, 0.5, 1.0]))
+        views = [*state.weights, *state.biases, state.readout_weight, state.readout_bias]
+        assert params.shape == rate.shape == grads.shape == (sum(w.size for w in views),)
+        before = [w.copy() for w in views]
+        grads[...] = 2.0
+        tr.Optimizer(rate).step(params, grads)
+        for w, g, b in zip(views, [*out.weights, *out.biases, out.readout_weight, out.readout_bias], before):
+            assert w.flags.c_contiguous and np.shares_memory(w, params) and np.shares_memory(g, grads)
+            assert np.allclose((b - w).reshape(3, -1), [[0.2], [1.0], [2.0]])
+            assert np.allclose(g.reshape(3, -1), [[0.2], [1.0], [2.0]])
+        kept = net._stack([net.run_state(state, r) for r in (2, 0)])
+        params = tr._flatten(kept)
+        rate, grads, out = tr._step_buffers(kept, np.array([1.0, 0.1]))
+        grads[...] = 1.0
+        tr.Optimizer(rate).step(params, grads)
+        assert all((g.reshape(2, -1) == [[1.0], [0.1]]).all() for g in [*out.weights, *out.biases])
+        assert tr._step_buffers(kept, np.array([0.3, 0.3]))[0] == 0.3
 
     def test_gradient_of_another_shape_rejected(self):
         opt = tr.Optimizer(0.1)
         with pytest.raises(ValueError, match="gradient shape"):
-            opt.step([(np.zeros((2, 3)), np.zeros((3, 2)))])
+            opt.step(np.zeros((2, 3)), np.zeros((3, 2)))
 
 
 class TestLoss:
@@ -152,14 +170,17 @@ class TestTrain:
         assert not res.success
         assert res.reason == "diverged"
 
-    @pytest.mark.parametrize("leaf", [1, -2, -1], ids=["hidden_bias", "readout_weight", "readout_bias"])
+    @pytest.mark.parametrize("leaf", ["hidden_bias", "readout_weight", "readout_bias"])
     def test_non_finite_bias_or_readout_diverges(self, leaf, monkeypatch):
         # Every hidden weight stays finite; one bias or readout array does not.
-        step = tr.Optimizer.step
+        states, flatten, step = [], tr._flatten, tr.Optimizer.step
+        monkeypatch.setattr(tr, "_flatten", lambda state: states.append(state) or flatten(state))
 
-        def poisoned_step(opt, leaves):
-            step(opt, leaves)
-            leaves[leaf][0][0] = np.inf
+        def poisoned_step(opt, params, grads):
+            step(opt, params, grads)
+            state = states[-1]
+            arrays = {"hidden_bias": state.biases[0], "readout_weight": state.readout_weight}
+            arrays.get(leaf, state.readout_bias)[0][0] = np.inf
 
         monkeypatch.setattr(tr.Optimizer, "step", poisoned_step)
         spec, init, lr, ds, crit = xor_setup(depth=2, width=4, epochs=1)
@@ -413,9 +434,12 @@ def test_statistics_take_the_runs_in_groups(name, monkeypatch):
     assert [_fingerprint(r) for r in _train_case(name, together=True)] == GOLDEN[name]
 
 
-def test_runs_that_leave_the_stack_own_their_final_state():
+def test_runs_that_leave_the_stack_own_their_final_state(monkeypatch):
     # Every run, whether it ends early or at the last epoch, keeps a copy of
-    # its parameters, not a view that would hold the whole stack it left.
+    # its parameters, not a view that would hold the whole stack it left:
+    # no final array shares memory with a parameter buffer train made.
+    buffers, flatten = [], tr._flatten
+    monkeypatch.setattr(tr, "_flatten", lambda state: buffers.append(flatten(state)) or buffers[-1])
     spec = NetworkSpec(4, 16, 2, 2, ActivationKind.RELU)
     init = InitializerSpec(InitKind.SCALED_GAUSSIAN, 2.0)
     ds = synthetic_task("xor2")
@@ -424,8 +448,10 @@ def test_runs_that_leave_the_stack_own_their_final_state():
     results = tr.train(spec, init, runs, ds, crit, batch_size=1, early_stop=True, mu1=0.5)
     assert {r.reason for r in results} == {"converged", "diverged", "max_epochs"}
     results += _train_case("householder", together=True)  # runs that all reach the last epoch
+    assert len(buffers) > 2  # the stacks shrank as runs left
     for res in results:
         assert all(a.base is None for a in _state_arrays(res.final_state))
+        assert not any(np.shares_memory(a, b) for a in _state_arrays(res.final_state) for b in buffers)
 
 
 
@@ -483,3 +509,24 @@ def test_all_finite_flags_only_the_run_that_holds_a_nan():
         array = state.biases[1] if leaf == "biases" else getattr(state, leaf)
         array[1, 0, -1] = np.nan
         assert tr._all_finite(state).tolist() == [True, False, True], leaf
+
+
+@pytest.mark.parametrize("kind", [InitKind.SCALED_GAUSSIAN, InitKind.HOUSEHOLDER])
+def test_epoch_stats_make_one_pass_over_the_task_inputs(kind, monkeypatch):
+    # With the default probe and the training set as test set, one forward
+    # pass gives every record field, with the bits of separate passes: an
+    # explicit probe, a test set that is another object, and the epoch-0
+    # loss and accuracy from evaluate.
+    spec = NetworkSpec(3, 4, 4, 4, ActivationKind.TANH)
+    ds = synthetic_task("and4")
+    state = build_stack(spec, InitializerSpec(kind), [Rng(1, (run,)) for run in range(3)])
+    calls = []
+    forward, layers = tr.forward, net.layers
+    monkeypatch.setattr(tr, "forward", lambda *a: calls.append("forward") or forward(*a))
+    monkeypatch.setattr(net, "layers", lambda *a: calls.append("layers") or layers(*a))
+    one = tr._epoch_stats(state, 0, None, ds, ds, None, None, 1.0)
+    assert calls == ["forward", "layers"]
+    other = Dataset(ds.inputs.copy(), ds.labels.copy(), ds.num_classes)
+    apart = tr._epoch_stats(state, 0, ds.inputs, ds, other, *tr.evaluate(state, ds), 1.0)
+    assert calls.count("layers") > 2
+    assert all(_same_record(a, b) for a, b in zip(one, apart, strict=True))
