@@ -5,7 +5,10 @@ training dynamics, task tables, success-probability grids, and diagnostics.
 row per run in a run CSV keyed by (config hash, run key), compute only the
 runs the CSV does not hold yet, and aggregate from the stored rows alone, so
 a resumed call writes the same bytes as a fresh one.  The other runners
-recompute every cell on each call.
+recompute every cell on each call.  `run_grid`'s depth groups and the table
+cells of `run_tasks_table` and `run_orthogonal_table` are independent, and
+``_fan_out`` trains them on every CPU the process may use, with the same
+bits as one after another.
 """
 
 from __future__ import annotations
@@ -156,23 +159,192 @@ class RunStore:
             f.write(",".join([key, *fields]) + "\n")
 
 
-def _stored_runs(config: ExperimentConfig, name: str, columns: dict, groups: list, compute) -> list:
+def _stored_runs(config: ExperimentConfig, name: str, columns: dict, groups: list, compute, work=None) -> list:
     """Stored rows of the run CSV ``name``, grouped by ``config.runs``.
 
     ``groups`` lists groups of (run key, run arguments) pairs, run index
     innermost.  Only the keys the CSV does not hold yet are computed: for
     each group, ``compute`` gets the arguments of its missing keys, in
-    order, and returns their rows.  Returns one list of ``config.runs`` rows
-    per cell, in the order of ``groups``, each parsed by ``columns`` (``RunStore``).
+    order, and returns their rows.  The groups are computed one after
+    another, each stored as soon as it is computed; with ``work``, which
+    estimates a group's work from the same arguments, by ``_fan_out``,
+    whose rows are stored in group order.  Returns one list of
+    ``config.runs`` rows per cell, in the order of ``groups``, each parsed
+    by ``columns`` (``RunStore``).
     """
     store = RunStore(config, name, columns, {key for group in groups for key, _ in group})
-    for group in groups:
-        missing = {key: args for key, args in group if key not in store.rows}
-        if missing:
-            for key, row in zip(missing, compute(list(missing.values())), strict=True):
-                store.add(key, row)
+    todo = [missing for group in groups if (missing := {key: args for key, args in group if key not in store.rows})]
+    args = [list(missing.values()) for missing in todo]
+    if work is None:
+        computed = (compute(a) for a in args)
+    else:
+        computed = _fan_out([(work(a), lambda a=a: compute(a)) for a in args])
+    for missing, rows in zip(todo, computed):
+        for key, row in zip(missing, rows, strict=True):
+            store.add(key, row)
     rows = [store.rows[key] for group in groups for key, _ in group]
     return [rows[i : i + config.runs] for i in range(0, len(rows), config.runs)]
+
+
+# -- fan-out -----------------------------------------------------------------
+
+# Estimated layer-steps (``_train_work``) that the smallest share of a
+# fan-out must exceed for forked workers to pay.  A fork costs a short pass
+# 15-30 ms (copy-on-write faults and cold caches: split over two workers,
+# `orth-householder`'s shares of 160 and 320 took its 0.084 s pass to
+# 0.10 s), and batch-1 SGD at N = 32 takes 10-50 us per layer-step, so below
+# about 1000 layer-steps a share finishes sooner in the parent.
+# `grid-tanh`'s smaller share is 2223.
+_FAN_OUT_FLOOR = 1000
+
+
+def _fan_out(calls: list):
+    """Yield the results of ``calls``, (estimated work, zero-argument
+    callable) pairs, in order, and then raise the exception of the first
+    call that raised, as the calls made one after another would.
+
+    The calls run with numpy's OpenBLAS pinned to one thread, the caller's
+    count restored after, so their bits do not depend on how many CPUs share
+    them.  They are split into one share per CPU of the process's affinity
+    (at most one per call), longest first.  When the smallest share's work
+    exceeds ``_FAN_OUT_FLOOR``, the parent computes one share and a child
+    started by ``os.fork`` each other; a child sends its results back as
+    one pickle and ends with ``os._exit``, running no handler of the
+    parent's.  Otherwise the calls are made in-process, one after another,
+    each result yielded as it comes; so are they where OpenBLAS is not found,
+    at its own thread count.  Fork, not a spawned pool: starting a spawned
+    worker takes about 0.5 s, longer than a whole `grid-tanh` pass.  The
+    threads of OpenBLAS's pool, the only ones a vannodes process starts, are
+    idle at the fork.
+
+    A share's calls run in order and stop at the first that raises, so every
+    call before the first failure has a result.  An exception keeps its type
+    where it pickles, with the child's traceback as a note; otherwise it
+    arrives as a RuntimeError holding that traceback.  Every child has been
+    reaped before the first result is yielded."""
+    shares = [[] for _ in range(min(len(os.sched_getaffinity(0)), len(calls)))]
+    loads = [0] * len(shares)
+    for i in sorted(range(len(calls)), key=lambda i: -calls[i][0]):  # longest first, ties in order
+        w = loads.index(min(loads))
+        shares[w].append(i)
+        loads[w] += calls[i][0]
+    blas = _openblas_threads()
+    if blas is None:
+        yield from (call() for _, call in calls)
+        return
+    get_threads, set_threads = blas
+    threads = get_threads()
+    set_threads(1)
+    try:
+        if len(shares) < 2 or min(loads) <= _FAN_OUT_FLOOR:
+            yield from (call() for _, call in calls)
+            return
+        results, failures = _forked([sorted(share) for share in shares], calls)
+        first = min(failures, default=len(calls))
+        yield from (results[i] for i in range(first))
+        if failures:
+            raise failures[first]
+    finally:
+        set_threads(threads)
+
+
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS bundled with numpy,
+    or None where it is not found."""
+    import ctypes  # numpy has loaded it; imported here to keep module import as it was
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    try:
+        lib = ctypes.CDLL(os.path.join(libs, next(n for n in os.listdir(libs) if n.startswith("libscipy_openblas"))))
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (OSError, StopIteration, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+def _run_share(calls: list, share: list) -> tuple:
+    """{index: result} of the calls ``share`` made in order, and
+    {index: exception} of the first that raised, after which none is made."""
+    results = {}
+    for i in share:
+        try:
+            results[i] = calls[i][1]()
+        except Exception as e:
+            return results, {i: e}
+    return results, {}
+
+
+def _child_payload(calls: list, share: list) -> bytes:
+    """``_run_share``'s pickle, with an exception that does not survive a
+    pickle round trip replaced by a RuntimeError holding its traceback."""
+    import pickle
+    import traceback
+
+    results, failures = _run_share(calls, share)
+    for i, e in failures.items():
+        text = "".join(traceback.format_exception(e))
+        try:
+            failures[i] = pickle.loads(pickle.dumps(e))
+        except Exception:
+            failures[i] = RuntimeError(f"a forked worker raised an exception that does not pickle:\n{text}")
+        else:
+            if hasattr(e, "add_note"):  # Python 3.11+
+                failures[i].add_note(f"raised in a forked worker:\n{text}")
+    try:
+        return pickle.dumps((results, failures), pickle.HIGHEST_PROTOCOL)
+    except Exception:
+        error = RuntimeError(f"a forked worker's results do not pickle:\n{traceback.format_exc()}")
+        return pickle.dumps(({}, {share[0]: error}))
+
+
+def _forked(shares: list, calls: list) -> tuple:
+    """``_run_share`` of ``shares[0]`` in the parent and of each other share
+    in a forked child; merged results and failures.  A child whose calls all
+    come after a failure known when it is collected is killed: none of its
+    results is used.  Every child is reaped on any exit."""
+    import pickle
+    import signal
+
+    children = []  # (pid, read end of its pipe, its share) of each child not yet reaped
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: never returns into the parent's code
+                status = 1
+                try:
+                    os.close(r)
+                    with open(w, "wb") as f:
+                        f.write(_child_payload(calls, share))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            children.append((pid, r, share))
+        results, failures = _run_share(calls, shares[0])
+        while children:
+            pid, r, share = children[0]
+            if share[0] > min(failures, default=len(calls)):
+                os.kill(pid, signal.SIGKILL)
+            with open(r, "rb", closefd=False) as f:
+                data = f.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            os.close(r)
+            try:
+                got, lost = pickle.loads(data)
+            except Exception:
+                got, lost = {}, {share[0]: RuntimeError(f"forked worker {pid} sent no results (exit code {code})")}
+            results.update(got)
+            failures.update(lost)
+        return results, failures
+    finally:
+        for pid, r, _ in children:
+            os.close(r)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _write_csv(config: ExperimentConfig, name: str, header_cols: str, rows: list):
@@ -280,24 +452,37 @@ def _train_runs(
     )
 
 
+def _train_work(config: ExperimentConfig, depth: int, task: tuple) -> int:
+    """Estimated work of training runs of ``depth`` layers together, in
+    layer-steps: depth x (SGD steps + statistics passes) of one run, which
+    is what the runs of a stack step together."""
+    steps = math.ceil(task[0].num_samples / config.batch_size)
+    return depth * (config.epochs * (steps + 1) + 1)
+
+
 def _init_table(blocks: list, inits: tuple):
     """Compare ``inits`` on each block (label, config, depth, task) of a table
-    by training ``config.runs`` runs of each.
+    by training ``config.runs`` runs of each; the cells are trained by
+    ``_fan_out``.
 
     Returns the table rows (label, init, successes, runs, mean final
     indicator) and {(label, init): (successes, mean final indicator, runs)}.
     """
-    rows, results = [], {}
+    cells, calls = [], []
     for b_index, (label, config, depth, task) in enumerate(blocks):
         for i_index, init_kind in enumerate(inits):
             gain = resolve_gain(config, task[2], init_kind)
             lr = config.learning_rates[0]
             runs = [(lr, (b_index, i_index, run)) for run in range(config.runs)]
-            cell = _train_runs(config, depth, init_kind, task, gain, runs)
-            n_success = sum(r.success for r in cell)
-            final_vni = float(np.mean([r.records[-1].vni for r in cell]))
-            rows.append([label, init_kind.value, n_success, config.runs, f"{final_vni:.6g}"])
-            results[(label, init_kind)] = (n_success, final_vni, cell)
+            cells.append((label, config, init_kind))
+            args = (config, depth, init_kind, task, gain, runs)
+            calls.append((_train_work(config, depth, task), lambda args=args: _train_runs(*args)))
+    rows, results = [], {}
+    for (label, config, init_kind), cell in zip(cells, _fan_out(calls)):
+        n_success = sum(r.success for r in cell)
+        final_vni = float(np.mean([r.records[-1].vni for r in cell]))
+        rows.append([label, init_kind.value, n_success, config.runs, f"{final_vni:.6g}"])
+        results[(label, init_kind)] = (n_success, final_vni, cell)
     return rows, results
 
 
@@ -473,6 +658,9 @@ def run_grid(config: ExperimentConfig) -> dict:
             for (_, lr, key), r in zip(missing, results)
         ]
 
+    def work(missing):
+        return _train_work(config, missing[0][0], task)
+
     groups = [
         [
             (f"L{depth}_lr{lr_index}_r{run}", (depth, lr, (d_index, lr_index, run)))
@@ -482,7 +670,7 @@ def run_grid(config: ExperimentConfig) -> dict:
         for d_index, depth in enumerate(config.depths)
     ]
     columns = {"depth": int, "lr": _FINITE, "run": int, "success": _SUCCESS, "final_vni": _VNI, "gain_median": _FINITE}
-    stored = iter(_stored_runs(config, "grid_runs", columns, groups, compute))
+    stored = iter(_stored_runs(config, "grid_runs", columns, groups, compute, work))
     prob = np.zeros((len(config.depths), len(config.learning_rates)))
     success_rows, per_run = [], []
     for i, depth in enumerate(config.depths):

@@ -214,7 +214,7 @@ def forward(state: NetworkState, batch: np.ndarray) -> ForwardTrace:
     """Forward pass keeping every layer's post-activation, which
     back-propagation and the Jacobian read."""
     x = _as_batch(state.spec, batch, state.weights[0].shape[:-2])
-    trace = ForwardTrace(inputs=x, post=list(layers(state, x)))
+    trace = ForwardTrace(inputs=x, post=list(_layers(state, x)))
     if state.spec.num_classes > 0:
         trace.logits = trace.post[-1] @ state.readout_weight.swapaxes(-1, -2) + state.readout_bias
     return trace
@@ -225,8 +225,12 @@ def layers(state: NetworkState, batch: np.ndarray):
     per-layer trace: each layer is computed in place into a fresh array, so
     at most two activation arrays are alive while the caller holds only the
     latest."""
+    return _layers(state, _as_batch(state.spec, batch, state.weights[0].shape[:-2]))
+
+
+def _layers(state: NetworkState, x: np.ndarray):
+    """``layers`` over a batch that ``_as_batch`` has already checked."""
     phi = act.in_place(state.spec.activation)
-    x = _as_batch(state.spec, batch, state.weights[0].shape[:-2])
     for w, b in zip(state.weights, state.biases):
         x = _layer_step(phi, x, w, b)
         yield x

@@ -21,6 +21,7 @@ import pytest
 
 import vannodes as vn
 from vannodes.activations import ActivationKind, ActivationMoments, mu_quadrature
+from vannodes.experiments import _fan_out
 from vannodes.initializers import InitKind, InitializerSpec, householder_backward
 from vannodes.linalg import Rng
 from vannodes.network import NetworkSpec, backward, build_network, forward, streamed_layers
@@ -340,19 +341,24 @@ def test_criterion_08_training_dynamics():
     probe = vn.gaussian_probe(1000, 4, 1.0, Rng(999))
     spec = NetworkSpec(50, 100, 4, 4, ActivationKind.TANH)
 
-    def run(lr, epochs, run_idx):
-        return vn.train(
+    def run(lr, epochs, run_idx):  # the run's indicator at each epoch
+        result = vn.train(
             spec, InitializerSpec(GAUSS, sw2), [(lr, Rng(run_idx, (8,)))],
             ds, vn.SuccessCriterion("train_accuracy", 0.99, epochs),
             batch_size=1, mu1=mom.mu1, probe=probe, epochs=epochs,
         )[0]
+        return [rec.vni for rec in result.records]
 
-    fast = [run(1e-2, 60, i) for i in range(20)]
-    med_v0 = float(np.median([r.records[0].vni for r in fast]))
-    med_max = float(np.median([max(rec.vni for rec in r.records) for r in fast]))
-    slow = [run(1e-4, 30, i) for i in range(20)]
-    med_v0_slow = float(np.median([r.records[0].vni for r in slow]))
-    med_final = float(np.median([r.records[-1].vni for r in slow]))
+    # The 40 runs are independent, so they are spread over the CPUs; each
+    # call's work is its layer-steps: L x (epochs x (16 steps + 1 statistics pass) + 1).
+    plan = [(1e-2, 60, i) for i in range(20)] + [(1e-4, 30, i) for i in range(20)]
+    calls = [(50 * (epochs * 17 + 1), lambda args=(lr, epochs, i): run(*args)) for lr, epochs, i in plan]
+    series = list(_fan_out(calls))
+    fast, slow = series[:20], series[20:]
+    med_v0 = float(np.median([r[0] for r in fast]))
+    med_max = float(np.median([max(r) for r in fast]))
+    med_v0_slow = float(np.median([r[0] for r in slow]))
+    med_final = float(np.median([r[-1] for r in slow]))
     ok = 1.0 - med_max <= 0.5 * (1.0 - med_v0) and med_final >= med_v0_slow
     check(
         8,

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import warnings
 from pathlib import Path
 
@@ -477,3 +478,106 @@ def test_sweep_keeps_the_rows_computed_before_a_failure(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "streamed_layers", streamed_layers)
     experiments.run_vni_sweep(config)
     assert _files(tmp_path) == fresh
+
+
+def _forking(monkeypatch) -> list:
+    """Force every fan-out of two or more calls to fork (work floor 0); the
+    returned list gets one entry per fork."""
+    if experiments._openblas_threads() is None:
+        pytest.skip("numpy's OpenBLAS is not found, so every fan-out runs in-process")
+    monkeypatch.setattr(experiments, "_FAN_OUT_FLOOR", 0)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_fan_out_pins_one_blas_thread_and_restores_the_count(monkeypatch):
+    # Every call sees one BLAS thread, in the parent and in a child, and the
+    # caller's count is back after the results, also after a failure.
+    forks = _forking(monkeypatch)
+    get_threads, set_threads = experiments._openblas_threads()
+    before = get_threads()
+    set_threads(2)
+    try:
+        assert list(experiments._fan_out([(1, get_threads), (1, get_threads)])) == [1, 1]
+        assert get_threads() == 2
+        with pytest.raises(ZeroDivisionError):
+            list(experiments._fan_out([(1, get_threads), (1, lambda: 1 / 0)]))
+        assert get_threads() == 2
+    finally:
+        set_threads(before)
+    assert len(forks) == (2 if len(os.sched_getaffinity(0)) > 1 else 0)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_forked_runners_write_the_recorded_bytes(cpus, tmp_path, monkeypatch):
+    # With every fan-out forced, grid's depth groups and the tables' cells
+    # are trained by forked workers at 2 CPUs and in-process at 1, and every
+    # file of the seven subcommands keeps its recorded bytes either way.
+    forks = _forking(monkeypatch)
+    affinity = os.sched_getaffinity(0)
+    if len(affinity) < cpus:
+        pytest.skip(f"the process may use {len(affinity)} CPU(s); {cpus} are needed for {cpus} workers")
+    os.sched_setaffinity(0, sorted(affinity)[:cpus])
+    try:
+        test_every_subcommand_writes_the_recorded_bytes(tmp_path, monkeypatch)
+    finally:
+        os.sched_setaffinity(0, affinity)
+    assert bool(forks) == (cpus > 1)
+    _no_child_left()
+
+
+class Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("this exception does not pickle")
+
+
+@pytest.mark.parametrize(
+    "depths,failing,error",
+    [
+        ([4, 6], 4, ValueError),  # a child's share, the first group: no row is stored
+        ([4, 6], 4, Unpicklable),  # the same, arriving as a RuntimeError
+        ([4, 6], 6, ValueError),  # the parent's share, after the child's group
+        ([6, 4], 6, ValueError),  # the parent's share, before the child's: the child is killed
+    ],
+    ids=["child", "child-unpicklable", "parent-after-child", "parent-before-child"],
+)
+def test_a_crash_in_a_fan_out_leaves_the_rows_of_a_serial_crash(depths, failing, error, tmp_path, monkeypatch):
+    # Grid's deeper group is the parent's share and the other a child's.
+    # Whichever raises, the exception reaches the caller, the run CSV holds
+    # the rows that the groups before the failing one give in-process, and
+    # no child is left.
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one CPU: every fan-out runs in-process")
+    config = ExperimentConfig(experiment="grid", **dict(SMALL, depths=depths), out_dir=str(tmp_path))
+    runs_name = f"grid_runs_{config.config_hash()}.csv"
+    parent, train = os.getpid(), experiments.train
+
+    def failing_train(spec, *args, **kwargs):
+        if spec.depth_L == failing:
+            raise error(f"depth {spec.depth_L} failed in process {os.getpid()}")
+        return train(spec, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "train", failing_train)
+    with pytest.raises(error):
+        experiments.run_grid(config)
+    serial = (tmp_path / runs_name).read_bytes()
+    (tmp_path / runs_name).unlink()
+
+    forks = _forking(monkeypatch)
+    expected = RuntimeError if error is Unpicklable else error
+    with pytest.raises(expected, match=f"depth {failing} failed in process") as caught:
+        experiments.run_grid(config)
+    assert forks
+    in_child = failing == min(depths)
+    assert (f"in process {parent}" not in str(caught.value)) == in_child
+    if expected is RuntimeError:
+        assert "Traceback" in str(caught.value)
+    assert (tmp_path / runs_name).read_bytes() == serial
+    _no_child_left()

@@ -521,9 +521,9 @@ def test_epoch_stats_make_one_pass_over_the_task_inputs(kind, monkeypatch):
     ds = synthetic_task("and4")
     state = build_stack(spec, InitializerSpec(kind), [Rng(1, (run,)) for run in range(3)])
     calls = []
-    forward, layers = tr.forward, net.layers
+    forward, layers = tr.forward, net._layers  # the one loop over the layers, behind forward and layers
     monkeypatch.setattr(tr, "forward", lambda *a: calls.append("forward") or forward(*a))
-    monkeypatch.setattr(net, "layers", lambda *a: calls.append("layers") or layers(*a))
+    monkeypatch.setattr(net, "_layers", lambda *a: calls.append("layers") or layers(*a))
     one = tr._epoch_stats(state, 0, None, ds, ds, None, None, 1.0)
     assert calls == ["forward", "layers"]
     other = Dataset(ds.inputs.copy(), ds.labels.copy(), ds.num_classes)
