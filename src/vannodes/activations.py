@@ -90,21 +90,25 @@ def apply(kind: ActivationKind, h: np.ndarray, out: np.ndarray | None = None) ->
     return phi(out)
 
 
-def derivative(kind: ActivationKind, phi: np.ndarray) -> np.ndarray:
-    """phi'(h), read from the activation phi = phi(h) alone: ReLU's h > 0 is
-    phi > 0, hard-tanh's |h| < 1 is |phi| < 1 and tanh's derivative is
-    1 - phi^2, bit for bit.  Kink points (0 for ReLU, +-1 for hard-tanh)
-    take derivative 0."""
+def derivative(kind: ActivationKind, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """phi'(h), read from the activation phi = phi(h) alone, and written
+    into ``out`` when given: ReLU's h > 0 is phi > 0, hard-tanh's |h| < 1 is
+    |phi| < 1 and tanh's derivative is 1 - phi^2, bit for bit.  Kink points
+    (0 for ReLU, +-1 for hard-tanh) take derivative 0."""
     phi = np.asarray(phi, dtype=np.float64)
+    if out is None:
+        out = np.empty_like(phi)
     if kind is ActivationKind.LINEAR:
-        return np.ones_like(phi)
+        out[...] = 1.0
+        return out
     if kind is ActivationKind.RELU:
-        return (phi > 0).astype(np.float64)
+        return np.greater(phi, 0.0, out=out)
     if kind is ActivationKind.TANH:
-        d = phi * phi
-        return np.subtract(1.0, d, out=d)
+        np.multiply(phi, phi, out=out)
+        return np.subtract(1.0, out, out=out)
     if kind is ActivationKind.HARD_TANH:
-        return (np.abs(phi) < 1.0).astype(np.float64)
+        np.abs(phi, out=out)
+        return np.less(out, 1.0, out=out)
     raise ValueError(f"unknown activation {kind!r}")
 
 

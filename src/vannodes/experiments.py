@@ -8,7 +8,10 @@ a resumed call writes the same bytes as a fresh one.  The other runners
 recompute every cell on each call.  `run_grid`'s depth groups and the table
 cells of `run_tasks_table` and `run_orthogonal_table` are independent, and
 ``_fan_out`` trains them on every CPU the process may use, with the same
-bits as one after another.
+bits as one after another.  `run_vni_sweep` and `run_heatmap` stay
+in-process: where BLAS runs on one thread, their probe passes
+(``network.streamed_layers``) split each large layer's rows over the CPUs
+instead, also with the same bits.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .analysis import (
 from .config import ExperimentConfig
 from .data import gaussian_probe, load_mnist_idx, synthetic_task
 from .initializers import InitKind, InitializerSpec
-from .linalg import Rng
+from .linalg import Rng, one_blas_thread
 from .network import build_network, streamed_layers
 from .training import train
 
@@ -203,19 +206,19 @@ def _fan_out(calls: list):
     callable) pairs, in order, and then raise the exception of the first
     call that raised, as the calls made one after another would.
 
-    The calls run with numpy's OpenBLAS pinned to one thread, the caller's
-    count restored after, so their bits do not depend on how many CPUs share
-    them.  They are split into one share per CPU of the process's affinity
-    (at most one per call), longest first.  When the smallest share's work
-    exceeds ``_FAN_OUT_FLOOR``, the parent computes one share and a child
-    started by ``os.fork`` each other; a child sends its results back as
-    one pickle and ends with ``os._exit``, running no handler of the
-    parent's.  Otherwise the calls are made in-process, one after another,
-    each result yielded as it comes; so are they where OpenBLAS is not found,
-    at its own thread count.  Fork, not a spawned pool: starting a spawned
+    The calls run inside ``linalg.one_blas_thread``, so their bits do not
+    depend on how many CPUs share them.  They are split into one share per
+    CPU of the process's affinity (at most one per call), longest first.
+    When the smallest share's work exceeds ``_FAN_OUT_FLOOR``, the parent
+    computes one share and a child started by ``os.fork`` each other; a
+    child sends its results back as one pickle and ends with ``os._exit``,
+    running no handler of the parent's.  Otherwise the calls are made
+    in-process, one after another, each result yielded as it comes; so are
+    they where OpenBLAS is not found, at its own thread count.  Fork, not a spawned pool: starting a spawned
     worker takes about 0.5 s, longer than a whole `grid-tanh` pass.  The
-    threads of OpenBLAS's pool, the only ones a vannodes process starts, are
-    idle at the fork.
+    threads of OpenBLAS's pool are idle at the fork, and the only other
+    threads a vannodes process starts, ``network.streamed_layers``' row
+    blocks, end with their pass.
 
     A share's calls run in order and stop at the first that raises, so every
     call before the first failure has a result.  An exception keeps its type
@@ -228,15 +231,8 @@ def _fan_out(calls: list):
         w = loads.index(min(loads))
         shares[w].append(i)
         loads[w] += calls[i][0]
-    blas = _openblas_threads()
-    if blas is None:
-        yield from (call() for _, call in calls)
-        return
-    get_threads, set_threads = blas
-    threads = get_threads()
-    set_threads(1)
-    try:
-        if len(shares) < 2 or min(loads) <= _FAN_OUT_FLOOR:
+    with one_blas_thread() as pinned:
+        if not pinned or len(shares) < 2 or min(loads) <= _FAN_OUT_FLOOR:
             yield from (call() for _, call in calls)
             return
         results, failures = _forked([sorted(share) for share in shares], calls)
@@ -244,24 +240,6 @@ def _fan_out(calls: list):
         yield from (results[i] for i in range(first))
         if failures:
             raise failures[first]
-    finally:
-        set_threads(threads)
-
-
-def _openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS bundled with numpy,
-    or None where it is not found."""
-    import ctypes  # numpy has loaded it; imported here to keep module import as it was
-
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    try:
-        lib = ctypes.CDLL(os.path.join(libs, next(n for n in os.listdir(libs) if n.startswith("libscipy_openblas"))))
-        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except (OSError, StopIteration, AttributeError):
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    return get, set_
 
 
 def _run_share(calls: list, share: list) -> tuple:
@@ -498,8 +476,9 @@ def run_vni_sweep(config: ExperimentConfig) -> dict:
     every listed depth from one forward pass: layer l's weights come from
     their own stream, so the first L layers are the L-layer network of the
     same key.  The depths of one run therefore share weights; across runs
-    they are independent draws.  The pass draws each layer as it reaches it
-    (``streamed_layers``), so a run holds one layer's weight, not the network.
+    they are independent draws.  The pass draws each layer one layer ahead
+    of its step (``streamed_layers``), so a run holds at most two layers'
+    weights, not the network.
     """
     gain = resolve_gain(config, config.sigma_x_sq, config.init_kind)
     s1 = _s1(config)

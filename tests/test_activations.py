@@ -39,6 +39,15 @@ def test_derivative_matches_finite_difference(kind):
     assert np.allclose(act.derivative(kind, act.apply(kind, SMOOTH_POINTS)), fd, atol=1e-6)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_derivative_out(kind):
+    phi = act.apply(kind, np.array([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0]))
+    expected = act.derivative(kind, phi)
+    out = np.full_like(phi, np.nan)
+    assert act.derivative(kind, phi, out=out) is out
+    assert out.tobytes() == expected.tobytes()
+
+
 def test_derivative_at_kinks_is_zero():
     # saturation boundary convention: treat the kink as saturated
     relu, hard_tanh = ActivationKind.RELU, ActivationKind.HARD_TANH

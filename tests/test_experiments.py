@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vannodes import experiments
+from vannodes import experiments, linalg
 from vannodes.analysis import vni_empirical
 from vannodes.cli import _RUNNERS
 from vannodes.config import ExperimentConfig
@@ -483,7 +483,7 @@ def test_sweep_keeps_the_rows_computed_before_a_failure(tmp_path, monkeypatch):
 def _forking(monkeypatch) -> list:
     """Force every fan-out of two or more calls to fork (work floor 0); the
     returned list gets one entry per fork."""
-    if experiments._openblas_threads() is None:
+    if linalg._openblas_threads() is None:
         pytest.skip("numpy's OpenBLAS is not found, so every fan-out runs in-process")
     monkeypatch.setattr(experiments, "_FAN_OUT_FLOOR", 0)
     forks, fork = [], os.fork
@@ -500,7 +500,7 @@ def test_fan_out_pins_one_blas_thread_and_restores_the_count(monkeypatch):
     # Every call sees one BLAS thread, in the parent and in a child, and the
     # caller's count is back after the results, also after a failure.
     forks = _forking(monkeypatch)
-    get_threads, set_threads = experiments._openblas_threads()
+    get_threads, set_threads = linalg._openblas_threads()
     before = get_threads()
     set_threads(2)
     try:

@@ -1,10 +1,14 @@
+import os
+import sys
+import threading
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from vannodes.activations import ActivationKind, apply as act_apply
+from vannodes import linalg, network
+from vannodes.activations import ActivationKind, apply as act_apply, derivative as act_derivative
 from vannodes.initializers import InitKind, InitializerSpec, householder_backward
 from vannodes.linalg import Rng
 from vannodes.network import (
@@ -165,6 +169,125 @@ def test_streamed_pass_frees_the_probe_once_layer_1_replaces_it():
     x_1 = next(pass_)
     assert ref() is None
     assert x_1.shape == (16, 8) and len([x_1, *pass_]) == 3
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(n)`` makes streamed passes see n CPUs and returns the list that
+    gets the rows of each layer step from then on; the test runs with BLAS
+    on one thread, as passes split only then."""
+    if linalg._openblas_threads() is None:
+        pytest.skip("numpy's OpenBLAS is not found, so every probe layer is one block")
+    steps, step = [], network._layer_step
+    monkeypatch.setattr(network, "_layer_step", lambda phi, x, *args: steps.append(len(x)) or step(phi, x, *args))
+
+    def see(n: int) -> list:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        steps.clear()
+        return steps
+
+    with linalg.one_blas_thread():
+        yield see
+
+
+@pytest.mark.parametrize("width", [16, 32, 50, 64, 100, 200, 300])
+@pytest.mark.parametrize("kind", list(ActivationKind))
+@pytest.mark.parametrize("init", [GAUSS, InitializerSpec(InitKind.HOUSEHOLDER)], ids=["gauss", "householder"])
+def test_row_blocks_at_the_floor_keep_the_serial_bits(width, kind, init, cpus):
+    # Each layer is split in two blocks of the fewest rows that reach the
+    # floor (the second 5 rows longer), and the pass has the bits of the
+    # pass that steps every layer as one block.  At N = 300 a cut off a
+    # multiple of 12 rows changes bits on OpenBLAS's SkylakeX kernels.
+    quantum, floor = network._ROW_QUANTUM, network._ROW_BLOCK_FLOOR
+    block = -(-floor // (width * width * quantum)) * quantum
+    spec = NetworkSpec(3, width, width, 0, kind)
+    batch = Rng(42).normal(size=(2 * block + 5, width))
+    cpus(1)
+    serial = [x.tobytes() for x in streamed_layers(spec, init, Rng(43), batch)]
+    steps = cpus(2)
+    split = [x.tobytes() for x in streamed_layers(spec, init, Rng(43), batch)]
+    assert split == serial
+    assert sorted(steps) == [block] * 3 + [block + 5] * 3
+
+
+def test_row_blocks_keep_the_bits_under_fast_thread_switching(cpus):
+    # Four blocks on three pool threads and this one, which may outnumber
+    # the cores, switching every microsecond: each block still writes only
+    # its rows, and the pass keeps the serial bits.
+    spec = NetworkSpec(6, 200, 200, 0, ActivationKind.TANH)
+    batch = Rng(48).normal(size=(4 * 144 + 7, 200))
+    cpus(1)
+    serial = [x.tobytes() for x in streamed_layers(spec, GAUSS, Rng(49), batch)]
+    steps = cpus(4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        split = [x.tobytes() for x in streamed_layers(spec, GAUSS, Rng(49), batch)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert split == serial
+    assert sorted(steps) == [144] * 18 + [151] * 6
+
+
+def test_row_blocks_start_on_the_quantum_and_reach_the_floor():
+    quantum, floor = network._ROW_QUANTUM, network._ROW_BLOCK_FLOOR
+    for rows, per_row, n in [(2000, 40_000, 2), (2000, 40_000, 3), (1999, 10_000, 4), (5000, 4096, 8)]:
+        blocks = network._row_blocks(rows, per_row, n)
+        assert 1 < len(blocks) <= n
+        assert blocks[0][0] == 0 and blocks[-1][1] == rows
+        assert all(a % quantum == 0 and b == c for (a, b), (c, _) in zip(blocks, blocks[1:] + [(rows, 0)]))
+        assert min(b - a for a, b in blocks) * per_row >= floor
+    assert network._row_blocks(2000, 40_000, 1) == [(0, 2000)]
+    assert network._row_blocks(2000, 2500, 2) == [(0, 2000)]  # N = 50: 2.5M multiply-adds a block
+    assert network._row_blocks(40, 10**6, 2) == [(0, 40)]  # fewer rows than the quantum
+
+
+def test_a_pass_at_more_blas_threads_steps_each_layer_as_one_block(cpus):
+    # BLAS spreads each product over the CPUs itself, so the pass starts no
+    # thread of its own.
+    steps = cpus(2)
+    linalg._openblas_threads()[1](2)  # the fixture's pin restores the count after the test
+    before = threading.active_count()
+    pass_ = streamed_layers(NetworkSpec(3, 200, 200, 0, ActivationKind.TANH), GAUSS, Rng(50), Rng(51).normal(size=(384, 200)))
+    for _ in pass_:
+        assert threading.active_count() == before
+    assert steps == [384] * 3
+
+
+def test_a_failing_row_block_reaches_the_caller(cpus, monkeypatch):
+    # A block that raises in a pool thread raises in the caller, and no
+    # thread is left.
+    steps = cpus(2)
+    step = network._layer_step
+
+    def failing(phi, x, *args):
+        if threading.current_thread() is not threading.main_thread():
+            raise FloatingPointError("block failed")
+        return step(phi, x, *args)
+
+    monkeypatch.setattr(network, "_layer_step", failing)
+    before = threading.active_count()
+    pass_ = streamed_layers(NetworkSpec(3, 200, 200, 0, ActivationKind.TANH), GAUSS, Rng(44), Rng(45).normal(size=(384, 200)))
+    with pytest.raises(FloatingPointError, match="block failed"):
+        next(pass_)
+    assert threading.active_count() == before
+    assert steps == [192]  # this thread's block; the pool thread's raised
+
+
+@pytest.mark.parametrize("close_after", [1, None], ids=["closed-after-layer-1", "to-the-end"])
+def test_row_block_threads_end_with_the_pass(close_after, cpus):
+    # At each yield at most one pool thread per CPU but this one is alive;
+    # none is once the pass ends or is closed, so that no fork meets a live
+    # pool thread.
+    steps = cpus(2)
+    before = threading.active_count()
+    pass_ = streamed_layers(NetworkSpec(4, 200, 200, 0, ActivationKind.TANH), GAUSS, Rng(46), Rng(47).normal(size=(384, 200)))
+    for depth, _ in enumerate(pass_, 1):
+        assert threading.active_count() <= before + 1
+        if depth == close_after:
+            pass_.close()
+    assert threading.active_count() == before
+    assert steps == [192] * 2 * (close_after or 4)
 
 
 @pytest.mark.parametrize("num_classes", [0, 3])
@@ -372,6 +495,27 @@ def test_stacked_state_refuses_a_batch_for_another_number_of_runs():
         forward(state, np.zeros((2, 5, 3)))
     with pytest.raises(ValueError, match=r"got \(3, 5, 4\)"):
         output(state, np.zeros((3, 5, 4)))
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["network", "stack"])
+@pytest.mark.parametrize("kind", list(ActivationKind))
+def test_one_row_bias_gradient_is_the_reduced_one(kind, stacked):
+    # For one row, backward makes phi'(h) g in the bias gradient's array
+    # instead of summing it over the rows: the bias gradients of a
+    # straight-line loop that sums, from the same trace.
+    spec = NetworkSpec(3, 6, 4, 3, kind)
+    rngs = [Rng(59, (run,)) for run in range(2)]
+    state = build_stack(spec, GAUSS, rngs) if stacked else build_network(spec, GAUSS, rngs[0])
+    lead = (2,) if stacked else ()
+    trace = forward(state, Rng(60).normal(size=(*lead, 1, 4)))
+    g = Rng(61).normal(size=(*lead, 1, 3))
+    got = backward(state, trace, g).biases
+    g = g @ state.readout_weight
+    for l in range(spec.depth_L - 1, -1, -1):
+        gh = act_derivative(kind, trace.post[l]) * g
+        want = gh.sum(axis=-2, keepdims=stacked)
+        assert got[l].shape == want.shape and np.array_equal(got[l], want)
+        g = gh @ state.weights[l]
 
 
 def _views_of_one_buffer(grads: Gradients) -> Gradients:
