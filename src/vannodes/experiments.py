@@ -5,13 +5,15 @@ training dynamics, task tables, success-probability grids, and diagnostics.
 row per run in a run CSV keyed by (config hash, run key), compute only the
 runs the CSV does not hold yet, and aggregate from the stored rows alone, so
 a resumed call writes the same bytes as a fresh one.  The other runners
-recompute every cell on each call.  `run_grid`'s depth groups and the table
-cells of `run_tasks_table` and `run_orthogonal_table` are independent, and
-``_fan_out`` trains them on every CPU the process may use, with the same
-bits as one after another.  `run_vni_sweep` and `run_heatmap` stay
-in-process: where BLAS runs on one thread, their probe passes
-(``network.streamed_layers``) split each large layer's rows over the CPUs
-instead, also with the same bits.
+recompute every cell on each call.  ``_write`` is the one writer of result
+files: it replaces each CSV and SVG (``svgplot`` only renders the text)
+whole, and only ``RunStore.add`` appends, one row to a run CSV.  `run_grid`'s
+depth groups and the table cells of `run_tasks_table` and
+`run_orthogonal_table` are independent, and ``_fan_out`` trains them on
+every CPU the process may use, with the same bits as one after another.
+`run_vni_sweep` and `run_heatmap` stay in-process: where BLAS runs on one
+thread, their probe passes (``network.streamed_layers``) split each large
+layer's rows over the CPUs instead, also with the same bits.
 """
 
 from __future__ import annotations
@@ -64,6 +66,15 @@ def _path(config: ExperimentConfig, name: str, ext: str = "csv") -> str:
     return os.path.join(config.out_dir, f"{name}_{config.config_hash()}.{ext}")
 
 
+def _write(path: str, data: str | bytes):
+    """Replace the file ``path`` whole by ``data``: it is written to
+    ``<path>.part`` and renamed over ``path``, so that a crash leaves the old
+    file or the new one, never one cut short."""
+    with open(path + ".part", "wb") as f:
+        f.write(data if isinstance(data, bytes) else data.encode())
+    os.replace(path + ".part", path)
+
+
 def _header(config: ExperimentConfig) -> str:
     return f"# config_hash={config.config_hash()} master_seed={config.master_seed}\n"
 
@@ -112,8 +123,7 @@ class RunStore:
             return
         if data:
             warnings.warn(f"{self.path}: header cut short or altered; every run is recomputed")
-        with open(self.path, "wb") as f:
-            f.write(header)
+        _write(self.path, header)
 
     def _parse(self, fields: list) -> list:
         """``fields`` parsed by their columns' parsers; a failure names the column."""
@@ -129,8 +139,7 @@ class RunStore:
         """Keep the complete rows of ``data[start:]`` whose key is in ``keys``
         and in no other row: which of two rows of a key holds its run is
         unknown, so both are dropped.  When any is dropped, replace the file
-        by its header and the kept rows' bytes, written to ``<path>.part``
-        first so that a crash leaves the old file whole."""
+        (``_write``) by its header and the kept rows' bytes."""
         lines = data[start:].split(b"\n")
         dropped = int(lines.pop() != b"")  # a last row with no newline
         rows_of = Counter(line.partition(b",")[0] for line in lines)
@@ -148,9 +157,7 @@ class RunStore:
                 dropped += 1
         if dropped:
             warnings.warn(f"{self.path}: dropped {dropped} incomplete or corrupt row(s); their runs are recomputed")
-            with open(self.path + ".part", "wb") as f:
-                f.write(data[:start] + b"".join(line + b"\n" for line in kept.values()))
-            os.replace(self.path + ".part", self.path)
+            _write(self.path, data[:start] + b"".join(line + b"\n" for line in kept.values()))
 
     def add(self, key: str, values: list):
         fields = [
@@ -167,9 +174,9 @@ def _stored_runs(config: ExperimentConfig, name: str, columns: dict, groups: lis
 
     ``groups`` lists groups of (run key, run arguments) pairs, run index
     innermost.  Only the keys the CSV does not hold yet are computed: for
-    each group, ``compute`` gets the arguments of its missing keys, in
-    order, and returns their rows.  The groups are computed one after
-    another, each stored as soon as it is computed; with ``work``, which
+    each group, ``compute`` gets the arguments of its missing keys, each
+    once, in order, and returns their rows.  The groups are computed one
+    after another, each stored as soon as it is computed; with ``work``, which
     estimates a group's work from the same arguments, by ``_fan_out``,
     whose rows are stored in group order.  Returns one list of
     ``config.runs`` rows per cell, in the order of ``groups``, each parsed
@@ -326,11 +333,8 @@ def _forked(shares: list, calls: list) -> tuple:
 
 
 def _write_csv(config: ExperimentConfig, name: str, header_cols: str, rows: list):
-    with open(_path(config, name), "w") as f:
-        f.write(_header(config))
-        f.write(header_cols + "\n")
-        for row in rows:
-            f.write(",".join(str(x) for x in row) + "\n")
+    lines = [header_cols] + [",".join(map(str, row)) for row in rows]
+    _write(_path(config, name), _header(config) + "\n".join(lines) + "\n")
 
 
 def build_task(config: ExperimentConfig):
@@ -483,23 +487,21 @@ def run_vni_sweep(config: ExperimentConfig) -> dict:
     gain = resolve_gain(config, config.sigma_x_sq, config.init_kind)
     s1 = _s1(config)
     listed = set(config.depths)
-    profiles = {}  # (width, run) -> {depth: indicator}
 
-    def compute(missing):
-        [(width, depth, run)] = missing  # groups of one row, each stored as soon as computed
-        if (width, run) not in profiles:
+    def compute(missing):  # the missing rows of one width, in cell order
+        width = missing[0][0]
+        profiles = {}  # run -> {depth: indicator}, from one probe pass per missing run
+        for run in dict.fromkeys(run for _, _, run in missing):
             probe_pass = _probe_layers(config, max(listed), width, gain, Rng(config.master_seed, (width, run)))
-            profiles[(width, run)] = {d: float(vni_empirical(x)[0]) for d, x in enumerate(probe_pass, 1) if d in listed}
-        return [[width, depth, profiles[(width, run)][depth]]]
+            profiles[run] = {d: float(vni_empirical(x)[0]) for d, x in enumerate(probe_pass, 1) if d in listed}
+        return [[width, depth, profiles[run][depth]] for _, depth, run in missing]
 
-    cells = [
-        (f"N{width}_L{depth}_r{run}", (width, depth, run))
+    groups = [
+        [(f"N{width}_L{depth}_r{run}", (width, depth, run)) for depth in config.depths for run in range(config.runs)]
         for width in config.widths
-        for depth in config.depths
-        for run in range(config.runs)
     ]
     columns = {"width": int, "depth": int, "vni": _VNI}
-    stored = iter(_stored_runs(config, "sweep_runs", columns, [[c] for c in cells], compute))
+    stored = iter(_stored_runs(config, "sweep_runs", columns, groups, compute))
     rows, results = [], {}
     for width in config.widths:
         means, stds, theos = [], [], []
@@ -513,14 +515,13 @@ def run_vni_sweep(config: ExperimentConfig) -> dict:
         curves = {"simulation (mean +- std)": (np.array(means), np.array(stds))}
         if s1 is not None:
             curves["moment prediction"] = np.array(theos)
-        svgplot.line_plot(
-            _path(config, f"sweep_N{width}", "svg"),
+        _write(_path(config, f"sweep_N{width}", "svg"), svgplot.line_plot(
             config.depths,
             curves,
             title=f"Node-correlation indicator vs depth (N={width})",
             x_label="depth L",
             y_label="indicator",
-        )
+        ))
         results[width] = (np.array(config.depths), np.array(means), np.array(stds), np.array(theos))
     _write_csv(config, "sweep", "width,depth,vni_mean,vni_std,vni_theory_raw", rows)
     return results
@@ -545,11 +546,9 @@ def run_heatmap(config: ExperimentConfig) -> dict:
             ",".join(f"n{i}" for i in range(width)),
             [[f"{v:.6g}" for v in row] for row in permuted],
         )
-        svgplot.heatmap(
-            _path(config, tag, "svg"),
-            permuted,
-            title=f"Squared node correlations, N={width}, L={depth}",
-        )
+        _write(_path(config, tag, "svg"), svgplot.heatmap(
+            permuted, title=f"Squared node correlations, N={width}, L={depth}"
+        ))
         off_diag = (corr_sq.sum() - np.trace(corr_sq)) / (width * (width - 1))
         results[(width, depth)] = off_diag
         summary.append([width, depth, f"{off_diag:.8g}", f"{vni:.8g}"])
@@ -587,14 +586,13 @@ def run_dynamics(config: ExperimentConfig) -> dict:
             rows.append([f"{lr:g}", e, f"{q1[e]:.8g}", f"{med[e]:.8g}", f"{q3[e]:.8g}"])
         plot_series[f"lr={lr:g}"] = (med, np.maximum(med - q1, q3 - med))
     _write_csv(config, "dynamics", "lr,epoch,q1,median,q3", rows)
-    svgplot.line_plot(
-        _path(config, "dynamics", "svg"),
+    _write(_path(config, "dynamics", "svg"), svgplot.line_plot(
         max((s[0] for s in series.values()), key=len),
         plot_series,
         title="Indicator quartiles over training",
         x_label="epoch",
         y_label="indicator",
-    )
+    ))
     return series
 
 
@@ -660,11 +658,10 @@ def run_grid(config: ExperimentConfig) -> dict:
             success_rows.append([depth, f"{lr:g}", f"{frac:.4f}"])
             per_run.extend(c[3:] for c in cell)
     _write_csv(config, "grid", "depth,lr,success_fraction", success_rows)
-    svgplot.heatmap(
-        _path(config, "grid", "svg"),
+    _write(_path(config, "grid", "svg"), svgplot.heatmap(
         1.0 - prob,  # black = zero success probability
         title="Failure probability over (depth, learning rate)",
-    )
+    ))
     succ = np.array([r for r in per_run if r[0] == 1])
     fail = np.array([r for r in per_run if r[0] == 0])
     gains = {}
@@ -673,12 +670,9 @@ def run_grid(config: ExperimentConfig) -> dict:
     if fail.size:
         gains["failure gain"] = fail[:, 2]
     if gains:
-        svgplot.box_plot(
-            _path(config, "grid_gain_box", "svg"),
-            gains,
-            title="Per-layer gain by outcome",
-            y_label="median layer gain",
-        )
+        _write(_path(config, "grid_gain_box", "svg"), svgplot.box_plot(
+            gains, title="Per-layer gain by outcome", y_label="median layer gain"
+        ))
     hist_rows = []
     edges = np.linspace(0.0, 1.0, 21)
     for label, arr in (("failed", fail), ("success", succ)):

@@ -1,5 +1,7 @@
-"""Self-contained SVG emitters: line plots with error bands, grayscale
-heatmaps, and box plots.  No rendering dependencies; output is diffable.
+"""Self-contained SVG renderers: line plots with error bands, grayscale
+heatmaps, and box plots.  Each returns the SVG text and writes no file (the
+runners write it, ``experiments._write``).  No rendering dependencies;
+output is diffable.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ def _ticks(lo: float, hi: float) -> np.ndarray:
     return np.linspace(lo, hi, 6)
 
 
-def line_plot(path, x, series: dict, title="", x_label="", y_label=""):
+def line_plot(x, series: dict, title="", x_label="", y_label=""):
     """``series`` maps name -> y array or (y, yerr) pair; yerr draws a band.
     A series may be shorter than ``x``: it covers the first len(y) values."""
     x = np.asarray(x, dtype=float)
@@ -99,11 +101,10 @@ def line_plot(path, x, series: dict, title="", x_label="", y_label=""):
         ly = _MT + 16 + 16 * i
         parts.append(f'<line x1="{_W - _MR - 120}" y1="{ly}" x2="{_W - _MR - 100}" y2="{ly}" stroke="{color}" stroke-width="1.5"/>')
         parts.append(f'<text x="{_W - _MR - 95}" y="{ly + 4}">{name}</text>')
-    parts.append("</svg>")
-    _write(path, parts)
+    return "\n".join(parts) + "\n</svg>\n"
 
 
-def heatmap(path, matrix, title=""):
+def heatmap(matrix, title=""):
     """Grayscale cell grid of values in [0, 1]; black = 1 (full correlation),
     white = 0."""
     m = np.asarray(matrix, dtype=float)
@@ -126,11 +127,10 @@ def heatmap(path, matrix, title=""):
         f'<rect x="{_ML}" y="{_MT}" width="{cols * side:.2f}" height="{rows * side:.2f}" '
         'fill="none" stroke="#333"/>'
     )
-    parts.append("</svg>")
-    _write(path, parts)
+    return "\n".join(parts) + "\n</svg>\n"
 
 
-def box_plot(path, groups: dict, title="", y_label=""):
+def box_plot(groups: dict, title="", y_label=""):
     """``groups`` maps label -> samples; draws min/q1/median/q3/max boxes."""
     labels = list(groups)
     stats = []
@@ -153,10 +153,4 @@ def box_plot(path, groups: dict, title="", y_label=""):
         )
         parts.append(f'<line x1="{cx - half:.1f}" y1="{axes.py(med):.1f}" x2="{cx + half:.1f}" y2="{axes.py(med):.1f}" stroke="#d62728" stroke-width="2"/>')
         parts.append(f'<text x="{cx:.1f}" y="{_H - _MB + 16}" text-anchor="middle">{label}</text>')
-    parts.append("</svg>")
-    _write(path, parts)
-
-
-def _write(path, parts: list):
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n</svg>\n"

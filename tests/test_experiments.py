@@ -90,6 +90,26 @@ def test_every_subcommand_writes_the_recorded_bytes(tmp_path, monkeypatch):
     assert digests == OUTPUT_DIGESTS
 
 
+def test_a_crash_while_replacing_a_file_keeps_the_old_one(tmp_path, monkeypatch):
+    # Every aggregate file is written to <name>.part and renamed over <name>,
+    # so a crash at the rename leaves the file of the last whole run as it was.
+    config = ExperimentConfig(experiment="grid", **SMALL, out_dir=str(tmp_path))
+    experiments.run_grid(config)
+    fresh = _files(tmp_path)
+    replaced, replace = [], os.replace
+    monkeypatch.setattr(os, "replace", lambda src, dst: replaced.append(os.path.basename(dst)) or replace(src, dst))
+    experiments.run_grid(config)  # every run is stored: only the aggregates are written
+    assert sorted(replaced) == sorted(name for name in fresh if not name.startswith("grid_runs_"))
+
+    def crash(src, dst):
+        raise OSError(f"crashed renaming {src}")
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(OSError, match="crashed renaming"):
+        experiments.run_grid(config)
+    assert {name: data for name, data in _files(tmp_path).items() if not name.endswith(".part")} == fresh
+
+
 # each resumable runner's run CSV: the index of its indicator field in a row
 # (the key is field 0), and (field, text) damages of its other columns: a
 # count that is not an int, and grid's success that is not 0/1
@@ -387,6 +407,19 @@ def test_sweep_with_a_depth_listed_twice(tmp_path):
         assert [row.split(",")[1] for row in by_depth] == ["4", "2", "4"]
         assert by_depth[0] == by_depth[2]
         assert results[width][1][0] == results[width][1][2]
+
+
+def test_sweep_stores_each_run_of_a_depth_listed_twice_once(tmp_path):
+    # A run CSV that repeated a key would lose both rows on every resume.
+    config = ExperimentConfig(**{**SWEEP, "depths": [4, 2, 4]}, out_dir=str(tmp_path))
+    experiments.run_vni_sweep(config)
+    fresh = _files(tmp_path)
+    keys = [line.split(b",")[0] for line in fresh[f"sweep_runs_{config.config_hash()}.csv"].splitlines()[2:]]
+    assert len(keys) == len(set(keys)) == 2 * len(SWEEP["widths"]) * SWEEP["runs"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no row is dropped on resume
+        experiments.run_vni_sweep(config)
+    assert _files(tmp_path) == fresh
 
 
 @pytest.mark.parametrize("runs", [1, 3])

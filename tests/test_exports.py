@@ -46,3 +46,39 @@ def _unused_imports(source: str) -> list:
 def test_no_module_imports_a_name_it_never_uses(name):
     path = Path(vannodes.__path__[0]) / f"{name}.py"
     assert _unused_imports(path.read_text()) == []
+
+
+def _writing_opens(source: str) -> list:
+    """Qualified names of the functions of a module that call ``open`` with
+    a mode that may write (a mode that is not a literal counts as one)."""
+    found = []
+
+    def visit(node, scope: list):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "open":
+                modes = child.args[1:2] + [k.value for k in child.keywords if k.arg == "mode"]
+                if not all(isinstance(m, ast.Constant) and set(m.value).isdisjoint("wax+") for m in modes):
+                    found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+# The only code that opens a file to write: the one writer of result files,
+# the run store's row append, the MNIST download (a dataset, not a result),
+# and a forked worker's pipe back to its parent (not a file).
+WRITERS = {"experiments._write", "experiments.RunStore.add", "data.fetch_mnist", "experiments._forked"}
+
+
+def test_only_the_writers_open_a_file_to_write():
+    found = {
+        f"{name}.{scope}"
+        for name in MODULES
+        for scope in _writing_opens((Path(vannodes.__path__[0]) / f"{name}.py").read_text())
+    }
+    assert sorted(found - WRITERS) == []
+    assert "experiments._write" in found  # the walk does see a writer
