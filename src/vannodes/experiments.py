@@ -7,13 +7,12 @@ runs the CSV does not hold yet, and aggregate from the stored rows alone, so
 a resumed call writes the same bytes as a fresh one.  The other runners
 recompute every cell on each call.  ``_write`` is the one writer of result
 files: it replaces each CSV and SVG (``svgplot`` only renders the text)
-whole, and only ``RunStore.add`` appends, one row to a run CSV.  `run_grid`'s
-depth groups and the table cells of `run_tasks_table` and
-`run_orthogonal_table` are independent, and ``_fan_out`` trains them on
-every CPU the process may use, with the same bits as one after another.
-`run_vni_sweep` and `run_heatmap` stay in-process: where BLAS runs on one
-thread, their probe passes (``network.streamed_layers``) split each large
-layer's rows over the CPUs instead, also with the same bits.
+whole, and only ``RunStore.add`` appends, one row to a run CSV.  ``cpus``
+spreads the work over the CPUs: ``fan_out`` trains `run_grid`'s depth groups
+and the table cells of `run_tasks_table` and `run_orthogonal_table`, and the
+probe passes of `run_vni_sweep` and `run_heatmap` split their layers' rows.
+Those runners read their statistics on one BLAS thread too, so that no BLAS
+thread they wake spins beside a pass's row blocks.
 """
 
 from __future__ import annotations
@@ -39,7 +38,8 @@ from .analysis import (
 from .config import ExperimentConfig
 from .data import gaussian_probe, load_mnist_idx, synthetic_task
 from .initializers import InitKind, InitializerSpec
-from .linalg import Rng, one_blas_thread
+from .cpus import fan_out, one_blas_thread
+from .linalg import Rng
 from .network import build_network, streamed_layers
 from .training import train
 
@@ -173,163 +173,29 @@ def _stored_runs(config: ExperimentConfig, name: str, columns: dict, groups: lis
     """Stored rows of the run CSV ``name``, grouped by ``config.runs``.
 
     ``groups`` lists groups of (run key, run arguments) pairs, run index
-    innermost.  Only the keys the CSV does not hold yet are computed: for
-    each group, ``compute`` gets the arguments of its missing keys, each
-    once, in order, and returns their rows.  The groups are computed one
-    after another, each stored as soon as it is computed; with ``work``, which
-    estimates a group's work from the same arguments, by ``_fan_out``,
-    whose rows are stored in group order.  Returns one list of
-    ``config.runs`` rows per cell, in the order of ``groups``, each parsed
-    by ``columns`` (``RunStore``).
+    innermost; a key listed twice is one run.  Only the keys the CSV does
+    not hold yet are computed, each in the first group that lists it: for
+    each group, ``compute`` gets the arguments of those keys, in order, and
+    returns their rows.  The groups are computed one after another, each
+    stored as soon as it is computed; with ``work``, which estimates a
+    group's work from the same arguments, by ``cpus.fan_out``, whose rows
+    are stored in group order.  Returns one list of ``config.runs`` rows per
+    cell, in the order of ``groups``, each parsed by ``columns``
+    (``RunStore``).
     """
     store = RunStore(config, name, columns, {key for group in groups for key, _ in group})
-    todo = [missing for group in groups if (missing := {key: args for key, args in group if key not in store.rows})]
+    pending = {key: args for group in groups for key, args in group if key not in store.rows}
+    todo = [missing for group in groups if (missing := {key: pending.pop(key) for key, _ in group if key in pending})]
     args = [list(missing.values()) for missing in todo]
     if work is None:
         computed = (compute(a) for a in args)
     else:
-        computed = _fan_out([(work(a), lambda a=a: compute(a)) for a in args])
+        computed = fan_out([(work(a), lambda a=a: compute(a)) for a in args])
     for missing, rows in zip(todo, computed):
         for key, row in zip(missing, rows, strict=True):
             store.add(key, row)
     rows = [store.rows[key] for group in groups for key, _ in group]
     return [rows[i : i + config.runs] for i in range(0, len(rows), config.runs)]
-
-
-# -- fan-out -----------------------------------------------------------------
-
-# Estimated layer-steps (``_train_work``) that the smallest share of a
-# fan-out must exceed for forked workers to pay.  A fork costs a short pass
-# 15-30 ms (copy-on-write faults and cold caches: split over two workers,
-# `orth-householder`'s shares of 160 and 320 took its 0.084 s pass to
-# 0.10 s), and batch-1 SGD at N = 32 takes 10-50 us per layer-step, so below
-# about 1000 layer-steps a share finishes sooner in the parent.
-# `grid-tanh`'s smaller share is 2223.
-_FAN_OUT_FLOOR = 1000
-
-
-def _fan_out(calls: list):
-    """Yield the results of ``calls``, (estimated work, zero-argument
-    callable) pairs, in order, and then raise the exception of the first
-    call that raised, as the calls made one after another would.
-
-    The calls run inside ``linalg.one_blas_thread``, so their bits do not
-    depend on how many CPUs share them.  They are split into one share per
-    CPU of the process's affinity (at most one per call), longest first.
-    When the smallest share's work exceeds ``_FAN_OUT_FLOOR``, the parent
-    computes one share and a child started by ``os.fork`` each other; a
-    child sends its results back as one pickle and ends with ``os._exit``,
-    running no handler of the parent's.  Otherwise the calls are made
-    in-process, one after another, each result yielded as it comes; so are
-    they where OpenBLAS is not found, at its own thread count.  Fork, not a spawned pool: starting a spawned
-    worker takes about 0.5 s, longer than a whole `grid-tanh` pass.  The
-    threads of OpenBLAS's pool are idle at the fork, and the only other
-    threads a vannodes process starts, ``network.streamed_layers``' row
-    blocks, end with their pass.
-
-    A share's calls run in order and stop at the first that raises, so every
-    call before the first failure has a result.  An exception keeps its type
-    where it pickles, with the child's traceback as a note; otherwise it
-    arrives as a RuntimeError holding that traceback.  Every child has been
-    reaped before the first result is yielded."""
-    shares = [[] for _ in range(min(len(os.sched_getaffinity(0)), len(calls)))]
-    loads = [0] * len(shares)
-    for i in sorted(range(len(calls)), key=lambda i: -calls[i][0]):  # longest first, ties in order
-        w = loads.index(min(loads))
-        shares[w].append(i)
-        loads[w] += calls[i][0]
-    with one_blas_thread() as pinned:
-        if not pinned or len(shares) < 2 or min(loads) <= _FAN_OUT_FLOOR:
-            yield from (call() for _, call in calls)
-            return
-        results, failures = _forked([sorted(share) for share in shares], calls)
-        first = min(failures, default=len(calls))
-        yield from (results[i] for i in range(first))
-        if failures:
-            raise failures[first]
-
-
-def _run_share(calls: list, share: list) -> tuple:
-    """{index: result} of the calls ``share`` made in order, and
-    {index: exception} of the first that raised, after which none is made."""
-    results = {}
-    for i in share:
-        try:
-            results[i] = calls[i][1]()
-        except Exception as e:
-            return results, {i: e}
-    return results, {}
-
-
-def _child_payload(calls: list, share: list) -> bytes:
-    """``_run_share``'s pickle, with an exception that does not survive a
-    pickle round trip replaced by a RuntimeError holding its traceback."""
-    import pickle
-    import traceback
-
-    results, failures = _run_share(calls, share)
-    for i, e in failures.items():
-        text = "".join(traceback.format_exception(e))
-        try:
-            failures[i] = pickle.loads(pickle.dumps(e))
-        except Exception:
-            failures[i] = RuntimeError(f"a forked worker raised an exception that does not pickle:\n{text}")
-        else:
-            if hasattr(e, "add_note"):  # Python 3.11+
-                failures[i].add_note(f"raised in a forked worker:\n{text}")
-    try:
-        return pickle.dumps((results, failures), pickle.HIGHEST_PROTOCOL)
-    except Exception:
-        error = RuntimeError(f"a forked worker's results do not pickle:\n{traceback.format_exc()}")
-        return pickle.dumps(({}, {share[0]: error}))
-
-
-def _forked(shares: list, calls: list) -> tuple:
-    """``_run_share`` of ``shares[0]`` in the parent and of each other share
-    in a forked child; merged results and failures.  A child whose calls all
-    come after a failure known when it is collected is killed: none of its
-    results is used.  Every child is reaped on any exit."""
-    import pickle
-    import signal
-
-    children = []  # (pid, read end of its pipe, its share) of each child not yet reaped
-    try:
-        for share in shares[1:]:
-            r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:  # the child: never returns into the parent's code
-                status = 1
-                try:
-                    os.close(r)
-                    with open(w, "wb") as f:
-                        f.write(_child_payload(calls, share))
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(w)
-            children.append((pid, r, share))
-        results, failures = _run_share(calls, shares[0])
-        while children:
-            pid, r, share = children[0]
-            if share[0] > min(failures, default=len(calls)):
-                os.kill(pid, signal.SIGKILL)
-            with open(r, "rb", closefd=False) as f:
-                data = f.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children.pop(0)
-            os.close(r)
-            try:
-                got, lost = pickle.loads(data)
-            except Exception:
-                got, lost = {}, {share[0]: RuntimeError(f"forked worker {pid} sent no results (exit code {code})")}
-            results.update(got)
-            failures.update(lost)
-        return results, failures
-    finally:
-        for pid, r, _ in children:
-            os.close(r)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
 
 
 def _write_csv(config: ExperimentConfig, name: str, header_cols: str, rows: list):
@@ -445,7 +311,7 @@ def _train_work(config: ExperimentConfig, depth: int, task: tuple) -> int:
 def _init_table(blocks: list, inits: tuple):
     """Compare ``inits`` on each block (label, config, depth, task) of a table
     by training ``config.runs`` runs of each; the cells are trained by
-    ``_fan_out``.
+    ``cpus.fan_out``.
 
     Returns the table rows (label, init, successes, runs, mean final
     indicator) and {(label, init): (successes, mean final indicator, runs)}.
@@ -460,7 +326,7 @@ def _init_table(blocks: list, inits: tuple):
             args = (config, depth, init_kind, task, gain, runs)
             calls.append((_train_work(config, depth, task), lambda args=args: _train_runs(*args)))
     rows, results = [], {}
-    for (label, config, init_kind), cell in zip(cells, _fan_out(calls)):
+    for (label, config, init_kind), cell in zip(cells, fan_out(calls)):
         n_success = sum(r.success for r in cell)
         final_vni = float(np.mean([r.records[-1].vni for r in cell]))
         rows.append([label, init_kind.value, n_success, config.runs, f"{final_vni:.6g}"])
@@ -491,9 +357,10 @@ def run_vni_sweep(config: ExperimentConfig) -> dict:
     def compute(missing):  # the missing rows of one width, in cell order
         width = missing[0][0]
         profiles = {}  # run -> {depth: indicator}, from one probe pass per missing run
-        for run in dict.fromkeys(run for _, _, run in missing):
-            probe_pass = _probe_layers(config, max(listed), width, gain, Rng(config.master_seed, (width, run)))
-            profiles[run] = {d: float(vni_empirical(x)[0]) for d, x in enumerate(probe_pass, 1) if d in listed}
+        with one_blas_thread():  # see the module's docstring
+            for run in dict.fromkeys(run for _, _, run in missing):
+                probe_pass = _probe_layers(config, max(listed), width, gain, Rng(config.master_seed, (width, run)))
+                profiles[run] = {d: float(vni_empirical(x)[0]) for d, x in enumerate(probe_pass, 1) if d in listed}
         return [[width, depth, profiles[run][depth]] for _, depth, run in missing]
 
     groups = [
@@ -535,9 +402,10 @@ def run_heatmap(config: ExperimentConfig) -> dict:
     cells += [(width, config.depths[0]) for width in config.widths[1:]]
     results, summary = {}, []
     for width, depth in cells:
-        for x_L in _probe_layers(config, depth, width, gain, Rng(config.master_seed, (width, depth))):
-            pass
-        vni, corr_sq, _ = vni_empirical(x_L)
+        with one_blas_thread():  # see the module's docstring
+            for x_L in _probe_layers(config, depth, width, gain, Rng(config.master_seed, (width, depth))):
+                pass
+            vni, corr_sq, _ = vni_empirical(x_L)
         permuted, _ = correlation_heatmap(corr_sq)
         tag = f"heatmap_N{width}_L{depth}"
         _write_csv(
@@ -623,7 +491,9 @@ def run_tasks_table(config: ExperimentConfig) -> dict:
 
 def run_grid(config: ExperimentConfig) -> dict:
     """Success probability over (depth, learning rate) with per-run final
-    indicator and gain records for the failure-attribution summaries."""
+    indicator and gain records for the failure-attribution summaries.  A
+    depth listed twice is trained once, from the seeds of its first listing,
+    and both listings read its runs."""
     task = _task(config)
     gain = resolve_gain(config, task[2], config.init_kind)
 
@@ -640,11 +510,11 @@ def run_grid(config: ExperimentConfig) -> dict:
 
     groups = [
         [
-            (f"L{depth}_lr{lr_index}_r{run}", (depth, lr, (d_index, lr_index, run)))
+            (f"L{depth}_lr{lr_index}_r{run}", (depth, lr, (config.depths.index(depth), lr_index, run)))
             for lr_index, lr in enumerate(config.learning_rates)
             for run in range(config.runs)
         ]
-        for d_index, depth in enumerate(config.depths)
+        for depth in config.depths
     ]
     columns = {"depth": int, "lr": _FINITE, "run": int, "success": _SUCCESS, "final_vni": _VNI, "gain_median": _FINITE}
     stored = iter(_stored_runs(config, "grid_runs", columns, groups, compute, work))

@@ -1,24 +1,15 @@
-"""Deterministic random streams, the symmetric eigen-solve and the one
-place that reads and pins BLAS threads.
+"""Deterministic random streams and the symmetric eigen-solve.
 
 Matrices and vectors are plain float64 numpy arrays.  The eigensolver is
 delegated to LAPACK (via numpy); the contract here adds the shape and
-symmetry checks the rest of the package relies on.  Work split over CPUs
-runs BLAS on one thread: ``experiments._fan_out`` pins it with
-``one_blas_thread``, and ``network.streamed_layers`` splits a layer's rows
-only where ``blas_threads()`` is 1.
+symmetry checks the rest of the package relies on.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import os
-from contextlib import contextmanager
-
 import numpy as np
 
-__all__ = ["Rng", "sym_eigenvalues", "blas_threads", "one_blas_thread"]
+__all__ = ["Rng", "sym_eigenvalues"]
 
 
 class Rng:
@@ -72,43 +63,3 @@ def sym_eigenvalues(a: np.ndarray, return_vectors: bool = False):
         return w[order], q[:, order]
     w = np.linalg.eigvalsh(a)
     return w[::-1].copy()
-
-
-@functools.cache
-def _openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS bundled with numpy,
-    or None where it is not found."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    try:
-        lib = ctypes.CDLL(os.path.join(libs, next(n for n in os.listdir(libs) if n.startswith("libscipy_openblas"))))
-        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except (OSError, StopIteration, AttributeError):
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    return get, set_
-
-
-@contextmanager
-def one_blas_thread():
-    """Pin numpy's OpenBLAS to one thread inside the block and restore the
-    caller's count after it, also when the block raises.  Yields whether it
-    pinned: False where OpenBLAS is not found, whose count it leaves alone."""
-    blas = _openblas_threads()
-    if blas is None:
-        yield False
-        return
-    get_threads, set_threads = blas
-    threads = get_threads()
-    set_threads(1)
-    try:
-        yield True
-    finally:
-        set_threads(threads)
-
-
-def blas_threads() -> int | None:
-    """The thread count of numpy's OpenBLAS now, or None where it is not
-    found."""
-    blas = _openblas_threads()
-    return None if blas is None else blas[0]()

@@ -10,12 +10,10 @@ readout.
 reads its last post-activation and ``forward`` keeps them all.
 ``streamed_layers`` runs the same per-layer step over a network it draws one
 layer at a time, for a probe pass that needs no network afterwards: it holds
-at most two layers' weights instead of L.  Where BLAS runs on one thread,
-it splits a large layer's rows into blocks, one per CPU, that threads step
-into one output array while the next weight is drawn, with the bits of one
-block.  Back-propagation and the
-Jacobian read phi'(h_l) from the post-activations x_l alone
-(``activations.derivative``), so no pre-activation is stored.
+at most two layers' weights instead of L, and ``cpus.row_blocked`` splits a
+large layer's rows over the CPUs, with the bits of one block.
+Back-propagation and the Jacobian read phi'(h_l) from the post-activations
+x_l alone (``activations.derivative``), so no pre-activation is stored.
 
 ``backward`` forms no reflection-vector gradient: training maps each
 Householder layer's weight gradient to one (``householder_backward``).
@@ -34,12 +32,12 @@ stack: it copies the run's arrays out.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import activations as act
+from .cpus import row_blocked
 from .activations import ActivationKind
 from .initializers import (
     HouseholderStack,
@@ -50,7 +48,7 @@ from .initializers import (
     init_scaled,
     init_weight,
 )
-from .linalg import Rng, blas_threads
+from .linalg import Rng
 
 __all__ = [
     "NetworkSpec",
@@ -251,78 +249,12 @@ def streamed_layers(spec: NetworkSpec, init: InitializerSpec, rng: Rng, batch: n
     activation arrays, O(N^2 + n N) instead of the network's O(L N^2).  No
     readout is drawn; ``build_network`` draws it last, from its own stream.
     The zero bias is added as ``layers`` adds it, so that a product's -0.0
-    becomes +0.0 on both paths.
-
-    When BLAS runs on one thread (``linalg.blas_threads``) and a layer's
-    rows split into blocks (``_row_blocks``) over the CPUs of the process's
-    affinity, one pool thread steps each block but the first, while this
-    thread steps the first and then draws the next weight.  Each block reads
-    its rows of the last array and writes its rows of the layer's one new
-    array, so no activation is copied, and the threads never outnumber the
-    CPUs.  With more BLAS threads, BLAS spreads each product over the CPUs
-    itself, and its idle threads spin for a while after each call, where
-    they would compete with the blocks; so the layer is one block, stepped
-    here, as it is on one CPU.  The pool's threads end with the pass, also
-    when the caller closes it early."""
-    from concurrent.futures import ThreadPoolExecutor  # about 10 ms, so imported on first use, not with the module
-
-    x = _as_batch(spec, batch)
-    del batch  # layer 1 replaces x, so the caller's probe need not outlive it
+    becomes +0.0 on both paths.  ``cpus.row_blocked`` steps the layers."""
     bias = np.zeros(spec.width_N)
     phi = act.in_place(spec.activation)
-    cpus = len(os.sched_getaffinity(0)) if blas_threads() == 1 else 1
-    w = _probe_weight(spec, init, rng, 0)
-    with ThreadPoolExecutor(max(1, cpus - 1)) as pool:  # starts a thread only when a block is submitted
-        for l in range(spec.depth_L):
-            (a, b), *others = _row_blocks(x.shape[0], spec.width_N * spec.fan_in(l), cpus)
-            out = np.empty((x.shape[0], spec.width_N))
-            steps = [pool.submit(_layer_step, phi, x[c:d], w, bias, out[c:d]) for c, d in others]
-            _layer_step(phi, x[a:b], w, bias, out[a:b])
-            del w  # so that this thread holds one weight when it draws the next
-            w = _probe_weight(spec, init, rng, l + 1)
-            for step in steps:
-                step.result()
-            x = out
-            yield x
-
-
-def _probe_weight(spec: NetworkSpec, init: InitializerSpec, rng: Rng, l: int) -> np.ndarray | None:
-    """Layer l's materialized weight, as ``build_network`` draws it, or None
-    past the last layer."""
-    if l == spec.depth_L:
-        return None
-    w = _layer_weight(spec, init, rng, l)
-    return householder_materialize(w) if isinstance(w, HouseholderStack) else w
-
-
-# A probe layer's rows are split into blocks only when each block makes at
-# least _ROW_BLOCK_FLOOR multiply-adds (rows x N x fan_in), and every block
-# but the last is a whole number of _ROW_QUANTUM rows, so that each block's
-# product has the bits of the whole product's rows.  Measured with OpenBLAS
-# 0.3.31's SkylakeX kernels on one thread:
-# - a product of at most 10^6 multiply-adds may take a small-matrix path
-#   whose bits differ (blocks of up to 37 rows at N = 32, 6 at N = 200);
-# - at widths above 192 that are not a multiple of 8, a block that starts
-#   off a multiple of 12 rows changes the bits of its edge rows (N = 300:
-#   2000 rows split in 2 at row 1000).  Blocks cut at multiples of 48 rows
-#   kept every bit for N = fan_in in 8..599 split in 2, 3 and 4;
-# - at 2000 rows and 2 CPUs, a hard-tanh layer split in 2 took 1.03-1.13x
-#   the time of one block at N = 50 (2.5M multiply-adds a block),
-#   0.67-1.19x at N = 64 (4.1M), 0.55-0.85x at N = 100 and 0.60-0.66x at
-#   N = 200: below about 4M a block does not pay for its handoff.
-_ROW_BLOCK_FLOOR = 1 << 22
-_ROW_QUANTUM = 48
-
-
-def _row_blocks(rows: int, madds_per_row: int, cpus: int) -> list:
-    """(start, stop) of the row blocks a layer step over ``rows`` rows is
-    split into: the most, up to ``cpus``, of near-equal size that keep the
-    rules above, or the one block (0, rows)."""
-    for k in range(min(cpus, rows // _ROW_QUANTUM), 1, -1):
-        cuts = [round(i * rows / (k * _ROW_QUANTUM)) * _ROW_QUANTUM for i in range(k)] + [rows]
-        if min(b - a for a, b in zip(cuts, cuts[1:])) * madds_per_row >= _ROW_BLOCK_FLOOR:
-            return list(zip(cuts, cuts[1:]))
-    return [(0, rows)]
+    drawn = (_layer_weight(spec, init, rng, l) for l in range(spec.depth_L))
+    weights = (householder_materialize(w) if isinstance(w, HouseholderStack) else w for w in drawn)
+    return row_blocked(_as_batch(spec, batch), weights, lambda x, w, out: _layer_step(phi, x, w, bias, out))
 
 
 def _layer_step(phi, x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -21,7 +21,7 @@ import pytest
 
 import vannodes as vn
 from vannodes.activations import ActivationKind, ActivationMoments, mu_quadrature
-from vannodes.experiments import _fan_out
+from vannodes.cpus import fan_out
 from vannodes.initializers import InitKind, InitializerSpec, householder_backward
 from vannodes.linalg import Rng
 from vannodes.network import NetworkSpec, backward, build_network, forward, streamed_layers
@@ -353,7 +353,7 @@ def test_criterion_08_training_dynamics():
     # call's work is its layer-steps: L x (epochs x (16 steps + 1 statistics pass) + 1).
     plan = [(1e-2, 60, i) for i in range(20)] + [(1e-4, 30, i) for i in range(20)]
     calls = [(50 * (epochs * 17 + 1), lambda args=(lr, epochs, i): run(*args)) for lr, epochs, i in plan]
-    series = list(_fan_out(calls))
+    series = list(fan_out(calls))
     fast, slow = series[:20], series[20:]
     med_v0 = float(np.median([r[0] for r in fast]))
     med_max = float(np.median([max(r) for r in fast]))

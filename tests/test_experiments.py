@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vannodes import experiments, linalg
+from vannodes import cpus as cpus_module, experiments
 from vannodes.analysis import vni_empirical
 from vannodes.cli import _RUNNERS
 from vannodes.config import ExperimentConfig
@@ -88,6 +88,20 @@ def test_every_subcommand_writes_the_recorded_bytes(tmp_path, monkeypatch):
         runner(ExperimentConfig(experiment=experiment, **SMALL, out_dir="out"))
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in _files(tmp_path / "out").items()}
     assert digests == OUTPUT_DIGESTS
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_every_subcommand_writes_the_recorded_bytes_at_any_blas_thread_count(threads, tmp_path, monkeypatch):
+    blas = cpus_module._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's OpenBLAS is not found")
+    get_threads, set_threads = blas
+    before = get_threads()
+    set_threads(threads)
+    try:
+        test_every_subcommand_writes_the_recorded_bytes(tmp_path, monkeypatch)
+    finally:
+        set_threads(before)
 
 
 def test_a_crash_while_replacing_a_file_keeps_the_old_one(tmp_path, monkeypatch):
@@ -483,6 +497,29 @@ def test_grid_resume_trains_only_the_missing_runs(tmp_path, monkeypatch):
         assert trained == [rng_keys[line.split(",")[0]] for line in lines[kept:]], kept
 
 
+def test_grid_trains_a_depth_listed_twice_once(tmp_path, monkeypatch):
+    # A repeated depth is trained once, from the seeds of its first listing,
+    # and stored once, so that a resume drops no row, and both listings read
+    # its runs.
+    config = ExperimentConfig(**{**TINY["grid"], "depths": [2, 3, 2]}, out_dir=str(tmp_path))
+    trained, train = [], experiments.train
+
+    def counting_train(*args, **kwargs):
+        trained.extend(rng.key for _, rng in args[2])
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "train", counting_train)
+    results = experiments.run_grid(config)
+    assert trained == [(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1)]
+    assert results["probability"][0].tolist() == results["probability"][2].tolist()
+    fresh = _files(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no row is dropped on resume
+        experiments.run_grid(config)
+    assert _files(tmp_path) == fresh
+    assert len(trained) == 4
+
+
 def test_sweep_keeps_the_rows_computed_before_a_failure(tmp_path, monkeypatch):
     # The sweep stores each row as it is computed: when a later row fails,
     # the rows before it are in the run CSV and are not computed again.
@@ -516,9 +553,9 @@ def test_sweep_keeps_the_rows_computed_before_a_failure(tmp_path, monkeypatch):
 def _forking(monkeypatch) -> list:
     """Force every fan-out of two or more calls to fork (work floor 0); the
     returned list gets one entry per fork."""
-    if linalg._openblas_threads() is None:
+    if cpus_module._openblas_threads() is None:
         pytest.skip("numpy's OpenBLAS is not found, so every fan-out runs in-process")
-    monkeypatch.setattr(experiments, "_FAN_OUT_FLOOR", 0)
+    monkeypatch.setattr(cpus_module, "_FAN_OUT_FLOOR", 0)
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     return forks
@@ -533,14 +570,14 @@ def test_fan_out_pins_one_blas_thread_and_restores_the_count(monkeypatch):
     # Every call sees one BLAS thread, in the parent and in a child, and the
     # caller's count is back after the results, also after a failure.
     forks = _forking(monkeypatch)
-    get_threads, set_threads = linalg._openblas_threads()
+    get_threads, set_threads = cpus_module._openblas_threads()
     before = get_threads()
     set_threads(2)
     try:
-        assert list(experiments._fan_out([(1, get_threads), (1, get_threads)])) == [1, 1]
+        assert list(cpus_module.fan_out([(1, get_threads), (1, get_threads)])) == [1, 1]
         assert get_threads() == 2
         with pytest.raises(ZeroDivisionError):
-            list(experiments._fan_out([(1, get_threads), (1, lambda: 1 / 0)]))
+            list(cpus_module.fan_out([(1, get_threads), (1, lambda: 1 / 0)]))
         assert get_threads() == 2
     finally:
         set_threads(before)

@@ -71,7 +71,7 @@ def _writing_opens(source: str) -> list:
 # The only code that opens a file to write: the one writer of result files,
 # the run store's row append, the MNIST download (a dataset, not a result),
 # and a forked worker's pipe back to its parent (not a file).
-WRITERS = {"experiments._write", "experiments.RunStore.add", "data.fetch_mnist", "experiments._forked"}
+WRITERS = {"experiments._write", "experiments.RunStore.add", "data.fetch_mnist", "cpus._forked"}
 
 
 def test_only_the_writers_open_a_file_to_write():
@@ -82,3 +82,24 @@ def test_only_the_writers_open_a_file_to_write():
     }
     assert sorted(found - WRITERS) == []
     assert "experiments._write" in found  # the walk does see a writer
+
+
+def _cpu_code(source: str) -> set:
+    """The process and thread names a module reads or imports: ``os.fork``,
+    ``os.sched_getaffinity``, ``ThreadPoolExecutor`` and any OpenBLAS
+    symbol (its thread getter and setter)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+    return {n for n in names if n in {"fork", "sched_getaffinity", "ThreadPoolExecutor"} or "openblas" in n.lower()}
+
+
+def test_only_cpus_forks_starts_threads_or_sets_blas_threads():
+    found = {name: _cpu_code((Path(vannodes.__path__[0]) / f"{name}.py").read_text()) for name in MODULES}
+    assert {name: names for name, names in found.items() if names and name != "cpus"} == {}
+    assert {"fork", "sched_getaffinity", "ThreadPoolExecutor"} < found["cpus"]  # the walk does see them

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vannodes.initializers import init_orthogonal
-from vannodes import linalg
-from vannodes.linalg import Rng, one_blas_thread, sym_eigenvalues
+from vannodes import cpus
+from vannodes.cpus import one_blas_thread
+from vannodes.linalg import Rng, sym_eigenvalues
 
 
 class TestRng:
@@ -83,7 +84,7 @@ class TestEigenvalues:
 
 
 def test_one_blas_thread_pins_and_restores_the_count(monkeypatch):
-    blas = linalg._openblas_threads()
+    blas = cpus._openblas_threads()
     if blas is None:
         pytest.skip("numpy's OpenBLAS is not found")
     get_threads, set_threads = blas
@@ -91,14 +92,13 @@ def test_one_blas_thread_pins_and_restores_the_count(monkeypatch):
     set_threads(2)
     try:
         with one_blas_thread() as pinned:
-            assert pinned and get_threads() == linalg.blas_threads() == 1
-        assert get_threads() == linalg.blas_threads() == 2
+            assert pinned and get_threads() == 1
+        assert get_threads() == 2
         with pytest.raises(ZeroDivisionError), one_blas_thread():
             1 / 0
         assert get_threads() == 2
     finally:
         set_threads(before)
-    monkeypatch.setattr(linalg, "_openblas_threads", lambda: None)
+    monkeypatch.setattr(cpus, "_openblas_threads", lambda: None)
     with one_blas_thread() as pinned:
         assert not pinned
-    assert linalg.blas_threads() is None

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from vannodes import linalg, network
+from vannodes import cpus as cpus_module, network
 from vannodes.activations import ActivationKind, apply as act_apply, derivative as act_derivative
 from vannodes.initializers import InitKind, InitializerSpec, householder_backward
 from vannodes.linalg import Rng
@@ -174,9 +174,9 @@ def test_streamed_pass_frees_the_probe_once_layer_1_replaces_it():
 @pytest.fixture
 def cpus(monkeypatch):
     """``cpus(n)`` makes streamed passes see n CPUs and returns the list that
-    gets the rows of each layer step from then on; the test runs with BLAS
-    on one thread, as passes split only then."""
-    if linalg._openblas_threads() is None:
+    gets the rows of each layer step from then on; the caller's BLAS thread
+    count is restored after the test."""
+    if cpus_module._openblas_threads() is None:
         pytest.skip("numpy's OpenBLAS is not found, so every probe layer is one block")
     steps, step = [], network._layer_step
     monkeypatch.setattr(network, "_layer_step", lambda phi, x, *args: steps.append(len(x)) or step(phi, x, *args))
@@ -186,7 +186,7 @@ def cpus(monkeypatch):
         steps.clear()
         return steps
 
-    with linalg.one_blas_thread():
+    with cpus_module.one_blas_thread():
         yield see
 
 
@@ -198,7 +198,7 @@ def test_row_blocks_at_the_floor_keep_the_serial_bits(width, kind, init, cpus):
     # floor (the second 5 rows longer), and the pass has the bits of the
     # pass that steps every layer as one block.  At N = 300 a cut off a
     # multiple of 12 rows changes bits on OpenBLAS's SkylakeX kernels.
-    quantum, floor = network._ROW_QUANTUM, network._ROW_BLOCK_FLOOR
+    quantum, floor = cpus_module._ROW_QUANTUM, cpus_module._ROW_BLOCK_FLOOR
     block = -(-floor // (width * width * quantum)) * quantum
     spec = NetworkSpec(3, width, width, 0, kind)
     batch = Rng(42).normal(size=(2 * block + 5, width))
@@ -230,28 +230,39 @@ def test_row_blocks_keep_the_bits_under_fast_thread_switching(cpus):
 
 
 def test_row_blocks_start_on_the_quantum_and_reach_the_floor():
-    quantum, floor = network._ROW_QUANTUM, network._ROW_BLOCK_FLOOR
+    quantum, floor = cpus_module._ROW_QUANTUM, cpus_module._ROW_BLOCK_FLOOR
     for rows, per_row, n in [(2000, 40_000, 2), (2000, 40_000, 3), (1999, 10_000, 4), (5000, 4096, 8)]:
-        blocks = network._row_blocks(rows, per_row, n)
+        blocks = cpus_module._row_blocks(rows, per_row, n)
         assert 1 < len(blocks) <= n
         assert blocks[0][0] == 0 and blocks[-1][1] == rows
         assert all(a % quantum == 0 and b == c for (a, b), (c, _) in zip(blocks, blocks[1:] + [(rows, 0)]))
         assert min(b - a for a, b in blocks) * per_row >= floor
-    assert network._row_blocks(2000, 40_000, 1) == [(0, 2000)]
-    assert network._row_blocks(2000, 2500, 2) == [(0, 2000)]  # N = 50: 2.5M multiply-adds a block
-    assert network._row_blocks(40, 10**6, 2) == [(0, 40)]  # fewer rows than the quantum
+    assert cpus_module._row_blocks(2000, 40_000, 1) == [(0, 2000)]
+    assert cpus_module._row_blocks(2000, 2500, 2) == [(0, 2000)]  # N = 50: 2.5M multiply-adds a block
+    assert cpus_module._row_blocks(40, 10**6, 2) == [(0, 40)]  # fewer rows than the quantum
 
 
-def test_a_pass_at_more_blas_threads_steps_each_layer_as_one_block(cpus):
-    # BLAS spreads each product over the CPUs itself, so the pass starts no
-    # thread of its own.
+def test_a_pass_at_two_blas_threads_splits_and_gives_the_caller_its_count_back(cpus):
+    # The pass pins BLAS to one thread for each layer whatever the caller's
+    # count, so it splits a large layer into blocks and keeps the bits of
+    # one block; the caller reads its own count between yields and after
+    # an early close.
+    get_threads, set_threads = cpus_module._openblas_threads()
+    set_threads(2)  # the fixture's pin restores the count after the test
+    spec, batch = NetworkSpec(3, 200, 200, 0, ActivationKind.TANH), Rng(51).normal(size=(2000, 200))
+    cpus(1)
+    serial = [x.tobytes() for x in streamed_layers(spec, GAUSS, Rng(50), batch)]
     steps = cpus(2)
-    linalg._openblas_threads()[1](2)  # the fixture's pin restores the count after the test
-    before = threading.active_count()
-    pass_ = streamed_layers(NetworkSpec(3, 200, 200, 0, ActivationKind.TANH), GAUSS, Rng(50), Rng(51).normal(size=(384, 200)))
-    for _ in pass_:
-        assert threading.active_count() == before
-    assert steps == [384] * 3
+    split = []
+    for x in streamed_layers(spec, GAUSS, Rng(50), batch):
+        assert get_threads() == 2
+        split.append(x.tobytes())
+    assert split == serial
+    assert sorted(steps) == [992] * 3 + [1008] * 3
+    pass_ = streamed_layers(spec, GAUSS, Rng(50), batch)
+    next(pass_)
+    pass_.close()
+    assert get_threads() == 2
 
 
 def test_a_failing_row_block_reaches_the_caller(cpus, monkeypatch):
