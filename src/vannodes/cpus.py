@@ -2,10 +2,10 @@
 thread count, the forked fan-out of independent training calls
 (``fan_out``) and the row blocks of a streamed probe pass (``row_blocked``).
 
-Both split work over the CPUs of the process's affinity only where BLAS is
-pinned to one thread (``one_blas_thread``), so that no output's bits depend
-on the number of CPUs or on ``OPENBLAS_NUM_THREADS``; where numpy's
-OpenBLAS is not found, nothing is split.
+Both split work over ``_cpus()``, with BLAS pinned to one thread
+(``one_blas_thread``), so that no output's bits depend on the number of CPUs
+or on ``OPENBLAS_NUM_THREADS``; where numpy's OpenBLAS is not found or the
+platform reports no affinity (macOS, Windows), nothing is split.
 """
 
 import ctypes
@@ -37,19 +37,27 @@ def _openblas_threads():
 @contextmanager
 def one_blas_thread():
     """Pin numpy's OpenBLAS to one thread inside the block and restore the
-    caller's count after it, also when the block raises.  Yields whether it
-    pinned: False where OpenBLAS is not found, whose count it leaves alone."""
+    caller's count after it, also when the block raises.  Where OpenBLAS is
+    not found, it leaves the count alone."""
     blas = _openblas_threads()
     if blas is None:
-        yield False
+        yield
         return
     get_threads, set_threads = blas
     threads = get_threads()
     set_threads(1)
     try:
-        yield True
+        yield
     finally:
         set_threads(threads)
+
+
+def _cpus() -> int:
+    """The CPUs work may be split over: the process's affinity where the
+    platform reports it and numpy's OpenBLAS is found, else 1."""
+    if _openblas_threads() is None or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 # Estimated layer-steps (``experiments._train_work``) that the smallest share
@@ -68,14 +76,14 @@ def fan_out(calls: list):
     call that raised, as the calls made one after another would.
 
     The calls run inside ``one_blas_thread``, so their bits do not depend on
-    how many CPUs share them.  They are split into one share per CPU of the
-    process's affinity (at most one per call), longest first.  When the
-    smallest share's work exceeds ``_FAN_OUT_FLOOR``, the parent computes one
-    share and a child started by ``os.fork`` each other; a child sends its
-    results back as one pickle and ends with ``os._exit``, running no
-    handler of the parent's.  Otherwise the calls are made in-process, one
-    after another, each result yielded as it comes; so are they where
-    OpenBLAS is not found, at its own thread count.  Fork, not a spawned
+    how many CPUs share them.  They are split into one share per CPU of
+    ``_cpus()`` (at most one per call), longest first.  When the smallest
+    share's work exceeds ``_FAN_OUT_FLOOR``, the parent computes one share
+    and a child started by ``os.fork`` each other; a child sends its results
+    back as one pickle and ends with ``os._exit``, running no handler of the
+    parent's.  Otherwise, as for calls of work 0, the calls are made
+    in-process, one after another, each result yielded as it comes (where
+    OpenBLAS is not found, at its own thread count).  Fork, not a spawned
     pool: starting a spawned worker takes about 0.5 s, longer than a whole
     `grid-tanh` pass.  The threads of OpenBLAS's pool are idle at the fork,
     and the only other threads a vannodes process starts, ``row_blocked``'s,
@@ -86,14 +94,14 @@ def fan_out(calls: list):
     where it pickles, with the child's traceback as a note; otherwise it
     arrives as a RuntimeError holding that traceback.  Every child has been
     reaped before the first result is yielded."""
-    shares = [[] for _ in range(min(len(os.sched_getaffinity(0)), len(calls)))]
+    shares = [[] for _ in range(min(_cpus(), len(calls)))]
     loads = [0] * len(shares)
     for i in sorted(range(len(calls)), key=lambda i: -calls[i][0]):  # longest first, ties in order
         w = loads.index(min(loads))
         shares[w].append(i)
         loads[w] += calls[i][0]
-    with one_blas_thread() as pinned:
-        if not pinned or len(shares) < 2 or min(loads) <= _FAN_OUT_FLOOR:
+    with one_blas_thread():
+        if len(shares) < 2 or min(loads) <= _FAN_OUT_FLOOR:
             yield from (call() for _, call in calls)
             return
         results, failures = _forked([sorted(share) for share in shares], calls)
@@ -226,13 +234,13 @@ def row_blocked(x: np.ndarray, weights, step):
     the caller closes it early."""
     from concurrent.futures import ThreadPoolExecutor  # about 10 ms, so imported on first use, not with the module
 
-    cpus = len(os.sched_getaffinity(0))
+    cpus = _cpus()
     with ThreadPoolExecutor(max(1, cpus - 1)) as pool:  # starts a thread only when a block is submitted
         with one_blas_thread():
             w = next(weights, None)
         while w is not None:
-            with one_blas_thread() as pinned:
-                (a, b), *others = _row_blocks(len(x), w.size, cpus if pinned else 1)
+            with one_blas_thread():
+                (a, b), *others = _row_blocks(len(x), w.size, cpus)
                 out = np.empty((len(x), w.shape[0]))
                 steps = [pool.submit(step, x[c:d], w, out[c:d]) for c, d in others]
                 step(x[a:b], w, out[a:b])

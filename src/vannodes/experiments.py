@@ -8,11 +8,11 @@ a resumed call writes the same bytes as a fresh one.  The other runners
 recompute every cell on each call.  ``_write`` is the one writer of result
 files: it replaces each CSV and SVG (``svgplot`` only renders the text)
 whole, and only ``RunStore.add`` appends, one row to a run CSV.  ``cpus``
-spreads the work over the CPUs: ``fan_out`` trains `run_grid`'s depth groups
-and the table cells of `run_tasks_table` and `run_orthogonal_table`, and the
-probe passes of `run_vni_sweep` and `run_heatmap` split their layers' rows.
-Those runners read their statistics on one BLAS thread too, so that no BLAS
-thread they wake spins beside a pass's row blocks.
+spreads the work over the CPUs: ``fan_out`` computes every resumable
+runner's groups (``_stored_runs``) and the cells of both tables, and the
+probe passes of `run_vni_sweep` and `run_heatmap` split their layers' rows
+and read their statistics on one BLAS thread (the sweep's is the fan-out's
+pin), so that no BLAS thread they wake spins beside a pass's row blocks.
 """
 
 from __future__ import annotations
@@ -169,29 +169,24 @@ class RunStore:
             f.write(",".join([key, *fields]) + "\n")
 
 
-def _stored_runs(config: ExperimentConfig, name: str, columns: dict, groups: list, compute, work=None) -> list:
+def _stored_runs(config: ExperimentConfig, name: str, columns: dict, groups: list, compute, work=lambda args: 0) -> list:
     """Stored rows of the run CSV ``name``, grouped by ``config.runs``.
 
     ``groups`` lists groups of (run key, run arguments) pairs, run index
     innermost; a key listed twice is one run.  Only the keys the CSV does
     not hold yet are computed, each in the first group that lists it: for
     each group, ``compute`` gets the arguments of those keys, in order, and
-    returns their rows.  The groups are computed one after another, each
-    stored as soon as it is computed; with ``work``, which estimates a
-    group's work from the same arguments, by ``cpus.fan_out``, whose rows
-    are stored in group order.  Returns one list of ``config.runs`` rows per
-    cell, in the order of ``groups``, each parsed by ``columns``
-    (``RunStore``).
+    returns their rows.  The groups are computed by ``cpus.fan_out``, with
+    the work ``work`` estimates from the same arguments (by default 0: made
+    in-process), and each is stored, in group order, as soon as the fan-out
+    yields it.  Returns one list of ``config.runs`` rows per cell, in the
+    order of ``groups``, each parsed by ``columns`` (``RunStore``).
     """
     store = RunStore(config, name, columns, {key for group in groups for key, _ in group})
     pending = {key: args for group in groups for key, args in group if key not in store.rows}
     todo = [missing for group in groups if (missing := {key: pending.pop(key) for key, _ in group if key in pending})]
     args = [list(missing.values()) for missing in todo]
-    if work is None:
-        computed = (compute(a) for a in args)
-    else:
-        computed = fan_out([(work(a), lambda a=a: compute(a)) for a in args])
-    for missing, rows in zip(todo, computed):
+    for missing, rows in zip(todo, fan_out([(work(a), lambda a=a: compute(a)) for a in args])):
         for key, row in zip(missing, rows, strict=True):
             store.add(key, row)
     rows = [store.rows[key] for group in groups for key, _ in group]
@@ -357,10 +352,9 @@ def run_vni_sweep(config: ExperimentConfig) -> dict:
     def compute(missing):  # the missing rows of one width, in cell order
         width = missing[0][0]
         profiles = {}  # run -> {depth: indicator}, from one probe pass per missing run
-        with one_blas_thread():  # see the module's docstring
-            for run in dict.fromkeys(run for _, _, run in missing):
-                probe_pass = _probe_layers(config, max(listed), width, gain, Rng(config.master_seed, (width, run)))
-                profiles[run] = {d: float(vni_empirical(x)[0]) for d, x in enumerate(probe_pass, 1) if d in listed}
+        for run in dict.fromkeys(run for _, _, run in missing):
+            probe_pass = _probe_layers(config, max(listed), width, gain, Rng(config.master_seed, (width, run)))
+            profiles[run] = {d: float(vni_empirical(x)[0]) for d, x in enumerate(probe_pass, 1) if d in listed}
         return [[width, depth, profiles[run][depth]] for _, depth, run in missing]
 
     groups = [
@@ -425,7 +419,7 @@ def run_heatmap(config: ExperimentConfig) -> dict:
 
 
 def run_dynamics(config: ExperimentConfig) -> dict:
-    """Per-epoch indicator quartiles across runs, one band per learning rate."""
+    """Per-epoch indicator quartiles across runs, one band (and group of runs) per learning rate."""
     task = _task(config)
     gain = resolve_gain(config, task[2], config.init_kind)
 
@@ -436,13 +430,13 @@ def run_dynamics(config: ExperimentConfig) -> dict:
             for (lr, key), r in zip(missing, results)
         ]
 
-    cells = [
-        (f"lr{lr_index}_r{run}", (lr, (lr_index, run)))
+    work = _train_work(config, config.depths[0], task)
+    groups = [
+        [(f"lr{lr_index}_r{run}", (lr, (lr_index, run))) for run in range(config.runs)]
         for lr_index, lr in enumerate(config.learning_rates)
-        for run in range(config.runs)
     ]
     columns = {"lr": _FINITE, "run": int, "epochs": int, "vni_series": _series}
-    stored = _stored_runs(config, "dynamics_runs", columns, [cells], compute)
+    stored = _stored_runs(config, "dynamics_runs", columns, groups, compute, lambda missing: work)
     series, rows, plot_series = {}, [], {}
     for lr, cell in zip(config.learning_rates, stored):
         runs = [row[3] for row in cell]
@@ -505,9 +499,6 @@ def run_grid(config: ExperimentConfig) -> dict:
             for (_, lr, key), r in zip(missing, results)
         ]
 
-    def work(missing):
-        return _train_work(config, missing[0][0], task)
-
     groups = [
         [
             (f"L{depth}_lr{lr_index}_r{run}", (depth, lr, (config.depths.index(depth), lr_index, run)))
@@ -517,7 +508,7 @@ def run_grid(config: ExperimentConfig) -> dict:
         for depth in config.depths
     ]
     columns = {"depth": int, "lr": _FINITE, "run": int, "success": _SUCCESS, "final_vni": _VNI, "gain_median": _FINITE}
-    stored = iter(_stored_runs(config, "grid_runs", columns, groups, compute, work))
+    stored = iter(_stored_runs(config, "grid_runs", columns, groups, compute, lambda m: _train_work(config, m[0][0], task)))
     prob = np.zeros((len(config.depths), len(config.learning_rates)))
     success_rows, per_run = [], []
     for i, depth in enumerate(config.depths):

@@ -36,12 +36,16 @@ class _Axes:
         return _H - _MB - (y - self.y0) / (self.y1 - self.y0) * (_H - _MT - _MB)
 
 
-def _frame(title: str, x_label: str, y_label: str, axes: _Axes, x_ticks, y_ticks) -> list:
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="12">',
+def _head(title: str) -> list:  # the <svg> tag, the white background and the title of every plot
+    return [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="12">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<text x="{_W / 2}" y="18" text-anchor="middle" font-size="14">{title}</text>',
+    ]
+
+
+def _frame(title: str, x_label: str, y_label: str, axes: _Axes, x_ticks, y_ticks) -> list:
+    parts = _head(title) + [
         f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" height="{_H - _MT - _MB}" '
         'fill="none" stroke="#333"/>',
         f'<text x="{_W / 2}" y="{_H - 8}" text-anchor="middle">{x_label}</text>',
@@ -110,12 +114,7 @@ def heatmap(matrix, title=""):
     m = np.asarray(matrix, dtype=float)
     rows, cols = m.shape
     side = min((_W - _ML - _MR) / cols, (_H - _MT - _MB) / rows)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W / 2}" y="18" text-anchor="middle" font-size="14">{title}</text>',
-    ]
+    parts = _head(title)
     for i in range(rows):
         for j in range(cols):
             shade = int(round(255 * (1.0 - min(max(float(m[i, j]), 0.0), 1.0))))

@@ -1,5 +1,7 @@
 import hashlib
 import os
+import shutil
+import struct
 import warnings
 from pathlib import Path
 
@@ -102,6 +104,54 @@ def test_every_subcommand_writes_the_recorded_bytes_at_any_blas_thread_count(thr
         test_every_subcommand_writes_the_recorded_bytes(tmp_path, monkeypatch)
     finally:
         set_threads(before)
+
+
+def test_every_subcommand_writes_the_recorded_bytes_without_an_affinity_call(tmp_path, monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity: there nothing is split
+    # or forked, even where every fan-out would fork, and the files keep
+    # their recorded bytes.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(cpus_module, "_FAN_OUT_FLOOR", 0)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("a fan-out forked without an affinity call"))
+    test_every_subcommand_writes_the_recorded_bytes(tmp_path, monkeypatch)
+
+
+def _write_mnist(directory: Path):
+    """The four MNIST IDX files in ``directory``: random pixels and labels
+    0-9 of 100 training and 50 test images."""
+    directory.mkdir()
+    rng = Rng(7)
+    for prefix, count in (("train", 100), ("t10k", 50)):
+        images = rng.integers(0, 256, size=(count, 28, 28)).astype(np.uint8).tobytes()
+        labels = rng.integers(0, 10, size=count).astype(np.uint8).tobytes()
+        (directory / f"{prefix}-images-idx3-ubyte").write_bytes(struct.pack(">IIII", 0x803, count, 28, 28) + images)
+        (directory / f"{prefix}-labels-idx1-ubyte").write_bytes(struct.pack(">II", 0x801, count) + labels)
+
+
+def test_dynamics_writes_the_same_bytes_at_any_blas_thread_count(tmp_path, monkeypatch):
+    # At MNIST's shape two BLAS threads and one differ in the last bit of a
+    # training step; dynamics trains inside the fan-out's one-thread pin, so
+    # its files do not depend on the caller's thread count.
+    blas = cpus_module._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's OpenBLAS is not found")
+    monkeypatch.chdir(tmp_path)  # relative paths keep the config hash fixed
+    _write_mnist(tmp_path / "mnist")
+    config = ExperimentConfig(
+        experiment="dynamics", dataset="mnist", mnist_dir="mnist", widths=[100], depths=[1], batch_size=100,
+        epochs=2, runs=2, learning_rates=[0.01, 0.1], out_dir="out",
+    )  # fmt: skip
+    get_threads, set_threads = blas
+    before, written = get_threads(), []
+    try:
+        for threads in (1, 2):
+            set_threads(threads)
+            experiments.run_dynamics(config)
+            written.append(_files("out"))
+            shutil.rmtree("out")
+    finally:
+        set_threads(before)
+    assert len(written[0]) == 3 and written[0] == written[1]
 
 
 def test_a_crash_while_replacing_a_file_keeps_the_old_one(tmp_path, monkeypatch):
@@ -650,4 +700,16 @@ def test_a_crash_in_a_fan_out_leaves_the_rows_of_a_serial_crash(depths, failing,
     if expected is RuntimeError:
         assert "Traceback" in str(caught.value)
     assert (tmp_path / runs_name).read_bytes() == serial
+    _no_child_left()
+
+
+def test_dynamics_trains_its_learning_rates_in_forked_workers(tmp_path, monkeypatch):
+    # One group per learning rate, each trained by a forked worker where the
+    # fan-out forks; test_forked_runners_write_the_recorded_bytes checks
+    # their bytes.
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one CPU: every fan-out runs in-process")
+    forks = _forking(monkeypatch)
+    experiments.run_dynamics(ExperimentConfig(experiment="dynamics", **SMALL, out_dir=str(tmp_path)))
+    assert forks
     _no_child_left()
