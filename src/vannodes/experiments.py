@@ -7,12 +7,9 @@ runs the CSV does not hold yet, and aggregate from the stored rows alone, so
 a resumed call writes the same bytes as a fresh one.  The other runners
 recompute every cell on each call.  ``_write`` is the one writer of result
 files: it replaces each CSV and SVG (``svgplot`` only renders the text)
-whole, and only ``RunStore.add`` appends, one row to a run CSV.  ``cpus``
-spreads the work over the CPUs: ``fan_out`` computes every resumable
-runner's groups (``_stored_runs``) and the cells of both tables, and the
-probe passes of `run_vni_sweep` and `run_heatmap` split their layers' rows
-and read their statistics on one BLAS thread (the sweep's is the fan-out's
-pin), so that no BLAS thread they wake spins beside a pass's row blocks.
+whole, and only ``RunStore.add`` appends, one row to a run CSV.  Every
+runner computes through ``cpus.fan_out``, on one BLAS thread: only the task
+load and the gain tune, which make no matrix product, run outside it.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from .analysis import (
 from .config import ExperimentConfig
 from .data import gaussian_probe, load_mnist_idx, synthetic_task
 from .initializers import InitKind, InitializerSpec
-from .cpus import fan_out, one_blas_thread
+from .cpus import fan_out
 from .linalg import Rng
 from .network import build_network, streamed_layers
 from .training import train
@@ -394,13 +391,15 @@ def run_heatmap(config: ExperimentConfig) -> dict:
     gain = resolve_gain(config, config.sigma_x_sq, config.init_kind)
     cells = [(config.widths[0], depth) for depth in config.depths]
     cells += [(width, config.depths[0]) for width in config.widths[1:]]
+    def compute(width, depth):  # the cell's indicator, mean off-diagonal and ordered correlations
+        for x_L in _probe_layers(config, depth, width, gain, Rng(config.master_seed, (width, depth))):
+            pass
+        vni, corr_sq, _ = vni_empirical(x_L)
+        off_diag = (corr_sq.sum() - np.trace(corr_sq)) / (width * (width - 1))
+        return vni, off_diag, correlation_heatmap(corr_sq)[0]
+
     results, summary = {}, []
-    for width, depth in cells:
-        with one_blas_thread():  # see the module's docstring
-            for x_L in _probe_layers(config, depth, width, gain, Rng(config.master_seed, (width, depth))):
-                pass
-            vni, corr_sq, _ = vni_empirical(x_L)
-        permuted, _ = correlation_heatmap(corr_sq)
+    for (width, depth), (vni, off_diag, permuted) in zip(cells, fan_out([(0, lambda c=c: compute(*c)) for c in cells])):
         tag = f"heatmap_N{width}_L{depth}"
         _write_csv(
             config,
@@ -411,7 +410,6 @@ def run_heatmap(config: ExperimentConfig) -> dict:
         _write(_path(config, tag, "svg"), svgplot.heatmap(
             permuted, title=f"Squared node correlations, N={width}, L={depth}"
         ))
-        off_diag = (corr_sq.sum() - np.trace(corr_sq)) / (width * (width - 1))
         results[(width, depth)] = off_diag
         summary.append([width, depth, f"{off_diag:.8g}", f"{vni:.8g}"])
     _write_csv(config, "heatmap_summary", "width,depth,mean_offdiag_corr_sq,vni", summary)
@@ -560,16 +558,18 @@ def run_orthogonal_table(config: ExperimentConfig) -> dict:
 def run_diagnostics(config: ExperimentConfig) -> dict:
     """One-network report: indicator by every route, effective node counts,
     and forward/backward variance scales."""
-    width = config.widths[0]
-    depth = config.depths[0]
+    width, depth = config.widths[0], config.depths[0]
     gain = resolve_gain(config, config.sigma_x_sq, config.init_kind)
-    rng = Rng(config.master_seed, (depth, width))
-    spec = config.network_spec(depth, width, width, 0)
-    state = build_network(spec, _init_spec(config, config.init_kind, gain), rng.spawn(0))
-    probe = gaussian_probe(config.probe_samples, width, config.sigma_x_sq, rng.spawn(1))
-    report = vni_report(state, probe, moments=gain, s1=_s1(config), with_jacobian=True)
-    loss_grads = rng.spawn(2).normal(size=(probe.shape[0], width))
-    diag = gradient_diagnostics(state, probe, loss_grads, mu1=gain.mu1)
+    def compute():  # the network, its report and its variance scales
+        rng = Rng(config.master_seed, (depth, width))
+        spec = config.network_spec(depth, width, width, 0)
+        state = build_network(spec, _init_spec(config, config.init_kind, gain), rng.spawn(0))
+        probe = gaussian_probe(config.probe_samples, width, config.sigma_x_sq, rng.spawn(1))
+        report = vni_report(state, probe, moments=gain, s1=_s1(config), with_jacobian=True)
+        loss_grads = rng.spawn(2).normal(size=(probe.shape[0], width))
+        return report, gradient_diagnostics(state, probe, loss_grads, mu1=gain.mu1)
+
+    [(report, diag)] = fan_out([(0, compute)])
     rows = [
         ["vni_empirical", f"{report.vni_empirical:.8g}"],
         ["vni_covariance", f"{report.vni_covariance:.8g}"],

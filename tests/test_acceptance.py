@@ -304,13 +304,13 @@ def test_criterion_07_reflection_rescue():
             break
     check(7, "a depth where i.i.d. init fails exists", failing_depth is not None)
     spec = NetworkSpec(failing_depth, 64, train_set.input_dim, 10, ActivationKind.TANH)
-    max_dev = []
-
     res = vn.train(
-        spec, InitializerSpec(InitKind.HOUSEHOLDER), opt, train_set, crit,
-        Rng(0, (3, failing_depth)), test_set=test_set, batch_size=1, mu1=1.0,
-    )
-    w = res.final_state.weights
+        spec, InitializerSpec(InitKind.HOUSEHOLDER), [(0.01, Rng(0, (3, failing_depth)))], train_set, crit,
+        test_set=test_set, batch_size=1, mu1=1.0,
+    )[0]
+    # the reflections parametrize the square layers; the 64 x 784 input
+    # layer is not square, so it keeps its scaled Gaussian draw
+    w = [m for m in res.final_state.weights if m.shape[0] == m.shape[1]]
     max_dev = max(
         float(np.abs(m.T @ m - np.eye(m.shape[0])).max()) for m in w
     )

@@ -2,6 +2,7 @@ import hashlib
 import os
 import shutil
 import struct
+import sys
 import warnings
 from pathlib import Path
 
@@ -152,6 +153,27 @@ def test_dynamics_writes_the_same_bytes_at_any_blas_thread_count(tmp_path, monke
     finally:
         set_threads(before)
     assert len(written[0]) == 3 and written[0] == written[1]
+
+
+def test_diagnostics_return_the_same_bits_at_any_blas_thread_count(tmp_path):
+    # At this shape two BLAS threads and one differ in the last bits of the
+    # Jacobian route; diag computes inside the fan-out's one-thread pin, so
+    # its report does not depend on the caller's thread count.
+    blas = cpus_module._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's OpenBLAS is not found")
+    config = ExperimentConfig(experiment="diagnostics", widths=[250], depths=[30], probe_samples=1000, out_dir=str(tmp_path))
+    get_threads, set_threads = blas
+    before, returned = get_threads(), []
+    try:
+        for threads in (1, 2):
+            set_threads(threads)
+            result = experiments.run_diagnostics(config)
+            with np.printoptions(floatmode="unique", threshold=sys.maxsize):
+                returned.append(repr((result["report"], result["diagnostics"])))
+    finally:
+        set_threads(before)
+    assert returned[0] == returned[1]
 
 
 def test_a_crash_while_replacing_a_file_keeps_the_old_one(tmp_path, monkeypatch):
@@ -571,8 +593,9 @@ def test_grid_trains_a_depth_listed_twice_once(tmp_path, monkeypatch):
 
 
 def test_sweep_keeps_the_rows_computed_before_a_failure(tmp_path, monkeypatch):
-    # The sweep stores each row as it is computed: when a later row fails,
-    # the rows before it are in the run CSV and are not computed again.
+    # The sweep stores a width's rows when its probe passes end: when a later
+    # width fails, the rows before it are in the run CSV and are not computed
+    # again.
     config = ExperimentConfig(**SWEEP, out_dir=str(tmp_path))
     experiments.run_vni_sweep(config)
     fresh = _files(tmp_path)

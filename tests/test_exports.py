@@ -2,8 +2,10 @@
 break ``from vannodes.<module> import *`` only when it runs."""
 
 import ast
+import builtins
 import importlib
 import pkgutil
+import symtable
 from pathlib import Path
 
 import pytest
@@ -48,6 +50,36 @@ def test_no_module_imports_a_name_it_never_uses(name):
     assert _unused_imports(path.read_text()) == []
 
 
+def _unbound_globals(source: str) -> list:
+    """Global names a module's code reads that neither the module nor a
+    ``global`` statement of it binds, and that are not builtins or
+    ``__file__``: each raises NameError when the line reading it runs."""
+    top = symtable.symtable(source, "<module>", "exec")
+    bound, read = set(), set()
+
+    def visit(table):
+        for s in table.get_symbols():
+            if table is top or s.is_global():
+                if s.is_assigned() or s.is_imported():
+                    bound.add(s.get_name())
+                if s.is_referenced():
+                    read.add(s.get_name())
+        for child in table.get_children():
+            visit(child)
+
+    visit(top)
+    return sorted(read - bound - set(dir(builtins)) - {"__file__"})
+
+
+SOURCES = sorted(Path(vannodes.__path__[0]).glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_module_reads_a_global_it_never_binds(path):
+    assert _unbound_globals(path.read_text()) == []
+    assert _unbound_globals("def f():\n    return opt\n") == ["opt"]  # the walk does see one
+
+
 def _writing_opens(source: str) -> list:
     """Qualified names of the functions of a module that call ``open`` with
     a mode that may write (a mode that is not a literal counts as one)."""
@@ -86,7 +118,8 @@ def test_only_the_writers_open_a_file_to_write():
 
 def _cpu_code(source: str) -> set:
     """The process and thread names a module reads or imports: ``os.fork``,
-    ``os.sched_getaffinity``, ``ThreadPoolExecutor`` and any OpenBLAS
+    ``os.sched_getaffinity``, ``ThreadPoolExecutor``, ``one_blas_thread``
+    (a BLAS pin outside ``fan_out`` and ``row_blocked``) and any OpenBLAS
     symbol (its thread getter and setter)."""
     names = set()
     for node in ast.walk(ast.parse(source)):
@@ -96,10 +129,11 @@ def _cpu_code(source: str) -> set:
             names.add(node.id)
         elif isinstance(node, ast.alias):
             names.update(node.name.split("."))
-    return {n for n in names if n in {"fork", "sched_getaffinity", "ThreadPoolExecutor"} or "openblas" in n.lower()}
+    cpu_names = {"fork", "sched_getaffinity", "ThreadPoolExecutor", "one_blas_thread"}
+    return {n for n in names if n in cpu_names or "openblas" in n.lower()}
 
 
 def test_only_cpus_forks_starts_threads_or_sets_blas_threads():
     found = {name: _cpu_code((Path(vannodes.__path__[0]) / f"{name}.py").read_text()) for name in MODULES}
     assert {name: names for name, names in found.items() if names and name != "cpus"} == {}
-    assert {"fork", "sched_getaffinity", "ThreadPoolExecutor"} < found["cpus"]  # the walk does see them
+    assert {"fork", "sched_getaffinity", "ThreadPoolExecutor", "one_blas_thread"} < found["cpus"]  # the walk does see them
