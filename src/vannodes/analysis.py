@@ -231,7 +231,7 @@ def gradient_diagnostics(
     var_in = float(grads.input_gradient.var())
     sigma_y_sq = float(np.asarray(loss_grads).var())
     gains = per_layer_gain(state, mu1)
-    gain = float(np.median(gains)) if gains.size else 1.0
+    gain = float(np.median(gains))
     return GradientDiagnostics(
         per_layer_gain=gains,
         var_x_L=var_x_l,

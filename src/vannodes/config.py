@@ -71,9 +71,10 @@ class ExperimentConfig:
             raise ValueError(f"optimizer must be sgd, got {self.optimizer!r}")
         if self.dataset.lower() not in DATASETS:
             raise ValueError(f"dataset must be one of {', '.join(DATASETS)}, got {self.dataset!r}")
-        for name in ("widths", "depths", "learning_rates"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must hold at least one value")
+        for name in ("widths", "depths", "learning_rates"):  # each value names its own cells
+            values = getattr(self, name)
+            if not values or len(set(values)) < len(values):
+                raise ValueError(f"{name} must hold at least one value and none twice, got {values}")
         # the indicator correlates probe rows, so it needs two of them
         smallest = {
             "runs": 1, "batch_size": 1, "probe_samples": 2, "epochs": 1, "widths": 1, "depths": 1,

@@ -170,18 +170,16 @@ def _stored_runs(config: ExperimentConfig, name: str, columns: dict, groups: lis
     """Stored rows of the run CSV ``name``, grouped by ``config.runs``.
 
     ``groups`` lists groups of (run key, run arguments) pairs, run index
-    innermost; a key listed twice is one run.  Only the keys the CSV does
-    not hold yet are computed, each in the first group that lists it: for
-    each group, ``compute`` gets the arguments of those keys, in order, and
-    returns their rows.  The groups are computed by ``cpus.fan_out``, with
-    the work ``work`` estimates from the same arguments (by default 0: made
-    in-process), and each is stored, in group order, as soon as the fan-out
-    yields it.  Returns one list of ``config.runs`` rows per cell, in the
-    order of ``groups``, each parsed by ``columns`` (``RunStore``).
+    innermost, no key twice.  Only the keys the CSV does not hold yet are
+    computed: for each group, ``compute`` gets their arguments, in order,
+    and returns their rows.  The groups are computed by ``cpus.fan_out``,
+    with the work ``work`` estimates from the same arguments (by default 0:
+    made in-process), and each is stored, in group order, as soon as the
+    fan-out yields it.  Returns one list of ``config.runs`` rows per cell,
+    in the order of ``groups``, each parsed by ``columns`` (``RunStore``).
     """
     store = RunStore(config, name, columns, {key for group in groups for key, _ in group})
-    pending = {key: args for group in groups for key, args in group if key not in store.rows}
-    todo = [missing for group in groups if (missing := {key: pending.pop(key) for key, _ in group if key in pending})]
+    todo = [missing for group in groups if (missing := {key: args for key, args in group if key not in store.rows})]
     args = [list(missing.values()) for missing in todo]
     for missing, rows in zip(todo, fan_out([(work(a), lambda a=a: compute(a)) for a in args])):
         for key, row in zip(missing, rows, strict=True):
@@ -483,9 +481,7 @@ def run_tasks_table(config: ExperimentConfig) -> dict:
 
 def run_grid(config: ExperimentConfig) -> dict:
     """Success probability over (depth, learning rate) with per-run final
-    indicator and gain records for the failure-attribution summaries.  A
-    depth listed twice is trained once, from the seeds of its first listing,
-    and both listings read its runs."""
+    indicator and gain records for the failure-attribution summaries."""
     task = _task(config)
     gain = resolve_gain(config, task[2], config.init_kind)
 
@@ -499,11 +495,11 @@ def run_grid(config: ExperimentConfig) -> dict:
 
     groups = [
         [
-            (f"L{depth}_lr{lr_index}_r{run}", (depth, lr, (config.depths.index(depth), lr_index, run)))
+            (f"L{depth}_lr{lr_index}_r{run}", (depth, lr, (depth_index, lr_index, run)))
             for lr_index, lr in enumerate(config.learning_rates)
             for run in range(config.runs)
         ]
-        for depth in config.depths
+        for depth_index, depth in enumerate(config.depths)
     ]
     columns = {"depth": int, "lr": _FINITE, "run": int, "success": _SUCCESS, "final_vni": _VNI, "gain_median": _FINITE}
     stored = iter(_stored_runs(config, "grid_runs", columns, groups, compute, lambda m: _train_work(config, m[0][0], task)))

@@ -96,6 +96,9 @@ class TestConfig:
             ("activation=foo", "activation"),
             ("init=foo", "init"),
             ("optimizer=adam", "optimizer"),
+            ("depths=4,2,4", "depths"),
+            ("widths=8,8", "widths"),
+            ("learning_rates=0.1,0.10", "learning_rates"),
         ],
     )
     def test_bad_sizes_rejected(self, line, key):
@@ -179,6 +182,9 @@ class TestCli:
             ("learning_rates=nan", "learning_rates"),
             ("optimizer=adam", "optimizer"),
             ("epochs=0", "epochs"),
+            ("depths=4,4", "depths"),
+            ("widths=12,10,12", "widths"),
+            ("learning_rates=0.5,0.1,0.5", "learning_rates"),
         ],
     )
     def test_bad_config_exits_2(self, line, key, tmp_path, capsys):

@@ -482,32 +482,6 @@ def test_sweep_resumes_a_run_with_some_depths_stored(tmp_path):
     assert resumed == {name: data for name, data in fresh.items() if name != runs_name}
 
 
-def test_sweep_with_a_depth_listed_twice(tmp_path):
-    config = ExperimentConfig(**{**SWEEP, "depths": [4, 2, 4]}, out_dir=str(tmp_path))
-    results = experiments.run_vni_sweep(config)
-    reference = _sweep_reference(config)
-    assert _stored_vni(config, tmp_path) == {key: f"{v:.10g}" for key, v in reference.items()}
-    rows = (tmp_path / f"sweep_{config.config_hash()}.csv").read_text().splitlines()[2:]
-    for width in config.widths:
-        by_depth = [row for row in rows if row.startswith(f"{width},")]
-        assert [row.split(",")[1] for row in by_depth] == ["4", "2", "4"]
-        assert by_depth[0] == by_depth[2]
-        assert results[width][1][0] == results[width][1][2]
-
-
-def test_sweep_stores_each_run_of_a_depth_listed_twice_once(tmp_path):
-    # A run CSV that repeated a key would lose both rows on every resume.
-    config = ExperimentConfig(**{**SWEEP, "depths": [4, 2, 4]}, out_dir=str(tmp_path))
-    experiments.run_vni_sweep(config)
-    fresh = _files(tmp_path)
-    keys = [line.split(b",")[0] for line in fresh[f"sweep_runs_{config.config_hash()}.csv"].splitlines()[2:]]
-    assert len(keys) == len(set(keys)) == 2 * len(SWEEP["widths"]) * SWEEP["runs"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no row is dropped on resume
-        experiments.run_vni_sweep(config)
-    assert _files(tmp_path) == fresh
-
-
 @pytest.mark.parametrize("runs", [1, 3])
 def test_dynamics_quartiles_over_early_stopped_runs(runs, tmp_path):
     # Early stop ends runs at different epochs: the summary covers the
@@ -569,27 +543,38 @@ def test_grid_resume_trains_only_the_missing_runs(tmp_path, monkeypatch):
         assert trained == [rng_keys[line.split(",")[0]] for line in lines[kept:]], kept
 
 
-def test_grid_trains_a_depth_listed_twice_once(tmp_path, monkeypatch):
-    # A repeated depth is trained once, from the seeds of its first listing,
-    # and stored once, so that a resume drops no row, and both listings read
-    # its runs.
-    config = ExperimentConfig(**{**TINY["grid"], "depths": [2, 3, 2]}, out_dir=str(tmp_path))
-    trained, train = [], experiments.train
+class _Groups(Exception):
+    """Raised, with the groups it was handed, by a stand-in for ``_stored_runs``."""
 
-    def counting_train(*args, **kwargs):
-        trained.extend(rng.key for _, rng in args[2])
-        return train(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "train", counting_train)
-    results = experiments.run_grid(config)
-    assert trained == [(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1)]
-    assert results["probability"][0].tolist() == results["probability"][2].tolist()
-    fresh = _files(tmp_path)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no row is dropped on resume
-        experiments.run_grid(config)
-    assert _files(tmp_path) == fresh
-    assert len(trained) == 4
+def _capture_groups(config, name, columns, groups, compute, work=None):
+    raise _Groups(groups)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    depths=st.lists(st.integers(1, 300), min_size=1, max_size=4, unique=True),
+    widths=st.lists(st.integers(1, 300), min_size=1, max_size=4, unique=True),
+    learning_rates=st.lists(st.floats(1e-6, 10.0), min_size=1, max_size=4, unique=True),
+    runs=st.integers(1, 3),
+)
+def test_resumable_runners_store_each_run_key_once(depths, widths, learning_rates, runs):
+    # The config lists no depth, width or learning rate twice, so each
+    # resumable runner hands ``_stored_runs`` one key per run of its cells:
+    # a key listed twice would be stored in two rows, and a resume drops both.
+    cells = {
+        experiments.run_vni_sweep: len(widths) * len(depths),
+        experiments.run_grid: len(depths) * len(learning_rates),
+        experiments.run_dynamics: len(learning_rates),
+    }
+    fields = dict(depths=depths, widths=widths, learning_rates=learning_rates, runs=runs, sigma_w_sq=1.0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "_stored_runs", _capture_groups)
+        for runner, n_cells in cells.items():
+            with pytest.raises(_Groups) as caught:  # before anything is computed
+                runner(ExperimentConfig(**fields))
+            keys = [key for group in caught.value.args[0] for key, _ in group]
+            assert len(set(keys)) == len(keys) == n_cells * runs, runner.__name__
 
 
 def test_sweep_keeps_the_rows_computed_before_a_failure(tmp_path, monkeypatch):
