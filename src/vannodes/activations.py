@@ -71,7 +71,7 @@ _IN_PLACE = {
 
 
 def in_place(kind: ActivationKind):
-    """phi as a function that overwrites a float64 array h with phi(h) and
+    """phi as a function that overwrites a float array h with phi(h) and
     returns it, for a loop that applies one kind many times: ``apply``
     without its per-call conversion and dispatch."""
     if kind not in _IN_PLACE:

@@ -60,12 +60,31 @@ class GradientDiagnostics:
     predicted_var_input_grad: float
 
 
+# 2^24 x float32's smallest normal, 2^-126: float32 activations whose largest
+# |x| is below this lie where float32 keeps fewer than its 24 bits, since the
+# entries within 2^-24 of the largest are subnormal (or have underflowed).
+_FLOAT32_FLOOR = 2.0**-102
+
+
 def _corr_stats(activations: np.ndarray):
-    """Sample covariance of a (batch >= 2) x N activation matrix, or of each in an R-stack, and its diagonal."""
-    a = np.asarray(activations, dtype=np.float64)
+    """Sample covariance of a (batch >= 2) x N activation matrix, or of each
+    in an R-stack, and its diagonal, in float64.  float32 activations (the
+    probe pass's) are centred on their float64 mean straight into one
+    float64 array, and raise a ValueError when any is non-finite or the
+    largest |x| is below ``_FLOAT32_FLOOR``."""
+    a = np.asarray(activations)
+    if a.dtype != np.float32:
+        a = np.asarray(a, dtype=np.float64)
     if a.ndim not in (2, 3) or a.shape[-2] < 2:
         raise ValueError("need a (batch >= 2) x N activation matrix, or a stack of them")
-    centered = a - a.mean(axis=-2, keepdims=True)
+    if a.dtype == np.float32:
+        largest = max(float(a.max()), -float(a.min()))
+        if not _FLOAT32_FLOOR <= largest < math.inf:  # also when it is NaN
+            raise ValueError(
+                f"float32 activations out of float32's range: largest |x| = {largest:.3g}, which is non-finite or "
+                f"below 2^24 x float32's smallest normal ({_FLOAT32_FLOOR:.3g}); the pass overflowed or underflowed"
+            )
+    centered = a - a.mean(axis=-2, keepdims=True, dtype=np.float64)
     cov = (centered.swapaxes(-1, -2) @ centered) / (a.shape[-2] - 1)
     var = np.diagonal(cov, axis1=-2, axis2=-1).copy()
     if np.any(np.all(var == 0, axis=-1)):

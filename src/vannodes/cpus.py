@@ -192,21 +192,26 @@ def _forked(shares: list, calls: list) -> tuple:
             os.waitpid(pid, 0)
 
 
-# A probe layer's rows are split into blocks only when each block makes at
-# least _ROW_BLOCK_FLOOR multiply-adds (rows x N x fan_in), and every block
-# but the last is a whole number of _ROW_QUANTUM rows, so that each block's
-# product has the bits of the whole product's rows.  Measured with OpenBLAS
-# 0.3.31's SkylakeX kernels on one thread:
+# A probe layer's rows (float32, an sgemm) are split into blocks only when
+# each block makes at least _ROW_BLOCK_FLOOR multiply-adds (rows x N x
+# fan_in), and every block but the last is a whole number of _ROW_QUANTUM
+# rows, so that each block's product has the bits of the whole product's
+# rows.  Measured with OpenBLAS 0.3.31 on one thread:
+# - on its SkylakeX kernels, float32 blocks cut at any row kept every bit
+#   for N = fan_in in 8..599 at 2000 rows split in 2, 3 and 4.  On its
+#   Haswell kernels (OPENBLAS_CORETYPE=Haswell, the ones a CPU without
+#   AVX-512 gets), cuts at multiples of 16 rows changed bits at N = 64..512
+#   and cuts at multiples of 12 or 48 did not; 48 rows also kept every bit
+#   of a float64 product on SkylakeX, where cuts off multiples of 12 did not;
 # - a product of at most 10^6 multiply-adds may take a small-matrix path
-#   whose bits differ (blocks of up to 37 rows at N = 32, 6 at N = 200);
-# - at widths above 192 that are not a multiple of 8, a block that starts
-#   off a multiple of 12 rows changes the bits of its edge rows (N = 300:
-#   2000 rows split in 2 at row 1000).  Blocks cut at multiples of 48 rows
-#   kept every bit for N = fan_in in 8..599 split in 2, 3 and 4;
-# - at 2000 rows and 2 CPUs, a hard-tanh layer split in 2 took 1.03-1.13x
-#   the time of one block at N = 50 (2.5M multiply-adds a block),
-#   0.67-1.19x at N = 64 (4.1M), 0.55-0.85x at N = 100 and 0.60-0.66x at
-#   N = 200: below about 4M a block does not pay for its handoff.
+#   whose bits differ (float64: blocks of up to 37 rows at N = 32);
+# - at 2000 rows, a float32 hard-tanh layer split in 2 took, while both
+#   CPUs were free (the fastest tenth of 60 alternating pairs), 1.16x the
+#   time of one block at N = 40 (1.6M multiply-adds a block), 0.68x at
+#   N = 50 (2.5M), 0.72x at N = 64 (4.1M) and 0.54-0.60x from N = 92
+#   (8.5M); in the median 1.01x, 0.86x and 0.69-0.78x.  While the second
+#   CPU was busy every split took 1.06-1.22x.  Below about 4M the gain is
+#   not steady enough to pay for the handoff.
 _ROW_BLOCK_FLOOR = 1 << 22
 _ROW_QUANTUM = 48
 
@@ -223,13 +228,15 @@ def _row_blocks(rows: int, madds_per_row: int, cpus: int) -> list:
 
 
 def row_blocked(x: np.ndarray, weights, step):
-    """Yield x_1, x_2, ...: x_l is a fresh array whose rows
+    """Yield x_1, x_2, ...: x_l is a fresh array, of x's dtype, whose rows
     ``step(rows of x_{l-1}, w_l, the same rows of x_l)`` fills, for each
-    weight w_l (out x in) the iterator ``weights`` yields.  Each layer and
-    the draw of the next weight run inside ``one_blas_thread``, where one
-    pool thread steps each row block (``_row_blocks``) but the first, while
-    this thread steps the first and then draws; a block writes only its rows
-    of x_l, so no activation is copied.  The caller's BLAS thread count is
+    weight w_l (out x in) the iterator ``weights`` yields.  Its one caller,
+    ``network.streamed_layers``, steps in float32, for which the rules above
+    were measured.  Each layer and the draw of the next weight run inside
+    ``one_blas_thread``, where one pool thread steps each row block
+    (``_row_blocks``) but the first, while this thread steps the first and
+    then draws; a block writes only its rows of x_l, so no activation is
+    copied.  The caller's BLAS thread count is
     back at each yield, and the pool's threads end with the pass, also when
     the caller closes it early."""
     from concurrent.futures import ThreadPoolExecutor  # about 10 ms, so imported on first use, not with the module
@@ -241,7 +248,7 @@ def row_blocked(x: np.ndarray, weights, step):
         while w is not None:
             with one_blas_thread():
                 (a, b), *others = _row_blocks(len(x), w.size, cpus)
-                out = np.empty((len(x), w.shape[0]))
+                out = np.empty((len(x), w.shape[0]), x.dtype)
                 steps = [pool.submit(step, x[c:d], w, out[c:d]) for c, d in others]
                 step(x[a:b], w, out[a:b])
                 del w  # so that this thread holds one weight when it draws the next

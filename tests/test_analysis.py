@@ -7,12 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vannodes import analysis as an
-from vannodes.activations import ActivationMoments, ActivationKind, mu_quadrature
+from vannodes.activations import ActivationMoments, ActivationKind, mu_quadrature, tune_sigma_w_sq
 from vannodes.initializers import InitKind, InitializerSpec
 from vannodes.linalg import Rng
 from vannodes import initializers, training
-from vannodes.data import synthetic_task
-from vannodes.network import NetworkSpec, backward, build_network, build_stack, forward, headless, jacobian, run_state
+from vannodes.data import gaussian_probe, synthetic_task
+from vannodes.network import (
+    NetworkSpec,
+    backward,
+    build_network,
+    build_stack,
+    forward,
+    headless,
+    jacobian,
+    layers,
+    run_state,
+    streamed_layers,
+)
 
 
 def make_activations(n_samples=4000, width=20, seed=0):
@@ -82,6 +93,76 @@ class TestEmpirical:
         x[1] = 2.0
         with pytest.raises(ValueError, match="constant"):
             an.vni_empirical(x)
+
+    def test_float32_activations_read_as_their_float64_values(self):
+        # float32 activations are centred straight into one float64 array:
+        # the bits of the same values handed over in float64, with no second
+        # full-size copy.
+        x = make_activations(2000, 50, seed=11).astype(np.float32)
+        tracemalloc.start()
+        try:
+            value, corr_sq, variances = an.vni_empirical(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * x.size * 8, peak
+        want = an.vni_empirical(x.astype(np.float64))
+        assert value.hex() == want[0].hex()
+        assert corr_sq.tobytes() == want[1].tobytes() and variances.tobytes() == want[2].tobytes()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "tiny"])
+    def test_float32_activations_out_of_range_rejected(self, bad):
+        # A float32 pass that overflowed (a non-finite value) or underflowed
+        # (largest |x| below 2^24 x float32's smallest normal, 1.97e-31) is
+        # refused; float64 activations are not checked.
+        x = make_activations(100, 5, seed=12)
+        if bad == "tiny":
+            x *= 1e-32
+        else:
+            x[3, 2] = float(bad)
+        with pytest.raises(ValueError, match="float32"):
+            an.vni_empirical(x.astype(np.float32))
+        with np.errstate(invalid="ignore"):
+            an.vni_empirical(x)
+
+
+@pytest.mark.parametrize("kind", list(ActivationKind))
+@pytest.mark.parametrize("init_kind", [InitKind.SCALED_GAUSSIAN, InitKind.ORTHOGONAL, InitKind.HOUSEHOLDER])
+def test_float32_probe_pass_reads_the_float64_indicator(kind, init_kind):
+    # The probe pass rounds the probe and the weights to float32 and steps
+    # in float32; at the critical gain its indicator stays within 1e-6 of
+    # the built network's float64 pass at every 30th layer up to L = 120.
+    sigma_x_sq = 0.1
+    sigma_w_sq = 1.0 if init_kind is InitKind.HOUSEHOLDER else tune_sigma_w_sq(kind, sigma_x_sq)[0]
+    init = InitializerSpec(init_kind, sigma_w_sq)
+    for width in (32, 128):
+        spec = NetworkSpec(120, width, width, 0, kind)
+        probe = gaussian_probe(1000, width, sigma_x_sq, Rng(60))
+        float64 = layers(build_network(spec, init, Rng(61, (width,))), probe)
+        for depth, (x64, x32) in enumerate(zip(float64, streamed_layers(spec, init, Rng(61, (width,)), probe)), 1):
+            if depth % 30 == 0:
+                assert x32.dtype == np.float32
+                assert abs(an.vni_empirical(x32)[0] - an.vni_empirical(x64)[0]) <= 1e-6, (width, depth)
+
+
+def test_a_float32_pass_that_underflows_raises():
+    # tanh far below its critical gain (sigma_w^2 = sigma_x^2 = 0.1, N = 64):
+    # |x_l| shrinks about 10^-0.5 a layer.  At L = 60 (largest |x| 9.6e-31)
+    # the float32 pass reads the float64 indicator; at L = 120 the float64
+    # pass reads 0.90 from values about 1e-60, the float32 ones underflow to
+    # zero, and reading them raises instead of reporting "all nodes are
+    # constant".
+    init = InitializerSpec(InitKind.SCALED_GAUSSIAN, 0.1)
+    probe = gaussian_probe(1000, 64, 0.1, Rng(62))
+    spec = NetworkSpec(120, 64, 64, 0, ActivationKind.TANH)
+    float64 = layers(build_network(spec, init, Rng(63)), probe)
+    for depth, (x64, x32) in enumerate(zip(float64, streamed_layers(spec, init, Rng(63), probe)), 1):
+        if depth == 60:
+            assert abs(an.vni_empirical(x32)[0] - an.vni_empirical(x64)[0]) <= 1e-6
+    assert an.vni_empirical(x64)[0] == pytest.approx(0.9014, abs=1e-4)
+    assert not x32.any()
+    with pytest.raises(ValueError, match="float32"):
+        an.vni_empirical(x32)
 
 
 class TestCovarianceRoute:

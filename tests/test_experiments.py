@@ -12,13 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vannodes import cpus as cpus_module, experiments
+from vannodes.activations import in_place
 from vannodes.analysis import vni_empirical
 from vannodes.cli import _RUNNERS
 from vannodes.config import ExperimentConfig
 from vannodes.data import gaussian_probe
 from vannodes.initializers import InitializerSpec
 from vannodes.linalg import Rng
-from vannodes.network import build_network, output
+from vannodes.network import _layer_step, build_network
 
 SMALL = dict(
     depths=[4, 6], widths=[12, 10], runs=3, epochs=3, max_epochs=3, batch_size=4,
@@ -57,7 +58,9 @@ def test_resumed_run_rewrites_identical_files(experiment, runner, tmp_path):
 
 
 # sha256 of every file the seven subcommands write at SMALL, recorded before
-# the run-CSV columns were typed: the typed store writes the same bytes
+# the run-CSV columns were typed: the typed store writes the same bytes.  The
+# sweep and heatmap CSVs were recorded again when the probe pass moved to
+# float32 (their values moved by at most 2.75e-8, or one last printed digit)
 OUTPUT_DIGESTS = {
     "diagnostics_9bd2917e5f4d.csv": "f94b3f11d6fa528861d4a2fc10db5df23243cbda00c681e914d6ca03f2f5c2e9",
     "dynamics_69f636575cc1.csv": "0a3b4ac4b82ed1fe93e8e872ebab6d414ea2a56370e8480dc439dc21e7652a67",
@@ -68,18 +71,18 @@ OUTPUT_DIGESTS = {
     "grid_gain_box_d2fe2541efd5.svg": "975a92dce032e57aa9b8d68a206848c9e21a6474248a8e416da877bf82ef1a5f",
     "grid_runs_d2fe2541efd5.csv": "6e456e3a9aefa16992bb47ebbbee6b329f619cd8785182ee17777af83d625d96",
     "grid_vni_hist_d2fe2541efd5.csv": "0b5c495e99d9dd9eedbe28b4e82a9bb428960140ce3ba4daea79d55c68f64dc7",
-    "heatmap_N10_L4_ef7b08b6227f.csv": "6219d5d058fc39b561d2a41f1d1f646c12d6d3e6a31929a611959b9c7ab04318",
+    "heatmap_N10_L4_ef7b08b6227f.csv": "24dd6fa145da7d122dbdaa8e936bc46eb61ef34d3ca79895753bebd11f44b93c",
     "heatmap_N10_L4_ef7b08b6227f.svg": "caee37a9e9e7d7e2d4eb210d851857c189aaadc533265cc02b2af0a082320e7d",
-    "heatmap_N12_L4_ef7b08b6227f.csv": "acfbacf2673d16a8b386bc5df0939c97e6018a23b4a4eb31c0ca6a4aeb2c1568",
+    "heatmap_N12_L4_ef7b08b6227f.csv": "6077659837a76cad08e4150a7599390c3f2de48a861394db6c05d7e9c4317c90",
     "heatmap_N12_L4_ef7b08b6227f.svg": "7852b930486f75d32564992f7efbf10a6669f9afb37e923bcaf333468454eb2c",
-    "heatmap_N12_L6_ef7b08b6227f.csv": "e5f7c5aa3483f6a48e202e1bc09a13d67d1f520f154da5b38d790275da2a61b1",
+    "heatmap_N12_L6_ef7b08b6227f.csv": "174d8f6450c4cb9fc750f2777173b7e1a7043367d4ec9a0ed055adc06e2dfa69",
     "heatmap_N12_L6_ef7b08b6227f.svg": "31fcd61571cd2427d64ba08d8c4e73fa028abd30a842e41db4b6e752d335f4c8",
-    "heatmap_summary_ef7b08b6227f.csv": "b987b5d87a15e4e9a1e70b9230a2c90610100d1ff3252c3bf14fd4880f3eff8c",
+    "heatmap_summary_ef7b08b6227f.csv": "ae8185b3191ce57fda00e3b940417941fc8f3008146512de31005a3097081cd6",
     "orthogonal_table_91a2cf6b5167.csv": "3c9f07069cbd4ef490e939e430d8746a9546530e3a0065b7a0001c180f998d2d",
-    "sweep_5150ab322a67.csv": "e9d357aad1ef117ee884637b069f951e8c2a3db88ea5a19d6d2eb48640476708",
+    "sweep_5150ab322a67.csv": "990ec83491dce8d31067a84c1584dc4bc82ece4d2240b95596de2e9adbbdaf50",
     "sweep_N10_5150ab322a67.svg": "80b82a2d054ea56df00b4358df716c2df6ea65b464c08bcd8efaecf8088d5024",
     "sweep_N12_5150ab322a67.svg": "afab768265cd8d43dc9a3a485f21394ea5d17fd434dd7ff3de598f4c4d62e39c",
-    "sweep_runs_5150ab322a67.csv": "b5dc65b2e82d3516a6096751d2376e6617d219e2b93e11e394949e17a8cddbbc",
+    "sweep_runs_5150ab322a67.csv": "340471d35e5708244edcbd4dc932c828b83ced0b7a6d1b04cef6c096ca301acb",
     "tasks_ratio_4b95172312cd.csv": "dc552d4d5ab3072e6ec22334c46f1e158bc3887c8a14f60c216c8e43a70c956f",
     "tasks_table_4b95172312cd.csv": "c169d11c6ab5727f66edaad8e43610ff518be649d8e1dc1de8b7e00b15c0ccc2",
 }
@@ -416,17 +419,23 @@ def test_sweep_without_closed_form_s1(tmp_path):
 
 def _sweep_reference(config) -> dict:
     """Each sweep run's indicator from a network of exactly its depth, drawn
-    with the (width, run) key the sweep reads all its depths from."""
+    with the (width, run) key the sweep reads all its depths from and
+    stepped as the probe pass steps it: weights and probe rounded to float32,
+    every layer in float32."""
     gain = experiments.resolve_gain(config, config.sigma_x_sq, config.init_kind)
     init = InitializerSpec(config.init_kind, gain.sigma_w_sq, config.bottleneck_nb)
-    values = {}
+    phi, values = in_place(config.activation_kind), {}
     for width in config.widths:
+        bias = np.zeros(width, np.float32)
         for run in range(config.runs):
             rng = Rng(config.master_seed, (width, run))
             probe = gaussian_probe(config.probe_samples, width, config.sigma_x_sq, rng.spawn(1))
             for depth in config.depths:
                 state = build_network(config.network_spec(depth, width, width, 0), init, rng.spawn(0))
-                values[f"N{width}_L{depth}_r{run}"] = vni_empirical(output(state, probe))[0]
+                x = probe.astype(np.float32)
+                for w in state.weights:
+                    x = _layer_step(phi, x, w.astype(np.float32), bias)
+                values[f"N{width}_L{depth}_r{run}"] = vni_empirical(x)[0]
     return values
 
 
@@ -541,6 +550,27 @@ def test_grid_resume_trains_only_the_missing_runs(tmp_path, monkeypatch):
         experiments.run_grid(config)
         assert _files(tmp_path) == fresh, kept
         assert trained == [rng_keys[line.split(",")[0]] for line in lines[kept:]], kept
+
+
+def test_grid_plots_the_gains_of_successes_and_failures(tmp_path, monkeypatch):
+    # and2 at depth 2: every run at lr 0.5 fits the task in 20 epochs and
+    # none at lr 1e-4, so the gain box plot has both series, each the
+    # gain medians of its runs, and the indicator histogram both outcomes.
+    config = ExperimentConfig(
+        experiment="grid", widths=[8], depths=[2], runs=2, learning_rates=[0.5, 1e-4], epochs=20, max_epochs=20,
+        batch_size=4, dataset="and2", success_metric="train_accuracy", sigma_w_sq=1.0, out_dir=str(tmp_path),
+    )  # fmt: skip
+    plotted = {}
+    box_plot = experiments.svgplot.box_plot
+    monkeypatch.setattr(experiments.svgplot, "box_plot", lambda groups, **kw: plotted.update(groups) or box_plot(groups, **kw))
+    experiments.run_grid(config)
+    runs = [line.split(",") for line in (tmp_path / f"grid_runs_{config.config_hash()}.csv").read_text().splitlines()[2:]]
+    gains = {outcome: [float(r[6]) for r in runs if r[4] == flag] for outcome, flag in (("success", "1"), ("failure", "0"))}
+    assert gains["success"] and gains["failure"]
+    assert {label: list(v) for label, v in plotted.items()} == {"success gain": gains["success"], "failure gain": gains["failure"]}
+    hist = (tmp_path / f"grid_vni_hist_{config.config_hash()}.csv").read_text().splitlines()[2:]
+    counts = {outcome: sum(int(row.split(",")[3]) for row in hist if row.startswith(outcome)) for outcome in ("failed", "success")}
+    assert counts == {"failed": 2, "success": 2}
 
 
 class _Groups(Exception):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from vannodes import cpus as cpus_module, network
-from vannodes.activations import ActivationKind, apply as act_apply, derivative as act_derivative
+from vannodes.activations import ActivationKind, apply as act_apply, derivative as act_derivative, in_place as act_in_place
 from vannodes.initializers import InitKind, InitializerSpec, householder_backward
 from vannodes.linalg import Rng
 from vannodes.network import (
@@ -96,7 +96,8 @@ def test_output_equals_forward(kind, num_classes, input_dim, init):
 def test_layers_equal_forward_post(kind, init):
     # streamed_layers draws each layer from the stream build_network draws it
     # from and leaves out the readout, drawn last from its own stream: its x_l
-    # are the built network's byte for byte, the sign of a zero included.
+    # are the built network's, stepped in float32, byte for byte, the sign of
+    # a zero included.
     for input_dim in (6, 5):  # square, then a rectangular first layer
         spec = NetworkSpec(4, 6, input_dim, 3, kind)
         state = build_network(spec, init, Rng(32))
@@ -107,8 +108,20 @@ def test_layers_equal_forward_post(kind, init):
         assert len(got) == len(post)
         assert all(np.array_equal(a, b) for a, b in zip(got, post))
         streamed = streamed_layers(spec, init, Rng(32), batch)
-        assert [x.tobytes() for x in streamed] == [x.tobytes() for x in got]
+        assert [x.tobytes() for x in streamed] == [x.tobytes() for x in float32_layers(state, batch)]
         assert np.array_equal(batch, before)
+
+
+def float32_layers(state, batch) -> list:
+    """x_1..x_L of a built network's backbone with its weights and the batch
+    rounded to float32 and every layer stepped in float32: the probe pass's
+    reference."""
+    phi, bias = act_in_place(state.spec.activation), np.zeros(state.spec.width_N, np.float32)
+    x, out = batch.astype(np.float32), []
+    for w in state.weights:
+        x = network._layer_step(phi, x, w.astype(np.float32), bias)
+        out.append(x)
+    return out
 
 
 @pytest.mark.parametrize("kind", list(InitKind))
