@@ -11,11 +11,10 @@ point.
 
 Both are solved directly: q_star by safeguarded Newton on
 F(q) = q - sigma_w^2 m(q) (``variance_fixed_point``), and the
-norm-preserving sigma_w^2 by bisection on g(s) = s mu_1(q_star(s)) - 1
-(``tune_sigma_w_sq``).  For tanh and hard-tanh its root
-is the critical point sigma_w^2 = 1, q_star = 0 (Schoenholz et al. 2017, "Deep
-Information Propagation"): the plain recursion slows down critically there,
-taking about 1/(sigma_w^2 - 1) steps.
+norm-preserving sigma_w^2 in closed form, 1 / mu_1(0) (``tune_sigma_w_sq``).
+For tanh and hard-tanh that is the critical point sigma_w^2 = 1, q_star = 0
+(Schoenholz et al. 2017, "Deep Information Propagation"): the plain
+recursion slows down critically there, taking about 1/(sigma_w^2 - 1) steps.
 """
 
 from __future__ import annotations
@@ -45,13 +44,12 @@ _GH_POINTS, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(201)
 _GH_Z = _GH_POINTS * math.sqrt(2.0)
 _GH_W = _GH_WEIGHTS / math.sqrt(math.pi)
 _EPS = float(np.finfo(np.float64).eps)
-# Step cap of both solves, and the |sigma_w^2 mu_1 - 1| the gain tune reaches.
+# Step cap of the variance fixed-point solve.
 _MAX_ITER = 200
-_TUNE_TOL = 1e-12
 
 
 class ConvergenceError(ArithmeticError):
-    """A fixed-point or root solve stopped without reaching its tolerance."""
+    """The variance fixed-point solve stopped without reaching its tolerance."""
 
 
 class ActivationKind(enum.Enum):
@@ -251,37 +249,14 @@ def variance_fixed_point(kind: ActivationKind, sigma_w_sq: float, sigma_x_sq: fl
 
 
 def tune_sigma_w_sq(kind: ActivationKind, sigma_x_sq: float = 0.1) -> tuple[float, float]:
-    """Solve sigma_w^2 * mu_1(q_star(sigma_w^2)) = 1.
-
-    Returns (sigma_w_sq, q_star), with q_star exactly as
+    """The norm-preserving gain: (sigma_w_sq, q_star) with
+    sigma_w^2 * mu_1(q_star) = 1, q_star exactly as
     ``variance_fixed_point(kind, sigma_w_sq, sigma_x_sq)`` returns it.
-    Linear and ReLU have a q-independent mu_1, so sigma_w^2 = 1 / mu_1.
-    Tanh and hard-tanh bisect g(s) = s mu_1(q_star(s)) - 1 until |g| <= 1e-12,
-    mu_1 by quadrature so the result is deterministic.  g(1) <= 0 because
-    mu_1 <= 1; g < 0 below s = 1 (q_star = 0, mu_1 = 1) and g > 0 above it,
-    so the root is the critical point s = 1, q_star = 0 and bisection stops
-    just above it, where q_star is tiny.
+
+    It is sigma_w^2 = 1 / mu_1(0) for every kind.  Linear and ReLU have a
+    q-independent mu_1.  Tanh and hard-tanh have mu_1(0) = 1, so the root is
+    the critical point sigma_w^2 = 1, where the variance map decays to
+    q_star = 0 and the residual is exactly 0.
     """
-    if kind in (ActivationKind.LINEAR, ActivationKind.RELU):
-        s = 1.0 / mu_quadrature(kind, 0.0)[0]
-        return s, variance_fixed_point(kind, s, sigma_x_sq)
-
-    def g(s: float) -> tuple[float, float]:
-        q = variance_fixed_point(kind, s, sigma_x_sq)
-        return s * mu_quadrature(kind, q)[0] - 1.0, q
-
-    lo, hi = 1.0, 2.0
-    while g(hi)[0] <= 0:
-        lo, hi = hi, 2.0 * hi
-        if hi > 1e6:
-            raise ConvergenceError("no sigma_w^2 <= 1e6 makes sigma_w^2 mu_1 exceed 1")
-    for _ in range(_MAX_ITER):
-        s = 0.5 * (lo + hi)
-        resid, q = g(s)
-        if abs(resid) <= _TUNE_TOL:
-            return s, q
-        if resid > 0:
-            hi = s
-        else:
-            lo = s
-    raise ConvergenceError(f"gain tune did not reach |sigma_w^2 mu_1 - 1| <= {_TUNE_TOL:g} in {_MAX_ITER} steps")
+    s = 1.0 / mu_quadrature(kind, 0.0)[0]
+    return s, variance_fixed_point(kind, s, sigma_x_sq)

@@ -24,6 +24,7 @@ from .network import NetworkState, backward, forward, headless, jacobian, output
 __all__ = [
     "VniReport",
     "GradientDiagnostics",
+    "Float32RangeError",
     "vni_empirical",
     "vni_from_covariance",
     "vni_from_jacobian",
@@ -66,12 +67,17 @@ class GradientDiagnostics:
 _FLOAT32_FLOOR = 2.0**-102
 
 
+class Float32RangeError(ValueError):
+    """float32 activations that overflowed or underflowed: the indicator is
+    refused, and a float64 pass of the same network keeps the range."""
+
+
 def _corr_stats(activations: np.ndarray):
     """Sample covariance of a (batch >= 2) x N activation matrix, or of each
     in an R-stack, and its diagonal, in float64.  float32 activations (the
     probe pass's) are centred on their float64 mean straight into one
-    float64 array, and raise a ValueError when any is non-finite or the
-    largest |x| is below ``_FLOAT32_FLOOR``."""
+    float64 array, and raise a Float32RangeError when any is non-finite or
+    the largest |x| is below ``_FLOAT32_FLOOR``."""
     a = np.asarray(activations)
     if a.dtype != np.float32:
         a = np.asarray(a, dtype=np.float64)
@@ -80,7 +86,7 @@ def _corr_stats(activations: np.ndarray):
     if a.dtype == np.float32:
         largest = max(float(a.max()), -float(a.min()))
         if not _FLOAT32_FLOOR <= largest < math.inf:  # also when it is NaN
-            raise ValueError(
+            raise Float32RangeError(
                 f"float32 activations out of float32's range: largest |x| = {largest:.3g}, which is non-finite or "
                 f"below 2^24 x float32's smallest normal ({_FLOAT32_FLOOR:.3g}); the pass overflowed or underflowed"
             )

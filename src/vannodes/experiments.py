@@ -25,6 +25,7 @@ import numpy as np
 from . import activations as act
 from . import svgplot
 from .analysis import (
+    Float32RangeError,
     correlation_heatmap,
     gradient_diagnostics,
     s1_for_ensemble,
@@ -37,7 +38,7 @@ from .data import gaussian_probe, load_mnist_idx, synthetic_task
 from .initializers import InitKind, InitializerSpec
 from .cpus import fan_out
 from .linalg import Rng
-from .network import build_network, streamed_layers
+from .network import build_network, layers, streamed_layers
 from .training import train
 
 __all__ = [
@@ -233,12 +234,11 @@ def resolve_gain(config: ExperimentConfig, sigma_x_sq: float, init_kind: InitKin
     kind = config.activation_kind
     if init_kind in (InitKind.BOTTLENECK, InitKind.HOUSEHOLDER):
         s = 1.0
-        q = act.variance_fixed_point(kind, s, sigma_x_sq)
     elif config.sigma_w_sq > 0:
         s = config.sigma_w_sq
-        q = act.variance_fixed_point(kind, s, sigma_x_sq)
     else:
-        s, q = act.tune_sigma_w_sq(kind, sigma_x_sq)
+        s = act.tune_sigma_w_sq(kind, sigma_x_sq)[0]
+    q = act.variance_fixed_point(kind, s, sigma_x_sq)
     mu1, mu2 = act.mu_quadrature(kind, q)
     return GainSetup(mu1, mu2, q_star=q, sigma_w_sq=s)
 
@@ -256,12 +256,30 @@ def _init_spec(config: ExperimentConfig, init_kind: InitKind, gain: GainSetup) -
     return InitializerSpec(init_kind, gain.sigma_w_sq, config.bottleneck_nb)
 
 
-def _probe_layers(config: ExperimentConfig, depth: int, width: int, gain: GainSetup, rng: Rng):
-    """x_1..x_depth of one width x width network drawn from ``rng.spawn(0)``,
-    streamed over a Gaussian probe drawn from ``rng.spawn(1)``."""
-    spec = config.network_spec(depth, width, width, 0)
-    probe = gaussian_probe(config.probe_samples, width, config.sigma_x_sq, rng.spawn(1))
-    return streamed_layers(spec, _init_spec(config, config.init_kind, gain), rng.spawn(0), probe)
+def _probe_pass(config: ExperimentConfig, width: int, gain: GainSetup, rng: Rng, read, depths) -> dict:
+    """{d: read(x_d)} for each layer d in ``depths`` of one width x width
+    network of ``max(depths)`` layers drawn from ``rng.spawn(0)``, over a
+    Gaussian probe drawn from ``rng.spawn(1)``.
+
+    The pass is streamed in float32 (``streamed_layers``).  When ``read``
+    refuses a layer's float32 activations (``Float32RangeError``: the pass
+    overflowed or underflowed, as deep passes far from the critical gain
+    do), the streamed pass is closed and every layer is read again from the
+    built network's float64 ``layers``, with the bits the probe pass had
+    before it moved to float32."""
+    spec = config.network_spec(max(depths), width, width, 0)
+    init = _init_spec(config, config.init_kind, gain)
+
+    def probe():  # drawn for each pass, so that the float32 pass holds no float64 probe
+        return gaussian_probe(config.probe_samples, width, config.sigma_x_sq, rng.spawn(1))
+
+    streamed = streamed_layers(spec, init, rng.spawn(0), probe())
+    try:
+        return {d: read(x) for d, x in enumerate(streamed, 1) if d in depths}
+    except Float32RangeError:
+        streamed.close()  # so that its row-block threads end
+    float64_pass = layers(build_network(spec, init, rng.spawn(0)), probe())
+    return {d: read(x) for d, x in enumerate(float64_pass, 1) if d in depths}
 
 
 def _train_runs(
@@ -338,7 +356,8 @@ def run_vni_sweep(config: ExperimentConfig) -> dict:
     same key.  The depths of one run therefore share weights; across runs
     they are independent draws.  The pass draws each layer one layer ahead
     of its step (``streamed_layers``), so a run holds at most two layers'
-    weights, not the network.
+    weights, not the network; only a pass out of float32's range is read
+    again from the built network (``_probe_pass``).
     """
     gain = resolve_gain(config, config.sigma_x_sq, config.init_kind)
     s1 = _s1(config)
@@ -348,8 +367,8 @@ def run_vni_sweep(config: ExperimentConfig) -> dict:
         width = missing[0][0]
         profiles = {}  # run -> {depth: indicator}, from one probe pass per missing run
         for run in dict.fromkeys(run for _, _, run in missing):
-            probe_pass = _probe_layers(config, max(listed), width, gain, Rng(config.master_seed, (width, run)))
-            profiles[run] = {d: float(vni_empirical(x)[0]) for d, x in enumerate(probe_pass, 1) if d in listed}
+            rng = Rng(config.master_seed, (width, run))
+            profiles[run] = _probe_pass(config, width, gain, rng, lambda x: float(vni_empirical(x)[0]), listed)
         return [[width, depth, profiles[run][depth]] for _, depth, run in missing]
 
     groups = [
@@ -390,9 +409,8 @@ def run_heatmap(config: ExperimentConfig) -> dict:
     cells = [(config.widths[0], depth) for depth in config.depths]
     cells += [(width, config.depths[0]) for width in config.widths[1:]]
     def compute(width, depth):  # the cell's indicator, mean off-diagonal and ordered correlations
-        for x_L in _probe_layers(config, depth, width, gain, Rng(config.master_seed, (width, depth))):
-            pass
-        vni, corr_sq, _ = vni_empirical(x_L)
+        rng = Rng(config.master_seed, (width, depth))
+        vni, corr_sq, _ = _probe_pass(config, width, gain, rng, vni_empirical, {depth})[depth]
         off_diag = (corr_sq.sum() - np.trace(corr_sq)) / (width * (width - 1))
         return vni, off_diag, correlation_heatmap(corr_sq)[0]
 

@@ -272,7 +272,7 @@ def test_criterion_06_walking_dead_table():
         6,
         "walking-dead table",
         ok,
-        f"gauss learns={ok_gauss} bneck fails={ok_bneck} bneck min VNI={min_bneck_vni:.3f} "
+        f"sigma_w^2={sw2!r} gauss learns={ok_gauss} bneck fails={ok_bneck} bneck min VNI={min_bneck_vni:.3f} "
         f"gains [{min(gains):.2f},{max(gains):.2f}] {mnist_note} "
         f"max |log10 grad ratio|={max_ratio:.1f} (<1 required)",
     )
@@ -364,7 +364,7 @@ def test_criterion_08_training_dynamics():
         8,
         "SGD intensifies the indicator",
         ok,
-        f"lr=1e-2 median max/start {med_max:.3f}/{med_v0:.3f}={med_max / med_v0:.2f}x, "
+        f"sigma_w^2={sw2!r}; lr=1e-2 median max/start {med_max:.3f}/{med_v0:.3f}={med_max / med_v0:.2f}x, "
         f"room to 1 {1.0 - med_v0:.3f} -> {1.0 - med_max:.3f} (<= half required); "
         f"lr=1e-4 median final {med_final:.3f} >= start {med_v0_slow:.3f}",
     )
@@ -468,6 +468,6 @@ def test_criterion_10_failure_mode_attribution():
         10,
         "failures are collapses, not scale blow-ups",
         ok,
-        f"mean final VNI fail/succ {mean_f:.3f}/{mean_s:.3f}, "
+        f"sigma_w^2={sw2!r}, mean final VNI fail/succ {mean_f:.3f}/{mean_s:.3f}, "
         f"{high_frac:.0%} of failures >= 0.9, group gain medians {med_gain_s:.2f}/{med_gain_f:.2f}",
     )

@@ -174,6 +174,11 @@ class TestTune:
         mu1, _ = act.mu_quadrature(kind, q)
         assert sw2 * mu1 == pytest.approx(1.0, abs=1e-5)
 
+    @pytest.mark.parametrize("kind", [ActivationKind.HARD_TANH, ActivationKind.TANH])
+    @pytest.mark.parametrize("sigma_x_sq", [0.1, 2 / 3, 1.0])
+    def test_tanh_kinds_tune_to_the_critical_point(self, kind, sigma_x_sq):
+        assert act.tune_sigma_w_sq(kind, sigma_x_sq) == (1.0, 0.0)
+
 
 @pytest.mark.parametrize("kind", [ActivationKind.TANH, ActivationKind.HARD_TANH])
 @pytest.mark.parametrize("q", [1e-4, 0.01, 0.1, 1.0, 4.0])
@@ -184,12 +189,12 @@ def test_mean_sq_activation_derivative_matches_finite_difference(kind, q):
 
 
 class TestDirectSolves:
-    @pytest.mark.parametrize("kind", [ActivationKind.TANH, ActivationKind.HARD_TANH])
+    @pytest.mark.parametrize("kind", list(ActivationKind))
     @pytest.mark.parametrize("sigma_x_sq", [0.1, 1.0])
     def test_tune_residual_and_bit_identical_q(self, kind, sigma_x_sq):
         sw2, q = act.tune_sigma_w_sq(kind, sigma_x_sq)
         mu1, _ = act.mu_quadrature(kind, q)
-        assert abs(sw2 * mu1 - 1.0) <= 1e-12
+        assert sw2 * mu1 - 1.0 == 0.0
         assert act.variance_fixed_point(kind, sw2, sigma_x_sq) == q
 
     def test_tanh_critical_point_is_zero(self):

@@ -17,9 +17,9 @@ from vannodes.analysis import vni_empirical
 from vannodes.cli import _RUNNERS
 from vannodes.config import ExperimentConfig
 from vannodes.data import gaussian_probe
-from vannodes.initializers import InitializerSpec
+from vannodes.initializers import InitKind, InitializerSpec
 from vannodes.linalg import Rng
-from vannodes.network import _layer_step, build_network
+from vannodes.network import _layer_step, build_network, layers
 
 SMALL = dict(
     depths=[4, 6], widths=[12, 10], runs=3, epochs=3, max_epochs=3, batch_size=4,
@@ -60,18 +60,21 @@ def test_resumed_run_rewrites_identical_files(experiment, runner, tmp_path):
 # sha256 of every file the seven subcommands write at SMALL, recorded before
 # the run-CSV columns were typed: the typed store writes the same bytes.  The
 # sweep and heatmap CSVs were recorded again when the probe pass moved to
-# float32 (their values moved by at most 2.75e-8, or one last printed digit)
+# float32 (their values moved by at most 2.75e-8, or one last printed digit),
+# and dynamics_runs and heatmap_N10_L4 when the tuned hard-tanh gain became
+# exactly 1, from 1 + 2^-39 (per-epoch indicators moved by at most 2.8e-12
+# relative; two grid entries below 1e-4 by one last printed digit)
 OUTPUT_DIGESTS = {
     "diagnostics_9bd2917e5f4d.csv": "f94b3f11d6fa528861d4a2fc10db5df23243cbda00c681e914d6ca03f2f5c2e9",
     "dynamics_69f636575cc1.csv": "0a3b4ac4b82ed1fe93e8e872ebab6d414ea2a56370e8480dc439dc21e7652a67",
     "dynamics_69f636575cc1.svg": "6d124cb1e601147bb157b99680fc74eeb2821fd6a16409a1619927e9ee883624",
-    "dynamics_runs_69f636575cc1.csv": "14d13356bb94aa139e3c47fa696f3f92dddfc62d770040c0f8e624c620fee695",
+    "dynamics_runs_69f636575cc1.csv": "bec6f43775e715f3eea54508737fbbf2610b86bee3b7f73a3bc8059385e71a29",
     "grid_d2fe2541efd5.csv": "6b742626cff63427221209577847f2e184dca63863b4a319c496d377cfc0fa5c",
     "grid_d2fe2541efd5.svg": "e16ed658b35709057235ca791eaf2ebfd1b6e88bee91d2747486af6c7e8f7269",
     "grid_gain_box_d2fe2541efd5.svg": "975a92dce032e57aa9b8d68a206848c9e21a6474248a8e416da877bf82ef1a5f",
     "grid_runs_d2fe2541efd5.csv": "6e456e3a9aefa16992bb47ebbbee6b329f619cd8785182ee17777af83d625d96",
     "grid_vni_hist_d2fe2541efd5.csv": "0b5c495e99d9dd9eedbe28b4e82a9bb428960140ce3ba4daea79d55c68f64dc7",
-    "heatmap_N10_L4_ef7b08b6227f.csv": "24dd6fa145da7d122dbdaa8e936bc46eb61ef34d3ca79895753bebd11f44b93c",
+    "heatmap_N10_L4_ef7b08b6227f.csv": "9675713484f824885ef3892c2fd29c8bfa2a609ba57266c94cf4fa665c3e8003",
     "heatmap_N10_L4_ef7b08b6227f.svg": "caee37a9e9e7d7e2d4eb210d851857c189aaadc533265cc02b2af0a082320e7d",
     "heatmap_N12_L4_ef7b08b6227f.csv": "6077659837a76cad08e4150a7599390c3f2de48a861394db6c05d7e9c4317c90",
     "heatmap_N12_L4_ef7b08b6227f.svg": "7852b930486f75d32564992f7efbf10a6669f9afb37e923bcaf333468454eb2c",
@@ -489,6 +492,85 @@ def test_sweep_resumes_a_run_with_some_depths_stored(tmp_path):
     resumed = _files(tmp_path)
     assert sorted(resumed.pop(runs_name).splitlines()) == sorted(fresh[runs_name].splitlines())
     assert resumed == {name: data for name, data in fresh.items() if name != runs_name}
+
+
+def test_tanh_cells_of_every_ensemble_share_one_gain():
+    # The tuned gain of a scaled-Gaussian or orthogonal cell is the sigma_w^2 = 1
+    # that Householder fixes by construction, so the cells of one table share it.
+    config = ExperimentConfig(activation="tanh")
+    kinds = (InitKind.SCALED_GAUSSIAN, InitKind.ORTHOGONAL, InitKind.HOUSEHOLDER)
+    gains = [experiments.resolve_gain(config, 0.5, kind) for kind in kinds]
+    assert gains[0] == gains[1] == gains[2]
+    assert (gains[0].sigma_w_sq, gains[0].q_star) == (1.0, 0.0)
+
+
+# Far below the critical gain tanh shrinks |x| by about 10^-0.5 a layer, so
+# a float32 pass underflows from L ~ 62 at N = 64 (`vannodes sweep --set
+# activation=tanh --set sigma_w_sq=0.1 --set sigma_x_sq=0.1 --set widths=64
+# --set depths=40,80 --set runs=2 --set probe_samples=500`).
+FAR_BELOW = dict(activation="tanh", sigma_w_sq=0.1, sigma_x_sq=0.1, widths=[64], runs=2, probe_samples=500)
+
+
+def _float64_pass(config, depth: int, width: int, key: tuple) -> list:
+    """x_1..x_depth of the built network's float64 ``layers``, drawn and
+    probed as the probe pass draws them from ``Rng(master_seed, key)``."""
+    gain = experiments.resolve_gain(config, config.sigma_x_sq, config.init_kind)
+    init = InitializerSpec(config.init_kind, gain.sigma_w_sq, config.bottleneck_nb)
+    rng = Rng(config.master_seed, key)
+    probe = gaussian_probe(config.probe_samples, width, config.sigma_x_sq, rng.spawn(1))
+    return list(layers(build_network(config.network_spec(depth, width, width, 0), init, rng.spawn(0)), probe))
+
+
+def _recording_streamed_passes(monkeypatch) -> list:
+    """Record every streamed probe pass the runners open."""
+    passes, streamed_layers = [], experiments.streamed_layers
+
+    def recorded(*args):
+        passes.append(streamed_layers(*args))
+        return passes[-1]
+
+    monkeypatch.setattr(experiments, "streamed_layers", recorded)
+    return passes
+
+
+def test_a_pass_out_of_float32_range_is_read_in_float64(tmp_path, monkeypatch):
+    # Every depth of a refused (width, run) comes from one float64 pass, with
+    # the bits the probe pass had before it moved to float32, and the
+    # abandoned float32 pass is closed.
+    passes = _recording_streamed_passes(monkeypatch)
+    config = ExperimentConfig(experiment="vni_sweep", depths=[40, 80], **FAR_BELOW, out_dir=str(tmp_path / "sweep"))
+    experiments.run_vni_sweep(config)
+    reference = {}
+    for run in range(2):
+        x = _float64_pass(config, 80, 64, (64, run))
+        reference |= {f"N64_L{d}_r{run}": f"{vni_empirical(x[d - 1])[0]:.10g}" for d in (40, 80)}
+    assert _stored_vni(config, tmp_path / "sweep") == reference
+    assert reference["N64_L40_r0"] == "0.4919508845" and reference["N64_L80_r0"] == "0.5233211099"
+
+    config = ExperimentConfig(experiment="heatmap", depths=[80], **FAR_BELOW, out_dir=str(tmp_path / "heatmap"))
+    off_diag = experiments.run_heatmap(config)[(64, 80)]
+    corr_sq = vni_empirical(_float64_pass(config, 80, 64, (64, 80))[-1])[1]
+    assert off_diag == (corr_sq.sum() - np.trace(corr_sq)) / (64 * 63)
+    assert len(passes) == 3 and all(p.gi_frame is None for p in passes)  # each float32 pass was closed
+
+
+def test_a_float64_pass_that_fails_still_raises(tmp_path, monkeypatch):
+    # 400 layers far below the critical gain underflow float64 too: the
+    # float64 pass's constant nodes raise, as they did before the float32 pass.
+    passes = _recording_streamed_passes(monkeypatch)
+    config = ExperimentConfig(
+        experiment="vni_sweep", **{**FAR_BELOW, "widths": [8], "runs": 1, "probe_samples": 64},
+        depths=[400], out_dir=str(tmp_path),
+    )  # fmt: skip
+    with pytest.raises(ValueError, match="all nodes are constant"):
+        experiments.run_vni_sweep(config)
+    assert len(passes) == 1 and passes[0].gi_frame is None
+
+
+def test_no_pass_at_the_tuned_gain_is_read_in_float64(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "build_network", lambda *args: pytest.fail("a probe pass was read in float64"))
+    experiments.run_vni_sweep(ExperimentConfig(**SWEEP, activation="hard_tanh", out_dir=str(tmp_path)))
+    experiments.run_heatmap(ExperimentConfig(experiment="heatmap", **SMALL, out_dir=str(tmp_path)))
 
 
 @pytest.mark.parametrize("runs", [1, 3])
