@@ -9,8 +9,9 @@ mu_1 is the backward gain factor: a layer multiplies gradient variance by
 sigma_w^2 * mu_1, so sigma_w^2 * mu_1 = 1 is the norm-preserving operating
 point.
 
-Both are solved directly: q_star by safeguarded Newton on
-F(q) = q - sigma_w^2 m(q) (``variance_fixed_point``), and the
+Both are solved directly: q_star by bisection of
+F(q) = q - sigma_w^2 m(q) on (0, sigma_w^2), or in closed form where the map
+decays to 0 or is linear (``variance_fixed_point``), and the
 norm-preserving sigma_w^2 in closed form, 1 / mu_1(0) (``tune_sigma_w_sq``).
 For tanh and hard-tanh that is the critical point sigma_w^2 = 1, q_star = 0
 (Schoenholz et al. 2017, "Deep Information Propagation"): the plain
@@ -29,12 +30,10 @@ __all__ = [
     "ActivationKind",
     "ConvergenceError",
     "ActivationMoments",
-    "apply",
     "in_place",
     "derivative",
     "variance_fixed_point",
     "mean_sq_activation",
-    "mean_sq_activation_derivative",
     "mu_quadrature",
     "tune_sigma_w_sq",
 ]
@@ -44,8 +43,6 @@ _GH_POINTS, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(201)
 _GH_Z = _GH_POINTS * math.sqrt(2.0)
 _GH_W = _GH_WEIGHTS / math.sqrt(math.pi)
 _EPS = float(np.finfo(np.float64).eps)
-# Step cap of the variance fixed-point solve.
-_MAX_ITER = 200
 
 
 class ConvergenceError(ArithmeticError):
@@ -69,23 +66,11 @@ _IN_PLACE = {
 
 
 def in_place(kind: ActivationKind):
-    """phi as a function that overwrites a float array h with phi(h) and
-    returns it, for a loop that applies one kind many times: ``apply``
-    without its per-call conversion and dispatch."""
+    """phi as a function that overwrites a float64 array h with phi(h) and
+    returns it; copy h first to keep it."""
     if kind not in _IN_PLACE:
         raise ValueError(f"unknown activation {kind!r}")
     return _IN_PLACE[kind]
-
-
-def apply(kind: ActivationKind, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """phi(h), written into ``out`` when given (``out=h`` works in place)."""
-    phi = in_place(kind)
-    h = np.asarray(h, dtype=np.float64)
-    if out is None:
-        return phi(h.copy())
-    if out is not h:
-        out[...] = h
-    return phi(out)
 
 
 def derivative(kind: ActivationKind, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -131,29 +116,6 @@ def mean_sq_activation(kind: ActivationKind, q: float) -> float:
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def mean_sq_activation_derivative(kind: ActivationKind, q: float) -> float:
-    """d/dq E[phi(h)^2] for h ~ N(0, q), which by Gaussian integration by
-    parts is E[phi'(h)^2 + phi(h) phi''(h)]."""
-    if q < 0:
-        raise ValueError("variance q must be non-negative")
-    if kind is ActivationKind.LINEAR:
-        return 1.0
-    if kind is ActivationKind.RELU:
-        return 0.5
-    if q == 0:
-        return 1.0
-    if kind is ActivationKind.HARD_TANH:
-        # phi'' is a pair of point masses at the kinks h = +-1.
-        return math.erf(1.0 / math.sqrt(2.0 * q)) - 2.0 * math.exp(-0.5 / q) / math.sqrt(2.0 * math.pi * q)
-    if kind is ActivationKind.TANH:
-        # E[phi(h) phi'(h) z] / sqrt(q): on the Gauss-Hermite rule this is the
-        # exact derivative of mean_sq_activation's sum, and it is more
-        # accurate than the phi'^2 + phi phi'' integrand for large q.
-        t = np.tanh(math.sqrt(q) * _GH_Z)
-        return float(np.dot(_GH_W, t * (1.0 - t * t) * _GH_Z)) / math.sqrt(q)
-    raise ValueError(f"unknown activation {kind!r}")
-
-
 def mu_quadrature(kind: ActivationKind, q_star: float) -> tuple[float, float]:
     """(mu_1, mu_2) = (E[phi'(h)^2], E[phi'(h)^4]) for h ~ N(0, q_star): closed
     forms for linear, ReLU and hard-tanh, Gauss-Hermite quadrature for tanh.
@@ -191,16 +153,16 @@ def variance_fixed_point(kind: ActivationKind, sigma_w_sq: float, sigma_x_sq: fl
     q_{l+1} = sigma_w^2 m(q_l), m(q) = E[phi(sqrt(q) z)^2], from
     q_0 = sigma_x^2.
 
-    The map is increasing, so the recursion moves monotonically to the
-    nearest root of F(q) = q - sigma_w^2 m(q) on the side where
-    F(sigma_x^2) points.  That root is bracketed and solved by Newton's
-    method, falling back to bisection when a step leaves the bracket, until
-    |F| is at rounding level.  With sigma_w^2 m'(0) <= 1 the recursion
-    decays to the root at 0 and 0.0 is returned.
+    q_0 is returned when it is a root of F(q) = q - sigma_w^2 m(q) to
+    rounding level.  With sigma_w^2 m'(0) <= 1 the recursion decays to the
+    root at 0 and 0.0 is returned.  Above that slope, linear and ReLU have a
+    linear map and no other root: the recursion explodes.  Tanh and
+    hard-tanh have m < 1, so F(sigma_w^2) > 0 while F < 0 just above 0: the
+    one attracting root lies in (0, sigma_w^2), whatever q_0 > 0, and is
+    bisected there until |F| is at rounding level.
 
-    Raises FloatingPointError when the recursion grows past 1e12 (no root
-    above sigma_x^2), and ConvergenceError when F changes sign without
-    reaching zero or 200 steps do not converge.
+    Raises FloatingPointError for an exploding recursion, and
+    ConvergenceError when the bracket can no longer be split.
     """
     if sigma_w_sq <= 0:
         raise ValueError("sigma_w_sq must be positive")
@@ -214,41 +176,26 @@ def variance_fixed_point(kind: ActivationKind, sigma_w_sq: float, sigma_x_sq: fl
     f, noise = residual(q)
     if abs(f) <= noise:
         return q
-    if sigma_w_sq * mean_sq_activation_derivative(kind, 0.0) <= 1.0:
-        # phi(h)^2 <= m'(0) h^2 for every kind here, so the map pulls each q > 0 down.
+    # m'(0) = mu_1(0), and phi(h)^2 <= m'(0) h^2 for every kind here, so the map pulls each q > 0 down.
+    if sigma_w_sq * mu_quadrature(kind, 0.0)[0] <= 1.0:
         return 0.0
-    if f > 0:
-        # Descending: F(0) = 0, and F < 0 just above 0.
-        lo, hi = 0.0, q
-    else:  # ascending: double q until F turns positive
-        lo, hi = q, q
-        while f < 0:
-            lo, hi = hi, 2.0 * hi
-            if hi > 1e12:
-                raise FloatingPointError("forward variance recursion is exploding")
-            f, noise = residual(hi)
-        q = hi
-    for _ in range(_MAX_ITER):
+    if kind in (ActivationKind.LINEAR, ActivationKind.RELU):
+        raise FloatingPointError("forward variance recursion is exploding")
+    lo, hi = 0.0, sigma_w_sq
+    while True:
+        q = 0.5 * (lo + hi)
+        if not lo < q < hi:
+            raise ConvergenceError(f"no root of F at rounding level: the bracket [{lo!r}, {hi!r}] cannot be split")
+        f, noise = residual(q)
         if abs(f) <= noise:
             return q
-        # F(lo) <= 0 < F(hi), and q is the last point evaluated.  The attracting
-        # root has map slope below 1, i.e. F' > 0, so Newton only steps where F rises.
-        slope = 1.0 - sigma_w_sq * mean_sq_activation_derivative(kind, q)
-        newton = q - f / slope if slope > 0 else math.nan
-        q = newton if lo < newton < hi else 0.5 * (lo + hi)
-        if not lo < q < hi:
-            raise ConvergenceError(
-                f"variance map has no fixed point in [{lo!r}, {hi!r}]: F changes sign without reaching zero"
-            )
-        f, noise = residual(q)
         if f > 0:
             hi = q
         else:
             lo = q
-    raise ConvergenceError(f"variance fixed point did not converge in {_MAX_ITER} steps (|F| = {abs(f):.3g})")
 
 
-def tune_sigma_w_sq(kind: ActivationKind, sigma_x_sq: float = 0.1) -> tuple[float, float]:
+def tune_sigma_w_sq(kind: ActivationKind, sigma_x_sq: float) -> tuple[float, float]:
     """The norm-preserving gain: (sigma_w_sq, q_star) with
     sigma_w^2 * mu_1(q_star) = 1, q_star exactly as
     ``variance_fixed_point(kind, sigma_w_sq, sigma_x_sq)`` returns it.

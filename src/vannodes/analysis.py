@@ -283,7 +283,10 @@ def vni_report(
     jac_value = None
     if with_jacobian:
         j = jacobian(backbone, np.asarray(probe_batch)[0])
-        jac_value = vni_from_jacobian(j)
+        try:
+            jac_value = vni_from_jacobian(j)
+        except ValueError:  # J = 0: every unit of some layer is off at this row, so the route is undefined
+            pass
     theo = theo_raw = None
     if moments is not None and s1 is not None:
         theo, theo_raw = vni_theoretical(state.spec.depth_L, state.spec.width_N, moments, s1)

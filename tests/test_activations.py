@@ -13,35 +13,31 @@ KINDS = list(ActivationKind)
 SMOOTH_POINTS = np.array([-2.3, -0.7, -0.2, 0.4, 1.1, 3.0])  # away from kinks
 
 
-def test_apply_values():
+def _phi(kind, h):
+    return act.in_place(kind)(np.array(h, dtype=np.float64))
+
+
+def test_in_place_values():
     h = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
-    assert np.array_equal(act.apply(ActivationKind.LINEAR, h), h)
-    assert np.array_equal(act.apply(ActivationKind.RELU, h), [0.0, 0.0, 0.0, 0.5, 2.0])
-    assert np.array_equal(act.apply(ActivationKind.HARD_TANH, h), [-1.0, -0.5, 0.0, 0.5, 1.0])
-    assert np.allclose(act.apply(ActivationKind.TANH, h), np.tanh(h))
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_apply_out(kind):
-    h = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
-    expected = act.apply(kind, h)
-    out = np.empty_like(h)
-    assert act.apply(kind, h, out=out) is out
-    assert np.array_equal(out, expected)
-    assert act.apply(kind, h, out=h) is h
-    assert np.array_equal(h, expected)
+    assert np.array_equal(_phi(ActivationKind.LINEAR, h), h)
+    assert np.array_equal(_phi(ActivationKind.RELU, h), [0.0, 0.0, 0.0, 0.5, 2.0])
+    assert np.array_equal(_phi(ActivationKind.HARD_TANH, h), [-1.0, -0.5, 0.0, 0.5, 1.0])
+    assert np.allclose(_phi(ActivationKind.TANH, h), np.tanh(h))
+    for kind in KINDS:
+        g = h.copy()
+        assert act.in_place(kind)(g) is g
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_derivative_matches_finite_difference(kind):
     eps = 1e-6
-    fd = (act.apply(kind, SMOOTH_POINTS + eps) - act.apply(kind, SMOOTH_POINTS - eps)) / (2 * eps)
-    assert np.allclose(act.derivative(kind, act.apply(kind, SMOOTH_POINTS)), fd, atol=1e-6)
+    fd = (_phi(kind, SMOOTH_POINTS + eps) - _phi(kind, SMOOTH_POINTS - eps)) / (2 * eps)
+    assert np.allclose(act.derivative(kind, _phi(kind, SMOOTH_POINTS)), fd, atol=1e-6)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_derivative_out(kind):
-    phi = act.apply(kind, np.array([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0]))
+    phi = _phi(kind, np.array([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0]))
     expected = act.derivative(kind, phi)
     out = np.full_like(phi, np.nan)
     assert act.derivative(kind, phi, out=out) is out
@@ -51,8 +47,8 @@ def test_derivative_out(kind):
 def test_derivative_at_kinks_is_zero():
     # saturation boundary convention: treat the kink as saturated
     relu, hard_tanh = ActivationKind.RELU, ActivationKind.HARD_TANH
-    assert act.derivative(relu, act.apply(relu, np.array([0.0])))[0] == 0.0
-    assert act.derivative(hard_tanh, act.apply(hard_tanh, np.array([1.0, -1.0]))).tolist() == [0.0, 0.0]
+    assert act.derivative(relu, _phi(relu, np.array([0.0])))[0] == 0.0
+    assert act.derivative(hard_tanh, _phi(hard_tanh, np.array([1.0, -1.0]))).tolist() == [0.0, 0.0]
 
 
 def _derivative_of_h(kind, h):
@@ -73,7 +69,7 @@ def test_derivative_of_phi_equals_derivative_of_h(kind):
     near = [np.nextafter(v, t) for v in (0.0, 1.0, -1.0) for t in (-np.inf, np.inf)]
     h = np.concatenate([Rng(36).normal(size=200_000), edges, near])
     with np.errstate(invalid="ignore"):
-        got = act.derivative(kind, act.apply(kind, h))
+        got = act.derivative(kind, _phi(kind, h))
         expected = _derivative_of_h(kind, h)
     assert np.array_equal(got, expected, equal_nan=True)
     assert np.array_equal(np.signbit(got), np.signbit(expected))
@@ -82,7 +78,7 @@ def test_derivative_of_phi_equals_derivative_of_h(kind):
 @pytest.mark.parametrize("kind,q", [(k, q) for k in KINDS for q in (0.1, 1.0, 4.0)])
 def test_mean_sq_activation_against_monte_carlo(kind, q):
     z = Rng(31, (kind.value == "tanh",)).normal(size=2_000_000)
-    mc = float(np.mean(act.apply(kind, math.sqrt(q) * z) ** 2))
+    mc = float(np.mean(_phi(kind, math.sqrt(q) * z) ** 2))
     assert act.mean_sq_activation(kind, q) == pytest.approx(mc, rel=5e-3)
 
 
@@ -153,39 +149,21 @@ class TestVarianceFixedPoint:
         h = rng.normal(size=500_000, std=math.sqrt(q0))
         w_scale = math.sqrt(sw2)
         # E[ sw2 * phi(h)^2 ] is the one-step map
-        got = w_scale**2 * float(np.mean(act.apply(kind, h) ** 2))
+        got = w_scale**2 * float(np.mean(_phi(kind, h) ** 2))
         want = sw2 * act.mean_sq_activation(kind, q0)
         assert got == pytest.approx(want, rel=5e-3)
 
 
-class TestTune:
-    def test_relu_norm_preserving(self):
-        sw2, _ = act.tune_sigma_w_sq(ActivationKind.RELU, 1.0)
-        assert sw2 == pytest.approx(2.0, abs=1e-6)
-
-    def test_linear(self):
-        sw2, q = act.tune_sigma_w_sq(ActivationKind.LINEAR, 0.5)
-        assert sw2 == pytest.approx(1.0, abs=1e-6)
-        assert q == pytest.approx(0.5, rel=1e-4)
-
-    @pytest.mark.parametrize("kind", [ActivationKind.HARD_TANH, ActivationKind.TANH])
-    def test_norm_preserving_condition(self, kind):
-        sw2, q = act.tune_sigma_w_sq(kind, 0.1)
-        mu1, _ = act.mu_quadrature(kind, q)
-        assert sw2 * mu1 == pytest.approx(1.0, abs=1e-5)
-
-    @pytest.mark.parametrize("kind", [ActivationKind.HARD_TANH, ActivationKind.TANH])
-    @pytest.mark.parametrize("sigma_x_sq", [0.1, 2 / 3, 1.0])
-    def test_tanh_kinds_tune_to_the_critical_point(self, kind, sigma_x_sq):
-        assert act.tune_sigma_w_sq(kind, sigma_x_sq) == (1.0, 0.0)
-
-
-@pytest.mark.parametrize("kind", [ActivationKind.TANH, ActivationKind.HARD_TANH])
-@pytest.mark.parametrize("q", [1e-4, 0.01, 0.1, 1.0, 4.0])
-def test_mean_sq_activation_derivative_matches_finite_difference(kind, q):
-    h = 1e-4 * q
-    fd = (act.mean_sq_activation(kind, q + h) - act.mean_sq_activation(kind, q - h)) / (2 * h)
-    assert act.mean_sq_activation_derivative(kind, q) == pytest.approx(fd, rel=1e-7)
+@pytest.mark.parametrize(
+    "kind,sigma_w_sq",
+    [(ActivationKind.LINEAR, 1.0), (ActivationKind.RELU, 2.0), (ActivationKind.TANH, 1.0), (ActivationKind.HARD_TANH, 1.0)],
+)
+@pytest.mark.parametrize("sigma_x_sq", [0.1, 2 / 3, 1.0])
+def test_tune_is_the_closed_form(kind, sigma_w_sq, sigma_x_sq):
+    # sigma_w^2 = 1 / mu_1(0): linear and ReLU keep q_0 there, and tanh and
+    # hard-tanh sit at the critical point, where the map decays to q_star = 0.
+    q_star = sigma_x_sq if kind in (ActivationKind.LINEAR, ActivationKind.RELU) else 0.0
+    assert act.tune_sigma_w_sq(kind, sigma_x_sq) == (sigma_w_sq, q_star)
 
 
 class TestDirectSolves:
@@ -197,8 +175,21 @@ class TestDirectSolves:
         assert sw2 * mu1 - 1.0 == 0.0
         assert act.variance_fixed_point(kind, sw2, sigma_x_sq) == q
 
-    def test_tanh_critical_point_is_zero(self):
-        assert act.variance_fixed_point(ActivationKind.TANH, 1.0, 0.1) <= 1e-12
+    @pytest.mark.parametrize("kind", [ActivationKind.TANH, ActivationKind.HARD_TANH])
+    @pytest.mark.parametrize("sigma_w_sq", [1 + 1e-6, 1.01, 1.4, 2.0, 5.0, 50.0])
+    def test_one_root_at_rounding_level_from_every_start(self, kind, sigma_w_sq, monkeypatch):
+        # The attracting root in (0, sigma_w^2) does not depend on q_0.
+        m, calls = act.mean_sq_activation, []
+        monkeypatch.setattr(act, "mean_sq_activation", lambda kind, q: calls.append(q) or m(kind, q))
+        roots = set()
+        for sigma_x_sq in (0.1, 1.0, 30.0):
+            calls.clear()
+            roots.add(act.variance_fixed_point(kind, sigma_w_sq, sigma_x_sq))
+            assert len(calls) <= 64
+        [q] = roots
+        mapped = sigma_w_sq * m(kind, q)
+        assert 0.0 < q < sigma_w_sq
+        assert abs(q - mapped) <= 16 * np.finfo(np.float64).eps * (q + mapped)
 
     def test_map_without_fixed_point_raises(self, monkeypatch):
         # 2 m(q) jumps over the diagonal at q = 5: F = q - 2 m(q) is -1 below and +1 above.

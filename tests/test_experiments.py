@@ -405,6 +405,21 @@ def test_diagnostics_use_bottleneck_rank(nb, tmp_path):
         assert vni < 0.9
 
 
+@pytest.mark.parametrize("width,depth", [(6, 3), (4, 10)])
+def test_diagnostics_without_a_jacobian_route(width, depth, tmp_path):
+    # At sigma_w^2 mu_1 = 1/2 every ReLU of some layer is off at the first
+    # probe row, so J = 0 and the Jacobian route is undefined: the report
+    # leaves it out and the CSV writes nan, as for any absent route.
+    config = ExperimentConfig(
+        experiment="diagnostics", activation="relu", init="householder",
+        depths=[depth], widths=[width], out_dir=str(tmp_path),
+    )  # fmt: skip
+    report = experiments.run_diagnostics(config)["report"]
+    assert report.vni_jacobian is None and 0 < report.vni_empirical <= 1
+    rows = (tmp_path / f"diagnostics_{config.config_hash()}.csv").read_text().splitlines()
+    assert "vni_jacobian,nan" in rows
+
+
 def test_sweep_without_closed_form_s1(tmp_path):
     # The bottleneck ensemble has no closed-form s_1: the sweep still runs,
     # writes nan for the moment prediction and plots the simulation alone.

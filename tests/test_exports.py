@@ -32,6 +32,29 @@ def test_every_name_the_package_imports_is_a_module_export():
             assert hasattr(vannodes, alias.asname or alias.name), alias.name
 
 
+def _names_read(source: str) -> set:
+    """Every name a module reads as a Name, an Attribute or an import alias."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+    return names
+
+
+def test_every_export_is_read_somewhere_in_the_package():
+    # An export nothing of the package reads is dead code; a re-export in
+    # the package __init__ counts as a read.
+    read = set().union(*(_names_read(p.read_text()) for p in Path(vannodes.__path__[0]).glob("*.py")))
+    unread = {
+        f"{name}.{n}" for name in MODULES for n in getattr(importlib.import_module(f"vannodes.{name}"), "__all__", []) if n not in read
+    }
+    assert sorted(unread) == []
+
+
 def _unused_imports(source: str) -> list:
     """Names a module's imports bind that no other line of it reads."""
     tree = ast.parse(source)
@@ -121,16 +144,8 @@ def _cpu_code(source: str) -> set:
     ``os.sched_getaffinity``, ``ThreadPoolExecutor``, ``one_blas_thread``
     (a BLAS pin outside ``fan_out`` and ``row_blocked``) and any OpenBLAS
     symbol (its thread getter and setter)."""
-    names = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.alias):
-            names.update(node.name.split("."))
     cpu_names = {"fork", "sched_getaffinity", "ThreadPoolExecutor", "one_blas_thread"}
-    return {n for n in names if n in cpu_names or "openblas" in n.lower()}
+    return {n for n in _names_read(source) if n in cpu_names or "openblas" in n.lower()}
 
 
 def test_only_cpus_forks_starts_threads_or_sets_blas_threads():

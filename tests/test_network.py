@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from vannodes import cpus as cpus_module, network
-from vannodes.activations import ActivationKind, apply as act_apply, derivative as act_derivative, in_place as act_in_place
+from vannodes.activations import ActivationKind, derivative as act_derivative, in_place as act_in_place
 from vannodes.initializers import InitKind, InitializerSpec, householder_backward
 from vannodes.linalg import Rng
 from vannodes.network import (
@@ -35,7 +35,7 @@ def forward_oracle(state, batch):
         v = x.copy()
         for w, b in zip(state.weights, state.biases):
             h = np.array([float(w[i] @ v) + b[i] for i in range(w.shape[0])])
-            v = act_apply(state.spec.activation, h)
+            v = act_in_place(state.spec.activation)(h)
         outs.append(v)
     return np.array(outs)
 
