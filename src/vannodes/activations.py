@@ -106,10 +106,15 @@ def mean_sq_activation(kind: ActivationKind, q: float) -> float:
     if kind is ActivationKind.RELU:
         return q / 2.0
     if kind is ActivationKind.HARD_TANH:
-        # E[h^2; |h|<1] + P(|h|>=1), split with a = 1/sqrt(q).
+        # E[h^2; |h|<1] + P(|h|>=1), split with a = 1/sqrt(q).  For a < 1
+        # the closed form's two terms cancel (a relative error near 3 eps /
+        # a^2), so the integral's series is summed there: 20 terms suffice.
         a = 1.0 / math.sqrt(q)
-        inside = math.erf(a / math.sqrt(2.0)) - a * math.sqrt(2.0 / math.pi) * math.exp(-a * a / 2.0)
-        return q * inside + math.erfc(a / math.sqrt(2.0))
+        if a < 1.0:
+            inside = math.sqrt(2.0 / math.pi) * a * sum((-a * a / 2) ** k / (math.factorial(k) * (2 * k + 3)) for k in range(20))
+        else:
+            inside = q * (math.erf(a / math.sqrt(2.0)) - a * math.sqrt(2.0 / math.pi) * math.exp(-a * a / 2.0))
+        return inside + math.erfc(a / math.sqrt(2.0))
     if kind is ActivationKind.TANH:
         vals = np.tanh(math.sqrt(q) * _GH_Z)
         return float(np.dot(_GH_W, vals * vals))

@@ -167,24 +167,35 @@ class RunStore:
             f.write(",".join([key, *fields]) + "\n")
 
 
-def _stored_runs(config: ExperimentConfig, name: str, columns: dict, groups: list, compute, work=lambda args: 0) -> list:
+def _stored_runs(
+    config: ExperimentConfig, name: str, columns: dict, groups: list, compute, work=lambda args: 0, part=lambda args: None
+) -> list:
     """Stored rows of the run CSV ``name``, grouped by ``config.runs``.
 
     ``groups`` lists groups of (run key, run arguments) pairs, run index
     innermost, no key twice.  Only the keys the CSV does not hold yet are
-    computed: for each group, ``compute`` gets their arguments, in order,
-    and returns their rows.  The groups are computed by ``cpus.fan_out``,
-    with the work ``work`` estimates from the same arguments (by default 0:
-    made in-process), and each is stored, in group order, as soon as the
-    fan-out yields it.  Returns one list of ``config.runs`` rows per cell,
-    in the order of ``groups``, each parsed by ``columns`` (``RunStore``).
+    computed: the missing keys of a group whose arguments have one ``part``
+    (by default, all of them) make one call, in which ``compute`` gets
+    their arguments, in order, and returns their rows.  The calls are made
+    by ``cpus.fan_out``, with the work ``work`` estimates from the same
+    arguments (by default 0: in-process), and each group's rows are stored,
+    in group order, as soon as the fan-out yields its last call.
+    Returns one list of ``config.runs`` rows per cell, in the order of
+    ``groups``, each parsed by ``columns`` (``RunStore``).
     """
     store = RunStore(config, name, columns, {key for group in groups for key, _ in group})
     todo = [missing for group in groups if (missing := {key: args for key, args in group if key not in store.rows})]
-    args = [list(missing.values()) for missing in todo]
-    for missing, rows in zip(todo, fan_out([(work(a), lambda a=a: compute(a)) for a in args])):
-        for key, row in zip(missing, rows, strict=True):
-            store.add(key, row)
+    parts = [
+        {k: a for k, a in missing.items() if part(a) == p} for missing in todo for p in dict.fromkeys(map(part, missing.values()))
+    ]
+    results = zip(parts, fan_out([(work(list(c.values())), lambda c=c: compute(list(c.values()))) for c in parts]))
+    rows = {}
+    for missing in todo:
+        while missing.keys() - rows.keys():  # the group's calls are not all in yet
+            call, computed = next(results)
+            rows.update(zip(call, computed, strict=True))
+        for key in missing:
+            store.add(key, rows[key])
     rows = [store.rows[key] for group in groups for key, _ in group]
     return [rows[i : i + config.runs] for i in range(0, len(rows), config.runs)]
 
@@ -261,12 +272,13 @@ def _probe_pass(config: ExperimentConfig, width: int, gain: GainSetup, rng: Rng,
     network of ``max(depths)`` layers drawn from ``rng.spawn(0)``, over a
     Gaussian probe drawn from ``rng.spawn(1)``.
 
-    The pass is streamed in float32 (``streamed_layers``).  When ``read``
-    refuses a layer's float32 activations (``Float32RangeError``: the pass
-    overflowed or underflowed, as deep passes far from the critical gain
-    do), the streamed pass is closed and every layer is read again from the
-    built network's float64 ``layers``, with the bits the probe pass had
-    before it moved to float32."""
+    The pass is streamed in float32 (``streamed_layers``) in the calling
+    thread, inside the runner's ``cpus.fan_out``.  When ``read`` refuses a
+    layer's float32 activations (``Float32RangeError``: the pass overflowed
+    or underflowed, as deep passes far from the critical gain do), the
+    streamed pass is closed and every layer is read again from the built
+    network's float64 ``layers``, with the bits the probe pass had before it
+    moved to float32."""
     spec = config.network_spec(max(depths), width, width, 0)
     init = _init_spec(config, config.init_kind, gain)
 
@@ -277,9 +289,20 @@ def _probe_pass(config: ExperimentConfig, width: int, gain: GainSetup, rng: Rng,
     try:
         return {d: read(x) for d, x in enumerate(streamed, 1) if d in depths}
     except Float32RangeError:
-        streamed.close()  # so that its row-block threads end
+        streamed.close()  # so that its float32 arrays are freed before the float64 pass
     float64_pass = layers(build_network(spec, init, rng.spawn(0)), probe())
     return {d: read(x) for d, x in enumerate(float64_pass, 1) if d in depths}
+
+
+def _probe_work(depth: int, rows: int, width: int) -> float:
+    """Estimated work of a probe pass in ``_train_work``'s batch-1
+    layer-steps: its depth x rows x N^2 multiply-adds at 10^6 to a
+    layer-step.  On one BLAS thread 10^6 of them took 30-125 us and a
+    layer-step 14-18 us, so the estimate is low on purpose: in a fresh
+    process, forking a 33 ms pass (N = 50, L = 100, 2000 rows; 500 here)
+    beside a longer one cost the parent more than making it in-process
+    (``BENCH_fork_passes.json``)."""
+    return depth * rows * width * width / 1e6
 
 
 def _train_runs(
@@ -354,29 +377,30 @@ def run_vni_sweep(config: ExperimentConfig) -> dict:
     every listed depth from one forward pass: layer l's weights come from
     their own stream, so the first L layers are the L-layer network of the
     same key.  The depths of one run therefore share weights; across runs
-    they are independent draws.  The pass draws each layer one layer ahead
-    of its step (``streamed_layers``), so a run holds at most two layers'
-    weights, not the network; only a pass out of float32's range is read
-    again from the built network (``_probe_pass``).
+    they are independent draws.  The pass draws each layer for its step
+    (``streamed_layers``), so a run holds at most two layers' weights, not
+    the network; only a pass out of float32's range is read again from the
+    built network (``_probe_pass``).  Each (width, run) pass is one call of
+    the fan-out (``_probe_work``), and a width's rows are stored in cell
+    order once its passes end.
     """
     gain = resolve_gain(config, config.sigma_x_sq, config.init_kind)
     s1 = _s1(config)
     listed = set(config.depths)
 
-    def compute(missing):  # the missing rows of one width, in cell order
-        width = missing[0][0]
-        profiles = {}  # run -> {depth: indicator}, from one probe pass per missing run
-        for run in dict.fromkeys(run for _, _, run in missing):
-            rng = Rng(config.master_seed, (width, run))
-            profiles[run] = _probe_pass(config, width, gain, rng, lambda x: float(vni_empirical(x)[0]), listed)
-        return [[width, depth, profiles[run][depth]] for _, depth, run in missing]
+    def compute(missing):  # the missing rows of one (width, run), from one pass to the deepest listed depth
+        width, _, run = missing[0]
+        rng = Rng(config.master_seed, (width, run))
+        profile = _probe_pass(config, width, gain, rng, lambda x: float(vni_empirical(x)[0]), listed)
+        return [[width, depth, profile[depth]] for _, depth, _ in missing]
 
     groups = [
         [(f"N{width}_L{depth}_r{run}", (width, depth, run)) for depth in config.depths for run in range(config.runs)]
         for width in config.widths
     ]
     columns = {"width": int, "depth": int, "vni": _VNI}
-    stored = iter(_stored_runs(config, "sweep_runs", columns, groups, compute))
+    work = lambda missing: _probe_work(max(listed), config.probe_samples, missing[0][0])
+    stored = iter(_stored_runs(config, "sweep_runs", columns, groups, compute, work, part=lambda args: args[2]))
     rows, results = [], {}
     for width in config.widths:
         means, stds, theos = [], [], []

@@ -10,9 +10,8 @@ readout.
 reads its last post-activation and ``forward`` keeps them all.
 ``streamed_layers`` runs the same per-layer step in float32 over a network it
 draws one layer at a time, for a probe pass that needs no network
-afterwards: it holds at most two layers' weights instead of L, and
-``cpus.row_blocked`` splits a large layer's rows over the CPUs, with the bits
-of one block.
+afterwards: it holds at most two layers' weights instead of L, and steps
+them in the calling thread.
 Back-propagation and the Jacobian read phi'(h_l) from the post-activations
 x_l alone (``activations.derivative``), so no pre-activation is stored.
 
@@ -38,7 +37,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import activations as act
-from .cpus import row_blocked
 from .activations import ActivationKind
 from .initializers import (
     HouseholderStack,
@@ -245,7 +243,7 @@ def streamed_layers(spec: NetworkSpec, init: InitializerSpec, rng: Rng, batch: n
     """Yield the post-activations x_1..x_L, in float32, of the backbone that
     ``build_network(spec, init, rng)`` draws, over an n x input_dim batch,
     without building it: layer l's weight is drawn (a Householder layer
-    materialized alone) one layer ahead of its step and dropped after it.
+    materialized alone) for its step and dropped once the next is drawn.
     So the pass holds at most two weights and a few activation arrays,
     O(N^2 + n N) instead of the network's O(L N^2).  No readout is drawn;
     ``build_network`` draws it last, from its own stream.
@@ -257,21 +255,25 @@ def streamed_layers(spec: NetworkSpec, init: InitializerSpec, rng: Rng, batch: n
     was within 8.1e-7 of the float64 pass's at every layer (N = 32..200,
     L <= 150); ``analysis`` refuses float32 activations that have
     overflowed or underflowed.  The zero bias is added as ``layers`` adds
-    it, so that a product's -0.0 becomes +0.0.  ``cpus.row_blocked`` steps
-    the layers."""
+    it, so that a product's -0.0 becomes +0.0.  The pass leaves BLAS's
+    thread count alone: its callers step it inside ``cpus.fan_out``'s pin."""
     bias = np.zeros(spec.width_N, np.float32)
     phi = act.in_place(spec.activation)
     drawn = (_layer_weight(spec, init, rng, l) for l in range(spec.depth_L))
     weights = ((householder_materialize(w) if isinstance(w, HouseholderStack) else w).astype(np.float32) for w in drawn)
-    probe = _as_batch(spec, batch).astype(np.float32)
-    return row_blocked(probe, weights, lambda x, w, out: _layer_step(phi, x, w, bias, out))
+
+    def steps(x):
+        for w in weights:
+            x = _layer_step(phi, x, w, bias)
+            yield x
+
+    return steps(_as_batch(spec, batch).astype(np.float32))
 
 
-def _layer_step(phi, x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _layer_step(phi, x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The one per-layer step, phi(x W^T + b), computed in place into a
-    fresh array, or into ``out`` when given; ``phi`` is
-    ``activations.in_place``'s."""
-    h = np.matmul(x, w.swapaxes(-1, -2), out=out)
+    fresh array; ``phi`` is ``activations.in_place``'s."""
+    h = x @ w.swapaxes(-1, -2)
     h += b
     return phi(h)
 

@@ -22,6 +22,7 @@ import pytest
 import vannodes as vn
 from vannodes.activations import ActivationKind, ActivationMoments, mu_quadrature
 from vannodes.cpus import fan_out
+from vannodes.experiments import _probe_work
 from vannodes.initializers import InitKind, InitializerSpec, householder_backward
 from vannodes.linalg import Rng
 from vannodes.network import NetworkSpec, backward, build_network, forward, streamed_layers
@@ -67,6 +68,14 @@ def measure_vni(depth, width, kind, init, probe, rng):
     return value
 
 
+def measure_vnis(cases: list) -> list:
+    """measure_vni of each (depth, width, kind, init, probe, rng) case, in
+    order.  The passes are independent, so they are spread over the CPUs,
+    each call's work its probe pass's estimate."""
+    calls = [(_probe_work(c[0], c[4].shape[0], c[1]), lambda c=c: measure_vni(*c)) for c in cases]
+    return list(fan_out(calls))
+
+
 def test_criterion_01_theory_vs_simulation():
     # Hard-tanh + i.i.d. Gaussian at tuned gain: the moment prediction tracks
     # the measured indicator across depth wherever the raw prediction <= 0.8.
@@ -75,16 +84,15 @@ def test_criterion_01_theory_vs_simulation():
     init = InitializerSpec(GAUSS, sw2)
     s1 = vn.s1_for_ensemble(GAUSS)
     probe = vn.gaussian_probe(1000, n, sigma_x_sq, Rng(7))
+    depths = [depth for depth in range(10, 101, 10) if vn.vni_theoretical(depth, n, mom, s1)[1] <= 0.8]
+    measured = measure_vnis(
+        [(depth, n, ActivationKind.HARD_TANH, init, probe, Rng(0, (n, depth, seed))) for depth in depths for seed in range(seeds)]
+    )
     worst = ("", 0.0)
     ok = True
-    for depth in range(10, 101, 10):
+    for i, depth in enumerate(depths):
         _, raw = vn.vni_theoretical(depth, n, mom, s1)
-        if raw > 0.8:
-            continue
-        vals = [
-            measure_vni(depth, n, ActivationKind.HARD_TANH, init, probe, Rng(0, (n, depth, seed)))
-            for seed in range(seeds)
-        ]
+        vals = measured[i * seeds : (i + 1) * seeds]
         diff = abs(float(np.mean(vals)) - raw)
         tol = max(0.05, 2.0 * float(np.std(vals, ddof=1)))
         if diff > worst[1]:
@@ -113,17 +121,17 @@ def test_criterion_03_monotonicity():
     sigma_x_sq, seeds = 0.1, 20
     sw2, _, _ = tuned(ActivationKind.HARD_TANH, sigma_x_sq)
     init = InitializerSpec(GAUSS, sw2)
-
-    def mean_vni(depth, width):
-        probe = vn.gaussian_probe(1000, width, sigma_x_sq, Rng(7))
-        vals = [
-            measure_vni(depth, width, ActivationKind.HARD_TANH, init, probe, Rng(0, (width, depth, s)))
+    cells = [(depth, 200) for depth in (10, 50, 100)] + [(50, width) for width in (50, 200, 500)]
+    probes = {width: vn.gaussian_probe(1000, width, sigma_x_sq, Rng(7)) for width in (50, 200, 500)}
+    measured = measure_vnis(
+        [
+            (depth, width, ActivationKind.HARD_TANH, init, probes[width], Rng(0, (width, depth, s)))
+            for depth, width in cells
             for s in range(seeds)
         ]
-        return float(np.mean(vals))
-
-    by_depth = [mean_vni(depth, 200) for depth in (10, 50, 100)]
-    by_width = [mean_vni(50, width) for width in (50, 200, 500)]
+    )
+    means = [float(np.mean(measured[i * seeds : (i + 1) * seeds])) for i in range(len(cells))]
+    by_depth, by_width = means[:3], means[3:]
     ok = by_depth[0] < by_depth[1] < by_depth[2] and by_width[0] > by_width[1] > by_width[2]
     check(
         3,
@@ -155,13 +163,11 @@ def test_criterion_05_orthogonal_depth_independence():
     sw2, _, _ = tuned(ActivationKind.TANH, sigma_x_sq)
     init = InitializerSpec(InitKind.ORTHOGONAL, sw2)
     probe = vn.gaussian_probe(1000, n, sigma_x_sq, Rng(7))
-    means = []
-    for depth in (10, 50, 100):
-        vals = [
-            measure_vni(depth, n, ActivationKind.TANH, init, probe, Rng(1, (depth, seed)))
-            for seed in range(seeds)
-        ]
-        means.append(float(np.mean(vals)))
+    depths = (10, 50, 100)
+    measured = measure_vnis(
+        [(depth, n, ActivationKind.TANH, init, probe, Rng(1, (depth, seed))) for depth in depths for seed in range(seeds)]
+    )
+    means = [float(np.mean(measured[i * seeds : (i + 1) * seeds])) for i in range(len(depths))]
     ok = all(m <= 3.0 / n for m in means)
     check(
         5,

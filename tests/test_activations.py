@@ -82,6 +82,29 @@ def test_mean_sq_activation_against_monte_carlo(kind, q):
     assert act.mean_sq_activation(kind, q) == pytest.approx(mc, rel=5e-3)
 
 
+def _hard_tanh_closed_form(q: float) -> float:
+    """m(q) of hard-tanh as q (erf(a/sqrt 2) - a sqrt(2/pi) e^{-a^2/2}) + erfc(a/sqrt 2), a = 1/sqrt(q)."""
+    a = 1.0 / math.sqrt(q)
+    return q * (math.erf(a / math.sqrt(2.0)) - a * math.sqrt(2.0 / math.pi) * math.exp(-a * a / 2.0)) + math.erfc(a / math.sqrt(2.0))
+
+
+def test_hard_tanh_series_meets_the_closed_form():
+    # For q in (1, 4] the series is used and the closed form still loses at
+    # most about 3 eps / a^2 = 12 eps to its cancellation: both agree there,
+    # and on both sides of the switch at q = 1.
+    for q in [*np.linspace(1.0, 4.0, 61)[1:], np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)]:
+        assert act.mean_sq_activation(ActivationKind.HARD_TANH, q) == pytest.approx(_hard_tanh_closed_form(q), rel=2e-15, abs=0)
+
+
+@pytest.mark.parametrize("q", [1e6, 1e9, 1e13])
+def test_hard_tanh_mean_square_at_large_variance(q):
+    # 1 - m(q) = sqrt(2/pi) (2a/3 - a^3/15 + O(a^5)), a = 1/sqrt(q): the
+    # closed form's cancellation loses it (2e-10 relative at 1e6, 3e-3 at 1e13).
+    a = 1.0 / math.sqrt(q)
+    want = math.sqrt(2.0 / math.pi) * (2.0 * a / 3.0 - a**3 / 15.0)
+    assert 1.0 - act.mean_sq_activation(ActivationKind.HARD_TANH, q) == pytest.approx(want, rel=1e-9)
+
+
 def test_mu_closed_forms():
     for q in (0.2, 1.0, 7.0):
         assert act.mu_quadrature(ActivationKind.LINEAR, q) == (1.0, 1.0)
@@ -188,6 +211,16 @@ class TestDirectSolves:
             assert len(calls) <= 64
         [q] = roots
         mapped = sigma_w_sq * m(kind, q)
+        assert 0.0 < q < sigma_w_sq
+        assert abs(q - mapped) <= 16 * np.finfo(np.float64).eps * (q + mapped)
+
+    @pytest.mark.parametrize("kind", [ActivationKind.TANH, ActivationKind.HARD_TANH])
+    @pytest.mark.parametrize("sigma_w_sq", [1e9, 1e13])
+    def test_root_at_rounding_level_at_a_large_gain(self, kind, sigma_w_sq):
+        # Hard-tanh's m(q) is summed without cancellation at large q, so its
+        # root is bisected to rounding level as tanh's is.
+        q = act.variance_fixed_point(kind, sigma_w_sq, 0.1)
+        mapped = sigma_w_sq * act.mean_sq_activation(kind, q)
         assert 0.0 < q < sigma_w_sq
         assert abs(q - mapped) <= 16 * np.finfo(np.float64).eps * (q + mapped)
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from vannodes import analysis as an
 from vannodes.activations import ActivationMoments, ActivationKind, mu_quadrature, tune_sigma_w_sq
+from vannodes.cpus import one_blas_thread
 from vannodes.initializers import InitKind, InitializerSpec
 from vannodes.linalg import Rng
 from vannodes import initializers, training
@@ -126,9 +127,17 @@ class TestEmpirical:
             an.vni_empirical(x)
 
 
+@pytest.fixture
+def one_blas():
+    """BLAS on one thread, as every runner steps a probe pass (inside
+    ``cpus.fan_out``'s pin; ``streamed_layers`` leaves the count alone)."""
+    with one_blas_thread():
+        yield
+
+
 @pytest.mark.parametrize("kind", list(ActivationKind))
 @pytest.mark.parametrize("init_kind", [InitKind.SCALED_GAUSSIAN, InitKind.ORTHOGONAL, InitKind.HOUSEHOLDER])
-def test_float32_probe_pass_reads_the_float64_indicator(kind, init_kind):
+def test_float32_probe_pass_reads_the_float64_indicator(kind, init_kind, one_blas):
     # The probe pass rounds the probe and the weights to float32 and steps
     # in float32; at the critical gain its indicator stays within 1e-6 of
     # the built network's float64 pass at every 30th layer up to L = 120.
@@ -145,7 +154,7 @@ def test_float32_probe_pass_reads_the_float64_indicator(kind, init_kind):
                 assert abs(an.vni_empirical(x32)[0] - an.vni_empirical(x64)[0]) <= 1e-6, (width, depth)
 
 
-def test_a_float32_pass_that_underflows_raises():
+def test_a_float32_pass_that_underflows_raises(one_blas):
     # tanh far below its critical gain (sigma_w^2 = sigma_x^2 = 0.1, N = 64):
     # |x_l| shrinks about 10^-0.5 a layer.  At L = 60 (largest |x| 9.6e-31)
     # the float32 pass reads the float64 indicator; at L = 120 the float64

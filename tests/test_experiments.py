@@ -4,6 +4,7 @@ import shutil
 import struct
 import sys
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -674,7 +675,7 @@ class _Groups(Exception):
     """Raised, with the groups it was handed, by a stand-in for ``_stored_runs``."""
 
 
-def _capture_groups(config, name, columns, groups, compute, work=None):
+def _capture_groups(config, name, columns, groups, compute, work=None, part=None):
     raise _Groups(groups)
 
 
@@ -749,6 +750,60 @@ def _forking(monkeypatch) -> list:
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@contextmanager
+def _cpus(n: int):
+    """The test process's own affinity cut to n of its CPUs inside the block."""
+    affinity = os.sched_getaffinity(0)
+    if len(affinity) < n:
+        pytest.skip(f"the process may use {len(affinity)} CPU(s); {n} are needed")
+    os.sched_setaffinity(0, sorted(affinity)[:n])
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, affinity)
+
+
+@pytest.mark.parametrize("activation", ["linear", "relu", "tanh", "hard_tanh"])
+@pytest.mark.parametrize("init", ["scaled_gaussian", "householder"])
+def test_the_sweep_forks_one_call_per_probe_pass(activation, init, tmp_path, monkeypatch):
+    # Each (width, run) pass is one call of the fan-out: at 2 CPUs a forked
+    # child steps some of the 4 passes, and for every activation and layer
+    # kind the sweep writes the bytes of the passes made in-process at 1
+    # CPU, the reference's indicators.
+    forks = _forking(monkeypatch)
+    fanned, fan_out = [], experiments.fan_out
+    monkeypatch.setattr(experiments, "fan_out", lambda calls: fanned.append(len(calls)) or fan_out(calls))
+    config, written = ExperimentConfig(**SWEEP, activation=activation, init=init, out_dir="out"), []
+    monkeypatch.chdir(tmp_path)
+    for cpus in (1, 2):
+        shutil.rmtree("out", ignore_errors=True)
+        with _cpus(cpus):
+            experiments.run_vni_sweep(config)
+        written.append(_files("out"))
+        assert len(forks) == cpus - 1
+    assert fanned == [4, 4] and written[0] == written[1]
+    assert _stored_vni(config, tmp_path / "out") == {key: f"{v:.10g}" for key, v in _sweep_reference(config).items()}
+    _no_child_left()
+
+
+def test_a_forked_pass_out_of_float32_range_is_read_in_float64(tmp_path, monkeypatch):
+    # Run 1's pass is the child's share: it underflows float32 there and is
+    # read again in float64 in the child, with the values the in-process
+    # pass stores.
+    forks = _forking(monkeypatch)
+    config = ExperimentConfig(experiment="vni_sweep", depths=[40, 80], **FAR_BELOW, out_dir=str(tmp_path))
+    with _cpus(2):
+        experiments.run_vni_sweep(config)
+    assert len(forks) == 1
+    reference = {}
+    for run in range(2):
+        x = _float64_pass(config, 80, 64, (64, run))
+        reference |= {f"N64_L{d}_r{run}": f"{vni_empirical(x[d - 1])[0]:.10g}" for d in (40, 80)}
+    assert _stored_vni(config, tmp_path) == reference
+    assert reference["N64_L40_r0"] == "0.4919508845" and reference["N64_L80_r0"] == "0.5233211099"
+    _no_child_left()
 
 
 def test_fan_out_pins_one_blas_thread_and_restores_the_count(monkeypatch):

@@ -139,16 +139,25 @@ def test_only_the_writers_open_a_file_to_write():
     assert "experiments._write" in found  # the walk does see a writer
 
 
+THREADS = {"threading", "Thread", "concurrent", "ThreadPoolExecutor"}
+
+
 def _cpu_code(source: str) -> set:
-    """The process and thread names a module reads or imports: ``os.fork``,
-    ``os.sched_getaffinity``, ``ThreadPoolExecutor``, ``one_blas_thread``
-    (a BLAS pin outside ``fan_out`` and ``row_blocked``) and any OpenBLAS
-    symbol (its thread getter and setter)."""
-    cpu_names = {"fork", "sched_getaffinity", "ThreadPoolExecutor", "one_blas_thread"}
-    return {n for n in _names_read(source) if n in cpu_names or "openblas" in n.lower()}
+    """The process and thread names a module reads or imports, also as the
+    module of a ``from`` import: ``os.fork``, ``os.sched_getaffinity``, any
+    thread module or class (``THREADS``), ``one_blas_thread`` (a BLAS pin
+    outside ``fan_out``) and any OpenBLAS symbol (its thread getter and
+    setter)."""
+    cpu_names = {"fork", "sched_getaffinity", "one_blas_thread"} | THREADS
+    modules = {n for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ImportFrom) for n in (node.module or "").split(".")}
+    return {n for n in _names_read(source) | modules if n in cpu_names or "openblas" in n.lower()}
 
 
-def test_only_cpus_forks_starts_threads_or_sets_blas_threads():
+def test_only_cpus_forks_or_sets_blas_threads_and_no_module_starts_a_thread():
+    # Another CPU is reached only by cpus.fan_out's forked children: no
+    # module, cpus included, imports or reads a thread module or class.
     found = {name: _cpu_code((Path(vannodes.__path__[0]) / f"{name}.py").read_text()) for name in MODULES}
     assert {name: names for name, names in found.items() if names and name != "cpus"} == {}
-    assert {"fork", "sched_getaffinity", "ThreadPoolExecutor", "one_blas_thread"} < found["cpus"]  # the walk does see them
+    assert {"fork", "sched_getaffinity", "one_blas_thread"} < found["cpus"]  # the walk does see them
+    assert found["cpus"].isdisjoint(THREADS)
+    assert _cpu_code("from concurrent.futures import ThreadPoolExecutor\nfrom threading import Thread") == THREADS

@@ -1,6 +1,4 @@
 import os
-import sys
-import threading
 import tracemalloc
 import weakref
 
@@ -185,133 +183,48 @@ def test_streamed_pass_frees_the_probe_once_layer_1_replaces_it():
 
 
 @pytest.fixture
-def cpus(monkeypatch):
-    """``cpus(n)`` makes streamed passes see n CPUs and returns the list that
-    gets the rows of each layer step from then on; the caller's BLAS thread
-    count is restored after the test."""
-    if cpus_module._openblas_threads() is None:
-        pytest.skip("numpy's OpenBLAS is not found, so every probe layer is one block")
-    steps, step = [], network._layer_step
-    monkeypatch.setattr(network, "_layer_step", lambda phi, x, *args: steps.append(len(x)) or step(phi, x, *args))
-
-    def see(n: int) -> list:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-        steps.clear()
-        return steps
-
-    with cpus_module.one_blas_thread():
-        yield see
+def forks(monkeypatch):
+    """Fan-outs see two CPUs and fork whatever their work, while the caller
+    runs BLAS at two threads (its count is restored after the test); the
+    returned list gets one entry per fork."""
+    blas = cpus_module._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's OpenBLAS is not found, so every fan-out runs in-process")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(cpus_module, "_FAN_OUT_FLOOR", 0)
+    forked, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
+    get_threads, set_threads = blas
+    threads = get_threads()
+    set_threads(2)
+    try:
+        yield forked
+    finally:
+        set_threads(threads)
 
 
 @pytest.mark.parametrize("width", [16, 32, 50, 64, 100, 200, 300])
 @pytest.mark.parametrize("kind", list(ActivationKind))
 @pytest.mark.parametrize("init", [GAUSS, InitializerSpec(InitKind.HOUSEHOLDER)], ids=["gauss", "householder"])
-def test_row_blocks_at_the_floor_keep_the_serial_bits(width, kind, init, cpus):
-    # Each layer is split in two blocks of the fewest rows that reach the
-    # floor (the second 5 rows longer), and the pass has the bits of the
-    # pass that steps every layer as one block.  At N = 300 a cut off a
-    # multiple of 12 rows changes bits on OpenBLAS's SkylakeX kernels.
-    quantum, floor = cpus_module._ROW_QUANTUM, cpus_module._ROW_BLOCK_FLOOR
-    block = -(-floor // (width * width * quantum)) * quantum
+def test_a_forked_pass_keeps_the_bits_of_one_blas_thread(width, kind, init, forks):
+    # The same pass made by the parent and by a forked child of one fan-out,
+    # while the caller runs two BLAS threads, steps at one BLAS thread and
+    # has the bits of the pass made in-process at one thread: a probe pass's
+    # bits depend on neither the CPU count nor the caller's BLAS thread
+    # count, and the caller gets its count back.
+    get_threads = cpus_module._openblas_threads()[0]
     spec = NetworkSpec(3, width, width, 0, kind)
-    batch = Rng(42).normal(size=(2 * block + 5, width))
-    cpus(1)
-    serial = [x.tobytes() for x in streamed_layers(spec, init, Rng(43), batch)]
-    steps = cpus(2)
-    split = [x.tobytes() for x in streamed_layers(spec, init, Rng(43), batch)]
-    assert split == serial
-    assert sorted(steps) == [block] * 3 + [block + 5] * 3
+    batch = Rng(42).normal(size=(1000, width))
 
+    def pass_():
+        return get_threads(), [x.tobytes() for x in streamed_layers(spec, init, Rng(43), batch)]
 
-def test_row_blocks_keep_the_bits_under_fast_thread_switching(cpus):
-    # Four blocks on three pool threads and this one, which may outnumber
-    # the cores, switching every microsecond: each block still writes only
-    # its rows, and the pass keeps the serial bits.
-    spec = NetworkSpec(6, 200, 200, 0, ActivationKind.TANH)
-    batch = Rng(48).normal(size=(4 * 144 + 7, 200))
-    cpus(1)
-    serial = [x.tobytes() for x in streamed_layers(spec, GAUSS, Rng(49), batch)]
-    steps = cpus(4)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        split = [x.tobytes() for x in streamed_layers(spec, GAUSS, Rng(49), batch)]
-    finally:
-        sys.setswitchinterval(interval)
-    assert split == serial
-    assert sorted(steps) == [144] * 18 + [151] * 6
-
-
-def test_row_blocks_start_on_the_quantum_and_reach_the_floor():
-    quantum, floor = cpus_module._ROW_QUANTUM, cpus_module._ROW_BLOCK_FLOOR
-    for rows, per_row, n in [(2000, 40_000, 2), (2000, 40_000, 3), (1999, 10_000, 4), (5000, 4096, 8)]:
-        blocks = cpus_module._row_blocks(rows, per_row, n)
-        assert 1 < len(blocks) <= n
-        assert blocks[0][0] == 0 and blocks[-1][1] == rows
-        assert all(a % quantum == 0 and b == c for (a, b), (c, _) in zip(blocks, blocks[1:] + [(rows, 0)]))
-        assert min(b - a for a, b in blocks) * per_row >= floor
-    assert cpus_module._row_blocks(2000, 40_000, 1) == [(0, 2000)]
-    assert cpus_module._row_blocks(2000, 2500, 2) == [(0, 2000)]  # N = 50: 2.5M multiply-adds a block
-    assert cpus_module._row_blocks(40, 10**6, 2) == [(0, 40)]  # fewer rows than the quantum
-
-
-def test_a_pass_at_two_blas_threads_splits_and_gives_the_caller_its_count_back(cpus):
-    # The pass pins BLAS to one thread for each layer whatever the caller's
-    # count, so it splits a large layer into blocks and keeps the bits of
-    # one block; the caller reads its own count between yields and after
-    # an early close.
-    get_threads, set_threads = cpus_module._openblas_threads()
-    set_threads(2)  # the fixture's pin restores the count after the test
-    spec, batch = NetworkSpec(3, 200, 200, 0, ActivationKind.TANH), Rng(51).normal(size=(2000, 200))
-    cpus(1)
-    serial = [x.tobytes() for x in streamed_layers(spec, GAUSS, Rng(50), batch)]
-    steps = cpus(2)
-    split = []
-    for x in streamed_layers(spec, GAUSS, Rng(50), batch):
-        assert get_threads() == 2
-        split.append(x.tobytes())
-    assert split == serial
-    assert sorted(steps) == [992] * 3 + [1008] * 3
-    pass_ = streamed_layers(spec, GAUSS, Rng(50), batch)
-    next(pass_)
-    pass_.close()
+    with cpus_module.one_blas_thread():
+        serial = pass_()
+    assert serial[0] == 1
+    assert list(cpus_module.fan_out([(1, pass_), (1, pass_)])) == [serial, serial]
+    assert forks == [1]
     assert get_threads() == 2
-
-
-def test_a_failing_row_block_reaches_the_caller(cpus, monkeypatch):
-    # A block that raises in a pool thread raises in the caller, and no
-    # thread is left.
-    steps = cpus(2)
-    step = network._layer_step
-
-    def failing(phi, x, *args):
-        if threading.current_thread() is not threading.main_thread():
-            raise FloatingPointError("block failed")
-        return step(phi, x, *args)
-
-    monkeypatch.setattr(network, "_layer_step", failing)
-    before = threading.active_count()
-    pass_ = streamed_layers(NetworkSpec(3, 200, 200, 0, ActivationKind.TANH), GAUSS, Rng(44), Rng(45).normal(size=(384, 200)))
-    with pytest.raises(FloatingPointError, match="block failed"):
-        next(pass_)
-    assert threading.active_count() == before
-    assert steps == [192]  # this thread's block; the pool thread's raised
-
-
-@pytest.mark.parametrize("close_after", [1, None], ids=["closed-after-layer-1", "to-the-end"])
-def test_row_block_threads_end_with_the_pass(close_after, cpus):
-    # At each yield at most one pool thread per CPU but this one is alive;
-    # none is once the pass ends or is closed, so that no fork meets a live
-    # pool thread.
-    steps = cpus(2)
-    before = threading.active_count()
-    pass_ = streamed_layers(NetworkSpec(4, 200, 200, 0, ActivationKind.TANH), GAUSS, Rng(46), Rng(47).normal(size=(384, 200)))
-    for depth, _ in enumerate(pass_, 1):
-        assert threading.active_count() <= before + 1
-        if depth == close_after:
-            pass_.close()
-    assert threading.active_count() == before
-    assert steps == [192] * 2 * (close_after or 4)
 
 
 @pytest.mark.parametrize("num_classes", [0, 3])
