@@ -84,6 +84,8 @@ class ExperimentConfig:
             v = getattr(self, name)
             if min(v if isinstance(v, list) else [v]) < least:
                 raise ValueError(f"{name} must be >= {least}, got {v}")
+        if self.experiment == "heatmap" and min(self.widths) < 2:  # its mean off-diagonal needs two nodes
+            raise ValueError(f"heatmap widths must be >= 2, got width {min(self.widths)} in {self.widths}")
         if not 0 < self.sigma_x_sq < math.inf:
             raise ValueError(f"sigma_x_sq must be positive and finite, got {self.sigma_x_sq}")
         if not math.isfinite(self.sigma_w_sq):

@@ -18,6 +18,7 @@ import math
 import os
 import warnings
 from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,7 @@ from .data import gaussian_probe, load_mnist_idx, synthetic_task
 from .initializers import InitKind, InitializerSpec
 from .cpus import fan_out
 from .linalg import Rng
-from .network import build_network, layers, streamed_layers
+from .network import NetworkSpec, build_network, streamed_layers
 from .training import train
 
 __all__ = [
@@ -267,31 +268,45 @@ def _init_spec(config: ExperimentConfig, init_kind: InitKind, gain: GainSetup) -
     return InitializerSpec(init_kind, gain.sigma_w_sq, config.bottleneck_nb)
 
 
-def _probe_pass(config: ExperimentConfig, width: int, gain: GainSetup, rng: Rng, read, depths) -> dict:
-    """{d: read(x_d)} for each layer d in ``depths`` of one width x width
-    network of ``max(depths)`` layers drawn from ``rng.spawn(0)``, over a
-    Gaussian probe drawn from ``rng.spawn(1)``.
+def _probe_pass(spec: NetworkSpec, init: InitializerSpec, rng: Rng, probe, read, depths) -> dict:
+    """{d: read(x_d)} for each layer d in ``depths`` of the network
+    ``build_network(spec, init, rng)`` draws, over the probe that the call
+    ``probe()`` returns, without building it (``streamed_layers``).
 
-    The pass is streamed in float32 (``streamed_layers``) in the calling
-    thread, inside the runner's ``cpus.fan_out``.  When ``read`` refuses a
-    layer's float32 activations (``Float32RangeError``: the pass overflowed
-    or underflowed, as deep passes far from the critical gain do), the
-    streamed pass is closed and every layer is read again from the built
-    network's float64 ``layers``, with the bits the probe pass had before it
-    moved to float32."""
-    spec = config.network_spec(max(depths), width, width, 0)
-    init = _init_spec(config, config.init_kind, gain)
+    The pass is streamed in float32, in the calling thread, inside the
+    caller's ``cpus.fan_out``.  ``probe()`` is called for each pass, so a
+    caller that draws the probe there holds no float64 probe during the
+    float32 pass.  When ``read`` refuses a layer's float32 activations
+    (``Float32RangeError``: the pass overflowed or underflowed, as deep
+    passes far from the critical gain do), the same draws are streamed
+    again in float64, two layers held as in float32, and every layer is
+    read from that pass: the bits of the built network's float64 ``layers``.
+    Each pass is closed when it is left, and a refused pass's arrays are
+    freed before the float64 pass starts."""
+
+    def read_pass(dtype) -> dict:
+        with closing(streamed_layers(spec, init, rng, probe(), dtype)) as streamed:
+            return {d: read(x) for d, x in enumerate(streamed, 1) if d in depths}
+
+    try:
+        return read_pass(np.float32)
+    except Float32RangeError:
+        pass  # read again once the exception, which holds the refused arrays, is gone
+    return read_pass(np.float64)
+
+
+def _gaussian_probe_pass(config: ExperimentConfig, gain: GainSetup, width: int, depths, key: tuple, read) -> dict:
+    """``_probe_pass`` of the width x width network of ``max(depths)``
+    layers drawn from ``Rng(master_seed, key).spawn(0)``, over a Gaussian
+    probe drawn from its ``spawn(1)``: the pass of ``sweep`` and
+    ``heatmap``."""
+    rng = Rng(config.master_seed, key)
 
     def probe():  # drawn for each pass, so that the float32 pass holds no float64 probe
         return gaussian_probe(config.probe_samples, width, config.sigma_x_sq, rng.spawn(1))
 
-    streamed = streamed_layers(spec, init, rng.spawn(0), probe())
-    try:
-        return {d: read(x) for d, x in enumerate(streamed, 1) if d in depths}
-    except Float32RangeError:
-        streamed.close()  # so that its float32 arrays are freed before the float64 pass
-    float64_pass = layers(build_network(spec, init, rng.spawn(0)), probe())
-    return {d: read(x) for d, x in enumerate(float64_pass, 1) if d in depths}
+    spec = config.network_spec(max(depths), width, width, 0)
+    return _probe_pass(spec, _init_spec(config, config.init_kind, gain), rng.spawn(0), probe, read, depths)
 
 
 def _probe_work(depth: int, rows: int, width: int) -> float:
@@ -379,10 +394,10 @@ def run_vni_sweep(config: ExperimentConfig) -> dict:
     same key.  The depths of one run therefore share weights; across runs
     they are independent draws.  The pass draws each layer for its step
     (``streamed_layers``), so a run holds at most two layers' weights, not
-    the network; only a pass out of float32's range is read again from the
-    built network (``_probe_pass``).  Each (width, run) pass is one call of
-    the fan-out (``_probe_work``), and a width's rows are stored in cell
-    order once its passes end.
+    the network, and steps them in float32; only a pass out of float32's
+    range is streamed again in float64 (``_probe_pass``).  Each (width, run)
+    pass is one call of the fan-out (``_probe_work``), and a width's rows
+    are stored in cell order once its passes end.
     """
     gain = resolve_gain(config, config.sigma_x_sq, config.init_kind)
     s1 = _s1(config)
@@ -390,8 +405,7 @@ def run_vni_sweep(config: ExperimentConfig) -> dict:
 
     def compute(missing):  # the missing rows of one (width, run), from one pass to the deepest listed depth
         width, _, run = missing[0]
-        rng = Rng(config.master_seed, (width, run))
-        profile = _probe_pass(config, width, gain, rng, lambda x: float(vni_empirical(x)[0]), listed)
+        profile = _gaussian_probe_pass(config, gain, width, listed, (width, run), lambda x: float(vni_empirical(x)[0]))
         return [[width, depth, profile[depth]] for _, depth, _ in missing]
 
     groups = [
@@ -433,8 +447,7 @@ def run_heatmap(config: ExperimentConfig) -> dict:
     cells = [(config.widths[0], depth) for depth in config.depths]
     cells += [(width, config.depths[0]) for width in config.widths[1:]]
     def compute(width, depth):  # the cell's indicator, mean off-diagonal and ordered correlations
-        rng = Rng(config.master_seed, (width, depth))
-        vni, corr_sq, _ = _probe_pass(config, width, gain, rng, vni_empirical, {depth})[depth]
+        vni, corr_sq, _ = _gaussian_probe_pass(config, gain, width, {depth}, (width, depth), vni_empirical)[depth]
         off_diag = (corr_sq.sum() - np.trace(corr_sq)) / (width * (width - 1))
         return vni, off_diag, correlation_heatmap(corr_sq)[0]
 

@@ -6,12 +6,12 @@ input_dim != N); an optional linear readout maps to num_classes.  Node
 statistics (VNI etc.) are always taken at backbone layer L, before the
 readout.
 
-``layers`` is the one loop over the layers of a built network: ``output``
-reads its last post-activation and ``forward`` keeps them all.
-``streamed_layers`` runs the same per-layer step in float32 over a network it
-draws one layer at a time, for a probe pass that needs no network
-afterwards: it holds at most two layers' weights instead of L, and steps
-them in the calling thread.
+``_layers`` is the one loop over layers, for built, stacked and streamed
+networks alike.  ``layers`` yields a built network's post-activations,
+``output`` reads the last of them and ``forward`` keeps them all.
+``streamed_layers`` steps a network it draws one layer at a time, in float32
+or float64, for a probe pass that needs no network afterwards: it holds at
+most two layers' weights instead of L, and steps them in the calling thread.
 Back-propagation and the Jacobian read phi'(h_l) from the post-activations
 x_l alone (``activations.derivative``), so no pre-activation is stored.
 
@@ -33,6 +33,7 @@ stack: it copies the run's arrays out.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -217,7 +218,7 @@ def forward(state: NetworkState, batch: np.ndarray) -> ForwardTrace:
     """Forward pass keeping every layer's post-activation, which
     back-propagation and the Jacobian read."""
     x = _as_batch(state.spec, batch, state.weights[0].shape[:-2])
-    trace = ForwardTrace(inputs=x, post=list(_layers(state, x)))
+    trace = ForwardTrace(inputs=x, post=list(_layers(state.spec, x, state.weights, state.biases)))
     if state.spec.num_classes > 0:
         trace.logits = trace.post[-1] @ state.readout_weight.swapaxes(-1, -2) + state.readout_bias
     return trace
@@ -228,46 +229,43 @@ def layers(state: NetworkState, batch: np.ndarray):
     per-layer trace: each layer is computed in place into a fresh array, so
     at most two activation arrays are alive while the caller holds only the
     latest."""
-    return _layers(state, _as_batch(state.spec, batch, state.weights[0].shape[:-2]))
+    return _layers(state.spec, _as_batch(state.spec, batch, state.weights[0].shape[:-2]), state.weights, state.biases)
 
 
-def _layers(state: NetworkState, x: np.ndarray):
-    """``layers`` over a batch that ``_as_batch`` has already checked."""
-    phi = act.in_place(state.spec.activation)
-    for w, b in zip(state.weights, state.biases):
+def streamed_layers(spec: NetworkSpec, init: InitializerSpec, rng: Rng, batch: np.ndarray, dtype=np.float32):
+    """Yield the post-activations x_1..x_L, in ``dtype`` (float32 or
+    float64), of the backbone that ``build_network(spec, init, rng)`` draws,
+    over an n x input_dim batch, without building it: layer l's weight is
+    drawn from ``rng.spawn(l)`` (a Householder layer materialized alone) for
+    its step and dropped once the next is drawn.  So the pass holds at most
+    two weights and a few activation arrays, O(N^2 + n N) instead of the
+    network's O(L N^2).  No readout is drawn; ``build_network`` draws it
+    last, from its own stream.
+
+    The batch and each weight are cast to ``dtype`` once (a float64 pass
+    copies neither) and every layer is stepped by ``_layers``, as the built
+    network's are, with a zero bias that turns a product's -0.0 into +0.0:
+    x_l is, bit for bit, that of the built network's weights and the batch
+    cast to ``dtype`` and stepped the same way, so the float64 pass is
+    ``layers(build_network(spec, init, rng), batch)``.  In float32 (an sgemm
+    a layer) the indicator at the critical gain was within 8.1e-7 of the
+    float64 pass's at every layer (N = 32..200, L <= 150); ``analysis``
+    refuses float32 activations that have overflowed or underflowed.  The
+    pass leaves BLAS's thread count alone: its callers step it inside
+    ``cpus.fan_out``'s pin."""
+    drawn = (_layer_weight(spec, init, rng, l) for l in range(spec.depth_L))
+    weights = ((householder_materialize(w) if isinstance(w, HouseholderStack) else w).astype(dtype, copy=False) for w in drawn)
+    return _layers(spec, _as_batch(spec, batch).astype(dtype, copy=False), weights, repeat(np.zeros(spec.width_N, dtype)))
+
+
+def _layers(spec: NetworkSpec, x: np.ndarray, weights, biases):
+    """The one loop over layers: yield x_l = phi(x_{l-1} W_l^T + b_l) for
+    each (W_l, b_l) of ``weights`` and ``biases``, over a batch that
+    ``_as_batch`` has already checked."""
+    phi = act.in_place(spec.activation)
+    for w, b in zip(weights, biases):
         x = _layer_step(phi, x, w, b)
         yield x
-
-
-def streamed_layers(spec: NetworkSpec, init: InitializerSpec, rng: Rng, batch: np.ndarray):
-    """Yield the post-activations x_1..x_L, in float32, of the backbone that
-    ``build_network(spec, init, rng)`` draws, over an n x input_dim batch,
-    without building it: layer l's weight is drawn (a Householder layer
-    materialized alone) for its step and dropped once the next is drawn.
-    So the pass holds at most two weights and a few activation arrays,
-    O(N^2 + n N) instead of the network's O(L N^2).  No readout is drawn;
-    ``build_network`` draws it last, from its own stream.
-
-    The batch and each weight are rounded to float32 once and every layer
-    is stepped in float32 through ``_layer_step`` (an sgemm): x_l is, bit
-    for bit, that of the built network's weights and the batch rounded to
-    float32 and stepped the same way.  At the critical gain its indicator
-    was within 8.1e-7 of the float64 pass's at every layer (N = 32..200,
-    L <= 150); ``analysis`` refuses float32 activations that have
-    overflowed or underflowed.  The zero bias is added as ``layers`` adds
-    it, so that a product's -0.0 becomes +0.0.  The pass leaves BLAS's
-    thread count alone: its callers step it inside ``cpus.fan_out``'s pin."""
-    bias = np.zeros(spec.width_N, np.float32)
-    phi = act.in_place(spec.activation)
-    drawn = (_layer_weight(spec, init, rng, l) for l in range(spec.depth_L))
-    weights = ((householder_materialize(w) if isinstance(w, HouseholderStack) else w).astype(np.float32) for w in drawn)
-
-    def steps(x):
-        for w in weights:
-            x = _layer_step(phi, x, w, bias)
-            yield x
-
-    return steps(_as_batch(spec, batch).astype(np.float32))
 
 
 def _layer_step(phi, x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:

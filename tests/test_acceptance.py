@@ -22,10 +22,10 @@ import pytest
 import vannodes as vn
 from vannodes.activations import ActivationKind, ActivationMoments, mu_quadrature
 from vannodes.cpus import fan_out
-from vannodes.experiments import _probe_work
+from vannodes.experiments import _probe_pass, _probe_work
 from vannodes.initializers import InitKind, InitializerSpec, householder_backward
 from vannodes.linalg import Rng
-from vannodes.network import NetworkSpec, backward, build_network, forward, streamed_layers
+from vannodes.network import NetworkSpec, backward, build_network, forward
 
 # Minutes of end-to-end runs: ``pytest -m "not slow"`` runs the unit suite alone.
 pytestmark = pytest.mark.slow
@@ -60,12 +60,11 @@ def tuned(kind: ActivationKind, sigma_x_sq: float):
 
 
 def measure_vni(depth, width, kind, init, probe, rng):
-    # x_L of the network build_network(spec, init, rng) would draw, one layer
-    # held at a time
-    for x_L in streamed_layers(NetworkSpec(depth, width, probe.shape[1], 0, kind), init, rng, probe):
-        pass
-    value, _, _ = vn.vni_empirical(x_L)
-    return value
+    # The indicator at x_L of the network build_network(spec, init, rng)
+    # would draw, from the runners' probe pass (one layer held at a time,
+    # read again in float64 where float32 is refused).
+    spec = NetworkSpec(depth, width, probe.shape[1], 0, kind)
+    return _probe_pass(spec, init, rng, lambda: probe, lambda x_L: vn.vni_empirical(x_L)[0], {depth})[depth]
 
 
 def measure_vnis(cases: list) -> list:
@@ -122,16 +121,17 @@ def test_criterion_03_monotonicity():
     sw2, _, _ = tuned(ActivationKind.HARD_TANH, sigma_x_sq)
     init = InitializerSpec(GAUSS, sw2)
     cells = [(depth, 200) for depth in (10, 50, 100)] + [(50, width) for width in (50, 200, 500)]
+    distinct = list(dict.fromkeys(cells))  # (50, 200) is in both sweeps: measured once
     probes = {width: vn.gaussian_probe(1000, width, sigma_x_sq, Rng(7)) for width in (50, 200, 500)}
     measured = measure_vnis(
         [
             (depth, width, ActivationKind.HARD_TANH, init, probes[width], Rng(0, (width, depth, s)))
-            for depth, width in cells
+            for depth, width in distinct
             for s in range(seeds)
         ]
     )
-    means = [float(np.mean(measured[i * seeds : (i + 1) * seeds])) for i in range(len(cells))]
-    by_depth, by_width = means[:3], means[3:]
+    mean = {cell: float(np.mean(measured[i * seeds : (i + 1) * seeds])) for i, cell in enumerate(distinct)}
+    by_depth, by_width = [mean[cell] for cell in cells[:3]], [mean[cell] for cell in cells[3:]]
     ok = by_depth[0] < by_depth[1] < by_depth[2] and by_width[0] > by_width[1] > by_width[2]
     check(
         3,

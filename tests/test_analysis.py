@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from vannodes import analysis as an
 from vannodes.activations import ActivationMoments, ActivationKind, mu_quadrature, tune_sigma_w_sq
-from vannodes.cpus import one_blas_thread
 from vannodes.initializers import InitKind, InitializerSpec
 from vannodes.linalg import Rng
 from vannodes import initializers, training
@@ -125,14 +124,6 @@ class TestEmpirical:
             an.vni_empirical(x.astype(np.float32))
         with np.errstate(invalid="ignore"):
             an.vni_empirical(x)
-
-
-@pytest.fixture
-def one_blas():
-    """BLAS on one thread, as every runner steps a probe pass (inside
-    ``cpus.fan_out``'s pin; ``streamed_layers`` leaves the count alone)."""
-    with one_blas_thread():
-        yield
 
 
 @pytest.mark.parametrize("kind", list(ActivationKind))

@@ -195,6 +195,13 @@ class TestCli:
         assert "config error" in err and key in err
         assert not os.path.exists(tmp_path / "o")
 
+    def test_heatmap_of_one_node_exits_2(self, tmp_path, capsys):
+        # a mean off-diagonal correlation needs two nodes: refused before any pass
+        rc = main(["heatmap", "--set", "widths=1", "--set", "depths=2", "--set", "probe_samples=50", "--set", f"out_dir={tmp_path}/o"])
+        assert rc == 2
+        assert "config error: heatmap widths must be >= 2, got width 1 in [1]" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
+
     def test_set_without_equals_exits_2(self, tmp_path, capsys):
         rc = main(["sweep", "--set", "foo", "--set", f"out_dir={tmp_path}"])
         assert rc == 2

@@ -538,21 +538,22 @@ def _float64_pass(config, depth: int, width: int, key: tuple) -> list:
 
 
 def _recording_streamed_passes(monkeypatch) -> list:
-    """Record every streamed probe pass the runners open."""
+    """Record every streamed probe pass the runners open, as (its dtype's
+    name, the pass)."""
     passes, streamed_layers = [], experiments.streamed_layers
 
-    def recorded(*args):
-        passes.append(streamed_layers(*args))
-        return passes[-1]
+    def recorded(spec, init, rng, batch, dtype=np.float32):
+        passes.append((np.dtype(dtype).name, streamed_layers(spec, init, rng, batch, dtype)))
+        return passes[-1][1]
 
     monkeypatch.setattr(experiments, "streamed_layers", recorded)
     return passes
 
 
 def test_a_pass_out_of_float32_range_is_read_in_float64(tmp_path, monkeypatch):
-    # Every depth of a refused (width, run) comes from one float64 pass, with
-    # the bits the probe pass had before it moved to float32, and the
-    # abandoned float32 pass is closed.
+    # Every depth of a refused (width, run) comes from one float64 streamed
+    # pass of the same draws, with the bits of the built network's float64
+    # layers, and each pass is closed or exhausted.
     passes = _recording_streamed_passes(monkeypatch)
     config = ExperimentConfig(experiment="vni_sweep", depths=[40, 80], **FAR_BELOW, out_dir=str(tmp_path / "sweep"))
     experiments.run_vni_sweep(config)
@@ -567,12 +568,15 @@ def test_a_pass_out_of_float32_range_is_read_in_float64(tmp_path, monkeypatch):
     off_diag = experiments.run_heatmap(config)[(64, 80)]
     corr_sq = vni_empirical(_float64_pass(config, 80, 64, (64, 80))[-1])[1]
     assert off_diag == (corr_sq.sum() - np.trace(corr_sq)) / (64 * 63)
-    assert len(passes) == 3 and all(p.gi_frame is None for p in passes)  # each float32 pass was closed
+    # two sweep runs and one heatmap cell, each refused in float32 and read in float64
+    assert [dtype for dtype, _ in passes] == ["float32", "float64"] * 3
+    assert all(p.gi_frame is None for _, p in passes)
 
 
 def test_a_float64_pass_that_fails_still_raises(tmp_path, monkeypatch):
     # 400 layers far below the critical gain underflow float64 too: the
-    # float64 pass's constant nodes raise, as they did before the float32 pass.
+    # float64 pass's constant nodes raise, as they did before the float32
+    # pass, and the pass that raised is closed.
     passes = _recording_streamed_passes(monkeypatch)
     config = ExperimentConfig(
         experiment="vni_sweep", **{**FAR_BELOW, "widths": [8], "runs": 1, "probe_samples": 64},
@@ -580,13 +584,16 @@ def test_a_float64_pass_that_fails_still_raises(tmp_path, monkeypatch):
     )  # fmt: skip
     with pytest.raises(ValueError, match="all nodes are constant"):
         experiments.run_vni_sweep(config)
-    assert len(passes) == 1 and passes[0].gi_frame is None
+    assert [dtype for dtype, _ in passes] == ["float32", "float64"]
+    assert all(p.gi_frame is None for _, p in passes)
 
 
 def test_no_pass_at_the_tuned_gain_is_read_in_float64(tmp_path, monkeypatch):
-    monkeypatch.setattr(experiments, "build_network", lambda *args: pytest.fail("a probe pass was read in float64"))
+    # Both runners make their passes in-process here, so every pass is recorded.
+    passes = _recording_streamed_passes(monkeypatch)
     experiments.run_vni_sweep(ExperimentConfig(**SWEEP, activation="hard_tanh", out_dir=str(tmp_path)))
     experiments.run_heatmap(ExperimentConfig(experiment="heatmap", **SMALL, out_dir=str(tmp_path)))
+    assert [dtype for dtype, _ in passes] == ["float32"] * 7  # 2 x 2 sweep runs, 3 heatmap cells
 
 
 @pytest.mark.parametrize("runs", [1, 3])

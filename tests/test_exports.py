@@ -103,23 +103,32 @@ def test_no_module_reads_a_global_it_never_binds(path):
     assert _unbound_globals("def f():\n    return opt\n") == ["opt"]  # the walk does see one
 
 
-def _writing_opens(source: str) -> list:
-    """Qualified names of the functions of a module that call ``open`` with
-    a mode that may write (a mode that is not a literal counts as one)."""
-    found = []
+def _calls(source: str):
+    """(qualified name of the enclosing function, name called, call node)
+    of each call in a module; the name called is a bare name's or an
+    attribute's."""
 
     def visit(node, scope: list):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, scope + [child.name])
+                yield from visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "open":
-                modes = child.args[1:2] + [k.value for k in child.keywords if k.arg == "mode"]
-                if not all(isinstance(m, ast.Constant) and set(m.value).isdisjoint("wax+") for m in modes):
-                    found.append(".".join(scope))
-            visit(child, scope)
+            if isinstance(child, ast.Call):
+                yield ".".join(scope), getattr(child.func, "id", getattr(child.func, "attr", None)), child
+            yield from visit(child, scope)
 
-    visit(ast.parse(source), [])
+    return visit(ast.parse(source), [])
+
+
+def _writing_opens(source: str) -> list:
+    """Qualified names of the functions of a module that call ``open`` with
+    a mode that may write (a mode that is not a literal counts as one)."""
+    found = []
+    for scope, name, call in _calls(source):
+        if name == "open" and isinstance(call.func, ast.Name):
+            modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+            if not all(isinstance(m, ast.Constant) and set(m.value).isdisjoint("wax+") for m in modes):
+                found.append(scope)
     return found
 
 
@@ -137,6 +146,19 @@ def test_only_the_writers_open_a_file_to_write():
     }
     assert sorted(found - WRITERS) == []
     assert "experiments._write" in found  # the walk does see a writer
+
+
+def test_one_loop_steps_the_layers():
+    # Built, stacked and streamed networks are all stepped by network._layers:
+    # no other function of the package makes a layer step.
+    found = [
+        f"{name}.{scope}"
+        for name in MODULES
+        for scope, called, _ in _calls((Path(vannodes.__path__[0]) / f"{name}.py").read_text())
+        if called == "_layer_step"
+    ]
+    assert found == ["network._layers"]
+    assert [c[:2] for c in _calls("def f(x):\n    return m._layer_step(x)")] == [("f", "_layer_step")]
 
 
 THREADS = {"threading", "Thread", "concurrent", "ThreadPoolExecutor"}

@@ -91,11 +91,11 @@ def test_output_equals_forward(kind, num_classes, input_dim, init):
     ],
     ids=["gauss", "householder", "uniform", "orthogonal", "bottleneck"],
 )
-def test_layers_equal_forward_post(kind, init):
+def test_layers_equal_forward_post(kind, init, one_blas):
     # streamed_layers draws each layer from the stream build_network draws it
     # from and leaves out the readout, drawn last from its own stream: its x_l
-    # are the built network's, stepped in float32, byte for byte, the sign of
-    # a zero included.
+    # are the built network's, stepped in float32 or in float64, byte for
+    # byte, the sign of a zero included.
     for input_dim in (6, 5):  # square, then a rectangular first layer
         spec = NetworkSpec(4, 6, input_dim, 3, kind)
         state = build_network(spec, init, Rng(32))
@@ -107,6 +107,8 @@ def test_layers_equal_forward_post(kind, init):
         assert all(np.array_equal(a, b) for a, b in zip(got, post))
         streamed = streamed_layers(spec, init, Rng(32), batch)
         assert [x.tobytes() for x in streamed] == [x.tobytes() for x in float32_layers(state, batch)]
+        float64 = streamed_layers(spec, init, Rng(32), batch, np.float64)
+        assert [x.tobytes() for x in float64] == [x.tobytes() for x in got]
         assert np.array_equal(batch, before)
 
 
@@ -136,7 +138,7 @@ def test_shallow_network_is_prefix_of_deep(kind):
         assert np.array_equal(output(shallow, batch), x)
 
 
-def test_output_validates_like_forward():
+def test_output_validates_like_forward(one_blas):
     spec = NetworkSpec(2, 5, 3, 4, ActivationKind.RELU)
     state = build_network(spec, GAUSS, Rng(3))
     for bad in (Rng(4).normal(size=(7, 2)), Rng(4).normal(size=3), Rng(4).normal(size=(1, 7, 3))):
@@ -149,16 +151,18 @@ def test_output_validates_like_forward():
         assert str(from_output.value) == str(from_streamed.value) == str(from_forward.value)
 
 
-def test_streamed_pass_holds_one_layer_not_the_network():
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_streamed_pass_holds_one_layer_not_the_network(dtype, one_blas):
     # N = 128, L = 64: the built network's weights alone take 8.4 MB, while a
-    # streamed pass holds one 131 kB weight, the draw's temporaries and a few
-    # 256 x 128 activation arrays.
+    # streamed pass, in either precision, holds one 131 kB weight (and its
+    # float32 cast), the draw's temporaries and a few 256 x 128 activation
+    # arrays.
     spec = NetworkSpec(64, 128, 128, 0, ActivationKind.TANH)
     batch = Rng(38).normal(size=(256, 128))
     bound = 4 * 128 * 128 * 8 + 4 * batch.nbytes
     tracemalloc.start()
     try:
-        for x in streamed_layers(spec, GAUSS, Rng(39), batch):
+        for x in streamed_layers(spec, GAUSS, Rng(39), batch, dtype):
             pass
         _, streamed_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
@@ -169,13 +173,15 @@ def test_streamed_pass_holds_one_layer_not_the_network():
     assert streamed_peak < bound < built_peak, (streamed_peak, bound, built_peak)
 
 
-def test_streamed_pass_frees_the_probe_once_layer_1_replaces_it():
-    # The pass keeps no reference to the probe after its first layer, so a
-    # caller that drops its own frees it for the rest of the pass.
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_streamed_pass_frees_the_probe_once_layer_1_replaces_it(dtype, one_blas):
+    # The pass keeps no reference to the probe after its first layer (a
+    # float64 pass steps the probe itself, uncopied), so a caller that drops
+    # its own frees it for the rest of the pass.
     spec = NetworkSpec(3, 8, 8, 0, ActivationKind.TANH)
     probe = Rng(40).normal(size=(16, 8))
     ref = weakref.ref(probe)
-    pass_ = streamed_layers(spec, GAUSS, Rng(41), probe)
+    pass_ = streamed_layers(spec, GAUSS, Rng(41), probe, dtype)
     del probe
     x_1 = next(pass_)
     assert ref() is None
