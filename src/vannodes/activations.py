@@ -21,6 +21,7 @@ recursion slows down critically there, taking about 1/(sigma_w^2 - 1) steps.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,11 +39,19 @@ __all__ = [
     "tune_sigma_w_sq",
 ]
 
-# Gauss-Hermite rule (physicists'), reused for all N(0,1) expectations.
-_GH_POINTS, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(201)
-_GH_Z = _GH_POINTS * math.sqrt(2.0)
-_GH_W = _GH_WEIGHTS / math.sqrt(math.pi)
 _EPS = float(np.finfo(np.float64).eps)
+
+
+@functools.cache
+def _gauss_hermite() -> tuple[np.ndarray, np.ndarray]:
+    """The 201-point Gauss-Hermite rule (physicists') as nodes z and weights
+    w with E[f(Z)] ~ w . f(z) for Z ~ N(0, 1), formed on first use: only
+    tanh's moments read it."""
+    points, weights = np.polynomial.hermite.hermgauss(201)
+    rule = points * math.sqrt(2.0), weights / math.sqrt(math.pi)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 class ConvergenceError(ArithmeticError):
@@ -116,8 +125,9 @@ def mean_sq_activation(kind: ActivationKind, q: float) -> float:
             inside = q * (math.erf(a / math.sqrt(2.0)) - a * math.sqrt(2.0 / math.pi) * math.exp(-a * a / 2.0))
         return inside + math.erfc(a / math.sqrt(2.0))
     if kind is ActivationKind.TANH:
-        vals = np.tanh(math.sqrt(q) * _GH_Z)
-        return float(np.dot(_GH_W, vals * vals))
+        z, w = _gauss_hermite()
+        vals = np.tanh(math.sqrt(q) * z)
+        return float(np.dot(w, vals * vals))
     raise ValueError(f"unknown activation {kind!r}")
 
 
@@ -140,9 +150,10 @@ def mu_quadrature(kind: ActivationKind, q_star: float) -> tuple[float, float]:
     if kind is ActivationKind.TANH:
         if q_star == 0:
             return 1.0, 1.0
-        t = np.tanh(math.sqrt(q_star) * _GH_Z)
+        z, w = _gauss_hermite()
+        t = np.tanh(math.sqrt(q_star) * z)
         d = 1.0 - t * t
-        return float(np.dot(_GH_W, d ** 2)), float(np.dot(_GH_W, d ** 4))
+        return float(np.dot(w, d ** 2)), float(np.dot(w, d ** 4))
     raise ValueError(f"unknown activation {kind!r}")
 
 

@@ -320,6 +320,18 @@ def _probe_work(depth: int, rows: int, width: int) -> float:
     return depth * rows * width * width / 1e6
 
 
+def _first(config: ExperimentConfig, *keys: str) -> list:
+    """``config.<key>[0]`` of each of ``keys``, for a runner that reads one
+    value of each of these lists.  A list of several values gets one
+    UserWarning naming the key, the value used and the values dropped; the
+    runners call this first, in the parent, before any cell is computed."""
+    for key in keys:
+        head, *dropped = getattr(config, key)
+        if dropped:
+            warnings.warn(f"{config.experiment} reads one value of {key}: uses {head!r}, drops {dropped!r}", stacklevel=3)
+    return [getattr(config, key)[0] for key in keys]
+
+
 def _train_runs(
     config: ExperimentConfig,
     depth: int,
@@ -329,7 +341,8 @@ def _train_runs(
     runs: list,
 ) -> list:
     """Train the runs ``runs``, (learning rate, RNG key) pairs, of
-    ``config.widths[0]`` nodes together; one TrainResult per run."""
+    ``config.widths[0]`` nodes together; one TrainResult per run.  Its
+    runners name the widths they drop (``_first``)."""
     train_set, test_set, _ = task
     spec = config.network_spec(depth, config.widths[0], train_set.input_dim, train_set.num_classes)
     return train(
@@ -356,8 +369,9 @@ def _train_work(config: ExperimentConfig, depth: int, task: tuple) -> int:
 
 def _init_table(blocks: list, inits: tuple):
     """Compare ``inits`` on each block (label, config, depth, task) of a table
-    by training ``config.runs`` runs of each; the cells are trained by
-    ``cpus.fan_out``.
+    by training ``config.runs`` runs of each at ``config.learning_rates[0]``
+    (its runners name the rates they drop, ``_first``); the cells are
+    trained by ``cpus.fan_out``.
 
     Returns the table rows (label, init, successes, runs, mean final
     indicator) and {(label, init): (successes, mean final indicator, runs)}.
@@ -471,17 +485,18 @@ def run_heatmap(config: ExperimentConfig) -> dict:
 
 def run_dynamics(config: ExperimentConfig) -> dict:
     """Per-epoch indicator quartiles across runs, one band (and group of runs) per learning rate."""
+    _, depth = _first(config, "widths", "depths")
     task = _task(config)
     gain = resolve_gain(config, task[2], config.init_kind)
 
     def compute(missing):
-        results = _train_runs(config, config.depths[0], config.init_kind, task, gain, missing)
+        results = _train_runs(config, depth, config.init_kind, task, gain, missing)
         return [
             [lr, key[1], len(r.records), [rec.vni for rec in r.records]]
             for (lr, key), r in zip(missing, results)
         ]
 
-    work = _train_work(config, config.depths[0], task)
+    work = _train_work(config, depth, task)
     groups = [
         [(f"lr{lr_index}_r{run}", (lr, (lr_index, run))) for run in range(config.runs)]
         for lr_index, lr in enumerate(config.learning_rates)
@@ -516,10 +531,11 @@ _TASKS_TABLE_INITS = (InitKind.SCALED_GAUSSIAN, InitKind.BOTTLENECK)
 def run_tasks_table(config: ExperimentConfig) -> dict:
     """Success/fail table across tasks x {scaled Gaussian, bottleneck} inits,
     plus the per-epoch gradient log-ratio between the two inits."""
+    _, depth, _ = _first(config, "widths", "depths", "learning_rates")
     blocks = []
     for task_name in _TASKS_TABLE_TASKS:
         cfg = config.with_overrides({"dataset": task_name})
-        blocks.append((task_name, cfg, config.depths[0], _task(cfg)))
+        blocks.append((task_name, cfg, depth, _task(cfg)))
     table_rows, results = _init_table(blocks, _TASKS_TABLE_INITS)
     ratio_rows = []
     for task_name in _TASKS_TABLE_TASKS:
@@ -537,6 +553,7 @@ def run_tasks_table(config: ExperimentConfig) -> dict:
 def run_grid(config: ExperimentConfig) -> dict:
     """Success probability over (depth, learning rate) with per-run final
     indicator and gain records for the failure-attribution summaries."""
+    _first(config, "widths")
     task = _task(config)
     gain = resolve_gain(config, task[2], config.init_kind)
 
@@ -600,6 +617,7 @@ _ORTH_INITS = (InitKind.SCALED_GAUSSIAN, InitKind.ORTHOGONAL, InitKind.HOUSEHOLD
 def run_orthogonal_table(config: ExperimentConfig) -> dict:
     """Success and final indicator per depth for scaled Gaussian, orthogonal
     init, and the Householder parametrization."""
+    _first(config, "widths", "learning_rates")
     task = _task(config)
     rows, results = _init_table([(depth, config, depth, task) for depth in config.depths], _ORTH_INITS)
     _write_csv(config, "orthogonal_table", "depth,init,successes,runs,mean_final_vni", rows)
@@ -609,7 +627,7 @@ def run_orthogonal_table(config: ExperimentConfig) -> dict:
 def run_diagnostics(config: ExperimentConfig) -> dict:
     """One-network report: indicator by every route, effective node counts,
     and forward/backward variance scales."""
-    width, depth = config.widths[0], config.depths[0]
+    width, depth = _first(config, "widths", "depths")
     gain = resolve_gain(config, config.sigma_x_sq, config.init_kind)
     def compute():  # the network, its report and its variance scales
         rng = Rng(config.master_seed, (depth, width))

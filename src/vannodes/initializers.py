@@ -140,8 +140,8 @@ class HouseholderStack:
     ``factors`` are the WY factors of the vectors the last
     ``householder_materialize`` read, kept beside the W it returned.  A stack
     the constructor makes holds none until it is materialized, as every
-    network's stacks are when the network is built;
-    ``network.build_stack`` moves the runs' factors to the stacked one.
+    stacked network's stacks are when ``network.build_stack`` builds it, for
+    all its runs at once; ``network._rows`` keeps the kept runs' factors.
     An in-place update of the vectors leaves both W and the factors stale
     until the next materialize.
     """

@@ -23,11 +23,12 @@ batch of one row it makes each layer's phi'(h) g in its bias gradient's
 array, which for one row is that gradient.
 
 A state may also hold R networks of one spec stacked along a leading run
-axis (``build_stack``), so that one call steps them all: ``forward``,
-``layers``, ``output`` and ``backward`` then take an R x n x d batch, or an
-n x d batch that every run sees, and work on each run's slice as they do on
-a single network, bit for bit.  ``run_state`` is the one way a run leaves a
-stack: it copies the run's arrays out.
+axis, so that one call steps them all: ``forward``, ``layers``, ``output``
+and ``backward`` then take an R x n x d batch, or an n x d batch that every
+run sees, and work on each run's slice as they do on a single network, bit
+for bit.  ``build_stack`` draws such a state (``build_network`` is its
+one-run case), ``_rows`` keeps some of its runs, and ``run_state`` is the
+one way a run leaves it: it copies the run's arrays out.
 """
 
 from __future__ import annotations
@@ -127,22 +128,10 @@ class Gradients:
 
 
 def build_network(spec: NetworkSpec, init: InitializerSpec, rng: Rng) -> NetworkState:
-    """Initialize all layers from an InitializerSpec; biases start at zero.
-
-    For the Householder initializer, square backbone layers are stored as
-    reflection stacks and stay exactly orthogonal under training updates;
-    ``rematerialize`` forms each stack's W and WY factors.
-    """
-    layers = [_layer_weight(spec, init, rng, l) for l in range(spec.depth_L)]
-    stacks = [w if isinstance(w, HouseholderStack) else None for w in layers]
-    readout = [None, None]
-    if spec.num_classes > 0:
-        w = init_scaled(InitKind.SCALED_GAUSSIAN, spec.width_N, spec.num_classes, 1.0, rng.spawn(spec.depth_L))
-        readout = [w, np.zeros(spec.num_classes)]
-    biases = [np.zeros(spec.width_N) for _ in range(spec.depth_L)]
-    state = NetworkState(spec, layers, biases, stacks if any(stacks) else None, *readout)
-    state.rematerialize()
-    return state
+    """One network, initialized from an InitializerSpec: the one run of
+    ``build_stack(spec, init, [rng])``, taken out of its stack.  It holds no
+    WY factors; a backward that needs them forms them."""
+    return run_state(build_stack(spec, init, [rng]), 0)
 
 
 def _layer_weight(spec: NetworkSpec, init: InitializerSpec, rng: Rng, l: int):
@@ -152,35 +141,41 @@ def _layer_weight(spec: NetworkSpec, init: InitializerSpec, rng: Rng, l: int):
 
 
 def build_stack(spec: NetworkSpec, init: InitializerSpec, rngs: list) -> NetworkState:
-    """The networks ``build_network(spec, init, rng)`` of the ``rngs``, as one
-    state stacked along a leading run axis, run r from ``rngs[r]``.  The WY
-    factors each build forms move to the stack, so its first backward forms
-    none."""
-    return _stack([build_network(spec, init, rng) for rng in rngs])
+    """R networks of one spec, initialized from an InitializerSpec and
+    stacked along a leading run axis: run r draws layer l from
+    ``rngs[r].spawn(l)`` and the readout from ``rngs[r].spawn(L)``; biases
+    start at zero.  Square Householder layers are reflection stacks, which
+    stay exactly orthogonal under training updates; one ``rematerialize``
+    forms their W and WY factors for the whole stack."""
+    weights, stacks = [], []
+    for l in range(spec.depth_L):
+        drawn = [_layer_weight(spec, init, rng, l) for rng in rngs]
+        reflections = isinstance(drawn[0], HouseholderStack)
+        stacks.append(HouseholderStack.unchecked(np.stack([w.vectors for w in drawn])) if reflections else None)
+        weights.append(None if reflections else np.stack(drawn))
+    readout = [None, None]
+    if spec.num_classes > 0:
+        drawn = [init_scaled(InitKind.SCALED_GAUSSIAN, spec.width_N, spec.num_classes, 1.0, rng.spawn(spec.depth_L)) for rng in rngs]
+        readout = [np.stack(drawn), np.zeros((len(rngs), 1, spec.num_classes))]
+    biases = [np.zeros((len(rngs), 1, spec.width_N)) for _ in range(spec.depth_L)]
+    state = NetworkState(spec, weights, biases, stacks if any(stacks) else None, *readout)
+    state.rematerialize()
+    return state
 
 
-def _stack(states: list) -> NetworkState:
-    """Copies of the networks ``states``, of one spec and one kind of layers,
-    stacked along a leading run axis; the runs' WY factors move to it."""
-    first = states[0]
+def _rows(state: NetworkState, rows: list) -> NetworkState:
+    """The runs ``rows`` of a stacked state, in that order, as a stack of
+    their own: copies of each stacked array's rows, the Householder layers'
+    WY factors included, so its first backward forms none."""
     stacks, readout = None, [None, None]
-    if first.stacks is not None:
-        stacks = [None if s is None else _stacked([t.stacks[l] for t in states]) for l, s in enumerate(first.stacks)]
-    if first.spec.num_classes > 0:
-        readout = [np.stack([s.readout_weight for s in states]), np.stack([s.readout_bias for s in states])[:, None]]
-    weights = [np.stack(layer) for layer in zip(*(s.weights for s in states))]
-    biases = [np.stack(layer)[:, None] for layer in zip(*(s.biases for s in states))]
-    return NetworkState(first.spec, weights, biases, stacks, *readout)
-
-
-def _stacked(stacks: list) -> HouseholderStack:
-    """One stack of the runs' reflection vectors, to which their WY factors
-    move when every run holds them, so that none are held twice."""
-    factors = [s.factors for s in stacks]
-    kept = None if any(f is None for f in factors) else WYFactors(*map(np.stack, zip(*factors)))
-    for s in stacks:
-        s.factors = None
-    return HouseholderStack.unchecked(np.stack([s.vectors for s in stacks]), kept)
+    if state.stacks is not None:
+        stacks = [
+            None if s is None else HouseholderStack.unchecked(s.vectors[rows], WYFactors._make(f[rows] for f in s.factors))
+            for s in state.stacks
+        ]
+    if state.spec.num_classes > 0:
+        readout = [state.readout_weight[rows], state.readout_bias[rows]]
+    return NetworkState(state.spec, [w[rows] for w in state.weights], [b[rows] for b in state.biases], stacks, *readout)
 
 
 def run_state(state: NetworkState, r: int) -> NetworkState:

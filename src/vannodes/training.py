@@ -31,7 +31,7 @@ from .network import (
     Gradients,
     NetworkSpec,
     NetworkState,
-    _stack,
+    _rows,
     backward,
     build_stack,
     forward,
@@ -356,7 +356,8 @@ def train(
     a stack are stepped together; every operation acts on each run's slice
     alone, so each result is bit-identical to the run's trained alone.  A
     stack's parameters are moved into one buffer (``_flatten``) after its
-    build and after runs leave it; a step writes the gradients into a
+    build and after runs leave it (``network._rows`` keeps the others, with
+    their WY factors); a step writes the gradients into a
     buffer of the same layout and updates the parameters in one
     ``Optimizer.step``.
     """
@@ -414,7 +415,7 @@ def train(
         if len(keep) < len(active):
             if not keep:
                 break
-            state = _stack([run_state(state, row) for row in keep])
+            state = _rows(state, keep)
             params = _flatten(state)
             lrs = lrs[keep]
             active, data_rngs = [active[row] for row in keep], [data_rngs[row] for row in keep]

@@ -229,3 +229,11 @@ class TestDirectSolves:
         monkeypatch.setattr(act, "mean_sq_activation", lambda kind, q: (q + 1.0 if q < 5.0 else q - 1.0) / 2)
         with pytest.raises(act.ConvergenceError):
             act.variance_fixed_point(ActivationKind.TANH, 2.0, 0.1)
+
+
+@pytest.mark.parametrize("kind", list(ActivationKind))
+def test_a_negative_variance_raises_a_value_error_that_names_it(kind):
+    with pytest.raises(ValueError, match="variance q must be non-negative"):
+        act.mean_sq_activation(kind, -0.5)
+    with pytest.raises(ValueError, match="q_star must be non-negative"):
+        act.mu_quadrature(kind, -0.5)

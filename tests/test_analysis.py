@@ -403,3 +403,26 @@ def test_vni_report_keeps_no_layer_trace():
     finally:
         tracemalloc.stop()
     assert peak < 4 * probe.nbytes
+
+
+@pytest.mark.parametrize(
+    "case, phrase",
+    [
+        ("rectangular", "covariance must be square"),
+        ("vector", "covariance must be square"),
+        ("asymmetric", "covariance must be symmetric"),
+        ("zero_trace", "covariance has zero trace"),
+        ("empty_probe", "probe batch must be nonempty"),
+    ],
+)
+def test_bad_input_raises_a_value_error_that_names_it(case, phrase):
+    state = build_network(NetworkSpec(2, 4, 4, 0), InitializerSpec(InitKind.SCALED_GAUSSIAN, 1.0), Rng(23))
+    calls = {
+        "rectangular": lambda: an.vni_from_covariance(np.zeros((2, 3))),
+        "vector": lambda: an.vni_from_covariance(np.ones(3)),
+        "asymmetric": lambda: an.vni_from_covariance(np.array([[1.0, 0.5], [0.0, 1.0]])),
+        "zero_trace": lambda: an.vni_from_covariance(np.zeros((3, 3))),
+        "empty_probe": lambda: an.gradient_diagnostics(state, np.zeros((0, 4)), np.zeros((0, 4)), mu1=1.0),
+    }
+    with pytest.raises(ValueError, match=phrase):
+        calls[case]()

@@ -106,7 +106,8 @@ class TestConfig:
             ExperimentConfig.from_text(line)
 
     @pytest.mark.parametrize(
-        "line, key", [("runs=abc", "runs"), ("sigma_x_sq=x", "sigma_x_sq"), ("depths=4,x", "depths")]
+        "line, key",
+        [("runs=abc", "runs"), ("sigma_x_sq=x", "sigma_x_sq"), ("depths=4,x", "depths"), ("early_stop=maybe", "early_stop")],
     )
     def test_parse_error_names_the_key(self, line, key):
         with pytest.raises(ValueError, match=f"^{key}: "):

@@ -1,6 +1,7 @@
 import gzip
 import hashlib
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -216,3 +217,19 @@ def test_import_loads_no_network_modules():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "inputs, labels, phrase",
+    [
+        ([[0.0], [np.nan]], [0, 1], "dataset inputs must be finite"),
+        ([[0.0], [np.inf]], [0, 1], "dataset inputs must be finite"),
+        ([[0.0], [1.0]], [0], "label count does not match input count"),
+        ([[0.0], [1.0]], [0, -1], "labels outside [0, 2)"),
+        ([[0.0], [1.0]], [0, 2], "labels outside [0, 2)"),
+    ],
+    ids=["nan", "inf", "label_count", "label_below", "label_above"],
+)
+def test_bad_dataset_raises_a_value_error_that_names_it(inputs, labels, phrase):
+    with pytest.raises(ValueError, match=re.escape(phrase)):
+        dt.Dataset(np.array(inputs), np.array(labels), 2)

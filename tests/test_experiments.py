@@ -392,6 +392,43 @@ def test_run_store_refuses_a_row_its_load_would_drop(tmp_path, monkeypatch):
     assert path.read_text().splitlines()[1:] == ["key,width,depth,vni"]
 
 
+# The runners that read one value of some lists, and those lists
+ONE_VALUE_OF = {
+    "grid": ["widths"],
+    "dynamics": ["widths", "depths"],
+    "tasks_table": ["widths", "depths", "learning_rates"],
+    "orthogonal_table": ["widths", "learning_rates"],
+    "diagnostics": ["widths", "depths"],
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(ONE_VALUE_OF))
+def test_a_runner_names_the_list_values_it_drops(experiment, tmp_path):
+    # Two values in every list: one UserWarning per list the runner reads
+    # one value of, naming the key, the value used and the values dropped,
+    # attributed to the runner's caller and issued before any cell is
+    # computed (so before out_dir is made).
+    config = ExperimentConfig(
+        experiment=experiment, widths=[8, 6], depths=[2, 3], learning_rates=[0.1, 0.3], runs=1, epochs=1,
+        max_epochs=1, batch_size=4, probe_samples=32, success_metric="train_accuracy", sigma_w_sq=1.0,
+        out_dir=str(tmp_path / "out"),
+    )  # fmt: skip
+    [run] = [runner for name, runner, _ in _RUNNERS.values() if name == experiment]
+    dropped = {"widths": "uses 8, drops [6]", "depths": "uses 2, drops [3]", "learning_rates": "uses 0.1, drops [0.3]"}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UserWarning, match=f"reads one value of {ONE_VALUE_OF[experiment][0]}"):
+            run(config)
+    assert not (tmp_path / "out").exists()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run(config)
+    assert [str(w.message) for w in caught] == [
+        f"{experiment} reads one value of {key}: {dropped[key]}" for key in ONE_VALUE_OF[experiment]
+    ]
+    assert {(w.category, w.filename) for w in caught} == {(UserWarning, __file__)}
+
+
 @pytest.mark.parametrize("nb", [1, 3])
 def test_diagnostics_use_bottleneck_rank(nb, tmp_path):
     # A rank-1 bottleneck collapses layer L to one direction; rank 3 does not.

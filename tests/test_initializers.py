@@ -338,10 +338,10 @@ def test_backward_reads_the_factors_of_the_last_update():
 
 
 def test_build_stack_carries_the_factors_of_built_runs(monkeypatch):
-    # The factors each run formed at its build move beside its stacked
-    # vectors, bit for bit those of the stacked vectors, so the first
-    # training step's backward and reflection gradients form none; a run
-    # taken out of the stack holds none.
+    # The build forms the factors of the stacked vectors once, bit for bit
+    # those that the vectors form, so the first training step's backward
+    # and reflection gradients form none; a run taken out of the stack
+    # holds none.
     spec = NetworkSpec(3, 20, 20, 0)
     state = build_stack(spec, InitializerSpec(InitKind.HOUSEHOLDER), [Rng(84, (run,)) for run in range(3)])
     _flatten(state)
@@ -409,3 +409,9 @@ def test_init_weight_draws_are_pinned(kind):
         a = w.vectors if isinstance(w, HouseholderStack) else w
         digests.append(hashlib.sha256(a.tobytes()).hexdigest()[:16])
     assert tuple(digests) == INIT_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (2, 3, 3), (4,)], ids=["rectangular", "stacked", "vector"])
+def test_non_square_vectors_raise_a_value_error_that_names_them(shape):
+    with pytest.raises(ValueError, match="vectors must be an n x n array of reflection rows"):
+        HouseholderStack(np.ones(shape))

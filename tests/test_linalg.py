@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,3 +104,17 @@ def test_one_blas_thread_pins_and_restores_the_count(monkeypatch):
     monkeypatch.setattr(cpus, "_openblas_threads", lambda: None)
     with one_blas_thread():  # nothing to pin, so no work is split
         assert cpus._cpus() == 1
+
+
+@pytest.mark.parametrize(
+    "call, phrase",
+    [
+        (lambda: Rng(-1), "seed must be a non-negative integer"),
+        (lambda: sym_eigenvalues(np.zeros((2, 3))), "matrix must be square, got shape (2, 3)"),
+        (lambda: sym_eigenvalues(np.zeros(4)), "matrix must be square, got shape (4,)"),
+    ],
+    ids=["negative_seed", "rectangular", "vector"],
+)
+def test_bad_input_raises_a_value_error_that_names_it(call, phrase):
+    with pytest.raises(ValueError, match=re.escape(phrase)):
+        call()

@@ -1,4 +1,5 @@
 import os
+import re
 import tracemalloc
 import weakref
 
@@ -7,7 +8,7 @@ import pytest
 
 from vannodes import cpus as cpus_module, network
 from vannodes.activations import ActivationKind, derivative as act_derivative, in_place as act_in_place
-from vannodes.initializers import InitKind, InitializerSpec, householder_backward
+from vannodes.initializers import InitKind, InitializerSpec, _wy_factors, householder_backward
 from vannodes.linalg import Rng
 from vannodes.network import (
     Gradients,
@@ -376,8 +377,9 @@ def test_run_state_returns_each_run_bit_for_bit(kind, num_classes):
 @pytest.mark.parametrize("num_classes", [0, 2])
 @pytest.mark.parametrize("kind", list(InitKind))
 def test_build_stack_holds_each_run_built_alone(kind, num_classes):
-    # Slice r of every stacked array, and of every Householder layer's WY
-    # factors, has the bits build_network(spec, init, rngs[r]) gives.
+    # Slice r of every stacked array has the bits build_network(spec, init,
+    # rngs[r]) gives, and slice r of every Householder layer's WY factors
+    # those that the run's reflection vectors form.
     spec, init = NetworkSpec(3, 4, 4, num_classes, ActivationKind.TANH), InitializerSpec(kind, 1.1)
     rngs = [Rng(56, (run,)) for run in range(3)]
     state = build_stack(spec, init, rngs)
@@ -392,7 +394,7 @@ def test_build_stack_holds_each_run_built_alone(kind, num_classes):
             assert state.readout_weight is None and state.readout_bias is None
         assert (state.stacks is None) == (run.stacks is None) == (kind is not InitKind.HOUSEHOLDER)
         for a, b in zip(state.stacks or [], run.stacks or [], strict=True):
-            pairs += [(a.vectors[r], b.vectors), *((x[r], y) for x, y in zip(a.factors, b.factors, strict=True))]
+            pairs += [(a.vectors[r], b.vectors), *((x[r], y) for x, y in zip(a.factors, _wy_factors(b.vectors), strict=True))]
         for a, b in pairs:
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -495,3 +497,36 @@ def test_backward_into_out_has_the_bits_of_the_allocating_backward(kind, rows, s
     assert all(a is b for a, b in zip(have, views))
     for a, b in zip(have, wanted, strict=True):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "case, phrase",
+    [
+        ("depth", "depth_L, width_N and input_dim must be >= 1"),
+        ("width", "depth_L, width_N and input_dim must be >= 1"),
+        ("input_dim", "depth_L, width_N and input_dim must be >= 1"),
+        ("num_classes", "num_classes must be >= 0"),
+        ("jacobian_x0", "x0 must have length 3"),
+        ("trace_depth", "trace does not match network state"),
+        ("trace_rows", "trace does not match network state"),
+        ("loss_grad_readout", "loss gradient must be (5, 2), got (5, 4)"),
+        ("loss_grad_headless", "loss gradient must be (5, 4), got (5, 2)"),
+    ],
+)
+def test_bad_input_raises_a_value_error_that_names_it(case, phrase):
+    nets = {k: build_network(NetworkSpec(2, 4, 3, k, ActivationKind.TANH), GAUSS, Rng(70)) for k in (0, 2)}
+    x = Rng(71).normal(size=(5, 3))
+    traces = {k: forward(n, x) for k, n in nets.items()}
+    calls = {
+        "depth": lambda: NetworkSpec(0, 4, 3),
+        "width": lambda: NetworkSpec(2, 0, 3),
+        "input_dim": lambda: NetworkSpec(2, 4, 0),
+        "num_classes": lambda: NetworkSpec(2, 4, 3, -1),
+        "jacobian_x0": lambda: jacobian(nets[0], np.zeros(4)),
+        "trace_depth": lambda: backward(nets[0], network.ForwardTrace(x, traces[0].post[1:]), np.zeros((5, 4))),
+        "trace_rows": lambda: backward(nets[0], network.ForwardTrace(x[1:], traces[0].post), np.zeros((5, 4))),
+        "loss_grad_readout": lambda: backward(nets[2], traces[2], np.zeros((5, 4))),
+        "loss_grad_headless": lambda: backward(nets[0], traces[0], np.zeros((5, 2))),
+    }
+    with pytest.raises(ValueError, match=re.escape(phrase)):
+        calls[case]()

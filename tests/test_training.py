@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -35,8 +36,8 @@ class TestOptimizers:
         # one buffer that holds every run's copy; _step_buffers gives each
         # parameter its run's rate (one float when the runs share it) and a
         # gradient buffer of the same layout.  One step moves each run's
-        # parameters by its rate (the gradient is scratch), and a stack of
-        # chosen runs keeps their rates.
+        # parameters by its rate (the gradient is scratch), and the stack of
+        # chosen runs that ``network._rows`` keeps takes their rates.
         spec = NetworkSpec(2, 3, 2, 2)
         state = build_stack(spec, InitializerSpec(InitKind.SCALED_GAUSSIAN), [Rng(9, (r,)) for r in range(3)])
         params = tr._flatten(state)
@@ -50,7 +51,7 @@ class TestOptimizers:
             assert w.flags.c_contiguous and np.shares_memory(w, params) and np.shares_memory(g, grads)
             assert np.allclose((b - w).reshape(3, -1), [[0.2], [1.0], [2.0]])
             assert np.allclose(g.reshape(3, -1), [[0.2], [1.0], [2.0]])
-        kept = net._stack([net.run_state(state, r) for r in (2, 0)])
+        kept = net._rows(state, [2, 0])
         params = tr._flatten(kept)
         rate, grads, out = tr._step_buffers(kept, np.array([1.0, 0.1]))
         grads[...] = 1.0
@@ -456,9 +457,9 @@ def test_runs_that_leave_the_stack_own_their_final_state(monkeypatch):
 
 
 def test_train_forms_the_factors_once_per_build_and_step(monkeypatch):
-    # R runs of H reflection layers and S steps: each run forms its factors
-    # when it is built, each step's rematerialize once for the stack, and
-    # the first backward reads the factors the build left.
+    # R runs of H reflection layers and S steps: the build forms the
+    # factors once for the stack, each step's rematerialize once, and the
+    # first backward reads the factors the build left.
     calls = []
     wy_factors = ini._wy_factors
     monkeypatch.setattr(ini, "_wy_factors", lambda v: calls.append(v.shape) or wy_factors(v))
@@ -466,8 +467,63 @@ def test_train_forms_the_factors_once_per_build_and_step(monkeypatch):
     crit = tr.SuccessCriterion("train_accuracy", 0.99, 4)
     runs = [(0.1, Rng(5, (r,))) for r in range(2)]
     tr.train(spec, InitializerSpec(InitKind.HOUSEHOLDER), runs, synthetic_task("and4"), crit, batch_size=8)
-    runs, layers, steps = 2, 3, 4 * 2
-    assert len(calls) == layers * (runs + steps)
+    layers, steps = 3, 4 * 2
+    assert len(calls) == layers * (1 + steps)
+    assert set(calls) == {(2, 4, 4)}
+
+
+class _NoLinalg:
+    def __getattr__(self, name):
+        raise AssertionError(f"np.linalg.{name} called")
+
+
+# Householder runs of which one leaves its stack early, by the reason it
+# ends: (task, spec, learning rates, max epochs, batch size, early stop)
+_LEAVING = {
+    "converged": ("and2", NetworkSpec(3, 16, 2, 2, ActivationKind.TANH), (0.3, 0.01), 15, 1, True),
+    "diverged": ("and4", NetworkSpec(3, 4, 4, 4, ActivationKind.TANH), (0.1, 1e12, 0.1), 6, 8, False),
+}
+
+
+@pytest.mark.parametrize("reason", sorted(_LEAVING))
+def test_a_stack_keeps_the_factors_of_its_w_as_runs_leave(reason, monkeypatch):
+    # At the start of every step (after the build, after the step before,
+    # and after ``network._rows`` keeps the runs that go on), each
+    # Householder layer of the stack holds the W and the WY factors of its
+    # reflection vectors, bit for bit.  So the first step after a run leaves
+    # makes no LAPACK call, and the L' reflection layers form their factors
+    # L' (1 + steps) times: once at the build and once per step.
+    task, spec, lrs, max_epochs, batch_size, early_stop = _LEAVING[reason]
+    calls, trims, guarded, steps = [], [], [], 0
+    wy_factors, rows, gradients = ini._wy_factors, tr._rows, tr._gradients
+    monkeypatch.setattr(ini, "_wy_factors", lambda v: calls.append(v.shape) or wy_factors(v))
+    monkeypatch.setattr(tr, "_rows", lambda state, keep: trims.append(keep) or rows(state, keep))
+
+    def step(state, *args):
+        nonlocal steps
+        steps += 1
+        formed = len(calls)
+        for l, stack in enumerate(state.stacks):
+            if stack is not None:
+                fresh = ini.HouseholderStack.unchecked(stack.vectors.copy())
+                assert state.weights[l].tobytes() == ini.householder_materialize(fresh).tobytes()
+                assert [f.tobytes() for f in stack.factors] == [f.tobytes() for f in fresh.factors]
+        del calls[formed:]  # the check's own
+        with monkeypatch.context() as m:
+            if len(trims) > len(guarded):  # the first step after a trim
+                m.setattr(np, "linalg", _NoLinalg())
+                guarded.append(trims[-1])
+            gradients(state, *args)
+
+    monkeypatch.setattr(tr, "_gradients", step)
+    crit = tr.SuccessCriterion("train_accuracy", 0.99, max_epochs)
+    runs = [(lr, Rng(5, (r,))) for r, lr in enumerate(lrs)]
+    init = InitializerSpec(InitKind.HOUSEHOLDER)
+    results = tr.train(spec, init, runs, synthetic_task(task), crit, batch_size=batch_size, early_stop=early_stop)
+    assert reason in {r.reason for r in results}
+    assert trims and guarded == trims
+    reflections = spec.depth_L - (spec.input_dim != spec.width_N)
+    assert len(calls) == reflections * (1 + steps)
 
 
 def _same_record(a, b) -> bool:
@@ -530,3 +586,27 @@ def test_epoch_stats_make_one_pass_over_the_task_inputs(kind, monkeypatch):
     apart = tr._epoch_stats(state, 0, ds.inputs, ds, other, *tr.evaluate(state, ds), 1.0)
     assert calls.count("layers") > 2
     assert all(_same_record(a, b) for a, b in zip(one, apart, strict=True))
+
+
+@pytest.mark.parametrize(
+    "case, phrase",
+    [
+        ("logits_ndim", "logits must be (n, classes) or (runs, n, classes), got (4,)"),
+        ("label_shape", "labels must have shape (4,)"),
+        ("label_below", "labels outside [0, 3)"),
+        ("label_above", "labels outside [0, 3)"),
+        ("num_classes", "network num_classes does not match dataset"),
+    ],
+)
+def test_bad_input_raises_a_value_error_that_names_it(case, phrase):
+    logits = np.zeros((4, 3))
+    spec, init, lr, ds, crit = xor_setup(epochs=1)
+    calls = {
+        "logits_ndim": lambda: tr.softmax_cross_entropy(np.zeros(4), np.zeros(4)),
+        "label_shape": lambda: tr.softmax_cross_entropy(logits, np.zeros(3)),
+        "label_below": lambda: tr.softmax_cross_entropy(logits, [0, -1, 0, 0]),
+        "label_above": lambda: tr.softmax_cross_entropy(logits, [0, 3, 0, 0]),
+        "num_classes": lambda: tr.train(NetworkSpec(2, 4, 2, 3), init, [(lr, Rng(0))], ds, crit, batch_size=4),
+    }
+    with pytest.raises(ValueError, match=re.escape(phrase)):
+        calls[case]()
