@@ -5,7 +5,10 @@ The indicator (here ``vni``) is the weighted average of squared correlation
 coefficients between output-layer nodes, weights sigma_i^2 sigma_j^2.  It
 ranges from 1/N (independent nodes) to 1 (full collapse).  The covariance
 form tr(C C^T)/tr(C)^2 is an exact identity with the correlation form; the
-Jacobian and moment forms are the random-matrix approximations.  Like
+Jacobian and moment forms are the random-matrix approximations.
+``vni_report`` measures a network by the first three; the fourth,
+``vni_theoretical``, is the paper's formula, which reads no network and is
+returned raw, so a prediction outside [1/N, 1] shows.  Like
 ``per_layer_gain``, ``vni_empirical`` also reads a stack of R runs at once.
 """
 
@@ -46,9 +49,7 @@ DEFAULT_ENN_EPSILONS = (0.01, 0.1, 0.5, 0.9)
 class VniReport:
     vni_empirical: float
     vni_covariance: float
-    vni_jacobian: float | None
-    vni_theoretical: float | None
-    vni_theoretical_raw: float | None
+    vni_jacobian: float | None  # None where J = 0
     enn: dict = field(default_factory=dict)
 
 
@@ -148,18 +149,14 @@ def vni_from_jacobian(j: np.ndarray) -> float:
     return m2 / (n * m1 * m1)
 
 
-def vni_theoretical(depth: int, width: int, moments: ActivationMoments, s1: float):
-    """Moment-based prediction 1/N + (L/N)(mu_2/mu_1^2 - 1 - s_1).
-
-    Returns ``(clamped, raw)``; the raw value can leave [1/N, 1] when the
-    width does not dominate the depth.
-    """
+def vni_theoretical(depth: int, width: int, moments: ActivationMoments, s1: float) -> float:
+    """Moment-based prediction 1/N + (L/N)(mu_2/mu_1^2 - 1 - s_1), unclamped:
+    it can leave [1/N, 1] when the width does not dominate the depth."""
     if depth < 1 or width < 1:
         raise ValueError("depth and width must be >= 1")
     if moments.mu1 <= 0:
         raise ValueError("mu_1 must be positive")
-    raw = 1.0 / width + (depth / width) * (moments.mu2 / moments.mu1**2 - 1.0 - s1)
-    return min(max(raw, 1.0 / width), 1.0), raw
+    return 1.0 / width + (depth / width) * (moments.mu2 / moments.mu1**2 - 1.0 - s1)
 
 
 def s1_for_ensemble(kind: InitKind) -> float:
@@ -266,30 +263,21 @@ def gradient_diagnostics(
     )
 
 
-def vni_report(
-    state: NetworkState,
-    probe_batch: np.ndarray,
-    moments: ActivationMoments | None = None,
-    s1: float | None = None,
-    with_jacobian: bool = False,
-) -> VniReport:
-    """All indicator routes on one probe batch, plus effective node counts at
-    ``DEFAULT_ENN_EPSILONS``; the probe covariance and its spectrum are
-    computed once."""
+def vni_report(state: NetworkState, probe_batch: np.ndarray) -> VniReport:
+    """The measured indicator routes of one network on one probe batch
+    (empirical, covariance, and Jacobian at its first row), plus effective
+    node counts at ``DEFAULT_ENN_EPSILONS``; the probe covariance and its
+    spectrum are computed once."""
     backbone = headless(state)
     cov, var = _corr_stats(output(backbone, probe_batch))
     value = _weighted_corr_sq(cov, var)[0]
     cov_value = vni_from_covariance(cov)
+    j = jacobian(backbone, np.asarray(probe_batch)[0])
     jac_value = None
-    if with_jacobian:
-        j = jacobian(backbone, np.asarray(probe_batch)[0])
-        try:
-            jac_value = vni_from_jacobian(j)
-        except ValueError:  # J = 0: every unit of some layer is off at this row, so the route is undefined
-            pass
-    theo = theo_raw = None
-    if moments is not None and s1 is not None:
-        theo, theo_raw = vni_theoretical(state.spec.depth_L, state.spec.width_N, moments, s1)
+    try:
+        jac_value = vni_from_jacobian(j)
+    except ValueError:  # J = 0: every unit of some layer is off at this row, so the route is undefined
+        pass
     lam = sym_eigenvalues(cov)
     enn = {eps: _enn_count(lam, eps) for eps in DEFAULT_ENN_EPSILONS}
-    return VniReport(value, cov_value, jac_value, theo, theo_raw, enn)
+    return VniReport(value, cov_value, jac_value, enn)

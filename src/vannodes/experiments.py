@@ -244,13 +244,11 @@ def resolve_gain(config: ExperimentConfig, sigma_x_sq: float, init_kind: InitKin
     Bottleneck and Householder fix the scale by construction (sigma_w^2 = 1).
     """
     kind = config.activation_kind
-    if init_kind in (InitKind.BOTTLENECK, InitKind.HOUSEHOLDER):
-        s = 1.0
-    elif config.sigma_w_sq > 0:
-        s = config.sigma_w_sq
+    fixed = 1.0 if init_kind in (InitKind.BOTTLENECK, InitKind.HOUSEHOLDER) else config.sigma_w_sq
+    if fixed > 0:
+        s, q = fixed, act.variance_fixed_point(kind, fixed, sigma_x_sq)
     else:
-        s = act.tune_sigma_w_sq(kind, sigma_x_sq)[0]
-    q = act.variance_fixed_point(kind, s, sigma_x_sq)
+        s, q = act.tune_sigma_w_sq(kind, sigma_x_sq)
     mu1, mu2 = act.mu_quadrature(kind, q)
     return GainSetup(mu1, mu2, q_star=q, sigma_w_sq=s)
 
@@ -334,17 +332,18 @@ def _first(config: ExperimentConfig, *keys: str) -> list:
 
 def _train_runs(
     config: ExperimentConfig,
+    width: int,
     depth: int,
     init_kind: InitKind,
     task: tuple,
     gain: GainSetup,
     runs: list,
 ) -> list:
-    """Train the runs ``runs``, (learning rate, RNG key) pairs, of
-    ``config.widths[0]`` nodes together; one TrainResult per run.  Its
-    runners name the widths they drop (``_first``)."""
+    """Train the runs ``runs``, (learning rate, RNG key) pairs, of networks
+    of ``depth`` layers of ``width`` nodes together; one TrainResult per
+    run.  The width is the one its runner's ``_first`` read."""
     train_set, test_set, _ = task
-    spec = config.network_spec(depth, config.widths[0], train_set.input_dim, train_set.num_classes)
+    spec = config.network_spec(depth, width, train_set.input_dim, train_set.num_classes)
     return train(
         spec,
         _init_spec(config, init_kind, gain),
@@ -367,11 +366,11 @@ def _train_work(config: ExperimentConfig, depth: int, task: tuple) -> int:
     return depth * (config.epochs * (steps + 1) + 1)
 
 
-def _init_table(blocks: list, inits: tuple):
+def _init_table(blocks: list, inits: tuple, width: int, lr: float):
     """Compare ``inits`` on each block (label, config, depth, task) of a table
-    by training ``config.runs`` runs of each at ``config.learning_rates[0]``
-    (its runners name the rates they drop, ``_first``); the cells are
-    trained by ``cpus.fan_out``.
+    by training ``config.runs`` runs of each, ``width`` nodes wide, at the
+    learning rate ``lr`` (both read by its runner's ``_first``); the cells
+    are trained by ``cpus.fan_out``.
 
     Returns the table rows (label, init, successes, runs, mean final
     indicator) and {(label, init): (successes, mean final indicator, runs)}.
@@ -380,10 +379,9 @@ def _init_table(blocks: list, inits: tuple):
     for b_index, (label, config, depth, task) in enumerate(blocks):
         for i_index, init_kind in enumerate(inits):
             gain = resolve_gain(config, task[2], init_kind)
-            lr = config.learning_rates[0]
             runs = [(lr, (b_index, i_index, run)) for run in range(config.runs)]
             cells.append((label, config, init_kind))
-            args = (config, depth, init_kind, task, gain, runs)
+            args = (config, width, depth, init_kind, task, gain, runs)
             calls.append((_train_work(config, depth, task), lambda args=args: _train_runs(*args)))
     rows, results = [], {}
     for (label, config, init_kind), cell in zip(cells, fan_out(calls)):
@@ -434,7 +432,7 @@ def run_vni_sweep(config: ExperimentConfig) -> dict:
         means, stds, theos = [], [], []
         for depth in config.depths:
             vals = np.array([row[2] for row in next(stored)])
-            theo_raw = np.nan if s1 is None else vni_theoretical(depth, width, gain, s1)[1]
+            theo_raw = np.nan if s1 is None else vni_theoretical(depth, width, gain, s1)
             means.append(vals.mean())
             stds.append(vals.std(ddof=1) if config.runs > 1 else 0.0)
             theos.append(theo_raw)
@@ -485,12 +483,12 @@ def run_heatmap(config: ExperimentConfig) -> dict:
 
 def run_dynamics(config: ExperimentConfig) -> dict:
     """Per-epoch indicator quartiles across runs, one band (and group of runs) per learning rate."""
-    _, depth = _first(config, "widths", "depths")
+    width, depth = _first(config, "widths", "depths")
     task = _task(config)
     gain = resolve_gain(config, task[2], config.init_kind)
 
     def compute(missing):
-        results = _train_runs(config, depth, config.init_kind, task, gain, missing)
+        results = _train_runs(config, width, depth, config.init_kind, task, gain, missing)
         return [
             [lr, key[1], len(r.records), [rec.vni for rec in r.records]]
             for (lr, key), r in zip(missing, results)
@@ -531,12 +529,12 @@ _TASKS_TABLE_INITS = (InitKind.SCALED_GAUSSIAN, InitKind.BOTTLENECK)
 def run_tasks_table(config: ExperimentConfig) -> dict:
     """Success/fail table across tasks x {scaled Gaussian, bottleneck} inits,
     plus the per-epoch gradient log-ratio between the two inits."""
-    _, depth, _ = _first(config, "widths", "depths", "learning_rates")
+    width, depth, lr = _first(config, "widths", "depths", "learning_rates")
     blocks = []
     for task_name in _TASKS_TABLE_TASKS:
         cfg = config.with_overrides({"dataset": task_name})
         blocks.append((task_name, cfg, depth, _task(cfg)))
-    table_rows, results = _init_table(blocks, _TASKS_TABLE_INITS)
+    table_rows, results = _init_table(blocks, _TASKS_TABLE_INITS, width, lr)
     ratio_rows = []
     for task_name in _TASKS_TABLE_TASKS:
         # walking-dead log-ratio over the common recorded epochs of run 0
@@ -553,13 +551,13 @@ def run_tasks_table(config: ExperimentConfig) -> dict:
 def run_grid(config: ExperimentConfig) -> dict:
     """Success probability over (depth, learning rate) with per-run final
     indicator and gain records for the failure-attribution summaries."""
-    _first(config, "widths")
+    [width] = _first(config, "widths")
     task = _task(config)
     gain = resolve_gain(config, task[2], config.init_kind)
 
     def compute(missing):
         depth = missing[0][0]
-        results = _train_runs(config, depth, config.init_kind, task, gain, [args[1:] for args in missing])
+        results = _train_runs(config, width, depth, config.init_kind, task, gain, [args[1:] for args in missing])
         return [
             [depth, lr, key[2], int(r.success), float(r.records[-1].vni), float(np.median(r.records[-1].per_layer_gain))]
             for (_, lr, key), r in zip(missing, results)
@@ -617,9 +615,9 @@ _ORTH_INITS = (InitKind.SCALED_GAUSSIAN, InitKind.ORTHOGONAL, InitKind.HOUSEHOLD
 def run_orthogonal_table(config: ExperimentConfig) -> dict:
     """Success and final indicator per depth for scaled Gaussian, orthogonal
     init, and the Householder parametrization."""
-    _first(config, "widths", "learning_rates")
+    width, lr = _first(config, "widths", "learning_rates")
     task = _task(config)
-    rows, results = _init_table([(depth, config, depth, task) for depth in config.depths], _ORTH_INITS)
+    rows, results = _init_table([(depth, config, depth, task) for depth in config.depths], _ORTH_INITS, width, lr)
     _write_csv(config, "orthogonal_table", "depth,init,successes,runs,mean_final_vni", rows)
     return results
 
@@ -629,12 +627,15 @@ def run_diagnostics(config: ExperimentConfig) -> dict:
     and forward/backward variance scales."""
     width, depth = _first(config, "widths", "depths")
     gain = resolve_gain(config, config.sigma_x_sq, config.init_kind)
+    s1 = _s1(config)
+    theo_raw = np.nan if s1 is None else vni_theoretical(depth, width, gain, s1)
+
     def compute():  # the network, its report and its variance scales
         rng = Rng(config.master_seed, (depth, width))
         spec = config.network_spec(depth, width, width, 0)
         state = build_network(spec, _init_spec(config, config.init_kind, gain), rng.spawn(0))
         probe = gaussian_probe(config.probe_samples, width, config.sigma_x_sq, rng.spawn(1))
-        report = vni_report(state, probe, moments=gain, s1=_s1(config), with_jacobian=True)
+        report = vni_report(state, probe)
         loss_grads = rng.spawn(2).normal(size=(probe.shape[0], width))
         return report, gradient_diagnostics(state, probe, loss_grads, mu1=gain.mu1)
 
@@ -643,7 +644,7 @@ def run_diagnostics(config: ExperimentConfig) -> dict:
         ["vni_empirical", f"{report.vni_empirical:.8g}"],
         ["vni_covariance", f"{report.vni_covariance:.8g}"],
         ["vni_jacobian", f"{report.vni_jacobian:.8g}" if report.vni_jacobian is not None else "nan"],
-        ["vni_theoretical_raw", f"{report.vni_theoretical_raw:.8g}" if report.vni_theoretical_raw is not None else "nan"],
+        ["vni_theoretical_raw", f"{theo_raw:.8g}"],
         ["var_x_L", f"{diag.var_x_L:.8g}"],
         ["predicted_var_x_L", f"{diag.predicted_var_x_L:.8g}"],
         ["var_input_grad", f"{diag.var_input_grad:.8g}"],

@@ -4,7 +4,8 @@ Jacobian.
 The backbone is L layers of width N (layer 1 may be rectangular when
 input_dim != N); an optional linear readout maps to num_classes.  Node
 statistics (VNI etc.) are always taken at backbone layer L, before the
-readout.
+readout.  A state's ``stacks`` has one entry per layer: the reflection
+stack of a Householder layer, None for a dense one.
 
 ``_layers`` is the one loop over layers, for built, stacked and streamed
 networks alike.  ``layers`` yields a built network's post-activations,
@@ -96,7 +97,7 @@ class NetworkState:
     spec: NetworkSpec
     weights: list  # L materialized matrices (layer l: width_N x fan_in)
     biases: list  # L vectors of length width_N, zero at init
-    stacks: list | None = None  # per layer: HouseholderStack or None
+    stacks: list  # per layer: a HouseholderStack, or None for a dense layer
     readout_weight: np.ndarray | None = None  # num_classes x width_N
     readout_bias: np.ndarray | None = None
 
@@ -104,8 +105,6 @@ class NetworkState:
         """Refresh materialized weights from Householder stacks after an
         update to the reflection vectors.  Each stack keeps the WY factors
         of its new W, which the next ``backward`` reads."""
-        if self.stacks is None:
-            return
         for l, stack in enumerate(self.stacks):
             if stack is not None:
                 self.weights[l] = householder_materialize(stack)
@@ -158,7 +157,7 @@ def build_stack(spec: NetworkSpec, init: InitializerSpec, rngs: list) -> Network
         drawn = [init_scaled(InitKind.SCALED_GAUSSIAN, spec.width_N, spec.num_classes, 1.0, rng.spawn(spec.depth_L)) for rng in rngs]
         readout = [np.stack(drawn), np.zeros((len(rngs), 1, spec.num_classes))]
     biases = [np.zeros((len(rngs), 1, spec.width_N)) for _ in range(spec.depth_L)]
-    state = NetworkState(spec, weights, biases, stacks if any(stacks) else None, *readout)
+    state = NetworkState(spec, weights, biases, stacks, *readout)
     state.rematerialize()
     return state
 
@@ -167,12 +166,11 @@ def _rows(state: NetworkState, rows: list) -> NetworkState:
     """The runs ``rows`` of a stacked state, in that order, as a stack of
     their own: copies of each stacked array's rows, the Householder layers'
     WY factors included, so its first backward forms none."""
-    stacks, readout = None, [None, None]
-    if state.stacks is not None:
-        stacks = [
-            None if s is None else HouseholderStack.unchecked(s.vectors[rows], WYFactors._make(f[rows] for f in s.factors))
-            for s in state.stacks
-        ]
+    stacks = [
+        None if s is None else HouseholderStack.unchecked(s.vectors[rows], WYFactors._make(f[rows] for f in s.factors))
+        for s in state.stacks
+    ]
+    readout = [None, None]
     if state.spec.num_classes > 0:
         readout = [state.readout_weight[rows], state.readout_bias[rows]]
     return NetworkState(state.spec, [w[rows] for w in state.weights], [b[rows] for b in state.biases], stacks, *readout)
@@ -181,9 +179,7 @@ def _rows(state: NetworkState, rows: list) -> NetworkState:
 def run_state(state: NetworkState, r: int) -> NetworkState:
     """Run ``r`` of a stacked state as a single network that owns copies of
     its arrays, so that it holds nothing of the stack alive."""
-    stacks = None
-    if state.stacks is not None:
-        stacks = [None if s is None else HouseholderStack.unchecked(s.vectors[r].copy()) for s in state.stacks]
+    stacks = [None if s is None else HouseholderStack.unchecked(s.vectors[r].copy()) for s in state.stacks]
     readout = [None, None]
     if state.spec.num_classes > 0:
         readout = [state.readout_weight[r].copy(), state.readout_bias[r, 0].copy()]

@@ -153,8 +153,7 @@ def _param_arrays(state: NetworkState) -> list:
     """The arrays SGD updates, in the order of the parameter buffer: each
     layer's weight (a Householder layer's reflection vectors) and bias,
     then the readout."""
-    stacks = state.stacks or [None] * state.spec.depth_L
-    arrays = [a for w, s, b in zip(state.weights, stacks, state.biases) for a in (w if s is None else s.vectors, b)]
+    arrays = [a for w, s, b in zip(state.weights, state.stacks, state.biases) for a in (w if s is None else s.vectors, b)]
     if state.spec.num_classes > 0:
         arrays += [state.readout_weight, state.readout_bias]
     return arrays
@@ -167,7 +166,7 @@ def _flatten(state: NetworkState) -> np.ndarray:
     arrays = _param_arrays(state)
     params = np.concatenate([a.reshape(-1) for a in arrays])
     views = iter(_blocks(params, [a.shape for a in arrays]))
-    for l, s in enumerate(state.stacks or [None] * state.spec.depth_L):
+    for l, s in enumerate(state.stacks):
         w, state.biases[l] = next(views), next(views)
         if s is None:
             state.weights[l] = w
@@ -205,7 +204,7 @@ def _gradients(state: NetworkState, trace, loss_grad: np.ndarray, out: Gradients
     reflection vectors, read from the WY factors its last materialize
     kept."""
     backward(state, trace, loss_grad, out=out)
-    for stack, g in zip(state.stacks or (), out.weights):
+    for stack, g in zip(state.stacks, out.weights):
         if stack is not None:
             g[...] = householder_backward(stack, g)
 

@@ -83,14 +83,14 @@ def test_criterion_01_theory_vs_simulation():
     init = InitializerSpec(GAUSS, sw2)
     s1 = vn.s1_for_ensemble(GAUSS)
     probe = vn.gaussian_probe(1000, n, sigma_x_sq, Rng(7))
-    depths = [depth for depth in range(10, 101, 10) if vn.vni_theoretical(depth, n, mom, s1)[1] <= 0.8]
+    depths = [depth for depth in range(10, 101, 10) if vn.vni_theoretical(depth, n, mom, s1) <= 0.8]
     measured = measure_vnis(
         [(depth, n, ActivationKind.HARD_TANH, init, probe, Rng(0, (n, depth, seed))) for depth in depths for seed in range(seeds)]
     )
     worst = ("", 0.0)
     ok = True
     for i, depth in enumerate(depths):
-        _, raw = vn.vni_theoretical(depth, n, mom, s1)
+        raw = vn.vni_theoretical(depth, n, mom, s1)
         vals = measured[i * seeds : (i + 1) * seeds]
         diff = abs(float(np.mean(vals)) - raw)
         tol = max(0.05, 2.0 * float(np.std(vals, ddof=1)))
@@ -414,7 +414,7 @@ def test_criterion_09_gradient_correctness():
             grads = backward(state, forward(state, batch), g)
             params = (
                 [(state.stacks[l].vectors, householder_backward(state.stacks[l], grads.weights[l])) for l in range(4)]
-                if state.stacks is not None
+                if init.kind is InitKind.HOUSEHOLDER
                 else [(state.weights[l], grads.weights[l]) for l in range(4)]
             )
             params += [(state.biases[l], grads.biases[l]) for l in range(4)]

@@ -237,3 +237,26 @@ def test_a_negative_variance_raises_a_value_error_that_names_it(kind):
         act.mean_sq_activation(kind, -0.5)
     with pytest.raises(ValueError, match="q_star must be non-negative"):
         act.mu_quadrature(kind, -0.5)
+
+
+@pytest.mark.parametrize(
+    "call, error, phrase",
+    [
+        (lambda: act.in_place("tanh"), ValueError, "unknown activation 'tanh'"),
+        (lambda: act.derivative("tanh", np.zeros(3)), ValueError, "unknown activation 'tanh'"),
+        (lambda: act.mean_sq_activation("tanh", 0.5), ValueError, "unknown activation 'tanh'"),
+        (lambda: act.mu_quadrature("tanh", 0.5), ValueError, "unknown activation 'tanh'"),
+        (lambda: act.variance_fixed_point(ActivationKind.TANH, 0.0, 0.1), ValueError, "sigma_w_sq must be positive"),
+        (lambda: act.variance_fixed_point(ActivationKind.RELU, -1.0, 0.1), ValueError, "sigma_w_sq must be positive"),
+    ],
+    ids=["in_place_kind", "derivative_kind", "mean_sq_kind", "mu_kind", "zero_gain", "negative_gain"],
+)
+def test_bad_input_raises_an_error_that_names_it(call, error, phrase):
+    # A kind given by its name, not an ActivationKind, is unknown.
+    with pytest.raises(error, match=phrase):
+        call()
+
+
+@pytest.mark.parametrize("kind", list(ActivationKind))
+def test_mean_square_at_zero_variance_is_zero(kind):
+    assert act.mean_sq_activation(kind, 0.0) == 0.0

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vannodes import analysis as an
-from vannodes.activations import ActivationMoments, ActivationKind, mu_quadrature, tune_sigma_w_sq
+from vannodes.activations import ActivationMoments, ActivationKind, tune_sigma_w_sq
 from vannodes.initializers import InitKind, InitializerSpec
 from vannodes.linalg import Rng
 from vannodes import initializers, training
@@ -211,21 +212,18 @@ class TestTheory:
     def test_linear_orthogonal_is_floor(self):
         # mu2/mu1^2 - 1 - s1 = 0 for linear + orthogonal: indicator stays 1/N
         m = ActivationMoments(1.0, 1.0, 1.0)
-        clamped, raw = an.vni_theoretical(50, 20, m, s1=0.0)
-        assert raw == pytest.approx(1.0 / 20)
-        assert clamped == raw
+        assert an.vni_theoretical(50, 20, m, s1=0.0) == pytest.approx(1.0 / 20)
 
     def test_linear_gaussian_slope(self):
         # mu2/mu1^2 - 1 - (-1) = 1: indicator = 1/N + L/N
         m = ActivationMoments(1.0, 1.0, 1.0)
-        _, raw = an.vni_theoretical(7, 100, m, s1=-1.0)
-        assert raw == pytest.approx(8.0 / 100)
+        assert an.vni_theoretical(7, 100, m, s1=-1.0) == pytest.approx(8.0 / 100)
 
-    def test_clamped_at_one(self):
+    def test_returned_raw_beyond_one(self):
+        # where the depth dominates the width the prediction leaves [1/N, 1]
+        # and is returned as it is, so the over-prediction shows
         m = ActivationMoments(1.0, 1.0, 1.0)
-        clamped, raw = an.vni_theoretical(500, 20, m, s1=-1.0)
-        assert raw > 1.0
-        assert clamped == 1.0
+        assert an.vni_theoretical(500, 20, m, s1=-1.0) == pytest.approx(501.0 / 20)
 
     def test_s1_values(self):
         assert an.s1_for_ensemble(InitKind.SCALED_GAUSSIAN) == -1.0
@@ -357,18 +355,17 @@ def test_vni_report_routes_agree():
     spec = NetworkSpec(10, 40, 40, 0, ActivationKind.HARD_TANH)
     state = build_network(spec, InitializerSpec(InitKind.SCALED_GAUSSIAN, 1.0), Rng(17))
     probe = Rng(18).normal(size=(2000, 40)) * np.sqrt(0.1)
-    m = ActivationMoments(*mu_quadrature(ActivationKind.HARD_TANH, 0.1), 0.1)
-    rep = an.vni_report(state, probe, moments=m, s1=-1.0, with_jacobian=True)
+    rep = an.vni_report(state, probe)
     assert rep.vni_covariance == pytest.approx(rep.vni_empirical, abs=1e-10)
     assert rep.vni_jacobian == pytest.approx(rep.vni_empirical, rel=0.5)
-    assert rep.vni_theoretical is not None
     for eps in an.DEFAULT_ENN_EPSILONS:
         assert 1 <= rep.enn[eps] <= 40
 
 
 def test_vni_report_one_eigensolve(monkeypatch):
     # the effective node counts at every epsilon share one spectrum of the
-    # probe covariance and equal epsilon_enn on that covariance
+    # probe covariance and equal epsilon_enn on that covariance; the only
+    # other spectrum is the Jacobian route's, of J J^T
     spec = NetworkSpec(6, 30, 30, 0, ActivationKind.TANH)
     state = build_network(spec, InitializerSpec(InitKind.SCALED_GAUSSIAN, 1.0), Rng(19))
     probe = Rng(20).normal(size=(400, 30))
@@ -376,15 +373,17 @@ def test_vni_report_one_eigensolve(monkeypatch):
     solve = an.sym_eigenvalues
 
     def counted(a, *args, **kwargs):
-        solves.append(a.shape)
+        solves.append(a.copy())
         return solve(a, *args, **kwargs)
 
     monkeypatch.setattr(an, "sym_eigenvalues", counted)
     rep = an.vni_report(state, probe)
-    assert solves == [(30, 30)]
     monkeypatch.undo()
     acts = forward(state, probe).post[-1]
     cov = np.cov(acts.T)
+    j = jacobian(state, probe[0])
+    assert len(solves) == 2
+    assert np.allclose(solves[0], j @ j.T, rtol=1e-12, atol=0) and np.allclose(solves[1], cov, rtol=1e-12, atol=0)
     for eps in an.DEFAULT_ENN_EPSILONS:
         assert rep.enn[eps] == an.epsilon_enn(cov, eps)
 
@@ -413,6 +412,18 @@ def test_vni_report_keeps_no_layer_trace():
         ("asymmetric", "covariance must be symmetric"),
         ("zero_trace", "covariance has zero trace"),
         ("empty_probe", "probe batch must be nonempty"),
+        ("one_row", "need a (batch >= 2) x N activation matrix"),
+        ("activation_vector", "need a (batch >= 2) x N activation matrix"),
+        ("zero_depth", "depth and width must be >= 1"),
+        ("zero_width", "depth and width must be >= 1"),
+        ("zero_mu1", "mu_1 must be positive"),
+        ("zero_epsilon", "epsilon must be in (0, 1]"),
+        ("large_epsilon", "epsilon must be in (0, 1]"),
+        ("no_positive_eigenvalue", "covariance has no positive eigenvalue"),
+        ("rsq_zero_epsilon", "epsilon must be in (0, 1]"),
+        ("rsq_below_floor", "r_sq must be within [1/10, 1]"),
+        ("rsq_above_one", "r_sq must be within [1/10, 1]"),
+        ("heatmap_rectangular", "corr_sq must be square"),
     ],
 )
 def test_bad_input_raises_a_value_error_that_names_it(case, phrase):
@@ -423,6 +434,18 @@ def test_bad_input_raises_a_value_error_that_names_it(case, phrase):
         "asymmetric": lambda: an.vni_from_covariance(np.array([[1.0, 0.5], [0.0, 1.0]])),
         "zero_trace": lambda: an.vni_from_covariance(np.zeros((3, 3))),
         "empty_probe": lambda: an.gradient_diagnostics(state, np.zeros((0, 4)), np.zeros((0, 4)), mu1=1.0),
+        "one_row": lambda: an.vni_empirical(np.ones((1, 3))),
+        "activation_vector": lambda: an.vni_empirical(np.arange(4.0)),
+        "zero_depth": lambda: an.vni_theoretical(0, 10, ActivationMoments(1.0, 1.0, 0.0), -1.0),
+        "zero_width": lambda: an.vni_theoretical(10, 0, ActivationMoments(1.0, 1.0, 0.0), -1.0),
+        "zero_mu1": lambda: an.vni_theoretical(10, 10, ActivationMoments(0.0, 1.0, 0.0), -1.0),
+        "zero_epsilon": lambda: an.epsilon_enn(np.eye(3), 0.0),
+        "large_epsilon": lambda: an.epsilon_enn(np.eye(3), 1.5),
+        "no_positive_eigenvalue": lambda: an.epsilon_enn(-np.eye(3), 0.5),
+        "rsq_zero_epsilon": lambda: an.enn_from_rsq(10, 0.5, 0.0),
+        "rsq_below_floor": lambda: an.enn_from_rsq(10, 0.05, 0.5),
+        "rsq_above_one": lambda: an.enn_from_rsq(10, 1.5, 0.5),
+        "heatmap_rectangular": lambda: an.correlation_heatmap(np.zeros((2, 3))),
     }
-    with pytest.raises(ValueError, match=phrase):
+    with pytest.raises(ValueError, match=re.escape(phrase)):
         calls[case]()

@@ -209,6 +209,26 @@ class TestFetchMnist:
         assert cli.main(["fetch-mnist", "--out-dir", str(tmp_path / "out")]) == 1
         assert "fetch failed: checksum mismatch" in capsys.readouterr().err
 
+    def test_no_mirror_answering_names_each_url(self, tmp_path):
+        with pytest.raises(OSError, match="could not fetch MNIST from any mirror:\n.*nonexistent"):
+            dt.fetch_mnist(tmp_path / "out", mirrors=("file:///nonexistent/",))
+
+    def test_cli_prints_the_files_already_present(self, tmp_path, monkeypatch, capsys):
+        # Files of their IDX sizes are kept: nothing is fetched, and the cli
+        # prints their paths and exits 0.
+        import urllib.request
+
+        def no_fetch(url, timeout):
+            raise AssertionError(f"fetched {url}")
+
+        monkeypatch.setattr(urllib.request, "urlopen", no_fetch)
+        for name, (_, count) in dt.MNIST_FILES.items():
+            path = tmp_path / name
+            path.touch()
+            os.truncate(path, 16 + 784 * count if "images" in name else 8 + count)
+        assert cli.main(["fetch-mnist", "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [os.path.join(tmp_path, name) for name in dt.MNIST_FILES]
+
 
 def test_import_loads_no_network_modules():
     # Only fetch_mnist downloads; importing the package (and every runner

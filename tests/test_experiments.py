@@ -3,6 +3,7 @@ import os
 import shutil
 import struct
 import sys
+import time
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
@@ -847,6 +848,40 @@ def test_a_forked_pass_out_of_float32_range_is_read_in_float64(tmp_path, monkeyp
         reference |= {f"N64_L{d}_r{run}": f"{vni_empirical(x[d - 1])[0]:.10g}" for d in (40, 80)}
     assert _stored_vni(config, tmp_path) == reference
     assert reference["N64_L40_r0"] == "0.4919508845" and reference["N64_L80_r0"] == "0.5233211099"
+    _no_child_left()
+
+
+class _Stop(BaseException):
+    """Not an Exception: no share catches it."""
+
+
+def _no_pickle():
+    return lambda: 0
+
+
+def _stop():
+    raise _Stop("stopped in the parent's share")
+
+
+@pytest.mark.parametrize(
+    "calls, error, phrase",
+    [
+        ([(1, lambda: 0), (1, _no_pickle)], RuntimeError, "a forked worker's results do not pickle"),
+        ([(1, _stop), (1, lambda: time.sleep(60))], _Stop, "stopped in the parent's share"),
+    ],
+    ids=["result_does_not_pickle", "parent_raises_base_exception"],
+)
+def test_a_fan_out_failure_leaves_no_child(calls, error, phrase, monkeypatch):
+    # Call 0 is the parent's share and call 1 a forked child's.  A child's
+    # result that does not pickle arrives as a RuntimeError; a BaseException
+    # in the parent's share, which no share catches, kills the sleeping
+    # child and reaps it on the way out.
+    forks = _forking(monkeypatch)
+    monkeypatch.setattr(cpus_module, "_cpus", lambda: 2)
+    started = time.monotonic()
+    with pytest.raises(error, match=phrase):
+        list(cpus_module.fan_out(calls))
+    assert len(forks) == 1 and time.monotonic() - started < 30
     _no_child_left()
 
 

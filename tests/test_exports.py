@@ -11,6 +11,9 @@ from pathlib import Path
 import pytest
 
 import vannodes
+from vannodes.initializers import InitializerSpec, InitKind
+from vannodes.linalg import Rng
+from vannodes.network import NetworkSpec, _rows, build_network, build_stack, headless, run_state
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(vannodes.__path__))
 
@@ -183,3 +186,85 @@ def test_only_cpus_forks_or_sets_blas_threads_and_no_module_starts_a_thread():
     assert {"fork", "sched_getaffinity", "one_blas_thread"} < found["cpus"]  # the walk does see them
     assert found["cpus"].isdisjoint(THREADS)
     assert _cpu_code("from concurrent.futures import ThreadPoolExecutor\nfrom threading import Thread") == THREADS
+
+
+@pytest.mark.parametrize("input_dim", [4, 5], ids=["square", "rectangular"])
+@pytest.mark.parametrize("kind", [InitKind.SCALED_GAUSSIAN, InitKind.HOUSEHOLDER], ids=["gauss", "householder"])
+def test_every_state_lists_each_layer_in_its_stacks(kind, input_dim):
+    # A state says "no reflection layer" one way: a None entry of stacks,
+    # which has one entry per layer whatever the init.
+    spec, init = NetworkSpec(3, 4, input_dim, 2), InitializerSpec(kind)
+    stack = build_stack(spec, init, [Rng(1, (run,)) for run in range(2)])
+    states = {
+        "build_stack": stack,
+        "build_network": build_network(spec, init, Rng(2)),
+        "_rows": _rows(stack, [1]),
+        "run_state": run_state(stack, 0),
+        "headless": headless(stack),
+    }
+    entries = {name: None if state.stacks is None else len(state.stacks) for name, state in states.items()}
+    assert entries == dict.fromkeys(states, spec.depth_L)
+
+
+def _optional_params(source: str) -> list:
+    """(function name, parameter name, positional index or None) of each
+    parameter of a module's functions whose default is None or a bool; a
+    method's index does not count ``self`` or ``cls``."""
+    found = []
+
+    def visit(node, in_class: bool):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                positional = a.posonlyargs + a.args
+                skip = int(in_class and bool(positional) and positional[0].arg in ("self", "cls"))
+                pairs = [*zip(positional[len(positional) - len(a.defaults) :], a.defaults), *zip(a.kwonlyargs, a.kw_defaults)]
+                for param, default in pairs:
+                    if isinstance(default, ast.Constant) and (default.value is None or isinstance(default.value, bool)):
+                        index = positional.index(param) - skip if param in positional else None
+                        found.append((child.name, param.arg, index))
+            visit(child, isinstance(child, ast.ClassDef))
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def _value_passed(call: ast.Call, name: str, index) -> str:
+    """How a call sets a parameter: "omitted", the repr of the literal it
+    passes, or "other" for any other expression (a starred argument or
+    ``**`` mapping that may hold it counts as one)."""
+    for k in call.keywords:
+        if k.arg is None or k.arg == name:
+            return repr(k.value.value) if k.arg == name and isinstance(k.value, ast.Constant) else "other"
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            return "other"
+        if i == index:
+            return repr(arg.value) if isinstance(arg, ast.Constant) else "other"
+    return "omitted"
+
+
+def _one_valued_params(sources: list) -> list:
+    """The optional parameters (``_optional_params``) of ``sources`` that
+    the calls in them, matched by the name called, set to one value only:
+    no call passes a non-literal, and omitting it and the literals passed
+    make fewer than two values."""
+    calls = [node for source in sources for _, _, node in _calls(source)]
+    found = []
+    for source in sources:
+        for func, name, index in _optional_params(source):
+            values = {_value_passed(c, name, index) for c in calls if getattr(c.func, "id", getattr(c.func, "attr", None)) == func}
+            if "other" not in values and len(values) < 2:
+                found.append(f"{func}({name})")
+    return found
+
+
+def test_every_optional_parameter_is_used_with_two_values():
+    # A None or bool default that every call leaves alone, or sets to the
+    # same literal, is a switch with one position: a second way to do the
+    # one thing its callers do.  cli.main's argv is None from the console
+    # script and a list from the tests, outside the package.
+    sources = [p.read_text() for p in sorted(Path(vannodes.__path__[0]).glob("*.py"))]
+    assert _one_valued_params(sources) == ["main(argv)"]
+    walk = "def f(x, on=False, to=None):\n    pass\ndef g(y):\n    f(y, True)\n    f(y, True, to=y)\n"
+    assert _one_valued_params([walk]) == ["f(on)"]  # the walk does see one

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -415,3 +416,23 @@ def test_init_weight_draws_are_pinned(kind):
 def test_non_square_vectors_raise_a_value_error_that_names_them(shape):
     with pytest.raises(ValueError, match="vectors must be an n x n array of reflection rows"):
         HouseholderStack(np.ones(shape))
+
+
+@pytest.mark.parametrize(
+    "call, phrase",
+    [
+        (lambda: ini.init_scaled(InitKind.SCALED_GAUSSIAN, 0, 3, 1.0, Rng(1)), "dimensions must be >= 1"),
+        (lambda: ini.init_scaled(InitKind.SCALED_UNIFORM, 3, 0, 1.0, Rng(1)), "dimensions must be >= 1"),
+        (lambda: ini.init_scaled(InitKind.ORTHOGONAL, 3, 3, 1.0, Rng(1)), "init_scaled does not handle"),
+        (lambda: ini.init_orthogonal(0, 1.0, Rng(1)), "n must be >= 1"),
+        (lambda: ini.householder_init(0, Rng(1)), "n must be >= 1"),
+        (lambda: ini.init_bottleneck(3, 4, 0, Rng(1)), "bottleneck dimension 0 out of range for 3x4"),
+        (lambda: ini.init_bottleneck(3, 4, 4, Rng(1)), "bottleneck dimension 4 out of range for 3x4"),
+        (lambda: ini.init_weight(InitializerSpec("orthogonal"), 3, 3, Rng(1)), "unknown initializer 'orthogonal'"),
+    ],
+    ids=["no_fan_in", "no_fan_out", "unscaled_kind", "orthogonal_n", "householder_n", "rank_zero", "rank_above", "weight_kind"],
+)
+def test_bad_input_raises_a_value_error_that_names_it(call, phrase):
+    # A kind given by its name, not an InitKind, is unknown.
+    with pytest.raises(ValueError, match=re.escape(phrase)):
+        call()

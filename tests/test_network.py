@@ -71,7 +71,8 @@ def test_forward_shapes_and_validation():
 def test_output_equals_forward(kind, num_classes, input_dim, init):
     spec = NetworkSpec(4, 6, input_dim, num_classes, kind)
     state = build_network(spec, init, Rng(30))
-    assert (state.stacks is not None) == (init.kind is InitKind.HOUSEHOLDER)
+    householder = init.kind is InitKind.HOUSEHOLDER  # a reflection stack per square layer
+    assert [s is not None for s in state.stacks] == [householder and input_dim == 6] + [householder] * 3
     batch = Rng(31).normal(size=(9, input_dim))
     before = batch.copy()
     got = output(state, batch)
@@ -364,12 +365,14 @@ def test_run_state_returns_each_run_bit_for_bit(kind, num_classes):
             pairs += [(got.readout_weight, run.readout_weight), (got.readout_bias, run.readout_bias)]
         else:
             assert got.readout_weight is None and got.readout_bias is None
-        assert (got.stacks is None) == (run.stacks is None) == (kind is not InitKind.HOUSEHOLDER)
-        for a, b in zip(got.stacks or [], run.stacks or [], strict=True):
-            pairs.append((a.vectors, b.vectors))
+        householder = [kind is InitKind.HOUSEHOLDER] * spec.depth_L
+        assert [s is not None for s in got.stacks] == [s is not None for s in run.stacks] == householder
+        for a, b in zip(got.stacks, run.stacks, strict=True):
+            if a is not None:
+                pairs.append((a.vectors, b.vectors))
         for a, b in pairs:
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
-        whole = [*state.weights, *state.biases, *(s.vectors for s in state.stacks or [])]
+        whole = [*state.weights, *state.biases, *(s.vectors for s in state.stacks if s is not None)]
         assert not any(np.shares_memory(a, w) for a, _ in pairs for w in whole)
         assert output(got, batch).tobytes() == output(run, batch).tobytes()
 
@@ -392,9 +395,11 @@ def test_build_stack_holds_each_run_built_alone(kind, num_classes):
             pairs += [(state.readout_weight[r], run.readout_weight), (state.readout_bias[r, 0], run.readout_bias)]
         else:
             assert state.readout_weight is None and state.readout_bias is None
-        assert (state.stacks is None) == (run.stacks is None) == (kind is not InitKind.HOUSEHOLDER)
-        for a, b in zip(state.stacks or [], run.stacks or [], strict=True):
-            pairs += [(a.vectors[r], b.vectors), *((x[r], y) for x, y in zip(a.factors, _wy_factors(b.vectors), strict=True))]
+        householder = [kind is InitKind.HOUSEHOLDER] * spec.depth_L
+        assert [s is not None for s in state.stacks] == [s is not None for s in run.stacks] == householder
+        for a, b in zip(state.stacks, run.stacks, strict=True):
+            if a is not None:
+                pairs += [(a.vectors[r], b.vectors), *((x[r], y) for x, y in zip(a.factors, _wy_factors(b.vectors), strict=True))]
         for a, b in pairs:
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -420,7 +425,7 @@ def test_stacked_forward_and_backward_equal_each_run_alone(kind):
         assert all(np.allclose(a[r], b, rtol=0, atol=1e-12) for a, b in zip(trace.post, t.post, strict=True))
         assert all(np.allclose(a[r], b, rtol=0, atol=1e-12) for a, b in zip(grads.weights, gr.weights, strict=True))
         assert all(np.allclose(a[r], b, rtol=0, atol=1e-12) for a, b in zip(grads.biases, gr.biases, strict=True))
-        for l, (a, b) in enumerate(zip(state.stacks or [], runs[r].stacks or [], strict=True)):
+        for l, (a, b) in enumerate(zip(state.stacks, runs[r].stacks, strict=True)):
             assert (a is None) == (b is None)
             if a is not None:
                 got = householder_backward(a, grads.weights[l])[r]
