@@ -9,12 +9,10 @@ for studying and counteracting the collapse during training.
 from .activations import ActivationKind, ActivationMoments, tune_sigma_w_sq, variance_fixed_point
 from .analysis import (
     DEFAULT_ENN_EPSILONS,
-    GradientDiagnostics,
     VniReport,
     correlation_heatmap,
     enn_from_rsq,
     epsilon_enn,
-    gradient_diagnostics,
     s1_for_ensemble,
     vni_empirical,
     vni_from_covariance,

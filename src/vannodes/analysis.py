@@ -6,27 +6,28 @@ coefficients between output-layer nodes, weights sigma_i^2 sigma_j^2.  It
 ranges from 1/N (independent nodes) to 1 (full collapse).  The covariance
 form tr(C C^T)/tr(C)^2 is an exact identity with the correlation form; the
 Jacobian and moment forms are the random-matrix approximations.
-``vni_report`` measures a network by the first three; the fourth,
-``vni_theoretical``, is the paper's formula, which reads no network and is
-returned raw, so a prediction outside [1/N, 1] shows.  Like
-``per_layer_gain``, ``vni_empirical`` also reads a stack of R runs at once.
+``vni_report`` is the one report of one network on one probe: the first
+three routes, the effective node counts and the forward/backward variance
+scales, all read from one forward pass.  The fourth, ``vni_theoretical``,
+is the paper's formula, which reads no network and is returned raw, so a
+prediction outside [1/N, 1] shows.  Like ``per_layer_gain``,
+``vni_empirical`` also reads a stack of R runs at once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .activations import ActivationMoments
 from .initializers import InitKind
 from .linalg import sym_eigenvalues
-from .network import NetworkState, backward, forward, headless, jacobian, output
+from .network import NetworkState, backward, forward, headless, jacobian
 
 __all__ = [
     "VniReport",
-    "GradientDiagnostics",
     "Float32RangeError",
     "vni_empirical",
     "vni_from_covariance",
@@ -36,7 +37,6 @@ __all__ = [
     "epsilon_enn",
     "enn_from_rsq",
     "per_layer_gain",
-    "gradient_diagnostics",
     "correlation_heatmap",
     "vni_report",
     "DEFAULT_ENN_EPSILONS",
@@ -50,11 +50,7 @@ class VniReport:
     vni_empirical: float
     vni_covariance: float
     vni_jacobian: float | None  # None where J = 0
-    enn: dict = field(default_factory=dict)
-
-
-@dataclass
-class GradientDiagnostics:
+    enn: dict  # epsilon -> effective node count
     per_layer_gain: np.ndarray  # fan_in * Var[W_l] * mu_1 per backbone layer
     var_x_L: float
     var_input_grad: float
@@ -229,50 +225,30 @@ def per_layer_gain(state: NetworkState, mu1: float) -> np.ndarray:
     return np.stack([spec.fan_in(l) * w.var(axis=(-2, -1)) * mu1 for l, w in enumerate(state.weights)], axis=-1)
 
 
-def gradient_diagnostics(
-    state: NetworkState,
-    probe_batch: np.ndarray,
-    loss_grads: np.ndarray,
-    mu1: float,
-) -> GradientDiagnostics:
-    """Empirical forward/backward variance scales vs the mean-field
-    predictions sigma_x^2 (sigma_w^2 mu_1)^L etc.
+def vni_report(state: NetworkState, probe_batch: np.ndarray, loss_grads: np.ndarray, mu1: float) -> VniReport:
+    """The one report of one network on one probe batch, from one forward
+    pass: the measured indicator routes (empirical and covariance at layer
+    L, Jacobian at the probe's first row), effective node counts at
+    ``DEFAULT_ENN_EPSILONS`` from the one spectrum of the probe covariance,
+    and the empirical forward/backward variance scales against the
+    mean-field predictions sigma_x^2 (sigma_w^2 mu_1)^L etc.
 
-    ``loss_grads`` is dLoss/dx_L (readout excluded), one row per probe sample.
+    ``loss_grads`` is dLoss/dx_L (readout excluded), one row per probe
+    sample; one ``backward`` of it gives the input gradient.
     """
     probe = np.asarray(probe_batch, dtype=np.float64)
     if probe.size == 0:
         raise ValueError("probe batch must be nonempty")
     spec = state.spec
-    sigma_x_sq = float(probe.var())
     backbone = headless(state)
     trace = forward(backbone, probe)
-    grads = backward(backbone, trace, np.asarray(loss_grads, dtype=np.float64))
     x_l = trace.post[-1]
-    var_x_l = float(((x_l - x_l.mean(axis=0)) ** 2).mean())
-    var_in = float(grads.input_gradient.var())
-    sigma_y_sq = float(np.asarray(loss_grads).var())
-    gains = per_layer_gain(state, mu1)
-    gain = float(np.median(gains))
-    return GradientDiagnostics(
-        per_layer_gain=gains,
-        var_x_L=var_x_l,
-        var_input_grad=var_in,
-        predicted_var_x_L=sigma_x_sq * gain**spec.depth_L,
-        predicted_var_input_grad=sigma_y_sq * gain**spec.depth_L,
-    )
-
-
-def vni_report(state: NetworkState, probe_batch: np.ndarray) -> VniReport:
-    """The measured indicator routes of one network on one probe batch
-    (empirical, covariance, and Jacobian at its first row), plus effective
-    node counts at ``DEFAULT_ENN_EPSILONS``; the probe covariance and its
-    spectrum are computed once."""
-    backbone = headless(state)
-    cov, var = _corr_stats(output(backbone, probe_batch))
+    # the weight gradients, which nothing here reads, are freed before the routes' arrays are made
+    var_in = float(backward(backbone, trace, np.asarray(loss_grads, dtype=np.float64)).input_gradient.var())
+    cov, var = _corr_stats(x_l)
     value = _weighted_corr_sq(cov, var)[0]
     cov_value = vni_from_covariance(cov)
-    j = jacobian(backbone, np.asarray(probe_batch)[0])
+    j = jacobian(backbone, probe[0])
     jac_value = None
     try:
         jac_value = vni_from_jacobian(j)
@@ -280,4 +256,19 @@ def vni_report(state: NetworkState, probe_batch: np.ndarray) -> VniReport:
         pass
     lam = sym_eigenvalues(cov)
     enn = {eps: _enn_count(lam, eps) for eps in DEFAULT_ENN_EPSILONS}
-    return VniReport(value, cov_value, jac_value, enn)
+    sigma_x_sq = float(probe.var())
+    var_x_l = float(((x_l - x_l.mean(axis=0)) ** 2).mean())
+    sigma_y_sq = float(np.asarray(loss_grads).var())
+    gains = per_layer_gain(state, mu1)
+    gain = float(np.median(gains))
+    return VniReport(
+        vni_empirical=value,
+        vni_covariance=cov_value,
+        vni_jacobian=jac_value,
+        enn=enn,
+        per_layer_gain=gains,
+        var_x_L=var_x_l,
+        var_input_grad=var_in,
+        predicted_var_x_L=sigma_x_sq * gain**spec.depth_L,
+        predicted_var_input_grad=sigma_y_sq * gain**spec.depth_L,
+    )

@@ -28,7 +28,6 @@ from . import svgplot
 from .analysis import (
     Float32RangeError,
     correlation_heatmap,
-    gradient_diagnostics,
     s1_for_ensemble,
     vni_empirical,
     vni_report,
@@ -169,7 +168,7 @@ class RunStore:
 
 
 def _stored_runs(
-    config: ExperimentConfig, name: str, columns: dict, groups: list, compute, work=lambda args: 0, part=lambda args: None
+    config: ExperimentConfig, name: str, columns: dict, groups: list, compute, work, part=lambda args: None
 ) -> list:
     """Stored rows of the run CSV ``name``, grouped by ``config.runs``.
 
@@ -179,8 +178,8 @@ def _stored_runs(
     (by default, all of them) make one call, in which ``compute`` gets
     their arguments, in order, and returns their rows.  The calls are made
     by ``cpus.fan_out``, with the work ``work`` estimates from the same
-    arguments (by default 0: in-process), and each group's rows are stored,
-    in group order, as soon as the fan-out yields its last call.
+    arguments, and each group's rows are stored, in group order, as soon
+    as the fan-out yields its last call.
     Returns one list of ``config.runs`` rows per cell, in the order of
     ``groups``, each parsed by ``columns`` (``RunStore``).
     """
@@ -253,13 +252,15 @@ def resolve_gain(config: ExperimentConfig, sigma_x_sq: float, init_kind: InitKin
     return GainSetup(mu1, mu2, q_star=q, sigma_w_sq=s)
 
 
-def _s1(config: ExperimentConfig) -> float | None:
-    """s_1 of the configured weight ensemble, or None where it has no closed
-    form (bottleneck): the moment prediction is then left out."""
+def _moment_prediction(config: ExperimentConfig, gain: GainSetup, depth: int, width: int) -> float:
+    """The paper's moment prediction of the indicator (``vni_theoretical``),
+    or NaN for a weight ensemble with no closed-form s_1 (bottleneck), whose
+    prediction is left out."""
     try:
-        return s1_for_ensemble(config.init_kind)
+        s1 = s1_for_ensemble(config.init_kind)
     except ValueError:
-        return None
+        return math.nan
+    return vni_theoretical(depth, width, gain, s1)
 
 
 def _init_spec(config: ExperimentConfig, init_kind: InitKind, gain: GainSetup) -> InitializerSpec:
@@ -293,18 +294,26 @@ def _probe_pass(spec: NetworkSpec, init: InitializerSpec, rng: Rng, probe, read,
     return read_pass(np.float64)
 
 
-def _gaussian_probe_pass(config: ExperimentConfig, gain: GainSetup, width: int, depths, key: tuple, read) -> dict:
-    """``_probe_pass`` of the width x width network of ``max(depths)``
-    layers drawn from ``Rng(master_seed, key).spawn(0)``, over a Gaussian
-    probe drawn from its ``spawn(1)``: the pass of ``sweep`` and
-    ``heatmap``."""
+def _gaussian_cell(config: ExperimentConfig, gain: GainSetup, depth: int, width: int, key: tuple) -> tuple:
+    """The cell of ``sweep``, ``heatmap`` and ``diag``: (rng, spec, init,
+    probe) for the width x width network of ``depth`` layers that
+    ``build_network(spec, init, rng.spawn(0))`` draws, with ``rng =
+    Rng(master_seed, key)``, and the call ``probe()`` that draws its
+    Gaussian probe from ``rng.spawn(1)``."""
     rng = Rng(config.master_seed, key)
 
-    def probe():  # drawn for each pass, so that the float32 pass holds no float64 probe
+    def probe():
         return gaussian_probe(config.probe_samples, width, config.sigma_x_sq, rng.spawn(1))
 
-    spec = config.network_spec(max(depths), width, width, 0)
-    return _probe_pass(spec, _init_spec(config, config.init_kind, gain), rng.spawn(0), probe, read, depths)
+    return rng, config.network_spec(depth, width, width, 0), _init_spec(config, config.init_kind, gain), probe
+
+
+def _gaussian_probe_pass(config: ExperimentConfig, gain: GainSetup, width: int, depths, key: tuple, read) -> dict:
+    """``_probe_pass`` of the ``_gaussian_cell`` of ``max(depths)`` layers:
+    the pass of ``sweep`` and ``heatmap``.  The probe is drawn for each
+    pass, so that the float32 pass holds no float64 probe."""
+    rng, spec, init, probe = _gaussian_cell(config, gain, max(depths), width, key)
+    return _probe_pass(spec, init, rng.spawn(0), probe, read, depths)
 
 
 def _probe_work(depth: int, rows: int, width: int) -> float:
@@ -412,7 +421,6 @@ def run_vni_sweep(config: ExperimentConfig) -> dict:
     are stored in cell order once its passes end.
     """
     gain = resolve_gain(config, config.sigma_x_sq, config.init_kind)
-    s1 = _s1(config)
     listed = set(config.depths)
 
     def compute(missing):  # the missing rows of one (width, run), from one pass to the deepest listed depth
@@ -432,13 +440,13 @@ def run_vni_sweep(config: ExperimentConfig) -> dict:
         means, stds, theos = [], [], []
         for depth in config.depths:
             vals = np.array([row[2] for row in next(stored)])
-            theo_raw = np.nan if s1 is None else vni_theoretical(depth, width, gain, s1)
+            theo_raw = _moment_prediction(config, gain, depth, width)
             means.append(vals.mean())
             stds.append(vals.std(ddof=1) if config.runs > 1 else 0.0)
             theos.append(theo_raw)
             rows.append([width, depth, f"{means[-1]:.8g}", f"{stds[-1]:.8g}", f"{theo_raw:.8g}"])
         curves = {"simulation (mean +- std)": (np.array(means), np.array(stds))}
-        if s1 is not None:
+        if not np.isnan(theos).any():  # left out for an ensemble with no closed-form s_1
             curves["moment prediction"] = np.array(theos)
         _write(_path(config, f"sweep_N{width}", "svg"), svgplot.line_plot(
             config.depths,
@@ -623,34 +631,33 @@ def run_orthogonal_table(config: ExperimentConfig) -> dict:
 
 
 def run_diagnostics(config: ExperimentConfig) -> dict:
-    """One-network report: indicator by every route, effective node counts,
-    and forward/backward variance scales."""
+    """One-network report (``vni_report``): indicator by every route,
+    effective node counts, and forward/backward variance scales, beside the
+    moment prediction.  The network is the ``_gaussian_cell`` of key
+    (depth, width), run once over its probe, with loss gradients drawn
+    from ``rng.spawn(2)``; its one call is made by ``cpus.fan_out``."""
     width, depth = _first(config, "widths", "depths")
     gain = resolve_gain(config, config.sigma_x_sq, config.init_kind)
-    s1 = _s1(config)
-    theo_raw = np.nan if s1 is None else vni_theoretical(depth, width, gain, s1)
+    theo_raw = _moment_prediction(config, gain, depth, width)
 
-    def compute():  # the network, its report and its variance scales
-        rng = Rng(config.master_seed, (depth, width))
-        spec = config.network_spec(depth, width, width, 0)
-        state = build_network(spec, _init_spec(config, config.init_kind, gain), rng.spawn(0))
-        probe = gaussian_probe(config.probe_samples, width, config.sigma_x_sq, rng.spawn(1))
-        report = vni_report(state, probe)
-        loss_grads = rng.spawn(2).normal(size=(probe.shape[0], width))
-        return report, gradient_diagnostics(state, probe, loss_grads, mu1=gain.mu1)
+    def compute():
+        rng, spec, init, probe = _gaussian_cell(config, gain, depth, width, (depth, width))
+        state = build_network(spec, init, rng.spawn(0))
+        loss_grads = rng.spawn(2).normal(size=(config.probe_samples, width))
+        return vni_report(state, probe(), loss_grads, gain.mu1)
 
-    [(report, diag)] = fan_out([(0, compute)])
+    [report] = fan_out([(0, compute)])
     rows = [
         ["vni_empirical", f"{report.vni_empirical:.8g}"],
         ["vni_covariance", f"{report.vni_covariance:.8g}"],
         ["vni_jacobian", f"{report.vni_jacobian:.8g}" if report.vni_jacobian is not None else "nan"],
         ["vni_theoretical_raw", f"{theo_raw:.8g}"],
-        ["var_x_L", f"{diag.var_x_L:.8g}"],
-        ["predicted_var_x_L", f"{diag.predicted_var_x_L:.8g}"],
-        ["var_input_grad", f"{diag.var_input_grad:.8g}"],
-        ["predicted_var_input_grad", f"{diag.predicted_var_input_grad:.8g}"],
-        ["gain_median", f"{float(np.median(diag.per_layer_gain)):.8g}"],
+        ["var_x_L", f"{report.var_x_L:.8g}"],
+        ["predicted_var_x_L", f"{report.predicted_var_x_L:.8g}"],
+        ["var_input_grad", f"{report.var_input_grad:.8g}"],
+        ["predicted_var_input_grad", f"{report.predicted_var_input_grad:.8g}"],
+        ["gain_median", f"{float(np.median(report.per_layer_gain)):.8g}"],
     ]
     rows += [[f"enn@{eps:g}", n] for eps, n in report.enn.items()]
     _write_csv(config, "diagnostics", "quantity,value", rows)
-    return {"report": report, "diagnostics": diag}
+    return {"report": report}

@@ -32,8 +32,8 @@ class Rng:
     def spawn(self, index: int) -> "Rng":
         return Rng(self.seed, self.key + (int(index),))
 
-    def normal(self, size=None, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
-        return self._gen.normal(loc=mean, scale=std, size=size)
+    def normal(self, size=None, std: float = 1.0) -> np.ndarray:
+        return self._gen.normal(scale=std, size=size)
 
     def uniform(self, size=None, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         return self._gen.uniform(low=low, high=high, size=size)

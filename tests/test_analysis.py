@@ -296,7 +296,7 @@ class TestGradientDiagnostics:
         state = build_network(spec, InitializerSpec(InitKind.SCALED_GAUSSIAN, 1.0), Rng(11))
         probe = Rng(12).normal(size=(200, 30))
         g = Rng(13).normal(size=(200, 30))
-        d = an.gradient_diagnostics(state, probe, g, mu1=1.0)
+        d = an.vni_report(state, probe, g, mu1=1.0)
         assert d.per_layer_gain.shape == (4,)
         for l, w in enumerate(state.weights):
             assert d.per_layer_gain[l] == pytest.approx(30 * w.var(), rel=1e-10)
@@ -318,9 +318,9 @@ class TestGradientDiagnostics:
 
     def test_input_gradient_skips_the_reflection_gradients(self, monkeypatch):
         # Only the optimizer maps a weight gradient to reflection vectors:
-        # backward, the diagnostics and the training statistics' input
-        # gradient run on Householder networks without that map, and the
-        # diagnostics read the input gradient backward gives.
+        # backward, the report's variance scales and the training
+        # statistics' input gradient run on Householder networks without
+        # that map, and the report reads the input gradient backward gives.
         def refuse(*args):
             raise AssertionError("householder_backward called")
 
@@ -333,7 +333,7 @@ class TestGradientDiagnostics:
         g = Rng(33).normal(size=(50, 8))
         backbone = headless(state)
         full = backward(backbone, forward(backbone, probe), g)
-        d = an.gradient_diagnostics(state, probe, g, mu1=1.0)
+        d = an.vni_report(state, probe, g, mu1=1.0)
         assert d.var_input_grad == float(full.input_gradient.var())
         ds = synthetic_task("and4")
         runs = build_stack(NetworkSpec(3, 4, 4, 4), InitializerSpec(InitKind.HOUSEHOLDER), [Rng(34, (r,)) for r in range(2)])
@@ -346,7 +346,7 @@ class TestGradientDiagnostics:
         state = build_network(spec, InitializerSpec(InitKind.SCALED_GAUSSIAN, 1.0), Rng(14))
         probe = Rng(15).normal(size=(500, 100)) * np.sqrt(0.5)
         g = Rng(16).normal(size=(500, 100))
-        d = an.gradient_diagnostics(state, probe, g, mu1=1.0)
+        d = an.vni_report(state, probe, g, mu1=1.0)
         assert d.predicted_var_x_L == pytest.approx(0.5, rel=0.05)
         assert d.var_x_L == pytest.approx(d.predicted_var_x_L, rel=0.5)
 
@@ -355,7 +355,7 @@ def test_vni_report_routes_agree():
     spec = NetworkSpec(10, 40, 40, 0, ActivationKind.HARD_TANH)
     state = build_network(spec, InitializerSpec(InitKind.SCALED_GAUSSIAN, 1.0), Rng(17))
     probe = Rng(18).normal(size=(2000, 40)) * np.sqrt(0.1)
-    rep = an.vni_report(state, probe)
+    rep = an.vni_report(state, probe, Rng(24).normal(size=(2000, 40)), mu1=1.0)
     assert rep.vni_covariance == pytest.approx(rep.vni_empirical, abs=1e-10)
     assert rep.vni_jacobian == pytest.approx(rep.vni_empirical, rel=0.5)
     for eps in an.DEFAULT_ENN_EPSILONS:
@@ -369,6 +369,7 @@ def test_vni_report_one_eigensolve(monkeypatch):
     spec = NetworkSpec(6, 30, 30, 0, ActivationKind.TANH)
     state = build_network(spec, InitializerSpec(InitKind.SCALED_GAUSSIAN, 1.0), Rng(19))
     probe = Rng(20).normal(size=(400, 30))
+    g = Rng(25).normal(size=(400, 30))
     solves = []
     solve = an.sym_eigenvalues
 
@@ -377,7 +378,7 @@ def test_vni_report_one_eigensolve(monkeypatch):
         return solve(a, *args, **kwargs)
 
     monkeypatch.setattr(an, "sym_eigenvalues", counted)
-    rep = an.vni_report(state, probe)
+    rep = an.vni_report(state, probe, g, mu1=1.0)
     monkeypatch.undo()
     acts = forward(state, probe).post[-1]
     cov = np.cov(acts.T)
@@ -388,20 +389,23 @@ def test_vni_report_one_eigensolve(monkeypatch):
         assert rep.enn[eps] == an.epsilon_enn(cov, eps)
 
 
-def test_vni_report_keeps_no_layer_trace():
-    # The indicator reads layer L alone, so the report's peak stays within a
-    # few activation arrays (1000 x 100 float64 each) at any depth; a
-    # per-layer trace would hold 120 of them.
-    spec = NetworkSpec(60, 100, 100, 0, ActivationKind.HARD_TANH)
+def test_vni_report_peak_is_one_trace_and_its_gradients():
+    # The report's backward reads the forward trace, L activation arrays
+    # (1000 x 100 float64 each), and forms L weight gradients (N x N each):
+    # its peak is those plus a few activation-sized arrays at any depth,
+    # with no second trace and no copy of the network.  Measured: 3.1 more.
+    depth, width = 60, 100
+    spec = NetworkSpec(depth, width, width, 0, ActivationKind.HARD_TANH)
     state = build_network(spec, InitializerSpec(InitKind.SCALED_GAUSSIAN, 1.0), Rng(21))
-    probe = Rng(22).normal(size=(1000, 100)) * np.sqrt(0.1)
+    probe = Rng(22).normal(size=(1000, width)) * np.sqrt(0.1)
+    g = Rng(26).normal(size=(1000, width))
     tracemalloc.start()
     try:
-        an.vni_report(state, probe)
+        an.vni_report(state, probe, g, mu1=1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * probe.nbytes
+    assert peak < depth * probe.nbytes + depth * width * width * 8 + 4 * probe.nbytes
 
 
 @pytest.mark.parametrize(
@@ -433,7 +437,7 @@ def test_bad_input_raises_a_value_error_that_names_it(case, phrase):
         "vector": lambda: an.vni_from_covariance(np.ones(3)),
         "asymmetric": lambda: an.vni_from_covariance(np.array([[1.0, 0.5], [0.0, 1.0]])),
         "zero_trace": lambda: an.vni_from_covariance(np.zeros((3, 3))),
-        "empty_probe": lambda: an.gradient_diagnostics(state, np.zeros((0, 4)), np.zeros((0, 4)), mu1=1.0),
+        "empty_probe": lambda: an.vni_report(state, np.zeros((0, 4)), np.zeros((0, 4)), mu1=1.0),
         "one_row": lambda: an.vni_empirical(np.ones((1, 3))),
         "activation_vector": lambda: an.vni_empirical(np.arange(4.0)),
         "zero_depth": lambda: an.vni_theoretical(0, 10, ActivationMoments(1.0, 1.0, 0.0), -1.0),

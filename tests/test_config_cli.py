@@ -1,6 +1,7 @@
 import os
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -171,9 +172,9 @@ class TestCli:
         runs_csv = next(
             os.path.join(out, n) for n in os.listdir(out) if n.startswith("sweep_runs")
         )
-        before = open(runs_csv).read()
+        before = Path(runs_csv).read_text()
         assert main(args) == 0  # second invocation resumes, adds nothing
-        assert open(runs_csv).read() == before
+        assert Path(runs_csv).read_text() == before
 
     @pytest.mark.parametrize(
         "line, key",

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vannodes import cpus as cpus_module, experiments
+from vannodes import cpus as cpus_module, experiments, network as network_module
 from vannodes.activations import in_place
 from vannodes.analysis import vni_empirical
 from vannodes.cli import _RUNNERS
@@ -178,10 +178,26 @@ def test_diagnostics_return_the_same_bits_at_any_blas_thread_count(tmp_path):
             set_threads(threads)
             result = experiments.run_diagnostics(config)
             with np.printoptions(floatmode="unique", threshold=sys.maxsize):
-                returned.append(repr((result["report"], result["diagnostics"])))
+                returned.append(repr(result["report"]))
     finally:
         set_threads(before)
     assert returned[0] == returned[1]
+
+
+def test_diagnostics_run_the_network_over_the_probe_once(tmp_path, monkeypatch):
+    # One report of one network: the layer loop is entered once for the
+    # probe's forward pass, which every route but the Jacobian's and the
+    # variance scales read, and once for the Jacobian's one-row pass.
+    entered, loop = [], network_module._layers
+
+    def counted(spec, x, weights, biases):
+        entered.append(x.shape[0])
+        return loop(spec, x, weights, biases)
+
+    monkeypatch.setattr(network_module, "_layers", counted)
+    config = ExperimentConfig(experiment="diagnostics", widths=[12], depths=[5], probe_samples=300, out_dir=str(tmp_path))
+    experiments.run_diagnostics(config)
+    assert entered == [300, 1]
 
 
 def test_a_crash_while_replacing_a_file_keeps_the_old_one(tmp_path, monkeypatch):

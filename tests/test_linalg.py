@@ -34,8 +34,8 @@ class TestRng:
         assert np.array_equal(Rng(7).spawn(0).normal(size=50), a)
 
     def test_normal_moments(self):
-        x = Rng(3).normal(size=200_000, mean=2.0, std=0.5)
-        assert abs(x.mean() - 2.0) < 0.01
+        x = Rng(3).normal(size=200_000, std=0.5)
+        assert abs(x.mean()) < 0.01
         assert abs(x.std() - 0.5) < 0.01
 
 
